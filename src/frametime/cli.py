@@ -87,12 +87,10 @@ def compute_metrics(actual, predicted, threshold: float = DEFAULT_CONVERGENCE_TH
 
     rolling = np.array([ape[max(0, k - window + 1):k + 1].mean()
                         for k in range(ape.size)])
-    below = rolling < threshold
-    conv = float("inf")
-    for k in range(ape.size):
-        if below[k:].all():
-            conv = k * period_ms
-            break
+    # settled from one past the last interval not below the threshold
+    not_below = np.flatnonzero(~(rolling < threshold))
+    settle = int(not_below[-1]) + 1 if not_below.size else 0
+    conv = settle * period_ms if settle < ape.size else float("inf")
     return MetricsReport(mape=mape, median_ape=median, nrmse=nrmse,
                          convergence_time_ms=conv, excluded_terms=excluded)
 
@@ -115,11 +113,12 @@ class ReplayRow:
 class ReplayResult:
     rows: list[ReplayRow]
     report: MetricsReport
-    state: object                 # final estimator state
+    coefs: np.ndarray | None      # (rows, M) coefficients each row was predicted
+                                  # with; None for the AR baseline
 
 
 def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
-                     scale_window: int, threshold: float):
+                     threshold: float):
     if len(trace) < 2:
         raise CliError(EXIT_DEGENERATE, "trace too short to form differential rows")
     n_counters = len(trace.counter_names)
@@ -133,41 +132,28 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
         state = estimator.dcd_rls_init(fspec.m)
         update = estimator.dcd_rls_update
 
-    idx = list(fspec.indep_counter_indices)
-    scaler = estimator.FeatureScaler(len(idx), window=scale_window)
-    counters = trace.counter_matrix()[:, idx] if idx else np.zeros((len(trace), 0))
+    dataset = features.build_dataset(trace, fspec)
+    counters = trace.counter_matrix()[:, list(fspec.indep_counter_indices)]
+    h = dataset.h / features.estimator_units(counters)[1:]
     t = trace.frame_times()
     f = trace.freqs()
 
-    rows = []
-    scaler.observe(counters[0])
-    for k in range(1, len(trace)):
-        scaler.observe(counters[k])
-        h = scaler.build_features(t[k - 1] * (f[k - 1] / f[k] - 1.0),
-                                  f[k] - f[k - 1], counters[k] - counters[k - 1])
-        pred = max(t[k - 1] + float(h @ state.a), 0.0)
-        dtf, one_sided = _derivative_at(state, t[k - 1], trace.freq_table, f[k])
-        state, _ = update(state, h, t[k] - t[k - 1])
-        ape = abs(t[k] - pred) / t[k] * 100.0 if t[k] != 0 else None
-        rows.append(ReplayRow(k, f[k], t[k], pred, ape, dtf, one_sided))
+    coefs = np.empty_like(h)
+    predicted = np.empty(len(h))
+    for i, target in enumerate(dataset.targets):
+        coefs[i] = state.a
+        predicted[i] = max(t[i] + float(h[i] @ state.a), 0.0)
+        state = update(state, h[i], target)
 
-    actual = np.array([r.t_actual for r in rows])
-    predicted = np.array([r.t_pred for r in rows])
+    actual = t[1:]
+    dtf, one_sided = model.frequency_sensitivity(coefs, t[:-1], f[1:], trace.freq_table)
+    rows = [ReplayRow(k, f_k, t_k, pred,
+                      abs(t_k - pred) / t_k * 100.0 if t_k != 0 else None, d, side)
+            for k, f_k, t_k, pred, d, side in zip(
+                range(1, len(trace)), f[1:].tolist(), actual.tolist(), predicted.tolist(),
+                dtf.tolist(), one_sided.tolist())]
     report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
-    return ReplayResult(rows, report, state)
-
-
-def _derivative_at(state, prev_t: float, table, f_k: float):
-    # the sensitivity forms only read coefficients, so both estimator
-    # state flavors work here
-    try:
-        est = model.sensitivity_lagrange(state, prev_t, table, f_k)
-        return est.dtf_df, False
-    except model.BoundaryFrequencyError:
-        lower, upper = table.neighbors(f_k)
-        f_new = upper if lower is None else lower
-        est = model.sensitivity_two_point(state, prev_t, f_k, f_new)
-        return est.dtf_df, True
+    return ReplayResult(rows, report, coefs)
 
 
 def _replay_arlms(trace: Trace, threshold: float):
@@ -188,22 +174,22 @@ def _replay_arlms(trace: Trace, threshold: float):
     actual = np.array([r.t_actual for r in rows])
     predicted = np.array([r.t_pred for r in rows])
     report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
-    return ReplayResult(rows, report, state)
+    return ReplayResult(rows, report, None)
 
 
 def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str,
-               scale_window: int = 20,
                threshold: float = DEFAULT_CONVERGENCE_THRESHOLD) -> ReplayResult:
     """Stream a trace through one estimator, one prediction per interval.
 
     The adaptive algorithms predict each interval with the coefficients
-    held before consuming it, so rows are honest one-step-ahead errors.
-    The AR baseline emits rows only once its history is full.
+    held before consuming it, so rows are honest one-step-ahead errors;
+    those coefficients come back as ReplayResult.coefs.  The AR baseline
+    emits rows only once its history is full.
     """
     if algo in ("rls", "dcd"):
         if fspec is None:
             raise CliError(EXIT_INPUT, f"--spec is required for --algo {algo}")
-        return _replay_adaptive(trace, fspec, algo, scale_window, threshold)
+        return _replay_adaptive(trace, fspec, algo, threshold)
     if algo == "arlms":
         return _replay_arlms(trace, threshold)
     raise CliError(EXIT_INPUT, f"unknown algo {algo!r}")
@@ -301,66 +287,60 @@ def cmd_replay(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    if args.jumps < 1:
+        raise CliError(EXIT_INPUT, f"--jumps must be >= 1, got {args.jumps}")
     bundle = _load_bundle(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
     fspec = _load_spec(args.spec)
     result = run_replay(trace, fspec, "rls")
 
-    table = trace.freq_table
-    max_span = len(table) - 1
+    max_span = len(trace.freq_table) - 1
     jumps = args.jumps
     if jumps > max_span:
         print(f"warning: --jumps {jumps} exceeds the table span, clipped to {max_span}",
               file=sys.stderr)
         jumps = max_span
 
-    states = _per_row_states(trace, fspec, result)
+    level, valid, delta = _what_if(trace, result.coefs, jumps)
     header = ["k", "f_k", "dtf_df", "one_sided"]
     for j in range(1, jumps + 1):
         header += [f"delta_up{j}", f"delta_down{j}"]
+    n = len(result.rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for r, st in zip(result.rows, states):
+        for r, deltas, oks in zip(result.rows, delta.reshape(n, -1).tolist(),
+                                  valid.reshape(n, -1).tolist()):
             cells = [str(r.k), f"{r.f_k:g}", f"{r.dtf_df:.8g}", str(int(r.one_sided))]
-            prev_t = trace.samples[r.k - 1].frame_time
-            for j in range(1, jumps + 1):
-                for direction in (+1, -1):
-                    try:
-                        f_new = table.step(r.f_k, direction * j)
-                        delta = model.candidate_delta(st, prev_t, r.f_k, f_new)
-                        cells.append(f"{delta:.8g}")
-                    except IndexError:
-                        cells.append("")
+            cells += [f"{d:.8g}" if ok else "" for d, ok in zip(deltas, oks)]
             fh.write(",".join(cells) + "\n")
-    print(f"wrote {len(result.rows)} sensitivity rows to {args.out}")
+    print(f"wrote {n} sensitivity rows to {args.out}")
 
     if bundle is not None:
-        _sensitivity_summary(trace, bundle, result, states, jumps)
+        _sensitivity_summary(trace, bundle, result, level, valid, delta)
     return 0
 
 
-def _per_row_states(trace, fspec, result):
-    """Coefficient snapshots aligned with the replay rows (pre-update)."""
-    # Re-run the replay to keep run_replay's interface lean; traces are small.
-    idx = list(fspec.indep_counter_indices)
-    scaler = estimator.FeatureScaler(len(idx))
-    counters = trace.counter_matrix()[:, idx] if idx else np.zeros((len(trace), 0))
+def _what_if(trace, coefs, jumps):
+    """Predicted frame-time deltas for every row and candidate table level.
+
+    Returns (level, valid, delta), each (rows, jumps, 2): jump j up, then
+    down.  A candidate beyond the table edge is not valid; its level is
+    clipped to the edge, so its delta is only a placeholder.
+    """
+    freqs = np.asarray(trace.freq_table.freqs_mhz)
     t = trace.frame_times()
-    f = trace.freqs()
-    state = estimator.rls_init(fspec.m)
-    states = []
-    scaler.observe(counters[0])
-    for k in range(1, len(trace)):
-        scaler.observe(counters[k])
-        states.append(state)
-        h = scaler.build_features(t[k - 1] * (f[k - 1] / f[k] - 1.0),
-                                  f[k] - f[k - 1], counters[k] - counters[k - 1])
-        state, _ = estimator.rls_update(state, h, t[k] - t[k - 1])
-    return states
+    f_k = trace.freqs()[1:]
+    steps = np.arange(1, jumps + 1)[:, None] * np.array([1, -1])
+    target = np.searchsorted(freqs, f_k)[:, None, None] + steps
+    valid = (target >= 0) & (target < freqs.size)
+    level = np.clip(target, 0, freqs.size - 1)
+    delta = model.candidate_delta(coefs[:, None, None, :], t[:-1, None, None],
+                                  f_k[:, None, None], freqs[level])
+    return level, valid, delta
 
 
-def _row_complexity_map(trace, bundle):
-    """Per-row complexity when the trace shape matches the config.
+def _sample_complexities(trace, bundle):
+    """Per-sample complexity when the trace shape matches the config.
 
     Sweep traces are recognized by the factorial row count, runtime traces
     by matching the workload's own schedule length.  Returns None when the
@@ -370,56 +350,54 @@ def _row_complexity_map(trace, bundle):
     repeats = bundle.characterization_repeats
     if complexities and len(trace) == len(bundle.freq_table) * len(complexities) * repeats:
         per_freq = len(complexities) * repeats
-        return lambda k: complexities[(k % per_freq) // repeats]
+        return np.array(complexities, dtype=float)[(np.arange(len(trace)) % per_freq)
+                                                   // repeats]
     schedule = bundle.workload.complexity_schedule
     if schedule and len(trace) == len(schedule):
-        return lambda k: schedule[k]
+        return np.array(schedule, dtype=float)
     return None
 
 
-def _sensitivity_summary(trace, bundle, result, states, jumps):
+def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     """Accuracy against the analytic reference, when the trace allows it.
 
-    The what-if comparisons only use rows whose workload did not change
-    from the previous interval, mirroring a repeated-frame measurement.
+    The comparisons only use rows past a warmup whose workload did not
+    change from the previous interval, mirroring a repeated-frame
+    measurement; the derivative also skips one-sided rows.
     """
     from .trace import oracle_frame_time, oracle_frame_time_derivative
 
-    row_c = _row_complexity_map(trace, bundle)
-    if row_c is None:
+    c = _sample_complexities(trace, bundle)
+    if c is None:
         print("trace does not match the config workload; no reference summary")
         return
 
-    warm = min(100, len(result.rows) // 4)
-    ref, est = [], []
-    for r in result.rows[warm:]:
-        if r.one_sided or row_c(r.k) != row_c(r.k - 1):
-            continue
-        ref.append(oracle_frame_time_derivative(bundle.workload, row_c(r.k), r.f_k))
-        est.append(r.dtf_df)
-    if len(ref) >= 2:
-        rep = compute_metrics(np.array(ref), np.array(est))
-        print(f"derivative_nrmse={rep.nrmse:.3f}% over {len(ref)} interior rows")
-
     spec = bundle.workload
-    table = trace.freq_table
-    for j in range(1, jumps + 1):
-        apes = []
-        for r, st in zip(result.rows[warm:], states[warm:]):
-            if row_c(r.k) != row_c(r.k - 1):
-                continue
-            prev_t = trace.samples[r.k - 1].frame_time
-            for direction in (+1, -1):
-                try:
-                    f_new = table.step(r.f_k, direction * j)
-                except IndexError:
-                    continue
-                pred = prev_t + model.candidate_delta(st, prev_t, r.f_k, f_new)
-                truth = oracle_frame_time(spec, row_c(r.k), f_new)
-                if truth > 0:
-                    apes.append(abs(pred - truth) / truth * 100.0)
-        if apes:
-            print(f"jump={j} candidate_mape={float(np.mean(apes)):.3f}% ({len(apes)} predictions)")
+    c_k = c[1:]
+    steady = c_k == c[:-1]
+    steady[:min(100, len(result.rows) // 4)] = False  # warmup
+    use = steady & ~np.array([r.one_sided for r in result.rows])
+    if np.count_nonzero(use) >= 2:
+        ref = np.array([oracle_frame_time_derivative(spec, ci, fi) for ci, fi in
+                        zip(c_k[use].tolist(), trace.freqs()[1:][use].tolist())])
+        est = np.array([r.dtf_df for r in result.rows])[use]
+        rep = compute_metrics(ref, est)
+        print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
+
+    # oracle frame time at every (complexity, table level) pair the rows can reach
+    c_levels, c_index = np.unique(c_k, return_inverse=True)
+    truth = np.array([[oracle_frame_time(spec, ci, fq) for fq in trace.freq_table]
+                      for ci in c_levels.tolist()])
+    truth = truth[c_index[:, None, None], level]
+    scored = valid & steady[:, None, None] & (truth > 0)
+    pred = trace.frame_times()[:-1, None, None] + delta
+    ape = np.zeros(delta.shape)
+    ape[scored] = np.abs(pred[scored] - truth[scored]) / truth[scored] * 100.0
+    for j in range(level.shape[1]):
+        apes = ape[:, j][scored[:, j]]
+        if apes.size:
+            print(f"jump={j + 1} candidate_mape={float(np.mean(apes)):.3f}% "
+                  f"({apes.size} predictions)")
 
 
 def cmd_govern(args) -> int:

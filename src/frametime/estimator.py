@@ -13,11 +13,10 @@ A direct ridge solver is included as the reference the recursive forms
 must reproduce, plus the per-update arithmetic operation counts of the
 two RLS forms.
 
-Feature convention at this boundary: the frequency delta is fed in GHz
-and counter deltas are divided by a per-counter scale fixed from the
-first observation window, so feature entries are O(1).  FeatureScaler
-implements this; the scaling is invertible and coefficients are reported
-in the scaled units.
+Feature convention at this boundary: rows arrive in estimator units
+(features.estimator_units), with the frequency delta in GHz and counter
+deltas divided by per-counter scales fixed from the first observation
+window, so feature entries are O(1).  Coefficients are in those units.
 """
 
 from __future__ import annotations
@@ -27,18 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-MHZ_PER_GHZ = 1000.0
-
 DEFAULT_MU = 1e-14
 DEFAULT_LAMBDA = 1.0
-
-
-@dataclass(frozen=True)
-class UpdateResult:
-    predicted_delta: float
-    actual_delta: float
-    error: float                 # actual - predicted, exactly
-    coefficients_after: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,13 +112,7 @@ def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
     return RlsState(a=a0.copy(), P=np.eye(m) / mu, lam=lam, mu=mu, a_init=a0)
 
 
-def rls_predict(state: RlsState, h) -> float:
-    """Predicted delta h' a; does not touch the state."""
-    h = _check_vector(h, state.m)
-    return float(h @ state.a)
-
-
-def rls_update(state: RlsState, h, actual_delta: float) -> tuple[RlsState, UpdateResult]:
+def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
     """One covariance-form update.
 
     Gain G = P h / (h' P h + lambda); the denominator is a scalar so no
@@ -139,16 +122,14 @@ def rls_update(state: RlsState, h, actual_delta: float) -> tuple[RlsState, Updat
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    predicted = float(h @ state.a)
-    err = float(actual_delta) - predicted
+    err = float(actual_delta) - float(h @ state.a)
     Ph = state.P @ h
     denom = float(h @ Ph) + state.lam
     G = Ph / denom
     P = (state.P - np.outer(G, Ph)) / state.lam
     P = (P + P.T) / 2.0
     a = state.a + G * err
-    new = replace(state, a=a, P=P, step=state.step + 1)
-    return new, UpdateResult(predicted, float(actual_delta), err, a.copy())
+    return replace(state, a=a, P=P, step=state.step + 1)
 
 
 def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
@@ -197,7 +178,7 @@ def _dcd_solve(R: np.ndarray, beta: np.ndarray, nu: int, h_amp: float, mb: int):
     return da, r
 
 
-def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> tuple[DcdRlsState, UpdateResult]:
+def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
     """One traversal-form update with an inexact coordinate-descent solve.
 
     R <- lam R + h h'; the innovation enters the residual vector and the
@@ -207,14 +188,12 @@ def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> tuple[DcdRlsSt
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    predicted = float(h @ state.a)
-    err = float(actual_delta) - predicted
+    err = float(actual_delta) - float(h @ state.a)
     R = state.lam * state.R + np.outer(h, h)
     beta0 = state.lam * state.beta + err * h
     da, beta = _dcd_solve(R, beta0, state.nu, state.h_amp, state.mb)
     a = state.a + da
-    new = replace(state, a=a, R=R, beta=beta, step=state.step + 1)
-    return new, UpdateResult(predicted, float(actual_delta), err, a.copy())
+    return replace(state, a=a, R=R, beta=beta, step=state.step + 1)
 
 
 def arlms_init(order: int = 10, step_size: float = 0.5, eps: float = 1e-6) -> ArLmsState:
@@ -281,76 +260,3 @@ def op_count(m: int, algo: str) -> int:
     if algo == "dcd_rls":
         return 17 * m
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-class FeatureScaler:
-    """Fixes per-counter scales from the first observation window.
-
-    Counter deltas are divided by the largest absolute counter value seen
-    in the first `window` samples (never less than `floor`), and the
-    frequency delta is converted from MHz to GHz, keeping every feature
-    entry O(1) so the tiny default mu stays numerically benign.
-    """
-
-    def __init__(self, n_counters: int, window: int = 20, floor: float = 1.0):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self.floor = floor
-        self._seen = 0
-        self._scales = np.full(n_counters, float(floor))
-
-    @property
-    def counter_scales(self) -> np.ndarray:
-        return self._scales.copy()
-
-    def observe(self, counters) -> None:
-        """Feed raw counter values; ignored once the window is full."""
-        if self._seen < self.window:
-            values = np.abs(np.asarray(counters, dtype=float))
-            if values.shape != self._scales.shape:
-                raise ValueError("counter arity changed mid-stream")
-            self._scales = np.maximum(self._scales, values)
-            self._seen += 1
-
-    def build_features(self, h0_ms: float, dfreq_mhz: float, counter_deltas) -> np.ndarray:
-        """Assemble [h0, dfreq_ghz, scaled counter deltas...]."""
-        deltas = np.asarray(counter_deltas, dtype=float)
-        if deltas.shape != self._scales.shape:
-            raise ValueError("counter delta arity does not match the scaler")
-        return np.concatenate(([h0_ms, dfreq_mhz / MHZ_PER_GHZ], deltas / self._scales))
-
-
-# ---------------------------------------------------------------------------
-# State snapshots
-
-def save_state(state: RlsState, path) -> None:
-    """Write an RLS snapshot (coefficients, covariance, step) as text."""
-    lines = ["# rls state snapshot",
-             f"m = {state.m}",
-             f"step = {state.step}",
-             f"lambda = {float(state.lam)!r}",
-             f"mu = {float(state.mu)!r}",
-             "a = " + ",".join(repr(float(v)) for v in state.a),
-             "a_init = " + ",".join(repr(float(v)) for v in state.a_init)]
-    for i in range(state.m):
-        lines.append(f"p_{i} = " + ",".join(repr(float(v)) for v in state.P[i]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_state(path) -> RlsState:
-    fields = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    m = int(fields["m"])
-    vec = lambda raw: np.array([float(v) for v in raw.split(",")])
-    P = np.vstack([vec(fields[f"p_{i}"]) for i in range(m)])
-    return RlsState(a=vec(fields["a"]), P=P, lam=float(fields["lambda"]),
-                    mu=float(fields["mu"]), a_init=vec(fields["a_init"]),
-                    step=int(fields["step"]))

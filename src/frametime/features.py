@@ -1,11 +1,12 @@
-"""Offline feature selection for the differential frame-time model.
+"""Differential feature rows and their offline selection.
 
-The online model always carries two frequency terms,
+The online model always carries two frequency terms, the scalable-time
+term (the previous frame time times the relative clock step) and the
+frequency delta, plus the deltas of a chosen subset of
+frequency-independent counters.  differential_features is the one
+builder of these rows, in raw units; the online estimators see them in
+estimator units, divided by estimator_units.
 
-    h[0] = t_prev * (f_prev / f_cur - 1)      (scalable-time term)
-    h[1] = f_cur - f_prev                     (frequency delta, MHz here)
-
-plus the deltas of a chosen subset of frequency-independent counters.
 Selection runs in two stages on a characterization trace: counters
 correlated with the GPU frequency are pruned by Pearson correlation, then
 an L1-penalized regression with cross-validation picks the informative
@@ -24,6 +25,10 @@ DEFAULT_PEARSON_THRESHOLD = 0.1
 DEFAULT_FOLDS = 10
 LASSO_TOL = 1e-8
 LASSO_MAX_SWEEPS = 100_000
+
+MHZ_PER_GHZ = 1000.0
+SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
+SCALE_FLOOR = 1.0
 
 
 class ZeroFrequencyVarianceError(ValueError):
@@ -128,13 +133,57 @@ def pearson_prune(trace: Trace, threshold: float = DEFAULT_PEARSON_THRESHOLD) ->
     return [j for j, r in enumerate(corr) if np.isfinite(r) and abs(r) < threshold]
 
 
+def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
+    """Raw-unit feature rows [scalable-time term, f_cur - f_prev, dx...].
+
+    The scalable-time term is t_prev (ms) times the relative clock step
+    f_prev / f_cur - 1.  Takes one interval (scalars and a counter-delta
+    vector) or many (arrays of rows and a rows-by-counters delta matrix);
+    frequencies in MHz, counter deltas in counts.
+    """
+    dx = np.asarray(dx, dtype=float)
+    h = np.empty(dx.shape[:-1] + (2 + dx.shape[-1],))
+    h[..., 0] = t_prev * (f_prev / f_cur - 1.0)
+    h[..., 1] = f_cur - f_prev
+    h[..., 2:] = dx
+    return h
+
+
+def counter_scales(counters) -> np.ndarray:
+    """Per-sample counter scales: the running max of |counter|, at least SCALE_FLOOR.
+
+    Row i covers samples 0..i; after the first SCALE_WINDOW samples the
+    scales stay frozen, so later counter bursts do not change the units.
+    """
+    scales = np.maximum(np.maximum.accumulate(np.abs(np.asarray(counters, dtype=float)),
+                                              axis=0), SCALE_FLOOR)
+    scales[SCALE_WINDOW:] = scales[SCALE_WINDOW - 1:SCALE_WINDOW]
+    return scales
+
+
+def estimator_units(counters) -> np.ndarray:
+    """Per-sample divisors [1, MHZ_PER_GHZ, counter scales...] into estimator units.
+
+    Dividing a raw feature row that ends at sample i by row i feeds the
+    frequency delta in GHz and each counter delta relative to its scale,
+    keeping every entry O(1) so the tiny default ridge weight stays
+    numerically benign.
+    """
+    scales = counter_scales(counters)
+    units = np.empty((scales.shape[0], 2 + scales.shape[1]))
+    units[:, 0] = 1.0
+    units[:, 1] = MHZ_PER_GHZ
+    units[:, 2:] = scales
+    return units
+
+
 def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     """Differential rows from every consecutive sample pair.
 
     Row k-1 holds h built from samples (k-1, k) and the target
     t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
-    raw units here (MHz, counts); online use rescales at the estimator
-    boundary.
+    raw units here (MHz, counts); online use divides them by
+    estimator_units.
     """
     if len(trace) < 2:
         raise ValueError("need at least two samples")
@@ -149,10 +198,7 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
         raise ValueError("zero frequency in trace")
     x = trace.counter_matrix()[:, list(spec.indep_counter_indices)]
 
-    h = np.empty((len(trace) - 1, spec.m))
-    h[:, 0] = t[:-1] * (f[:-1] / f[1:] - 1.0)
-    h[:, 1] = f[1:] - f[:-1]
-    h[:, 2:] = x[1:] - x[:-1]
+    h = differential_features(t[:-1], f[:-1], f[1:], x[1:] - x[:-1])
     targets = t[1:] - t[:-1]
     return RegressionDataset(h=h, targets=targets, feature_spec=spec)
 

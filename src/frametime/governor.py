@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .estimator import FeatureScaler, RlsState, rls_init, rls_update
+from .estimator import RlsState, rls_init, rls_update
+from .features import differential_features, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
                     oracle_frame_time)
 
@@ -94,21 +95,22 @@ def _predicted_energy(pm: PowerModel, cfg: GovernorConfig, f: float, frame_ms: f
     return interval_energy(pm, f, min(active, cfg.period), cfg.period)
 
 
-def rls_policy_step(state: RlsState, ctx: model.PredictionContext,
+def rls_policy_step(state: RlsState, prev_frame_time: float, cur_freq: float,
                     table: FrequencyTable, cfg: GovernorConfig, pm: PowerModel) -> float:
     """Minimum predicted energy among frequencies predicted to hold the frame rate.
 
     Evaluates the what-if frame time at every table frequency from the
-    current operating point; if no candidate is predicted feasible, the
-    maximum frequency is the safe fallback.
+    current operating point (prev_frame_time ms at cur_freq MHz); if no
+    candidate is predicted feasible, the maximum frequency is the safe
+    fallback.
     """
     budget = cfg.frame_budget_ms
+    deltas = model.candidate_delta(state.a, prev_frame_time, cur_freq,
+                                   np.asarray(table.freqs_mhz))
     best_f = None
     best_e = None
-    for f in table:
-        pred = ctx.prev_frame_time + model.candidate_delta(
-            state, ctx.prev_frame_time, ctx.cur_freq, f)
-        pred = max(pred, 0.0)
+    for f, delta in zip(table, deltas.tolist()):
+        pred = max(prev_frame_time + delta, 0.0)
         if pred > budget:
             continue
         e = _predicted_energy(pm, cfg, f, pred)
@@ -172,8 +174,7 @@ def _log_interval(result: PolicyResult, cfg: GovernorConfig,
 
 
 def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
-             cfg: GovernorConfig, pm: PowerModel, seed: int = 0,
-             scale_window: int = 20) -> PolicyResult:
+             cfg: GovernorConfig, pm: PowerModel, seed: int = 0) -> PolicyResult:
     """Closed-loop run of one policy over the workload's schedule.
 
     Each interval the policy picks a frequency, the workload realizes a
@@ -199,10 +200,13 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         return result
 
     n_frames = cfg.frames_per_interval
-    state = rls_init(2 + len(spec.indep_counters))
-    scaler = FeatureScaler(len(spec.indep_counters), window=scale_window)
-    n_dep = len(spec.dep_counters)
-    prev = None  # (t_real, f, indep counter values)
+    if policy == "rls":
+        state = rls_init(2 + len(spec.indep_counters))
+        # independent counters depend on the complexity only, so the whole
+        # run's values, and with them the estimator units, are known upfront
+        n_dep = len(spec.dep_counters)
+        x = np.array([oracle_counters(spec, c, table.max)[n_dep:] for c in schedule])
+        units = estimator_units(x)
 
     f = table.max
     for k, c in enumerate(schedule):
@@ -216,19 +220,12 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
             continue
 
         # rls: learn from the realized sample, then choose the next frequency
-        counters = np.array(oracle_counters(spec, c, f)[n_dep:])
-        scaler.observe(counters)
-        if prev is not None:
-            t_prev, f_prev, x_prev = prev
-            h = scaler.build_features(t_prev * (f_prev / f - 1.0), f - f_prev,
-                                      counters - x_prev)
-            state, _ = rls_update(state, h, t_real - t_prev)
-        prev = (t_real, f, counters)
+        if k > 0:
+            h = differential_features(t_prev, f_prev, f, x[k] - x[k - 1]) / units[k]
+            state = rls_update(state, h, t_real - t_prev)
+        t_prev, f_prev = t_real, f
         if k + 1 < cfg.warmup_intervals:
             f = table.max
         else:
-            ctx = model.PredictionContext(prev_frame_time=t_real, prev_freq=f,
-                                          cur_freq=f,
-                                          counter_deltas=(0.0,) * len(spec.indep_counters))
-            f = rls_policy_step(state, ctx, table, cfg, pm)
+            f = rls_policy_step(state, t_real, f, table, cfg, pm)
     return result

@@ -1,143 +1,84 @@
-"""Frame-time prediction and frequency-sensitivity estimation.
+"""Frame-time what-if deltas and frequency sensitivity.
 
-Everything here evaluates a converged (or converging) estimator state
-without mutating it: absolute frame-time prediction for the next
-interval, what-if deltas for a candidate frequency, and the numerical
-derivative of frame time with respect to frequency.
+Everything here reads estimator coefficients without mutating them: the
+what-if delta for a candidate frequency and the numerical derivative of
+frame time with respect to frequency.  Coefficients come as rows, one
+(M,) vector or a replay's (n, M) coefficient history, and every function
+broadcasts over them.
 
-Unit handling is concentrated in this module: estimator coefficients see
-the frequency delta in GHz (see estimator.FeatureScaler), candidate
-frequencies arrive in MHz, and derivatives are reported in ms per MHz.
+Units: estimator coefficients see the frequency delta in GHz (see
+features.estimator_units), candidate frequencies arrive in MHz, and
+derivatives are reported in ms per MHz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .estimator import MHZ_PER_GHZ, RlsState, rls_predict
+from .features import MHZ_PER_GHZ
 from .trace import FrequencyTable
 
-TWO_POINT = "two_point"
-LAGRANGE3 = "lagrange3"
 
-
-class BoundaryFrequencyError(ValueError):
-    """Raised at table edges where the three-point form has no neighbor pair."""
-
-
-@dataclass(frozen=True)
-class PredictionContext:
-    """Inputs of one differential prediction.
-
-    counter_deltas must already be in estimator units, i.e. scaled by the
-    same FeatureScaler the estimator was trained with.
-    """
-
-    prev_frame_time: float   # ms
-    prev_freq: float         # MHz
-    cur_freq: float          # MHz
-    counter_deltas: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.prev_frame_time < 0:
-            raise ValueError("prev_frame_time must be >= 0")
-        if self.prev_freq <= 0 or self.cur_freq <= 0:
-            raise ValueError("frequencies must be > 0")
-
-
-@dataclass(frozen=True)
-class FrameTimePrediction:
-    frame_time_ms: float
-    delta_ms: float
-    clamped: bool            # prediction went negative and was floored at 0
-
-
-@dataclass(frozen=True)
-class SensitivityEstimate:
-    dtf_df: float            # ms per MHz
-    at_freq: float           # MHz
-    method: str              # TWO_POINT or LAGRANGE3
-
-
-def feature_vector(ctx: PredictionContext) -> np.ndarray:
-    """Estimator-unit features [t_prev*(f_prev/f_cur - 1), df_ghz, dx...]."""
-    h0 = ctx.prev_frame_time * (ctx.prev_freq / ctx.cur_freq - 1.0)
-    h1 = (ctx.cur_freq - ctx.prev_freq) / MHZ_PER_GHZ
-    return np.array([h0, h1, *ctx.counter_deltas])
-
-
-def predict_frame_time(state: RlsState, ctx: PredictionContext) -> FrameTimePrediction:
-    """Absolute prediction t_prev + h'a, floored at zero with a flag."""
-    h = feature_vector(ctx)
-    if h.shape[0] != state.m:
-        raise ValueError(f"context builds {h.shape[0]} features, state expects {state.m}")
-    delta = rls_predict(state, h)
-    raw = ctx.prev_frame_time + delta
-    if raw < 0:
-        return FrameTimePrediction(0.0, delta, True)
-    return FrameTimePrediction(raw, delta, False)
-
-
-def candidate_delta(state: RlsState, prev_frame_time: float,
-                    f_k: float, f_new: float) -> float:
+def candidate_delta(a, prev_frame_time, f_k, f_new):
     """Predicted frame-time change (ms) if the clock moved from f_k to f_new.
 
-    Only the two frequency terms contribute: the online counters are
-    frequency independent by construction, so their deltas for a pure
-    frequency change are zero.
+    Only the two frequency terms a[..., 0] and a[..., 1] contribute: the
+    online counters are frequency independent by construction, so their
+    deltas for a pure frequency change are zero.
     """
-    if f_k <= 0 or f_new <= 0:
+    if np.minimum(f_k, f_new).min() <= 0:
         raise ValueError("frequencies must be > 0")
-    a0 = float(state.a[0])
-    a1 = float(state.a[1]) if state.m > 1 else 0.0
-    return (a0 * prev_frame_time * (f_k / f_new - 1.0)
-            + a1 * (f_new - f_k) / MHZ_PER_GHZ)
+    a = np.asarray(a, dtype=float)
+    return (a[..., 0] * prev_frame_time * (f_k / f_new - 1.0)
+            + a[..., 1] * (f_new - f_k) / MHZ_PER_GHZ)
 
 
-def sensitivity_two_point(state: RlsState, prev_frame_time: float,
-                          f_k: float, f_new: float) -> SensitivityEstimate:
-    """Secant slope toward a single candidate frequency."""
-    if f_new == f_k:
-        raise ValueError("f_new must differ from f_k")
-    delta = candidate_delta(state, prev_frame_time, f_k, f_new)
-    return SensitivityEstimate(delta / (f_new - f_k), f_k, TWO_POINT)
-
-
-def three_point_derivative(t_lo: float, t_mid: float, t_hi: float,
-                           df1: float, df2: float) -> float:
+def three_point_derivative(t_lo, t_mid, t_hi, df1, df2):
     """Derivative at the middle of three points spaced df1 below, df2 above.
 
     Differentiates the interpolating parabola, so any quadratic is
     recovered exactly.  Equal spacing takes the central-difference form
     directly, which the general expression reduces to algebraically.
+    Scalars give a float, arrays an elementwise array.
     """
-    if df1 <= 0 or df2 <= 0:
+    df1 = np.asarray(df1, dtype=float)
+    df2 = np.asarray(df2, dtype=float)
+    if np.any(df1 <= 0) or np.any(df2 <= 0):
         raise ValueError("spacings must be > 0")
-    if df1 == df2:
-        return (t_hi - t_lo) / (2.0 * df1)
+    central = (t_hi - t_lo) / (2.0 * df1)
     num = df1 * df1 * t_hi + (df2 * df2 - df1 * df1) * t_mid - df2 * df2 * t_lo
-    return num / (df1 * df2 * (df1 + df2))
+    out = np.where(df1 == df2, central, num / (df1 * df2 * (df1 + df2)))
+    return float(out) if out.ndim == 0 else out
 
 
-def sensitivity_lagrange(state: RlsState, prev_frame_time: float,
-                         table: FrequencyTable, f_k: float) -> SensitivityEstimate:
-    """Three-point derivative at f_k using its table neighbors.
+def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
+    """d(frame time)/d(frequency) at each row's f_k, in ms per MHz.
 
-    The predicted frame times one level down and one level up come from
-    candidate_delta; uneven level spacing is handled by the interpolating
-    parabola.  At the table edges there is no neighbor pair, so callers
-    must fall back to sensitivity_two_point.
+    Interior frequencies differentiate the parabola through the predicted
+    frame times one table level down, at f_k, and one level up, which
+    handles uneven level spacing.  At the table edges there is no
+    neighbor pair, so the secant toward the single neighbor is used.
+    Returns (dtf_df, one_sided) arrays, one entry per coefficient row.
     """
-    lower, upper = table.neighbors(f_k)
-    if lower is None or upper is None:
-        raise BoundaryFrequencyError(
-            f"{f_k} MHz is at the table edge, use sensitivity_two_point")
-    df1 = f_k - lower
-    df2 = upper - f_k
-    t_mid = prev_frame_time
-    t_lo = t_mid + candidate_delta(state, prev_frame_time, f_k, lower)
-    t_hi = t_mid + candidate_delta(state, prev_frame_time, f_k, upper)
-    return SensitivityEstimate(three_point_derivative(t_lo, t_mid, t_hi, df1, df2),
-                               f_k, LAGRANGE3)
+    prev_t, f_k, _ = np.broadcast_arrays(np.asarray(prev_frame_time, dtype=float),
+                                         np.asarray(f_k, dtype=float),
+                                         np.asarray(a, dtype=float)[..., 0])
+    freqs = np.asarray(table.freqs_mhz)
+    top_level = freqs.size - 1
+    level = np.searchsorted(freqs, f_k)
+    if np.any(freqs[np.minimum(level, top_level)] != f_k):
+        raise ValueError("f_k must be frequency table entries")
+    lower = freqs[np.maximum(level - 1, 0)]
+    upper = freqs[np.minimum(level + 1, top_level)]
+    d_lo = candidate_delta(a, prev_t, f_k, lower)
+    d_hi = candidate_delta(a, prev_t, f_k, upper)
+
+    bottom, top = level == 0, level == top_level
+    inner = ~(bottom | top)
+    dtf = np.empty(f_k.shape)
+    dtf[bottom] = d_hi[bottom] / (upper - f_k)[bottom]
+    dtf[top] = d_lo[top] / (lower - f_k)[top]
+    mid = prev_t[inner]
+    dtf[inner] = three_point_derivative(mid + d_lo[inner], mid, mid + d_hi[inner],
+                                        (f_k - lower)[inner], (upper - f_k)[inner])
+    return dtf, ~inner

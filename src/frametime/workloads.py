@@ -3,9 +3,10 @@
 These are the desk-scale stand-ins for real characterization and gaming
 runs: a frequency sweep workload with a mixed counter population for
 offline feature selection and replay accuracy studies, a step-change
-workload for convergence comparisons, and a governor suite split into
-heavy runs (frame budget only holds at mid-to-high frequencies) and
-light runs (feasible everywhere, idle-dominated).
+workload for convergence comparisons, and governor runs split into
+heavy runs (frame budget only holds at mid-to-high frequencies, used for
+energy-savings comparisons) and light runs (feasible everywhere,
+idle-dominated).
 
 The sweep uses a nine-entry frequency ladder spanning 200 to 511 MHz.
 Only seven entries of the reference platform's ladder are public, so the
@@ -165,11 +166,6 @@ def light_workloads(n: int = 600) -> dict[str, WorkloadSpec]:
             [10.0 + 20.0 * k / max(n - 1, 1) for k in range(n)],
             AffineMap(0.02, 0.3), AffineMap(0.06, 1.5)),
     }
-
-
-def governor_suite(n: int = 600) -> dict[str, WorkloadSpec]:
-    """The heavy runs used for energy-savings comparisons."""
-    return heavy_workloads(n)
 
 
 def noiseless(spec: WorkloadSpec) -> WorkloadSpec:

@@ -50,7 +50,7 @@ def runtime_replay():
     trace = generate_runtime(spec, SWEEP_TABLE, freqs, seed=5)
     fspec = FeatureSpec((2, 3))
     result = cli.run_replay(trace, fspec, "rls")
-    states = cli._per_row_states(trace, fspec, result)
+    states = result.coefs
     return spec, trace, result, states
 
 
@@ -74,7 +74,7 @@ def test_criterion_01_rls_equals_batch_ridge():
         H = rng.normal(size=(steps, m))
         d = H @ rng.normal(size=m) + 0.2 * rng.normal(size=steps)
         for k in range(steps):
-            state, _ = rls_update(state, H[k], float(d[k]))
+            state = rls_update(state, H[k], float(d[k]))
             ref = batch_ridge_solve(H[:k + 1], d[:k + 1], mu, a_init)
             rel = float(np.max(np.abs(state.a - ref))) / max(float(np.max(np.abs(ref))), 1e-12)
             worst = max(worst, rel)
@@ -90,7 +90,7 @@ def test_criterion_02_exact_recovery():
     state = rls_init(4)
     for _ in range(50):
         h = rng.normal(size=4)
-        state, _ = rls_update(state, h, float(h @ a_star))
+        state = rls_update(state, h, float(h @ a_star))
     err = float(np.max(np.abs(state.a - a_star)))
     assert verdict(2, "exact-recovery", err < 1e-4, f"max err {err:.2e} in 50 updates")
 
@@ -193,8 +193,8 @@ def test_criterion_07_dcd_fidelity(sweep_replays):
         h = rng.normal(size=4)
         target = float(h @ a_star) + 0.05 * float(rng.normal())
         worst = max(worst, abs(float(h @ exact.a) - float(h @ fast.a)))
-        exact, _ = rls_update(exact, h, target)
-        fast, _ = dcd_rls_update(fast, h, target)
+        exact = rls_update(exact, h, target)
+        fast = dcd_rls_update(fast, h, target)
 
     rls_mape = post_warmup_mape(sweep_replays["clean_rls"].rows, 100)
     dcd_mape = post_warmup_mape(sweep_replays["clean_dcd"].rows, 100)
@@ -241,7 +241,7 @@ def test_criterion_10_governor_dominance_and_savings():
     dominance = True
     ratios = {}
     totals = {"rls": 0.0, "oracle": 0.0, "ondemand": 0.0}
-    for name, spec in workloads.governor_suite(600).items():
+    for name, spec in workloads.heavy_workloads(600).items():
         res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=9)
                for p in ("oracle", "rls", "ondemand")}
         eo, er, ed = (res[p].total_energy for p in ("oracle", "rls", "ondemand"))
@@ -251,7 +251,7 @@ def test_criterion_10_governor_dominance_and_savings():
             totals[p] += res[p].total_energy
     # dominance must also hold on other seeds and on the light runs
     for seed in (10, 11):
-        for spec in workloads.governor_suite(300).values():
+        for spec in workloads.heavy_workloads(300).values():
             res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=seed)
                    for p in ("oracle", "rls", "ondemand")}
             dominance &= (res["oracle"].total_energy <= res["rls"].total_energy

@@ -5,7 +5,9 @@ from frametime import workloads
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
-from frametime.features import FeatureSpec, save_feature_spec
+from frametime.estimator import dcd_rls_init, dcd_rls_update, rls_init, rls_update
+from frametime.features import (FeatureSpec, build_dataset, estimator_units,
+                                save_feature_spec)
 from frametime.trace import generate_runtime, parse_trace, serialize_trace
 
 CONFIG_TEXT = """
@@ -123,6 +125,24 @@ class TestMetrics:
     def test_never_converging(self):
         rep = compute_metrics([10.0] * 20, [20.0] * 20)
         assert rep.convergence_time_ms == float("inf")
+
+    def test_convergence_matches_suffix_scan(self):
+        # reference: the first k whose rolling APE stays below the
+        # threshold from k to the end of the series
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            actual = rng.uniform(5.0, 15.0, size=n)
+            actual[rng.random(n) < 0.05] = 0.0
+            predicted = actual * (1.0 + rng.normal(0.0, 0.2, size=n)
+                                  * np.linspace(1.0, 0.0, n) ** rng.uniform(0.5, 4.0))
+            rep = compute_metrics(actual, predicted, period_ms=50.0)
+            ape = np.where(actual != 0, np.abs(actual - predicted)
+                           / np.where(actual != 0, actual, 1.0) * 100.0, np.inf)
+            rolling = np.array([ape[max(0, k - 4):k + 1].mean() for k in range(n)])
+            want = next((k * 50.0 for k in range(n) if (rolling[k:] < 10.0).all()),
+                        float("inf"))
+            assert rep.convergence_time_ms == want
 
 
 def write_runtime_trace(tmp_path, n=160, seed=2):
@@ -257,6 +277,18 @@ class TestSensitivity:
             one_sided = cells[3] == "1"
             assert one_sided == (f_k in (table.min, table.max))
 
+    @pytest.mark.parametrize("jumps", ["0", "-2"])
+    def test_jumps_below_one_exit2(self, tmp_path, capsys, jumps):
+        trace_path, _ = write_runtime_trace(tmp_path, n=60)
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((2, 3)), spec_path)
+        out = tmp_path / "s.csv"
+        code = main(["sensitivity", "--trace", str(trace_path), "--spec", str(spec_path),
+                     "--out", str(out), "--jumps", jumps])
+        assert code == EXIT_INPUT
+        assert "--jumps" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jump_clipping_warns(self, tmp_path, capsys):
         trace_path, _ = write_runtime_trace(tmp_path, n=60)
         spec_path = tmp_path / "features.spec"
@@ -296,6 +328,25 @@ class TestRunReplayApi:
         assert res.rows[0].k == 1
         assert len(res.rows) == len(trace) - 1
         assert res.report.mape >= 0.0
+
+    @pytest.mark.parametrize("algo, init, update", [("rls", rls_init, rls_update),
+                                                    ("dcd", dcd_rls_init, dcd_rls_update)])
+    def test_coefs_equal_plain_update_loop(self, tmp_path, algo, init, update):
+        # row i is predicted with the state held before consuming row i
+        _, trace = write_runtime_trace(tmp_path, n=80)
+        fspec = FeatureSpec((2, 3))
+        res = run_replay(trace, fspec, algo)
+        dataset = build_dataset(trace, fspec)
+        units = estimator_units(trace.counter_matrix()[:, [2, 3]])
+        assert res.coefs.shape == (len(res.rows), fspec.m)
+        state = init(fspec.m)
+        for i, (h, target) in enumerate(zip(dataset.h, dataset.targets)):
+            assert np.array_equal(res.coefs[i], state.a)
+            state = update(state, h / units[i + 1], target)
+
+    def test_arlms_has_no_coefs(self, tmp_path):
+        _, trace = write_runtime_trace(tmp_path, n=40)
+        assert run_replay(trace, None, "arlms").coefs is None
 
 
 class TestFullPipeline:

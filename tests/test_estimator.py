@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from frametime.estimator import (FeatureScaler, arlms_init, arlms_update,
-                                 batch_ridge_solve, dcd_rls_init, dcd_rls_update,
-                                 load_state, op_count, rls_init, rls_predict,
-                                 rls_update, save_state)
+from frametime.estimator import (arlms_init, arlms_update, batch_ridge_solve,
+                                 dcd_rls_init, dcd_rls_update, op_count, rls_init,
+                                 rls_update)
+from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
+                                estimator_units)
 
 
 class TestRlsInit:
@@ -33,10 +34,9 @@ class TestRlsInit:
 class TestRlsUpdate:
     def test_zero_regressor(self):
         state = rls_init(3, mu=1.0, lam=0.5)
-        new, res = rls_update(state, np.zeros(3), 2.0)
+        new = rls_update(state, np.zeros(3), 2.0)
         assert np.array_equal(new.a, state.a)
         assert np.allclose(new.P, state.P / 0.5)
-        assert res.predicted_delta == 0.0
 
     def test_exact_recovery_noiseless_stream(self):
         rng = np.random.default_rng(1)
@@ -44,7 +44,7 @@ class TestRlsUpdate:
         state = rls_init(4)
         for _ in range(50):
             h = rng.normal(size=4)
-            state, _ = rls_update(state, h, float(h @ a_star))
+            state = rls_update(state, h, float(h @ a_star))
         assert np.max(np.abs(state.a - a_star)) < 1e-4
 
     def test_matches_batch_ridge_along_stream(self):
@@ -58,7 +58,7 @@ class TestRlsUpdate:
             y = float(rng.normal())
             H.append(h)
             d.append(y)
-            state, _ = rls_update(state, h, y)
+            state = rls_update(state, h, y)
             ref = batch_ridge_solve(np.array(H), np.array(d), mu, a_init)
             assert np.max(np.abs(state.a - ref)) / max(np.max(np.abs(ref)), 1e-12) < 1e-8
 
@@ -67,7 +67,7 @@ class TestRlsUpdate:
         state = rls_init(5, mu=1e-14)
         for _ in range(100):
             h = rng.normal(size=5) * rng.uniform(0.1, 10)
-            state, _ = rls_update(state, h, float(rng.normal()))
+            state = rls_update(state, h, float(rng.normal()))
             assert np.max(np.abs(state.P - state.P.T)) < 1e-9
 
     def test_covariance_positive_definite_at_moderate_mu(self):
@@ -79,7 +79,7 @@ class TestRlsUpdate:
         state = rls_init(5, mu=1.0)
         for _ in range(100):
             h = rng.normal(size=5) * rng.uniform(0.1, 10)
-            state, _ = rls_update(state, h, float(rng.normal()))
+            state = rls_update(state, h, float(rng.normal()))
             assert np.all(np.diag(state.P) > 0)
             np.linalg.cholesky(state.P)
 
@@ -91,15 +91,17 @@ class TestRlsUpdate:
             rls_update(state, np.array([1.0, 1.0]), float("inf"))
 
     def test_error_is_exact_difference(self):
+        # the innovation the gain multiplies is exactly actual - h'a
         rng = np.random.default_rng(4)
         state = rls_init(3, mu=1.0)
         for _ in range(20):
             h = rng.normal(size=3)
             actual = float(rng.normal())
-            predicted = rls_predict(state, h)
-            state, res = rls_update(state, h, actual)
-            assert res.error == actual - predicted
-            assert res.predicted_delta == predicted
+            Ph = state.P @ h
+            gain = Ph / (float(h @ Ph) + state.lam)
+            want = state.a + gain * (actual - float(h @ state.a))
+            state = rls_update(state, h, actual)
+            assert np.array_equal(state.a, want)
 
     def test_objective_optimality_vs_competitors(self):
         # at lambda=1 the running coefficients minimize the ridge cost on
@@ -119,25 +121,11 @@ class TestRlsUpdate:
             y = float(rng.normal())
             H.append(h)
             d.append(y)
-            state, _ = rls_update(state, h, y)
+            state = rls_update(state, h, y)
             if k % 7 == 0:
                 for _ in range(5):
                     rival = state.a + rng.normal(size=m) * 0.1
                     assert cost(state.a) <= cost(rival) + 1e-9
-
-
-class TestRlsPredict:
-    def test_dot_product(self):
-        state = rls_init(4, mu=1.0)
-        h = np.array([-0.991, 44.0, 0.0, 0.0])
-        assert rls_predict(state, h) == pytest.approx(-0.991 + 44.0)
-
-    def test_zero_features(self):
-        assert rls_predict(rls_init(3, mu=1.0), np.zeros(3)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            rls_predict(rls_init(3, mu=1.0), np.zeros(4))
 
 
 class TestDcdRls:
@@ -149,13 +137,13 @@ class TestDcdRls:
         for _ in range(200):
             h = rng.normal(size=4)
             y = float(h @ a_star) + 0.05 * float(rng.normal())
-            r, _ = rls_update(r, h, y)
-            d, _ = dcd_rls_update(d, h, y)
+            r = rls_update(r, h, y)
+            d = dcd_rls_update(d, h, y)
         assert np.max(np.abs(r.a - d.a)) < 1e-3
 
     def test_zero_regressor_leaves_coefficients(self):
         state = dcd_rls_init(3, mu=1.0)
-        new, _ = dcd_rls_update(state, np.zeros(3), 5.0)
+        new = dcd_rls_update(state, np.zeros(3), 5.0)
         assert np.array_equal(new.a, state.a)
 
     def test_discrepancy_non_increasing_in_nu(self):
@@ -170,8 +158,8 @@ class TestDcdRls:
                 h = rng.normal(size=4)
                 y = float(h @ a_star) + 0.05 * float(rng.normal())
                 total += abs(float(h @ r.a) - float(h @ d.a))
-                r, _ = rls_update(r, h, y)
-                d, _ = dcd_rls_update(d, h, y)
+                r = rls_update(r, h, y)
+                d = dcd_rls_update(d, h, y)
             totals.append(total)
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
@@ -179,7 +167,7 @@ class TestDcdRls:
         rng = np.random.default_rng(8)
         state = dcd_rls_init(3, mu=1.0)
         for _ in range(50):
-            state, _ = dcd_rls_update(state, rng.normal(size=3), float(rng.normal()))
+            state = dcd_rls_update(state, rng.normal(size=3), float(rng.normal()))
             assert np.max(np.abs(state.R - state.R.T)) < 1e-12
 
     def test_non_finite_rejected(self):
@@ -211,8 +199,8 @@ class TestArLms:
         h_stream = rng.normal(size=(15, 2))
         a_star = np.array([2.0, -1.0])
         r = rls_init(2, mu=1e-14)
-        r, _ = rls_update(r, h_stream[0], float(h_stream[0] @ a_star))
-        second = rls_predict(r, h_stream[1])
+        r = rls_update(r, h_stream[0], float(h_stream[0] @ a_star))
+        second = float(h_stream[1] @ r.a)
         assert second != 0.0
         ar = arlms_init(order=10)
         for k in range(9):
@@ -267,39 +255,28 @@ class TestOpCount:
 
 
 class TestFeatureScaler:
+    """Scaling into estimator units: features.counter_scales and estimator_units."""
+
     def test_scales_fixed_after_window(self):
-        scaler = FeatureScaler(2, window=3)
-        scaler.observe([10.0, 1.0])
-        scaler.observe([20.0, 2.0])
-        scaler.observe([5.0, 8.0])
-        frozen = scaler.counter_scales
-        scaler.observe([1000.0, 1000.0])
-        assert np.array_equal(scaler.counter_scales, frozen)
-        assert np.array_equal(frozen, [20.0, 8.0])
+        counters = np.zeros((SCALE_WINDOW + 5, 2))
+        counters[:3] = [[10.0, 1.0], [20.0, 2.0], [5.0, 8.0]]
+        counters[SCALE_WINDOW:] = 1000.0
+        scales = counter_scales(counters)
+        assert np.array_equal(scales[:3], [[10.0, 1.0], [20.0, 2.0], [20.0, 8.0]])
+        assert np.array_equal(scales[SCALE_WINDOW - 1], [20.0, 8.0])
+        assert np.all(scales[SCALE_WINDOW:] == scales[SCALE_WINDOW - 1])
 
     def test_feature_layout_and_units(self):
-        scaler = FeatureScaler(2, window=1)
-        scaler.observe([100.0, 50.0])
-        h = scaler.build_features(-0.991, 44.0, [10.0, -5.0])
-        assert h == pytest.approx([-0.991, 0.044, 0.1, -0.1])
+        # one interval, 400 -> 444 MHz: raw units, then the frequency delta in GHz
+        h = differential_features(10.0, 400.0, 444.0, [10.0, -5.0])
+        assert h[0] == pytest.approx(-0.991, abs=1e-3)
+        assert h[1] == 44.0
+        assert np.array_equal(h[2:], [10.0, -5.0])
+        units = estimator_units([[100.0, 50.0]])
+        assert np.array_equal(units, [[1.0, 1000.0, 100.0, 50.0]])
+        assert h / units[0] == pytest.approx([h[0], 0.044, 0.1, -0.1])
 
     def test_floor_prevents_divide_by_zero(self):
-        scaler = FeatureScaler(1, window=1)
-        scaler.observe([0.0])
-        h = scaler.build_features(0.0, 0.0, [3.0])
+        assert np.array_equal(counter_scales([[0.0], [0.5]]), [[1.0], [1.0]])
+        h = differential_features(0.0, 400.0, 400.0, [3.0]) / estimator_units([[0.0]])[0]
         assert h[2] == 3.0
-
-
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(12)
-        state = rls_init(3, mu=2.5, lam=0.9)
-        for _ in range(10):
-            state, _ = rls_update(state, rng.normal(size=3), float(rng.normal()))
-        path = tmp_path / "state.txt"
-        save_state(state, path)
-        loaded = load_state(path)
-        assert np.array_equal(loaded.a, state.a)
-        assert np.array_equal(loaded.P, state.P)
-        assert loaded.step == state.step
-        assert loaded.lam == state.lam and loaded.mu == state.mu

@@ -6,9 +6,9 @@ import pytest
 from frametime.features import (FeatureSpec, LassoPath, RegressionDataset,
                                 ZeroFrequencyVarianceError, _lasso_cd,
                                 build_dataset, cross_validated_path,
-                                default_eta_grid, lasso_fit, load_feature_spec,
-                                pearson_prune, save_feature_spec,
-                                select_features)
+                                default_eta_grid, differential_features, lasso_fit,
+                                load_feature_spec, pearson_prune,
+                                save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
                              TraceSample, WorkloadSpec, generate_runtime)
 
@@ -122,6 +122,18 @@ class TestBuildDataset:
         ds = build_dataset(trace, FeatureSpec((0,)))
         assert np.allclose(ds.h[:, 0], 0.0)
         assert np.allclose(ds.h[:, 1], 0.0)
+
+
+class TestDifferentialFeatures:
+    def test_rows_equal_single_intervals_bitwise(self):
+        rng = np.random.default_rng(21)
+        t = rng.uniform(1, 30, size=12)
+        f = rng.choice([200.0, 311.0, 400.0, 511.0], size=12)
+        dx = rng.normal(size=(11, 3)) * 100.0
+        rows = differential_features(t[:-1], f[:-1], f[1:], dx)
+        assert rows.shape == (11, 5)
+        for i in range(11):
+            assert np.array_equal(rows[i], differential_features(t[i], f[i], f[i + 1], dx[i]))
 
 
 class TestLassoFit:

@@ -6,7 +6,6 @@ from frametime.estimator import rls_init
 from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
                                 interval_energy, ondemand_policy_step,
                                 oracle_policy, rls_policy_step, simulate)
-from frametime.model import PredictionContext
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
                              WorkloadSpec, oracle_frame_time)
 
@@ -46,19 +45,17 @@ class TestIntervalEnergy:
 class TestRlsPolicyStep:
     def test_unscalable_model_picks_min_frequency(self):
         state = flat_state([0.0, 0.0, 0.0])
-        ctx = PredictionContext(10.0, 400.0, 400.0, (0.0,))
-        assert rls_policy_step(state, ctx, TABLE, CFG, PM) == TABLE.min
+        assert rls_policy_step(state, 10.0, 400.0, TABLE, CFG, PM) == TABLE.min
 
     def test_infeasible_everywhere_picks_max(self):
         state = flat_state([0.0, 0.0, 0.0])
-        ctx = PredictionContext(40.0, 400.0, 400.0, (0.0,))  # 40 ms > budget at any f
-        assert rls_policy_step(state, ctx, TABLE, CFG, PM) == TABLE.max
+        # 40 ms > budget at any f
+        assert rls_policy_step(state, 40.0, 400.0, TABLE, CFG, PM) == TABLE.max
 
     def test_scalable_model_picks_cheapest_feasible(self):
         # fully scalable converged model: frame time scales exactly with 1/f
         state = flat_state([1.0, 0.0, 0.0])
-        ctx = PredictionContext(16.0, 400.0, 400.0, (0.0,))
-        chosen = rls_policy_step(state, ctx, TABLE, CFG, PM)
+        chosen = rls_policy_step(state, 16.0, 400.0, TABLE, CFG, PM)
         # feasible set excludes frequencies predicting > 16.67 ms
         pred_at = lambda f: 16.0 + 1.0 * 16.0 * (400.0 / f - 1.0)
         assert pred_at(chosen) <= CFG.frame_budget_ms

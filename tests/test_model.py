@@ -1,115 +1,90 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frametime.estimator import rls_init
-from frametime.model import (LAGRANGE3, TWO_POINT, BoundaryFrequencyError,
-                             PredictionContext, candidate_delta, feature_vector,
-                             predict_frame_time, sensitivity_lagrange,
-                             sensitivity_two_point, three_point_derivative)
+from frametime.features import differential_features, estimator_units
+from frametime.model import (candidate_delta, frequency_sensitivity,
+                             three_point_derivative)
 from frametime.trace import FrequencyTable
 
 
-def state_with(coeffs):
-    coeffs = np.asarray(coeffs, dtype=float)
-    state = rls_init(len(coeffs), mu=1.0)
-    return type(state)(a=coeffs, P=state.P, lam=state.lam, mu=state.mu,
-                       a_init=state.a_init, step=1)
-
-
 MINNOW = FrequencyTable((200.0, 311.0, 355.0, 400.0, 444.0, 489.0, 511.0))
+PAIR = FrequencyTable((400.0, 444.0))
 
 
-class TestPredictFrameTime:
-    def test_stationary_interval(self):
-        state = state_with([0.7, -0.1, 0.4])
-        ctx = PredictionContext(12.0, 400.0, 400.0, (0.0,))
-        pred = predict_frame_time(state, ctx)
-        assert pred.frame_time_ms == 12.0
-        assert pred.delta_ms == 0.0
-        assert not pred.clamped
-
-    def test_fully_scalable_step(self):
-        # converged fully scalable model halves frame time when f doubles
-        state = state_with([1.0, 0.0])
-        ctx = PredictionContext(10.0, 200.0, 400.0)
-        pred = predict_frame_time(state, ctx)
-        assert pred.frame_time_ms == pytest.approx(5.0)
-
-    def test_negative_clamp_flagged(self):
-        state = state_with([5.0, 0.0])
-        ctx = PredictionContext(10.0, 200.0, 511.0)
-        pred = predict_frame_time(state, ctx)
-        assert pred.frame_time_ms == 0.0
-        assert pred.clamped
-        assert pred.delta_ms < -10.0
-
-    def test_dimension_mismatch(self):
-        state = state_with([1.0, 0.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            predict_frame_time(state, PredictionContext(10.0, 200.0, 400.0, ()))
-
-    def test_feature_vector_units(self):
-        ctx = PredictionContext(10.0, 400.0, 444.0, (0.25,))
-        h = feature_vector(ctx)
-        assert h[0] == pytest.approx(10.0 * (400.0 / 444.0 - 1.0))
-        assert h[1] == pytest.approx(0.044)
-        assert h[2] == 0.25
+def derivative_at(coeffs, prev_t, f_k, table):
+    """(dtf_df, one_sided) of a single coefficient row at one frequency."""
+    dtf, one_sided = frequency_sensitivity(np.asarray([coeffs], dtype=float),
+                                           [prev_t], [f_k], table)
+    return float(dtf[0]), bool(one_sided[0])
 
 
 class TestCandidateDelta:
     def test_identity_frequency_is_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            state = state_with(rng.normal(size=4))
+            a = rng.normal(size=4)
             f = float(rng.uniform(100, 600))
-            assert candidate_delta(state, float(rng.uniform(0, 30)), f, f) == 0.0
+            assert candidate_delta(a, float(rng.uniform(0, 30)), f, f) == 0.0
 
     def test_worked_step_up(self):
-        state = state_with([1.0, 0.0])
-        delta = candidate_delta(state, 10.0, 400.0, 444.0)
+        delta = candidate_delta([1.0, 0.0], 10.0, 400.0, 444.0)
         assert delta == pytest.approx(10.0 * (400.0 / 444.0 - 1.0))
         assert delta < 0
 
     def test_frequency_term_in_ghz(self):
-        state = state_with([0.0, 2.0])
-        assert candidate_delta(state, 10.0, 400.0, 444.0) == pytest.approx(2.0 * 0.044)
+        assert candidate_delta([0.0, 2.0], 10.0, 400.0, 444.0) == pytest.approx(2.0 * 0.044)
 
     def test_domain_errors(self):
-        state = state_with([1.0, 0.0])
         with pytest.raises(ValueError):
-            candidate_delta(state, 10.0, 400.0, 0.0)
+            candidate_delta([1.0, 0.0], 10.0, 400.0, 0.0)
         with pytest.raises(ValueError):
-            candidate_delta(state, 10.0, -1.0, 400.0)
+            candidate_delta([1.0, 0.0], 10.0, -1.0, 400.0)
+
+
+class TestPredictFrameTime:
+    """The feature vector a frame-time prediction h'a is made from."""
+
+    def test_feature_vector_units(self):
+        # 400 -> 444 MHz after a 10 ms frame, one counter delta already at its scale
+        h = differential_features(10.0, 400.0, 444.0, [0.25]) / estimator_units([[1.0]])[0]
+        assert h[0] == pytest.approx(10.0 * (400.0 / 444.0 - 1.0))
+        assert h[1] == pytest.approx(0.044)
+        assert h[2] == 0.25
+        # the what-if delta is the frequency part of h'a
+        a = [0.7, -1.3, 2.0]
+        assert candidate_delta(a, 10.0, 400.0, 444.0) == pytest.approx(h[0] * a[0] + h[1] * a[1])
 
 
 class TestTwoPointSensitivity:
     def test_flat_model_zero(self):
-        state = state_with([0.0, 0.0, 0.0])
-        est = sensitivity_two_point(state, 10.0, 400.0, 444.0)
-        assert est.dtf_df == 0.0
-        assert est.method == TWO_POINT
+        dtf, one_sided = derivative_at([0.0, 0.0, 0.0], 10.0, 400.0, PAIR)
+        assert dtf == 0.0
+        assert one_sided
 
     def test_sign_negative_for_scalable_up_step(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a0 = float(rng.uniform(0.1, 1.5))
             a1 = float(rng.uniform(-1.0, 0.0))
-            state = state_with([a0, a1])
-            est = sensitivity_two_point(state, float(rng.uniform(1, 30)), 400.0, 444.0)
-            assert est.dtf_df < 0
+            dtf, _ = derivative_at([a0, a1], float(rng.uniform(1, 30)), 400.0, PAIR)
+            assert dtf < 0
 
     def test_equal_frequencies_rejected(self):
+        # the secant spans two distinct table levels, never a zero width
         with pytest.raises(ValueError):
-            sensitivity_two_point(state_with([1.0, 0.0]), 10.0, 400.0, 400.0)
+            FrequencyTable((400.0, 400.0))
+        with pytest.raises(ValueError):
+            derivative_at([1.0, 0.0], 10.0, 420.0, PAIR)
 
     def test_matches_analytic_on_converged_model(self):
         # oracle t(f) = s*ref/f + u; converged coefficients a0 = s*ref/(f_k*t)
         s, u, ref, f_k, f_new = 12.0, 2.0, 200.0, 400.0, 444.0
         t_k = s * ref / f_k + u
-        state = state_with([s * ref / f_k / t_k, 0.0])
-        est = sensitivity_two_point(state, t_k, f_k, f_new)
+        dtf, _ = derivative_at([s * ref / f_k / t_k, 0.0], t_k, f_k, PAIR)
         analytic = -s * ref / (f_k * f_new)
-        assert est.dtf_df == pytest.approx(analytic, rel=1e-12)
+        assert dtf == pytest.approx(analytic, rel=1e-12)
 
 
 class TestThreePointDerivative:
@@ -140,45 +115,41 @@ class TestThreePointDerivative:
 class TestLagrangeSensitivity:
     def test_uneven_spacing_at_489(self):
         # neighbors of 489 are 444 and 511: spacings 45 below, 22 above
-        state = state_with([1.0, 0.0])
+        a = np.array([1.0, 0.0])
         prev_t = 10.0
-        est = sensitivity_lagrange(state, prev_t, MINNOW, 489.0)
-        assert est.method == LAGRANGE3
+        dtf, one_sided = derivative_at(a, prev_t, 489.0, MINNOW)
+        assert not one_sided
         df1, df2 = 489.0 - 444.0, 511.0 - 489.0
         assert (df1, df2) == (45.0, 22.0)
         t_mid = prev_t
-        t_lo = t_mid + candidate_delta(state, prev_t, 489.0, 444.0)
-        t_hi = t_mid + candidate_delta(state, prev_t, 489.0, 511.0)
+        t_lo = t_mid + candidate_delta(a, prev_t, 489.0, 444.0)
+        t_hi = t_mid + candidate_delta(a, prev_t, 489.0, 511.0)
         want = three_point_derivative(t_lo, t_mid, t_hi, df1, df2)
-        assert est.dtf_df == want
+        assert dtf == want
 
-    def test_boundary_raises_with_guidance(self):
-        state = state_with([1.0, 0.0])
-        for f in (200.0, 511.0):
-            with pytest.raises(BoundaryFrequencyError):
-                sensitivity_lagrange(state, 10.0, MINNOW, f)
+    def test_boundary_falls_back_to_secant(self):
+        a = np.array([1.0, 0.0])
+        for f, neighbor in ((200.0, 311.0), (511.0, 489.0)):
+            dtf, one_sided = derivative_at(a, 10.0, f, MINNOW)
+            assert one_sided
+            assert dtf == candidate_delta(a, 10.0, f, neighbor) / (neighbor - f)
 
     def test_equal_spacing_matches_central_difference(self):
         table = FrequencyTable((300.0, 400.0, 500.0))
         rng = np.random.default_rng(4)
         for _ in range(20):
-            state = state_with(rng.normal(size=2))
+            a = rng.normal(size=2)
             prev_t = float(rng.uniform(1, 30))
-            est = sensitivity_lagrange(state, prev_t, table, 400.0)
-            t_lo = prev_t + candidate_delta(state, prev_t, 400.0, 300.0)
-            t_hi = prev_t + candidate_delta(state, prev_t, 400.0, 500.0)
-            assert est.dtf_df == (t_hi - t_lo) / 200.0
+            dtf, _ = derivative_at(a, prev_t, 400.0, table)
+            t_lo = prev_t + candidate_delta(a, prev_t, 400.0, 300.0)
+            t_hi = prev_t + candidate_delta(a, prev_t, 400.0, 500.0)
+            assert dtf == (t_hi - t_lo) / 200.0
 
     def test_quadratic_model_recovered_through_deltas(self):
         # feed candidate deltas from a quadratic frame-time curve and check
         # the derivative at the middle frequency is exact
         a2, a1_, a0_ = 3e-5, -0.05, 25.0
         t = lambda f: a2 * f * f + a1_ * f + a0_
-
-        class FakeState:
-            # candidate_delta consumes a[0], a[1]; build deltas directly instead
-            pass
-
         f_k = 444.0
         lower, upper = 400.0, 489.0
         t_lo, t_mid, t_hi = t(lower), t(f_k), t(upper)
@@ -186,12 +157,39 @@ class TestLagrangeSensitivity:
         assert got == pytest.approx(2 * a2 * f_k + a1_, rel=1e-12)
 
 
-class TestContextValidation:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            PredictionContext(-1.0, 200.0, 400.0)
-        with pytest.raises(ValueError):
-            PredictionContext(1.0, 0.0, 400.0)
+@st.composite
+def sensitivity_rows(draw):
+    """A random table plus coefficient rows, prev_t values and table positions."""
+    n_levels = draw(st.integers(2, 9))
+    gaps = draw(st.lists(st.sampled_from([11.0, 22.0, 34.0, 44.5, 45.0, 111.0]),
+                         min_size=n_levels - 1, max_size=n_levels - 1))
+    table = FrequencyTable(tuple(200.0 + np.cumsum([0.0] + gaps)))
+    n = draw(st.integers(1, 16))
+    m = draw(st.integers(2, 5))
+    coef = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+    a = np.array(draw(st.lists(coef, min_size=n * m, max_size=n * m))).reshape(n, m)
+    prev_t = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    levels = draw(st.lists(st.integers(0, n_levels - 1), min_size=n, max_size=n))
+    return table, a, np.array(prev_t), np.array([table.freqs_mhz[i] for i in levels])
+
+
+class TestFrequencySensitivity:
+    @settings(max_examples=200, deadline=None)
+    @given(sensitivity_rows())
+    def test_rows_match_scalar_forms_bitwise(self, case):
+        table, a, prev_t, f_k = case
+        dtf, one_sided = frequency_sensitivity(a, prev_t, f_k, table)
+        for row, t, f, got, side in zip(a, prev_t.tolist(), f_k.tolist(), dtf, one_sided):
+            lower, upper = table.neighbors(f)
+            if lower is None or upper is None:
+                f_new = upper if lower is None else lower
+                want = candidate_delta(row, t, f, f_new) / (f_new - f)
+            else:
+                want = three_point_derivative(t + candidate_delta(row, t, f, lower), t,
+                                              t + candidate_delta(row, t, f, upper),
+                                              f - lower, upper - f)
+            assert side == (lower is None or upper is None)
+            assert got == want
 
 
 class TestSensitivityTrend:
@@ -199,10 +197,7 @@ class TestSensitivityTrend:
         # frame time s*ref/f + u has a derivative whose magnitude shrinks
         # as f grows; a converged model must reproduce that flattening
         s, u, ref = 15.0, 1.0, 200.0
-        state = state_with([0.8, 0.5])
-        mags = []
-        for f_k in MINNOW.freqs_mhz[1:-1]:
-            prev_t = s * ref / f_k + u
-            est = sensitivity_lagrange(state, prev_t, MINNOW, f_k)
-            mags.append(abs(est.dtf_df))
+        interior = np.array(MINNOW.freqs_mhz[1:-1])
+        dtf, _ = frequency_sensitivity([0.8, 0.5], s * ref / interior + u, interior, MINNOW)
+        mags = np.abs(dtf)
         assert all(b <= a for a, b in zip(mags, mags[1:]))
