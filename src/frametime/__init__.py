@@ -13,8 +13,8 @@ from .estimator import (ArLmsState, DcdRlsState, RlsState, arlms_init, arlms_upd
                         rls_init, rls_update)
 from .features import (FeatureSpec, LassoPath, RegressionDataset, build_dataset,
                        counter_scales, cross_validated_path, default_eta_grid,
-                       differential_features, estimator_units, lasso_fit,
-                       pearson_prune, select_features)
+                       differential_features, estimator_units, pearson_prune,
+                       select_features)
 from .governor import (GovernorConfig, PolicyResult, PowerModel, interval_energy,
                        ondemand_policy_step, oracle_policy, rls_policy_step, simulate)
 from .model import candidate_delta, frequency_sensitivity, three_point_derivative

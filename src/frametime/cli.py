@@ -10,8 +10,8 @@ Commands
 
 Exit codes: 0 success, 2 input error, 3 degenerate data, 4 spec/trace
 mismatch, 5 unsupported combination.  Every command is deterministic
-given its flags and seed; all output tables are comma separated with a
-header row.
+given its flags (characterize and govern take --seed); all output tables
+are comma separated with a header row.
 """
 
 from __future__ import annotations
@@ -248,8 +248,10 @@ def cmd_select_features(args) -> int:
         indep_counter_indices=tuple(kept),
         counter_names=tuple(trace.counter_names[i] for i in kept))
     dataset = features.build_dataset(trace, candidate)
-    path = features.cross_validated_path(dataset, features.default_eta_grid(dataset),
-                                         seed=args.seed)
+    if len(dataset) < features.DEFAULT_FOLDS:
+        raise CliError(EXIT_DEGENERATE, f"trace too short: {len(dataset)} rows, "
+                                        f"fewer than {features.DEFAULT_FOLDS} folds")
+    path = features.cross_validated_path(dataset, features.default_eta_grid(dataset))
     print("eta,cv_mean_mse,cv_stderr,nonzero_features")
     for i in range(path.etas.size):
         print(f"{path.etas[i]:.6g},{path.cv_mean_mse[i]:.6g},"
@@ -456,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rule", choices=("min_mse", "one_se"), default="min_mse")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_select_features)
 
     p = sub.add_parser("replay", help="stream a trace through an online estimator")

@@ -23,8 +23,6 @@ from .trace import Trace
 
 DEFAULT_PEARSON_THRESHOLD = 0.1
 DEFAULT_FOLDS = 10
-LASSO_TOL = 1e-8
-LASSO_MAX_SWEEPS = 100_000
 
 MHZ_PER_GHZ = 1000.0
 SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
@@ -204,89 +202,79 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
 
 
 # ---------------------------------------------------------------------------
-# L1-penalized fit by cyclic coordinate descent
+# Exact L1 path and its cross-validation
 
 def _standardize(h: np.ndarray, y: np.ndarray):
-    x_mean = h.mean(axis=0)
+    # a constant column centers to exact zeros even where its mean rounds
+    x_mean = np.where(np.ptp(h, axis=0) == 0, h[0], h.mean(axis=0))
     x_std = h.std(axis=0)
     x_std = np.where(x_std == 0, 1.0, x_std)
     y_mean = y.mean()
     return (h - x_mean) / x_std, y - y_mean, x_mean, x_std, y_mean
 
 
-def _soft_threshold(value: float, bound: float) -> float:
-    if value > bound:
-        return value - bound
-    if value < -bound:
-        return value + bound
-    return 0.0
+def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
+    """Knots (lams descending, coefs) of argmin ||y - X a||^2 + eta ||a||_1, lam = eta / 2.
 
-
-def _lasso_cd(X: np.ndarray, y: np.ndarray, eta: float, a0=None):
-    """Coordinate descent on standardized data, asserting monotone cost.
-
-    Minimizes sum (y - X a)^2 + eta * sum |a_j|.  Runs in covariance form
-    (Gram matrix instead of the residual vector) since rows far outnumber
-    features.  Stops when the largest coefficient move in a sweep is below
-    LASSO_TOL or after LASSO_MAX_SWEEPS sweeps.  Returns (a, objective
-    history per sweep).
+    The LARS homotopy with the lasso modification (Efron, Hastie,
+    Johnstone & Tibshirani, Ann. Statist. 2004), in covariance form: from
+    the all-zero solution at lam = max |X'y| down to lam_min, the
+    coefficients are linear in lam between knots, where one column joins
+    or leaves the active set, so interpolating between the knots is exact.
+    A column joins only if it raises the numerical rank of the active
+    block: duplicate and constant columns never join, and the active set
+    stops growing at rank(X).
     """
-    m = X.shape[1]
+    if X.shape[0] == 0:
+        raise ValueError("empty dataset")
+    if lam_min < 0:
+        raise ValueError("eta must be >= 0")
     gram = X.T @ X
     xy = X.T @ y
-    yy = float(y @ y)
-    diag = np.diag(gram)
-    a = np.zeros(m) if a0 is None else a0.copy()
-
-    def objective_at(coef):
-        return (yy - 2.0 * float(coef @ xy) + float(coef @ gram @ coef)
-                + eta * float(np.sum(np.abs(coef))))
-
-    objective = [objective_at(a)]
-    grad = gram @ a  # maintained as gram @ a
-    for _ in range(LASSO_MAX_SWEEPS):
-        max_move = 0.0
-        for j in range(m):
-            if diag[j] == 0.0:
-                continue
-            old = a[j]
-            rho = xy[j] - grad[j] + diag[j] * old
-            new = _soft_threshold(rho, eta / 2.0) / diag[j]
-            if new != old:
-                grad += (new - old) * gram[:, j]
-                a[j] = new
-                max_move = max(max_move, abs(new - old))
-        obj = objective_at(a)
-        if obj > objective[-1] * (1 + 1e-12) + 1e-9:
-            raise AssertionError("coordinate descent objective increased")
-        objective.append(obj)
-        if max_move < LASSO_TOL:
-            break
-    return a, objective
-
-
-def _fit_std(h: np.ndarray, y: np.ndarray, eta: float, warm=None):
-    """Standardize, fit, and map back: (coefs original units, intercept, std coefs)."""
-    X, yc, x_mean, x_std, y_mean = _standardize(h, y)
-    a_std, _ = _lasso_cd(X, yc, eta, a0=warm)
-    coefs = a_std / x_std
-    intercept = y_mean - float(coefs @ x_mean)
-    return coefs, intercept, a_std
-
-
-def lasso_fit(dataset: RegressionDataset, eta: float) -> np.ndarray:
-    """L1-penalized coefficients at a single penalty eta.
-
-    Inputs are standardized internally (the penalty applies to the
-    standardized coefficients); returned coefficients are mapped back to
-    the original feature units.  eta = 0 reduces to least squares.
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    coefs, _, _ = _fit_std(dataset.h, dataset.targets, eta)
-    return coefs
+    m = X.shape[1]
+    a = np.zeros(m)
+    signs = np.zeros(m)
+    c = xy
+    lam = float(np.max(np.abs(c)))
+    lams, knots = [lam], [a.copy()]
+    active: list[int] = []
+    dropped = None
+    while lam > lam_min:
+        d = np.zeros(m)  # coefficient change per unit decrease of lam
+        if active:
+            d[active] = np.linalg.solve(gram[np.ix_(active, active)], signs[active])
+        w = gram @ d     # correlation change per unit decrease of lam
+        step, join, leave = lam - lam_min, None, None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(w < 1, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
+            down = np.where(w > -1, np.maximum(lam + c, 0.0) / (1.0 + w), np.inf)
+            hit = np.where(d != 0, -a / d, np.inf)
+        if dropped is not None:
+            # it left with |c| = lam and may only come back with the other sign
+            (up if signs[dropped] > 0 else down)[dropped] = np.inf
+        gamma = np.minimum(up, down)
+        for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
+            if gamma[j] >= step:
+                break
+            if np.linalg.matrix_rank(X[:, active + [j]]) > len(active):
+                step, join = gamma[j], j
+                break
+        for j in active:
+            if 0 < hit[j] < step:
+                step, join, leave = hit[j], None, j
+        a += step * d
+        lam = lam - step if join is not None or leave is not None else lam_min
+        c = xy - gram @ a
+        dropped = leave
+        if join is not None:
+            active.append(join)
+            signs[join] = 1.0 if up[join] <= down[join] else -1.0
+        if leave is not None:
+            active.remove(leave)
+            a[leave] = 0.0
+        lams.append(lam)
+        knots.append(a.copy())
+    return np.array(lams), np.array(knots)
 
 
 def default_eta_grid(dataset: RegressionDataset, n: int = 50, ratio: float = 1e-4) -> np.ndarray:
@@ -300,16 +288,16 @@ def default_eta_grid(dataset: RegressionDataset, n: int = 50, ratio: float = 1e-
     return np.geomspace(eta_max, eta_max * ratio, n)
 
 
-def cross_validated_path(dataset: RegressionDataset, etas, folds: int = DEFAULT_FOLDS,
-                         seed: int = 0) -> LassoPath:
+def cross_validated_path(dataset: RegressionDataset, etas,
+                         folds: int = DEFAULT_FOLDS) -> LassoPath:
     """Held-out MSE along the penalty grid with contiguous time blocks.
 
     Rows are serially correlated, so folds are contiguous blocks rather
-    than shuffled rows; the result is deterministic (the seed is accepted
-    for interface stability).  Penalties are visited in descending order
-    with warm starts.
+    than shuffled rows; the result is deterministic.  Inputs are
+    standardized per fit (the penalty applies to standardized
+    coefficients; coefs come back in the original feature units).  Each
+    fold and the full data take one exact path, read at every penalty.
     """
-    del seed  # fold layout is deterministic by design
     etas = np.sort(np.asarray(etas, dtype=float))[::-1]
     if etas.size == 0:
         raise ValueError("empty eta grid")
@@ -319,32 +307,23 @@ def cross_validated_path(dataset: RegressionDataset, etas, folds: int = DEFAULT_
     if n < folds:
         raise ValueError(f"dataset has {n} rows, fewer than {folds} folds")
 
+    def fit(h, y):
+        X, yc, x_mean, x_std, y_mean = _standardize(h, y)
+        lams, knots = _lasso_path(X, yc, etas[-1] / 2.0)
+        a = np.column_stack([np.interp(etas / 2.0, lams[::-1], col[::-1]) for col in knots.T])
+        coefs = a / x_std
+        return coefs, y_mean - coefs @ x_mean
+
     bounds = np.linspace(0, n, folds + 1, dtype=int)
     fold_mse = np.empty((etas.size, folds))
     for k in range(folds):
-        lo, hi = bounds[k], bounds[k + 1]
         test = np.zeros(n, dtype=bool)
-        test[lo:hi] = True
-        h_tr, y_tr = dataset.h[~test], dataset.targets[~test]
-        h_te, y_te = dataset.h[test], dataset.targets[test]
-        X, yc, x_mean, x_std, y_mean = _standardize(h_tr, y_tr)
-        warm = None
-        for i, eta in enumerate(etas):
-            a_std, _ = _lasso_cd(X, yc, eta, a0=warm)
-            warm = a_std
-            coefs = a_std / x_std
-            intercept = y_mean - float(coefs @ x_mean)
-            err = y_te - (h_te @ coefs + intercept)
-            fold_mse[i, k] = float(err @ err) / err.size
+        test[bounds[k]:bounds[k + 1]] = True
+        coefs, intercepts = fit(dataset.h[~test], dataset.targets[~test])
+        err = dataset.targets[test, None] - (dataset.h[test] @ coefs.T + intercepts)
+        fold_mse[:, k] = np.mean(err * err, axis=0)
 
-    coefs_path = np.empty((etas.size, dataset.feature_spec.m))
-    warm = None
-    X, yc, x_mean, x_std, _ = _standardize(dataset.h, dataset.targets)
-    for i, eta in enumerate(etas):
-        a_std, _ = _lasso_cd(X, yc, eta, a0=warm)
-        warm = a_std
-        coefs_path[i] = a_std / x_std
-
+    coefs_path, _ = fit(dataset.h, dataset.targets)
     return LassoPath(
         etas=etas,
         coefs=coefs_path,

@@ -281,7 +281,7 @@ def test_criterion_11_feature_selection():
 
     candidate = FeatureSpec(tuple(kept), tuple(trace.counter_names[i] for i in kept))
     dataset = build_dataset(trace, candidate)
-    path = cross_validated_path(dataset, default_eta_grid(dataset), folds=10, seed=0)
+    path = cross_validated_path(dataset, default_eta_grid(dataset), folds=10)
     chosen = select_features(path, "min_mse")
     informative = chosen.indep_counter_indices == (2, 3)
     ok = pruned_deps and informative and chosen.m == 4

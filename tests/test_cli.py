@@ -209,6 +209,17 @@ class TestSelectFeatures:
                      "--out", str(tmp_path / "s.spec")])
         assert code == EXIT_DEGENERATE
 
+    def test_trace_shorter_than_folds_exit3(self, tmp_path, capsys):
+        spec, _ = workloads.sensitivity_replay(n=8, seed=1)
+        trace = generate_runtime(spec, workloads.SWEEP_TABLE, [200.0, 400.0] * 4, seed=1)
+        path = tmp_path / "short.csv"
+        path.write_text(serialize_trace(trace))
+        code = main(["select-features", "--trace", str(path),
+                     "--out", str(tmp_path / "s.spec")])
+        assert code == EXIT_DEGENERATE
+        assert "7 rows, fewer than 10 folds" in capsys.readouterr().err
+        assert not (tmp_path / "s.spec").exists()
+
     def test_missing_trace_exit2(self, tmp_path):
         code = main(["select-features", "--trace", str(tmp_path / "gone.csv"),
                      "--out", str(tmp_path / "s.spec")])

@@ -2,11 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frametime.features import (FeatureSpec, LassoPath, RegressionDataset,
-                                ZeroFrequencyVarianceError, _lasso_cd,
-                                build_dataset, cross_validated_path,
-                                default_eta_grid, differential_features, lasso_fit,
+                                ZeroFrequencyVarianceError, _lasso_path,
+                                _standardize, build_dataset, cross_validated_path,
+                                default_eta_grid, differential_features,
                                 load_feature_spec, pearson_prune,
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
@@ -29,6 +31,17 @@ def synthetic_dataset(rng, n=200, m_counters=3, coef=None, noise=0.0):
     coef = np.asarray(coef) if coef is not None else rng.normal(size=spec.m)
     y = h @ coef + noise * rng.normal(size=n)
     return RegressionDataset(h=h, targets=y, feature_spec=spec), coef
+
+
+def lasso_at(ds, eta):
+    """Original-unit coefficients at one penalty: the path's last knot, lam = eta / 2."""
+    X, yc, _, x_std, _ = _standardize(ds.h, ds.targets)
+    _, knots = _lasso_path(X, yc, eta / 2.0)
+    return knots[-1] / x_std
+
+
+# KKT residuals are checked relative to max |X'y|, the largest lam of the path
+KKT_RTOL = 1e-9
 
 
 class TestPearsonPrune:
@@ -140,7 +153,7 @@ class TestLassoFit:
     def test_eta_zero_matches_least_squares(self):
         rng = np.random.default_rng(0)
         ds, _ = synthetic_dataset(rng, n=150, noise=0.05)
-        coefs = lasso_fit(ds, 0.0)
+        coefs = lasso_at(ds, 0.0)
         # reference: least squares with intercept, slopes compared
         X = np.column_stack([ds.h, np.ones(len(ds))])
         ref = np.linalg.lstsq(X, ds.targets, rcond=None)[0][:-1]
@@ -150,7 +163,7 @@ class TestLassoFit:
         rng = np.random.default_rng(1)
         ds, _ = synthetic_dataset(rng, n=100, noise=0.05)
         grid = default_eta_grid(ds)
-        assert np.count_nonzero(lasso_fit(ds, grid[0] * 1.01)) == 0
+        assert np.count_nonzero(lasso_at(ds, grid[0] * 1.01)) == 0
 
     def test_support_recovery_against_subset_regression(self):
         rng = np.random.default_rng(4)
@@ -171,25 +184,48 @@ class TestLassoFit:
 
         # moderate penalty zeroes the inactive features
         grid = default_eta_grid(ds)
-        coefs = lasso_fit(ds, grid[12])
+        coefs = lasso_at(ds, grid[12])
         assert set(np.flatnonzero(coefs)) == {0, 2}
 
-    def test_objective_monotone_per_sweep(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n, m = 60, 4
-            X = rng.normal(size=(n, m))
-            y = rng.normal(size=n)
-            _, history = _lasso_cd(X - X.mean(0), y - y.mean(), float(rng.uniform(0, 5)))
-            assert all(b <= a * (1 + 1e-12) + 1e-9 for a, b in zip(history, history[1:]))
+    @pytest.mark.parametrize("case", ["plain", "duplicate", "constant", "wide"])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), p=st.integers(1, 7))
+    def test_kkt_at_every_grid_eta(self, case, seed, n, p):
+        rng = np.random.default_rng(seed)
+        if case == "wide":      # more features than rows
+            p = n + 1 + p
+        else:
+            n += p + 1
+        h = rng.normal(size=(n, p))
+        if case == "duplicate":
+            h = np.column_stack([h, h[:, -1]])
+        if case == "constant":
+            h = np.column_stack([h, np.full(n, 3.7)])
+        beta = rng.normal(size=h.shape[1]) * (rng.random(h.shape[1]) < 0.5)
+        X, y, _, _, _ = _standardize(h, h @ beta + rng.normal(size=n))
+
+        lam_max = float(np.max(np.abs(X.T @ y)))
+        lams = lam_max * np.append(np.geomspace(1.5, 1e-4, 25), 0.0)
+        knot_lams, knots = _lasso_path(X, y, 0.0)
+        tol = KKT_RTOL * lam_max
+        for lam in lams:    # eta = 2 lam, read off the knots as selection does
+            a = np.array([np.interp(lam, knot_lams[::-1], col[::-1]) for col in knots.T])
+            grad = X.T @ (y - X @ a)
+            active = a != 0
+            assert np.all(np.abs(grad[~active]) <= lam + tol)
+            assert np.all(np.abs(grad[active] - lam * np.sign(a[active])) <= tol)
+            assert np.count_nonzero(a) <= np.linalg.matrix_rank(X)
+            if case == "duplicate":
+                assert a[-1] == 0 or a[-2] == 0
+            if case == "constant":
+                assert a[-1] == 0
 
     def test_empty_dataset_rejected(self):
-        spec = FeatureSpec((0,))
-        empty = RegressionDataset(h=np.zeros((0, 3)), targets=np.zeros(0), feature_spec=spec)
         with pytest.raises(ValueError):
-            lasso_fit(empty, 1.0)
+            _lasso_path(np.zeros((0, 3)), np.zeros(0), 0.5)
+        ds, _ = synthetic_dataset(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            lasso_fit(synthetic_dataset(np.random.default_rng(0))[0], -1.0)
+            lasso_at(ds, -1.0)
 
 
 class TestCrossValidation:
@@ -197,8 +233,8 @@ class TestCrossValidation:
         rng = np.random.default_rng(6)
         ds, _ = synthetic_dataset(rng, n=120, noise=0.2)
         grid = default_eta_grid(ds, n=20)
-        a = cross_validated_path(ds, grid, folds=5, seed=1)
-        b = cross_validated_path(ds, grid, folds=5, seed=1)
+        a = cross_validated_path(ds, grid, folds=5)
+        b = cross_validated_path(ds, grid, folds=5)
         assert np.array_equal(a.cv_mean_mse, b.cv_mean_mse)
         assert np.array_equal(a.coefs, b.coefs)
         assert np.all(a.cv_stderr >= 0)
@@ -207,7 +243,7 @@ class TestCrossValidation:
     def test_min_mse_eta_not_above_one_se_eta(self):
         rng = np.random.default_rng(7)
         ds, _ = synthetic_dataset(rng, n=200, noise=0.5)
-        path = cross_validated_path(ds, default_eta_grid(ds, n=30), folds=5, seed=0)
+        path = cross_validated_path(ds, default_eta_grid(ds, n=30), folds=5)
         i_min = int(np.argmin(path.cv_mean_mse))
         limit = path.cv_mean_mse[i_min] + path.cv_stderr[i_min]
         i_1se = next(i for i in range(path.etas.size) if path.cv_mean_mse[i] <= limit)
@@ -217,16 +253,23 @@ class TestCrossValidation:
         rng = np.random.default_rng(8)
         for trial in range(5):
             ds, _ = synthetic_dataset(rng, n=150, noise=1.0)
-            path = cross_validated_path(ds, default_eta_grid(ds, n=25), folds=5, seed=0)
+            path = cross_validated_path(ds, default_eta_grid(ds, n=25), folds=5)
             n_min = select_features(path, "min_mse").m
             n_1se = select_features(path, "one_se").m
             assert n_1se <= n_min
+
+    def test_more_features_than_rows_support_bounded_by_rank(self):
+        rng = np.random.default_rng(10)
+        ds, _ = synthetic_dataset(rng, n=12, m_counters=10, noise=0.1)   # M = 12
+        path = cross_validated_path(ds, default_eta_grid(ds, n=20), folds=4)
+        assert np.all(np.isfinite(path.cv_mean_mse))
+        assert np.max(path.nonzero_counts) <= np.linalg.matrix_rank(ds.h - ds.h.mean(0))
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(9)
         ds, _ = synthetic_dataset(rng, n=5)
         with pytest.raises(ValueError):
-            cross_validated_path(ds, [1.0, 0.1], folds=10, seed=0)
+            cross_validated_path(ds, [1.0, 0.1], folds=10)
 
 
 class TestSelectFeatures:
