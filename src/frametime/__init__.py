@@ -20,8 +20,7 @@ from .governor import (GovernorConfig, PolicyResult, PowerModel, interval_energy
 from .model import candidate_delta, frequency_sensitivity, three_point_derivative
 from .trace import (DEFAULT_FREQ_TABLE, AffineMap, CounterModel, FrequencyTable,
                     HashNoiseMap, PiecewiseLinearMap, Trace, TraceParseError,
-                    TraceSample, WorkloadSpec, generate_characterization,
-                    generate_runtime, oracle_counters, oracle_frame_time,
-                    parse_trace, serialize_trace)
+                    WorkloadSpec, generate_characterization, generate_runtime,
+                    oracle_counters, oracle_frame_time, parse_trace, serialize_trace)
 
 __version__ = "0.1.0"

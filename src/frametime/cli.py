@@ -133,10 +133,10 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
         update = estimator.dcd_rls_update
 
     dataset = features.build_dataset(trace, fspec)
-    counters = trace.counter_matrix()[:, list(fspec.indep_counter_indices)]
+    counters = trace.counters[:, list(fspec.indep_counter_indices)]
     h = dataset.h / features.estimator_units(counters)[1:]
-    t = trace.frame_times()
-    f = trace.freqs()
+    t = trace.frame_times
+    f = trace.freqs
 
     coefs = np.empty_like(h)
     predicted = np.empty(len(h))
@@ -158,8 +158,8 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
 
 def _replay_arlms(trace: Trace, threshold: float):
     state = estimator.arlms_init()
-    t = trace.frame_times()
-    f = trace.freqs()
+    t = trace.frame_times
+    f = trace.freqs
     rows = []
     next_pred = None
     for k in range(len(trace)):
@@ -330,8 +330,8 @@ def _what_if(trace, coefs, jumps):
     clipped to the edge, so its delta is only a placeholder.
     """
     freqs = np.asarray(trace.freq_table.freqs_mhz)
-    t = trace.frame_times()
-    f_k = trace.freqs()[1:]
+    t = trace.frame_times
+    f_k = trace.freqs[1:]
     steps = np.arange(1, jumps + 1)[:, None] * np.array([1, -1])
     target = np.searchsorted(freqs, f_k)[:, None, None] + steps
     valid = (target >= 0) & (target < freqs.size)
@@ -381,7 +381,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     use = steady & ~np.array([r.one_sided for r in result.rows])
     if np.count_nonzero(use) >= 2:
         ref = np.array([oracle_frame_time_derivative(spec, ci, fi) for ci, fi in
-                        zip(c_k[use].tolist(), trace.freqs()[1:][use].tolist())])
+                        zip(c_k[use].tolist(), trace.freqs[1:][use].tolist())])
         est = np.array([r.dtf_df for r in result.rows])[use]
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
@@ -392,7 +392,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
                       for ci in c_levels.tolist()])
     truth = truth[c_index[:, None, None], level]
     scored = valid & steady[:, None, None] & (truth > 0)
-    pred = trace.frame_times()[:-1, None, None] + delta
+    pred = trace.frame_times[:-1, None, None] + delta
     ape = np.zeros(delta.shape)
     ape[scored] = np.abs(pred[scored] - truth[scored]) / truth[scored] * 100.0
     for j in range(level.shape[1]):

@@ -102,20 +102,21 @@ class LassoPath:
 def frequency_correlations(trace: Trace) -> np.ndarray:
     """Pearson r of each counter against the GPU frequency.
 
-    Zero-variance counters get r = nan rather than a divide error.
+    Constant counters get r = nan rather than a divide error or the
+    rounding residue of centring them.
     """
-    freqs = trace.freqs()
+    freqs = trace.freqs
     if len(trace) < 2 or np.ptp(freqs) == 0:
         raise ZeroFrequencyVarianceError(
             "trace spans a single frequency, correlation with frequency is undefined")
     fc = freqs - freqs.mean()
     fnorm = float(np.sqrt(fc @ fc))
-    counters = trace.counter_matrix()
+    counters = trace.counters
     out = np.empty(counters.shape[1])
     for j in range(counters.shape[1]):
         xc = counters[:, j] - counters[:, j].mean()
         xnorm = float(np.sqrt(xc @ xc))
-        out[j] = np.nan if xnorm == 0 else float(fc @ xc) / (fnorm * xnorm)
+        out[j] = np.nan if np.ptp(counters[:, j]) == 0 else float(fc @ xc) / (fnorm * xnorm)
     return out
 
 
@@ -190,11 +191,9 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     if bad:
         raise ValueError(f"counter indices {bad} out of range for {n_counters} counters")
 
-    t = trace.frame_times()
-    f = trace.freqs()
-    if np.any(f == 0):
-        raise ValueError("zero frequency in trace")
-    x = trace.counter_matrix()[:, list(spec.indep_counter_indices)]
+    t = trace.frame_times
+    f = trace.freqs
+    x = trace.counters[:, list(spec.indep_counter_indices)]
 
     h = differential_features(t[:-1], f[:-1], f[1:], x[1:] - x[:-1])
     targets = t[1:] - t[:-1]

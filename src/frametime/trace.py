@@ -32,7 +32,7 @@ DEFAULT_FREQS_MHZ = (200.0, 311.0, 355.0, 400.0, 444.0, 489.0, 511.0)
 
 
 class TraceParseError(ValueError):
-    """Base class for trace file errors.  Carries the 1-based data row."""
+    """Base class for invalid trace rows.  Carries the 1-based data row."""
 
     def __init__(self, row: int, message: str):
         self.row = row
@@ -70,9 +70,6 @@ class FrequencyTable:
     def __len__(self):
         return len(self.freqs_mhz)
 
-    def __contains__(self, f) -> bool:
-        return float(f) in self.freqs_mhz
-
     def __iter__(self):
         return iter(self.freqs_mhz)
 
@@ -104,71 +101,79 @@ class FrequencyTable:
 
 DEFAULT_FREQ_TABLE = FrequencyTable(DEFAULT_FREQS_MHZ)
 
-
-@dataclass(frozen=True)
-class TraceSample:
-    """One observation interval."""
-
-    timestamp: float        # seconds
-    frame_time: float       # milliseconds
-    frame_count: int
-    gpu_freq: float         # MHz
-    counters: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "timestamp", float(self.timestamp))
-        object.__setattr__(self, "frame_time", float(self.frame_time))
-        object.__setattr__(self, "frame_count", int(self.frame_count))
-        object.__setattr__(self, "gpu_freq", float(self.gpu_freq))
-        object.__setattr__(self, "counters", tuple(float(c) for c in self.counters))
-        values = (self.timestamp, self.frame_time, self.gpu_freq) + self.counters
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("sample fields must be finite")
-        if self.frame_time < 0:
-            raise ValueError("frame_time must be >= 0")
-        if self.frame_count < 0:
-            raise ValueError("frame_count must be >= 0")
-        if any(c < 0 for c in self.counters):
-            raise ValueError("counters must be >= 0")
+# Trace columns and their dtypes, in file order
+_COLUMNS = {"timestamps": float, "frame_times": float, "frame_counts": np.int64,
+            "freqs": float, "counters": float}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """An ordered, validated sequence of samples with a fixed period."""
+    """An ordered, validated trace of fixed-period intervals, held by column.
 
-    samples: tuple[TraceSample, ...]
+    Every column is a read-only numpy array with one entry per interval;
+    counters is intervals by counters, ordered like counter_names.
+    """
+
+    timestamps: np.ndarray       # seconds, strictly increasing
+    frame_times: np.ndarray      # milliseconds
+    frame_counts: np.ndarray
+    freqs: np.ndarray            # MHz
+    counters: np.ndarray         # (intervals, counters)
     counter_names: tuple[str, ...]
     freq_table: FrequencyTable
     period: float = DEFAULT_PERIOD_MS  # milliseconds
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        for name, dtype in _COLUMNS.items():
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "counter_names", tuple(self.counter_names))
         if self.period <= 0:
             raise ValueError("period must be > 0")
         if any("," in name or "\n" in name for name in self.counter_names):
             raise ValueError("counter names must not contain commas or newlines")
-        n = len(self.counter_names)
-        for i, s in enumerate(self.samples):
-            if len(s.counters) != n:
-                raise ValueError(f"sample {i}: expected {n} counters, got {len(s.counters)}")
-            if s.gpu_freq not in self.freq_table:
-                raise ValueError(f"sample {i}: frequency {s.gpu_freq} MHz not in table")
+        _validate(self)
 
     def __len__(self):
-        return len(self.samples)
+        return self.timestamps.shape[0]
 
-    def frame_times(self) -> np.ndarray:
-        return np.array([s.frame_time for s in self.samples])
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.counter_names == other.counter_names
+                and self.freq_table == other.freq_table and self.period == other.period
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in _COLUMNS))
 
-    def freqs(self) -> np.ndarray:
-        return np.array([s.gpu_freq for s in self.samples])
 
-    def counter_matrix(self) -> np.ndarray:
-        """Samples-by-counters array of raw counter values."""
-        if not self.samples:
-            return np.zeros((0, len(self.counter_names)))
-        return np.array([s.counters for s in self.samples])
+def _validate(trace: Trace) -> None:
+    """Check column shapes, then every row, for parsed and built traces alike.
+
+    Raises the TraceParseError of the first bad row, numbered from 1; within
+    a row, a foreign frequency is reported before the other faults.
+    """
+    n, k = trace.timestamps.size, len(trace.counter_names)
+    shapes = [getattr(trace, name).shape for name in _COLUMNS]
+    if shapes != [(n,)] * 4 + [(n, k)]:
+        raise ValueError(f"columns must hold {n} rows and {k} counters, got shapes {shapes}")
+    ts, ft, x = trace.timestamps, trace.frame_times, trace.counters
+    checks = (
+        (UnknownFrequencyError, ~np.isin(trace.freqs, trace.freq_table.freqs_mhz),
+         "frequency {f} MHz not in table"),
+        (FieldValueError, ~(np.isfinite(ts) & np.isfinite(ft) & np.isfinite(x).all(axis=1)),
+         "fields must be finite"),
+        (FieldValueError, ft < 0, "frame_time must be >= 0"),
+        (FieldValueError, trace.frame_counts < 0, "frame_count must be >= 0"),
+        (FieldValueError, (x < 0).any(axis=1), "counters must be >= 0"),
+        (FieldValueError, np.concatenate(([False], ts[1:] <= ts[:-1])),
+         "timestamp {t} s is not after the previous row's"),
+    )
+    firsts = [(int(np.argmax(bad)), i) for i, (_, bad, _) in enumerate(checks) if bad.any()]
+    if firsts:
+        row, i = min(firsts)
+        error, _, message = checks[i]
+        raise error(row + 1, message.format(f=trace.freqs[row], t=ts[row]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,31 +342,39 @@ def oracle_counters(spec: WorkloadSpec, c: float, f: float) -> tuple[float, ...]
     return tuple(dep + indep)
 
 
-def _frame_count(frame_time: float, period: float, fps_cap: int = 3) -> int:
-    if frame_time <= 0:
-        return fps_cap
-    return min(fps_cap, int(period // frame_time))
+FPS_CAP = 3  # most frames counted in one interval
 
 
-def _emit_samples(spec, points, seed, period):
-    rng = np.random.default_rng(seed)
-    noisy = spec.noise_sigma > 0
-    samples = []
-    for k, (c, f) in enumerate(points):
-        t = oracle_frame_time(spec, c, f, noisy=noisy, rng=rng)
-        samples.append(TraceSample(
-            timestamp=(k + 1) * period / 1000.0,
-            frame_time=t,
-            frame_count=_frame_count(t, period),
-            gpu_freq=f,
-            counters=oracle_counters(spec, c, f),
-        ))
-    return samples
+def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Trace:
+    """Trace of the analytic workload at per-interval complexities c and frequencies f.
+
+    Column arithmetic in the operation order of oracle_frame_time and
+    oracle_counters, with the noise drawn as one block of the seeded
+    stream, so every value equals the scalar oracles' bit for bit.
+    """
+    f = np.asarray(f, dtype=float)
+    levels, at = np.unique(np.asarray(c, dtype=float), return_inverse=True)
+    levels = levels.tolist()
+
+    def per_interval(response):
+        return np.array([response(v) for v in levels], dtype=float)[at]
+
+    t = per_interval(spec.scalable_ms) * spec.ref_freq / f + per_interval(spec.unscalable_ms)
+    if spec.noise_sigma > 0:
+        t *= 1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.size)
+    t = np.where(t < 0.0, 0.0, t)
+    with np.errstate(divide="ignore"):
+        counts = np.where(t > 0, np.minimum(FPS_CAP, DEFAULT_PERIOD_MS // t), FPS_CAP)
+    counters = np.empty((t.size, len(spec.counter_names)))
+    for j, cm in enumerate(spec.dep_counters + spec.indep_counters):
+        base = per_interval(cm.response)
+        counters[:, j] = base * (f / spec.ref_freq) if cm.kind == "dep" else base
+    timestamps = np.arange(1, t.size + 1) * DEFAULT_PERIOD_MS / 1000.0
+    return Trace(timestamps, t, counts, f, counters, spec.counter_names, table)
 
 
 def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
-                              complexities, repeats: int, seed: int,
-                              period: float = DEFAULT_PERIOD_MS) -> Trace:
+                              complexities, repeats: int, seed: int) -> Trace:
     """Full factorial frequency x complexity x repeats sweep.
 
     Sweep order is one frequency at a time, complexities ascending within
@@ -375,13 +388,12 @@ def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     spec.validate(complexities)
-    points = [(c, f) for f in table for c in complexities for _ in range(repeats)]
-    samples = _emit_samples(spec, points, seed, period)
-    return Trace(samples, spec.counter_names, table, period)
+    per_freq = np.repeat(complexities, repeats)
+    return _generate(spec, table, np.tile(per_freq, len(table)),
+                     np.repeat(table.freqs_mhz, per_freq.size), seed)
 
 
-def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int,
-                     period: float = DEFAULT_PERIOD_MS) -> Trace:
+def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int) -> Trace:
     """Trace following the spec's own complexity schedule.
 
     freqs is either a single frequency held for the whole run or a
@@ -390,18 +402,16 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
     schedule = spec.complexity_schedule
     if not schedule:
         raise ValueError("workload has an empty complexity schedule")
-    if np.isscalar(freqs):
-        freq_seq = [float(freqs)] * len(schedule)
-    else:
-        freq_seq = [float(f) for f in freqs]
-        if len(freq_seq) != len(schedule):
-            raise ValueError("frequency sequence length must match the schedule")
-    for f in freq_seq:
-        if f not in table:
-            raise ValueError(f"frequency {f} MHz not in table")
+    freq_seq = np.asarray(freqs, dtype=float)
+    if freq_seq.ndim == 0:
+        freq_seq = np.full(len(schedule), freq_seq)
+    if freq_seq.shape != (len(schedule),):
+        raise ValueError("frequency sequence length must match the schedule")
+    foreign = freq_seq[~np.isin(freq_seq, table.freqs_mhz)]
+    if foreign.size:
+        raise ValueError(f"frequency {foreign[0]} MHz not in table")
     spec.validate(sorted(set(schedule)))
-    samples = _emit_samples(spec, list(zip(schedule, freq_seq)), seed, period)
-    return Trace(samples, spec.counter_names, table, period)
+    return _generate(spec, table, schedule, freq_seq, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +426,15 @@ def serialize_trace(trace: Trace) -> str:
 
     The first line is a comment recording the frequency table so the file
     is self-describing; then the header row, then one row per interval.
+    Each value is the repr of a Python float or int, which parses back to
+    the same number; the columns go through tolist() because the repr of
+    a numpy scalar reads np.float64(...).
     """
     lines = [f"{_TABLE_COMMENT} " + ",".join(repr(f) for f in trace.freq_table)]
     lines.append(",".join(_FIXED_COLUMNS + trace.counter_names))
-    for s in trace.samples:
-        fields = [repr(s.timestamp), repr(s.frame_time), str(s.frame_count),
-                  repr(s.gpu_freq)]
-        fields.extend(repr(c) for c in s.counters)
-        lines.append(",".join(fields))
+    columns = [trace.timestamps.tolist(), trace.frame_times.tolist(),
+               trace.frame_counts.tolist(), trace.freqs.tolist(), *trace.counters.T.tolist()]
+    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
     return "\n".join(lines) + "\n"
 
 
@@ -434,9 +445,7 @@ def _parse_float(raw: str, row: int, column: str) -> float:
         raise FieldValueError(row, f"non-numeric {column} field {raw.strip()!r}") from None
 
 
-def parse_trace(text, counter_count: int | None = None,
-                freq_table: FrequencyTable | None = None,
-                period: float = DEFAULT_PERIOD_MS) -> Trace:
+def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     """Parse the trace log format, validating every row.
 
     text is a string or an iterable of lines.  Column order is fixed:
@@ -476,30 +485,21 @@ def parse_trace(text, counter_count: int | None = None,
         raise TraceParseError(0, f"header has {len(header)} columns, expected at least "
                                  f"{len(_FIXED_COLUMNS)}")
     counter_names = tuple(header[len(_FIXED_COLUMNS):])
-    if counter_count is not None and len(counter_names) != counter_count:
-        raise TraceParseError(0, f"header names {len(counter_names)} counters, "
-                                 f"expected {counter_count}")
+    names = _FIXED_COLUMNS + counter_names
 
-    table = freq_table or embedded_table or DEFAULT_FREQ_TABLE
-    expected = len(_FIXED_COLUMNS) + len(counter_names)
-    samples = []
+    values, counts = [], []
     for i, raw in enumerate(rows, start=1):
-        fields = [f.strip() for f in raw.split(",")]
-        if len(fields) != expected:
-            raise ColumnCountError(i, f"expected {expected} fields, got {len(fields)}")
-        ts = _parse_float(fields[0], i, "time")
-        ft = _parse_float(fields[1], i, "frame_time_ms")
+        fields = raw.split(",")
+        if len(fields) != len(names):
+            raise ColumnCountError(i, f"expected {len(names)} fields, got {len(fields)}")
+        row = [_parse_float(v, i, name) for v, name in zip(fields[:2], names)]
         try:
-            fc = int(fields[2])
+            counts.append(int(fields[2]))
         except ValueError:
-            raise FieldValueError(i, f"non-integer frame_count field {fields[2]!r}") from None
-        freq = _parse_float(fields[3], i, "gpu_freq_mhz")
-        if freq not in table:
-            raise UnknownFrequencyError(i, f"frequency {freq} MHz not in table")
-        counters = tuple(_parse_float(fields[4 + j], i, counter_names[j])
-                         for j in range(len(counter_names)))
-        try:
-            samples.append(TraceSample(ts, ft, fc, freq, counters))
-        except ValueError as exc:
-            raise FieldValueError(i, str(exc)) from None
-    return Trace(tuple(samples), counter_names, table, period)
+            raise FieldValueError(i, f"non-integer frame_count field "
+                                     f"{fields[2].strip()!r}") from None
+        row += [_parse_float(v, i, name) for v, name in zip(fields[3:], names[3:])]
+        values.append(row)
+    data = np.array(values, dtype=float).reshape(len(rows), len(names) - 1)
+    return Trace(data[:, 0], data[:, 1], counts, data[:, 2], data[:, 3:], counter_names,
+                 freq_table or embedded_table or DEFAULT_FREQ_TABLE)

@@ -43,18 +43,18 @@ def small_table():
 
 
 def random_trace(rng, n_samples=6, n_counters=3):
-    """Random valid trace for round-trip style properties."""
-    from frametime.trace import Trace, TraceSample
+    """Random valid trace for round-trip style properties.
+
+    Timestamps are sorted draws, since a trace's timestamps must increase.
+    """
+    from frametime.trace import Trace
     freqs = (200.0, 311.0, 400.0)
-    table = FrequencyTable(freqs)
-    samples = []
-    for k in range(n_samples):
-        samples.append(TraceSample(
-            timestamp=float(rng.uniform(0, 100)),
-            frame_time=float(rng.uniform(0, 30)),
-            frame_count=int(rng.integers(0, 4)),
-            gpu_freq=float(rng.choice(freqs)),
-            counters=tuple(float(v) for v in rng.uniform(0, 1e5, n_counters)),
-        ))
-    names = tuple(f"c{i}" for i in range(n_counters))
-    return Trace(tuple(samples), names, table)
+    return Trace(
+        timestamps=np.sort(rng.uniform(0, 100, n_samples)),
+        frame_times=rng.uniform(0, 30, n_samples),
+        frame_counts=rng.integers(0, 4, n_samples),
+        freqs=rng.choice(freqs, n_samples),
+        counters=rng.uniform(0, 1e5, (n_samples, n_counters)),
+        counter_names=tuple(f"c{i}" for i in range(n_counters)),
+        freq_table=FrequencyTable(freqs),
+    )

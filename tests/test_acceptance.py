@@ -143,7 +143,7 @@ def test_criterion_05_sensitivity_accuracy(runtime_replay):
     rmse = float(np.sqrt(np.mean((ref - got) ** 2)))
     nrmse = rmse / float(ref.max() - ref.min()) * 100.0
 
-    t = trace.frame_times()
+    t = trace.frame_times
     apes = []
     for r, st, c in _same_complexity_rows(spec, result.rows, states, 500):
         for direction in (+1, -1):
@@ -163,7 +163,7 @@ def test_criterion_05_sensitivity_accuracy(runtime_replay):
 def test_criterion_06_multi_jump_degradation(runtime_replay):
     from frametime.trace import oracle_frame_time
     spec, trace, result, states = runtime_replay
-    t = trace.frame_times()
+    t = trace.frame_times
     max_jump = len(SWEEP_TABLE) - 1
     mape = {}
     for jump in range(1, max_jump + 1):

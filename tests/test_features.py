@@ -12,17 +12,16 @@ from frametime.features import (FeatureSpec, LassoPath, RegressionDataset,
                                 load_feature_spec, pearson_prune,
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
-                             TraceSample, WorkloadSpec, generate_runtime)
+                             WorkloadSpec, generate_runtime)
 
 
 def make_trace(frame_times, freqs, counters, table=None):
     table = table or FrequencyTable(tuple(sorted(set(freqs))))
     counters = np.atleast_2d(np.asarray(counters, dtype=float))
-    samples = tuple(
-        TraceSample(0.05 * k, float(t), 3, float(f), tuple(counters[k]))
-        for k, (t, f) in enumerate(zip(frame_times, freqs)))
+    n = len(frame_times)
     names = tuple(f"c{i}" for i in range(counters.shape[1]))
-    return Trace(samples, names, table)
+    return Trace(0.05 * np.arange(n), frame_times, np.full(n, 3), freqs, counters,
+                 names, table)
 
 
 def synthetic_dataset(rng, n=200, m_counters=3, coef=None, noise=0.0):
@@ -52,10 +51,12 @@ class TestPearsonPrune:
         trace = make_trace(np.ones(20), freqs, np.column_stack([prop, indep]))
         assert pearson_prune(trace) == [1]
 
-    def test_constant_counter_disqualified_not_crash(self):
-        freqs = [200.0, 400.0] * 4
-        const = np.full(8, 5.0)
-        trace = make_trace(np.ones(8), freqs, const[:, None])
+    @pytest.mark.parametrize("level", [5.0, 0.1, 1 / 3, 3.7])
+    def test_constant_counter_disqualified_not_crash(self, level):
+        # over 20 rows, 0.1, 1/3 and 3.7 do not centre to exact zeros
+        freqs = [200.0, 400.0] * 10
+        const = np.full(20, level)
+        trace = make_trace(np.ones(20), freqs, const[:, None])
         assert pearson_prune(trace) == []
 
     def test_single_frequency_errors(self):

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_trace
 from frametime.trace import (AffineMap, ColumnCountError, CounterModel,
                              FieldValueError, FrequencyTable, HashNoiseMap,
-                             PiecewiseLinearMap, Trace, TraceSample,
+                             PiecewiseLinearMap, Trace,
                              UnknownFrequencyError, WorkloadSpec,
                              generate_characterization, generate_runtime,
                              oracle_counters, oracle_frame_time,
                              oracle_frame_time_derivative, parse_trace,
                              serialize_trace)
+from frametime.workloads import random_walk_freqs
 
 
 class TestFrequencyTable:
@@ -34,17 +37,17 @@ class TestParse:
     def test_direct_field_mapping(self, small_table):
         text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1,c2\n"
                 "0.05, 8.2, 3, 400, 120, 55\n")
-        trace = parse_trace(text, counter_count=2, freq_table=small_table)
-        s = trace.samples[0]
-        assert (s.timestamp, s.frame_time, s.frame_count, s.gpu_freq) == (0.05, 8.2, 3, 400.0)
-        assert s.counters == (120.0, 55.0)
+        trace = parse_trace(text, freq_table=small_table)
+        assert (trace.timestamps[0], trace.frame_times[0], trace.frame_counts[0],
+                trace.freqs[0]) == (0.05, 8.2, 3, 400.0)
+        assert trace.counters.tolist() == [[120.0, 55.0]]
 
     def test_column_count_error_names_row(self, small_table):
         text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1,c2\n"
                 "0.05, 8.2, 3, 400, 120, 55\n"
                 "0.10, 9.0, 3, 400, 120\n")
         with pytest.raises(ColumnCountError) as err:
-            parse_trace(text, counter_count=2, freq_table=small_table)
+            parse_trace(text, freq_table=small_table)
         assert err.value.row == 2
 
     def test_non_numeric_field(self, small_table):
@@ -60,10 +63,24 @@ class TestParse:
         with pytest.raises(UnknownFrequencyError):
             parse_trace(text, freq_table=small_table)
 
-    def test_counter_count_mismatch_in_header(self, small_table):
-        text = "time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
-        with pytest.raises(ValueError):
-            parse_trace(text, counter_count=2, freq_table=small_table)
+    @pytest.mark.parametrize("row3, error", [
+        ("0.15, 8.2, 3, 400, -1.0", FieldValueError),       # negative counter
+        ("0.15, nan, 3, 400, 120", FieldValueError),        # non-finite frame time
+        ("0.15, 8.2, -1, 400, 120", FieldValueError),       # negative frame count
+        ("0.15, 8.2, 3, 350, 120", UnknownFrequencyError),  # frequency not in the table
+        ("0.10, 8.2, 3, 400, 120", FieldValueError),        # timestamp repeats row 2's
+        ("0.05, 8.2, 3, 400, 120", FieldValueError),        # timestamp goes back
+    ], ids=["negative_counter", "nan_frame_time", "negative_frame_count",
+            "unknown_frequency", "repeated_timestamp", "earlier_timestamp"])
+    def test_single_bad_row_named(self, small_table, row3, error):
+        text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
+                "0.05, 8.2, 3, 400, 120\n"
+                "0.10, 8.2, 3, 400, 120\n"
+                f"{row3}\n"
+                "0.20, 8.2, 3, 350, -5\n")  # bad too, but after the first bad row
+        with pytest.raises(error) as err:
+            parse_trace(text, freq_table=small_table)
+        assert err.value.row == 3
 
     def test_round_trip_random_traces(self):
         rng = np.random.default_rng(7)
@@ -177,9 +194,9 @@ class TestGenerate:
         trace = generate_characterization(simple_workload, table,
                                           [3.0, 1.0, 2.0], 1, seed=0)
         assert len(trace) == 6
-        assert [s.gpu_freq for s in trace.samples] == [200.0] * 3 + [400.0] * 3
+        assert trace.freqs.tolist() == [200.0] * 3 + [400.0] * 3
         # complexities ascend within each frequency block
-        units = [s.counters[1] for s in trace.samples[:3]]
+        units = trace.counters[:3, 1].tolist()
         assert units == sorted(units)
 
     def test_deterministic_per_seed(self, char_workload, sweep_table):
@@ -195,13 +212,30 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_characterization(simple_workload, small_table, [1.0], 0, seed=0)
 
+    def test_runtime_equals_scalar_oracles_bitwise(self, char_workload, sweep_table):
+        n, seed = 400, 3
+        spec = replace(char_workload, complexity_schedule=char_workload.complexity_schedule[:n])
+        assert spec.noise_sigma > 0
+        freqs = random_walk_freqs(sweep_table, n, seed)
+        trace = generate_runtime(spec, sweep_table, freqs, seed=seed)
+        rng = np.random.default_rng(seed)  # one scalar draw per interval, in order
+        t = [oracle_frame_time(spec, c, f, noisy=True, rng=rng)
+             for c, f in zip(spec.complexity_schedule, freqs)]
+        assert trace.frame_times.tolist() == t
+        assert trace.counters.tolist() == [list(oracle_counters(spec, c, f))
+                                           for c, f in zip(spec.complexity_schedule, freqs)]
+        assert trace.freqs.tolist() == list(freqs)
+        assert trace.frame_counts.tolist() == [min(3, int(50.0 // v)) if v > 0 else 3
+                                               for v in t]
+        assert trace.timestamps.tolist() == [(k + 1) * 50.0 / 1000.0 for k in range(n)]
+
     def test_runtime_constant_and_sequence(self, simple_workload, small_table):
         trace = generate_runtime(simple_workload, small_table, 400.0, seed=1)
         assert len(trace) == len(simple_workload.complexity_schedule)
-        assert {s.gpu_freq for s in trace.samples} == {400.0}
+        assert set(trace.freqs.tolist()) == {400.0}
         freqs = [200.0, 400.0] * 10
         trace2 = generate_runtime(simple_workload, small_table, freqs, seed=1)
-        assert [s.gpu_freq for s in trace2.samples] == freqs
+        assert trace2.freqs.tolist() == freqs
         with pytest.raises(ValueError):
             generate_runtime(simple_workload, small_table, [400.0] * 3, seed=1)
 
@@ -227,22 +261,28 @@ class TestMaps:
             spec.validate([10.0])
 
 
+def one_row(small_table, freq=200.0, frame_time=1.0, frame_count=1, counters=()):
+    return Trace([0.0], [frame_time], [frame_count], [freq], [counters],
+                 tuple(f"c{j}" for j in range(len(counters))), small_table)
+
+
 class TestValidation:
     def test_trace_rejects_foreign_frequency(self, small_table):
-        s = TraceSample(0.0, 1.0, 1, 300.0, (1.0,))
         with pytest.raises(ValueError):
-            Trace((s,), ("c1",), small_table)
+            one_row(small_table, freq=300.0, counters=(1.0,))
 
-    def test_sample_invariants(self):
+    def test_sample_invariants(self, small_table):
         with pytest.raises(ValueError):
-            TraceSample(0.0, -1.0, 1, 200.0, ())
+            one_row(small_table, frame_time=-1.0)
         with pytest.raises(ValueError):
-            TraceSample(0.0, 1.0, -1, 200.0, ())
+            one_row(small_table, frame_count=-1)
         with pytest.raises(ValueError):
-            TraceSample(0.0, 1.0, 1, 200.0, (-2.0,))
+            one_row(small_table, counters=(-2.0,))
 
     def test_counter_arity_must_be_constant(self, small_table):
-        a = TraceSample(0.0, 1.0, 1, 200.0, (1.0, 2.0))
-        b = TraceSample(0.1, 1.0, 1, 200.0, (1.0,))
         with pytest.raises(ValueError):
-            Trace((a, b), ("c1", "c2"), small_table)
+            Trace([0.0, 0.1], [1.0, 1.0], [1, 1], [200.0, 200.0], [[1.0, 2.0], [1.0]],
+                  ("c1", "c2"), small_table)
+        with pytest.raises(ValueError):
+            Trace([0.0, 0.1], [1.0, 1.0], [1, 1], [200.0, 200.0], [[1.0], [1.0]],
+                  ("c1", "c2"), small_table)
