@@ -17,10 +17,12 @@ are comma separated with a header row.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import estimator, features, governor, model
 from .config import ConfigBundle, ConfigError, load_config
@@ -85,8 +87,11 @@ def compute_metrics(actual, predicted, threshold: float = DEFAULT_CONVERGENCE_TH
     else:
         nrmse = 0.0 if rmse == 0 else float("inf")
 
-    rolling = np.array([ape[max(0, k - window + 1):k + 1].mean()
-                        for k in range(ape.size)])
+    # zero padding sums each window in order, equal to slice means bitwise;
+    # a running cumsum would let one inf term make every later mean nan
+    padded = np.concatenate([np.zeros(window - 1), ape])
+    rolling = (sliding_window_view(padded, window).sum(axis=1)
+               / np.minimum(np.arange(1, ape.size + 1), window))
     # settled from one past the last interval not below the threshold
     not_below = np.flatnonzero(~(rolling < threshold))
     settle = int(not_below[-1]) + 1 if not_below.size else 0
@@ -98,23 +103,28 @@ def compute_metrics(actual, predicted, threshold: float = DEFAULT_CONVERGENCE_TH
 # ---------------------------------------------------------------------------
 # Replay driver
 
-@dataclass(frozen=True)
-class ReplayRow:
-    k: int
-    f_k: float
-    t_actual: float
-    t_pred: float
-    abs_pct_err: float | None
-    dtf_df: float | None          # ms per MHz; None for the AR baseline
-    one_sided: bool = False       # derivative fell back to a single neighbor
+ROW_FIELDS = ("k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df", "one_sided")
 
 
 @dataclass(frozen=True)
 class ReplayResult:
-    rows: list[ReplayRow]
+    rows: np.recarray             # a record per prediction, fields ROW_FIELDS; nan
+                                  # abs_pct_err at t_actual 0, nan dtf_df for AR
     report: MetricsReport
     coefs: np.ndarray | None      # (rows, M) coefficients each row was predicted
                                   # with; None for the AR baseline
+
+
+def _replay_result(trace: Trace, k, predicted, dtf, one_sided, coefs,
+                   threshold: float) -> ReplayResult:
+    """Rows for the intervals k predicted as `predicted`, and their metrics."""
+    actual = trace.frame_times[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ape = np.where(actual != 0, np.abs(actual - predicted) / actual * 100.0, np.nan)
+    rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf, one_sided],
+                             names=ROW_FIELDS)
+    report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
+    return ReplayResult(rows, report, coefs)
 
 
 def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
@@ -135,46 +145,34 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
     dataset = features.build_dataset(trace, fspec)
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
     h = dataset.h / features.estimator_units(counters)[1:]
-    t = trace.frame_times
-    f = trace.freqs
-
     coefs = np.empty_like(h)
-    predicted = np.empty(len(h))
+    deltas = np.empty(len(h))
     for i, target in enumerate(dataset.targets):
         coefs[i] = state.a
-        predicted[i] = max(t[i] + float(h[i] @ state.a), 0.0)
+        deltas[i] = h[i] @ state.a
         state = update(state, h[i], target)
 
-    actual = t[1:]
-    dtf, one_sided = model.frequency_sensitivity(coefs, t[:-1], f[1:], trace.freq_table)
-    rows = [ReplayRow(k, f_k, t_k, pred,
-                      abs(t_k - pred) / t_k * 100.0 if t_k != 0 else None, d, side)
-            for k, f_k, t_k, pred, d, side in zip(
-                range(1, len(trace)), f[1:].tolist(), actual.tolist(), predicted.tolist(),
-                dtf.tolist(), one_sided.tolist())]
-    report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
-    return ReplayResult(rows, report, coefs)
+    t = trace.frame_times
+    predicted = np.maximum(t[:-1] + deltas, 0.0)
+    dtf, one_sided = model.frequency_sensitivity(coefs, t[:-1], trace.freqs[1:],
+                                                 trace.freq_table)
+    return _replay_result(trace, np.arange(1, len(trace)), predicted, dtf, one_sided,
+                          coefs, threshold)
 
 
 def _replay_arlms(trace: Trace, threshold: float):
     state = estimator.arlms_init()
-    t = trace.frame_times
-    f = trace.freqs
-    rows = []
-    next_pred = None
-    for k in range(len(trace)):
-        if next_pred is not None:
-            ape = abs(t[k] - next_pred) / t[k] * 100.0 if t[k] != 0 else None
-            rows.append(ReplayRow(k, f[k], t[k], next_pred, ape, None))
-        state, pred = estimator.arlms_update(state, t[k])
-        next_pred = pred if state.warm else None
-
-    if not rows:
+    predictions = []
+    for t_k in trace.frame_times:
+        state, pred = estimator.arlms_update(state, t_k)
+        predictions.append(pred)
+    # the prediction made after consuming interval k-1 is for interval k,
+    # and only a full history makes one
+    k = np.arange(state.order, len(trace))
+    if not k.size:
         raise CliError(EXIT_DEGENERATE, "trace too short for the AR baseline")
-    actual = np.array([r.t_actual for r in rows])
-    predicted = np.array([r.t_pred for r in rows])
-    report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
-    return ReplayResult(rows, report, None)
+    return _replay_result(trace, k, np.array(predictions)[k - 1], np.full(k.size, np.nan),
+                          np.zeros(k.size, dtype=bool), None, threshold)
 
 
 def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str,
@@ -277,10 +275,10 @@ def cmd_replay(args) -> int:
     result = run_replay(trace, fspec, args.algo)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("k,f_k,t_actual,t_pred,abs_pct_err,dtf_df\n")
-        for r in result.rows:
-            err = "" if r.abs_pct_err is None else f"{r.abs_pct_err:.6g}"
-            dtf = "" if r.dtf_df is None else f"{r.dtf_df:.8g}"
-            fh.write(f"{r.k},{r.f_k:g},{r.t_actual:.8g},{r.t_pred:.8g},{err},{dtf}\n")
+        for k, f_k, t_actual, t_pred, ape, dtf_df, _ in result.rows.tolist():
+            err = "" if math.isnan(ape) else f"{ape:.6g}"
+            dtf = "" if math.isnan(dtf_df) else f"{dtf_df:.8g}"
+            fh.write(f"{k},{f_k:g},{t_actual:.8g},{t_pred:.8g},{err},{dtf}\n")
     rep = result.report
     print(f"rows={len(result.rows)} mape={rep.mape:.3f}% median_ape={rep.median_ape:.3f}% "
           f"nrmse={rep.nrmse:.3f}% convergence_ms={rep.convergence_time_ms:g} "
@@ -310,9 +308,10 @@ def cmd_sensitivity(args) -> int:
     n = len(result.rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for r, deltas, oks in zip(result.rows, delta.reshape(n, -1).tolist(),
-                                  valid.reshape(n, -1).tolist()):
-            cells = [str(r.k), f"{r.f_k:g}", f"{r.dtf_df:.8g}", str(int(r.one_sided))]
+        for (k, f_k, _, _, _, dtf_df, one_sided), deltas, oks in zip(
+                result.rows.tolist(), delta.reshape(n, -1).tolist(),
+                valid.reshape(n, -1).tolist()):
+            cells = [str(k), f"{f_k:g}", f"{dtf_df:.8g}", str(int(one_sided))]
             cells += [f"{d:.8g}" if ok else "" for d, ok in zip(deltas, oks)]
             fh.write(",".join(cells) + "\n")
     print(f"wrote {n} sensitivity rows to {args.out}")
@@ -367,7 +366,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     change from the previous interval, mirroring a repeated-frame
     measurement; the derivative also skips one-sided rows.
     """
-    from .trace import oracle_frame_time, oracle_frame_time_derivative
+    from .trace import oracle_frame_time_derivative, oracle_frame_times
 
     c = _sample_complexities(trace, bundle)
     if c is None:
@@ -378,19 +377,16 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     c_k = c[1:]
     steady = c_k == c[:-1]
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
-    use = steady & ~np.array([r.one_sided for r in result.rows])
+    use = steady & ~result.rows.one_sided
     if np.count_nonzero(use) >= 2:
         ref = np.array([oracle_frame_time_derivative(spec, ci, fi) for ci, fi in
-                        zip(c_k[use].tolist(), trace.freqs[1:][use].tolist())])
-        est = np.array([r.dtf_df for r in result.rows])[use]
+                        zip(c_k[use].tolist(), result.rows.f_k[use].tolist())])
+        est = result.rows.dtf_df[use]
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
 
-    # oracle frame time at every (complexity, table level) pair the rows can reach
-    c_levels, c_index = np.unique(c_k, return_inverse=True)
-    truth = np.array([[oracle_frame_time(spec, ci, fq) for fq in trace.freq_table]
-                      for ci in c_levels.tolist()])
-    truth = truth[c_index[:, None, None], level]
+    truth = oracle_frame_times(spec, c_k, trace.freq_table)
+    truth = truth[np.arange(c_k.size)[:, None, None], level]
     scored = valid & steady[:, None, None] & (truth > 0)
     pred = trace.frame_times[:-1, None, None] + delta
     ape = np.zeros(delta.shape)

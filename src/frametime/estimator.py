@@ -28,6 +28,8 @@ import numpy as np
 
 DEFAULT_MU = 1e-14
 DEFAULT_LAMBDA = 1.0
+DCD_STEP_AMPLITUDE = 1.0   # largest DCD coordinate step, halved down the ladder
+ARLMS_EPS = 1e-6           # keeps the NLMS normalization finite on a zero history
 
 
 @dataclass(frozen=True)
@@ -37,9 +39,6 @@ class RlsState:
     a: np.ndarray
     P: np.ndarray
     lam: float
-    mu: float
-    a_init: np.ndarray
-    step: int = 0
 
     @property
     def m(self) -> int:
@@ -52,19 +51,16 @@ class DcdRlsState:
 
     R accumulates the exponentially weighted feature correlation matrix,
     beta the residual of the normal equations R * a = rhs.  nu bounds the
-    coordinate updates per sample, h_amp is the initial step amplitude and
-    mb the bit depth of the halving step ladder.
+    coordinate updates per sample and mb is the bit depth of the halving
+    step ladder.
     """
 
     a: np.ndarray
     R: np.ndarray
     beta: np.ndarray
     lam: float
-    mu: float
     nu: int = 4
-    h_amp: float = 1.0
     mb: int = 16
-    step: int = 0
 
     @property
     def m(self) -> int:
@@ -79,7 +75,6 @@ class ArLmsState:
     history: tuple[float, ...]
     order: int = 10
     step_size: float = 0.5
-    eps: float = 1e-6
 
     @property
     def warm(self) -> bool:
@@ -109,7 +104,7 @@ def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
     a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float).copy()
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
-    return RlsState(a=a0.copy(), P=np.eye(m) / mu, lam=lam, mu=mu, a_init=a0)
+    return RlsState(a=a0, P=np.eye(m) / mu, lam=lam)
 
 
 def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
@@ -129,11 +124,11 @@ def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
     P = (state.P - np.outer(G, Ph)) / state.lam
     P = (P + P.T) / 2.0
     a = state.a + G * err
-    return replace(state, a=a, P=P, step=state.step + 1)
+    return RlsState(a=a, P=P, lam=state.lam)
 
 
 def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
-                 a_init=None, nu: int = 4, h_amp: float = 1.0, mb: int = 16) -> DcdRlsState:
+                 a_init=None, nu: int = 4, mb: int = 16) -> DcdRlsState:
     """Fresh DCD-RLS state: R = mu*I, beta = 0, a = a_init (default ones)."""
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -141,26 +136,26 @@ def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
         raise ValueError("mu must be > 0")
     if not 0 < lam <= 1:
         raise ValueError("lambda must be in (0, 1]")
-    if nu < 1 or mb < 1 or h_amp <= 0:
-        raise ValueError("need nu >= 1, mb >= 1, h_amp > 0")
+    if nu < 1 or mb < 1:
+        raise ValueError("need nu >= 1, mb >= 1")
     a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float).copy()
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
-    return DcdRlsState(a=a0.copy(), R=np.eye(m) * mu, beta=np.zeros(m),
-                       lam=lam, mu=mu, nu=nu, h_amp=h_amp, mb=mb)
+    return DcdRlsState(a=a0, R=np.eye(m) * mu, beta=np.zeros(m), lam=lam, nu=nu, mb=mb)
 
 
-def _dcd_solve(R: np.ndarray, beta: np.ndarray, nu: int, h_amp: float, mb: int):
+def _dcd_solve(R: np.ndarray, beta: np.ndarray, nu: int, mb: int):
     """Approximately solve R * da = beta with leading-element DCD.
 
-    Steps are quantized to h_amp / 2^level; the amplitude halves whenever
-    the leading residual no longer justifies the current step.  At most nu
+    Steps are quantized to DCD_STEP_AMPLITUDE / 2^level; the amplitude
+    halves whenever the leading residual no longer justifies the current
+    step.  At most nu
     coordinate updates are applied, each costing one column combination.
     Returns (da, remaining residual).
     """
     da = np.zeros_like(beta)
     r = beta.copy()
-    alpha = h_amp
+    alpha = DCD_STEP_AMPLITUDE
     level = 1
     updates = 0
     diag = np.diag(R)
@@ -191,18 +186,16 @@ def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
     err = float(actual_delta) - float(h @ state.a)
     R = state.lam * state.R + np.outer(h, h)
     beta0 = state.lam * state.beta + err * h
-    da, beta = _dcd_solve(R, beta0, state.nu, state.h_amp, state.mb)
-    a = state.a + da
-    return replace(state, a=a, R=R, beta=beta, step=state.step + 1)
+    da, beta = _dcd_solve(R, beta0, state.nu, state.mb)
+    return replace(state, a=state.a + da, R=R, beta=beta)
 
 
-def arlms_init(order: int = 10, step_size: float = 0.5, eps: float = 1e-6) -> ArLmsState:
+def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
     if order < 1:
         raise ValueError("order must be >= 1")
     if not 0 < step_size < 2:
         raise ValueError("step_size must be in (0, 2)")
-    return ArLmsState(w=np.zeros(order), history=(), order=order,
-                      step_size=step_size, eps=eps)
+    return ArLmsState(w=np.zeros(order), history=(), order=order, step_size=step_size)
 
 
 def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:
@@ -218,7 +211,7 @@ def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, floa
     if state.warm:
         hist = np.array(state.history)
         err = frame_time - float(w @ hist)
-        w = w + state.step_size * err * hist / (state.eps + float(hist @ hist))
+        w = w + state.step_size * err * hist / (ARLMS_EPS + float(hist @ hist))
         history = state.history[1:] + (frame_time,)
     else:
         history = state.history + (frame_time,)

@@ -23,6 +23,9 @@ from .trace import Trace
 
 DEFAULT_PEARSON_THRESHOLD = 0.1
 DEFAULT_FOLDS = 10
+# singular values below this share of the largest are rounding left by
+# centring, not rank; numpy's default cut (about 1e-15 relative) lets them in
+RANK_RTOL = 1e-10
 
 MHZ_PER_GHZ = 1000.0
 SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
@@ -221,8 +224,9 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     coefficients are linear in lam between knots, where one column joins
     or leaves the active set, so interpolating between the knots is exact.
     A column joins only if it raises the numerical rank of the active
-    block: duplicate and constant columns never join, and the active set
-    stops growing at rank(X).
+    block (singular values above RANK_RTOL of the largest): duplicate and
+    constant columns never join, and the active set stops growing at
+    rank(X).
     """
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -255,7 +259,8 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
         for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
             if gamma[j] >= step:
                 break
-            if np.linalg.matrix_rank(X[:, active + [j]]) > len(active):
+            sv = np.linalg.svd(X[:, active + [j]], compute_uv=False)
+            if np.count_nonzero(sv > RANK_RTOL * sv[0]) > len(active):
                 step, join = gamma[j], j
                 break
         for j in active:

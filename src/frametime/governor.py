@@ -23,7 +23,7 @@ from . import model
 from .estimator import RlsState, rls_init, rls_update
 from .features import differential_features, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
-                    oracle_frame_time)
+                    oracle_frame_times)
 
 POLICIES = ("rls", "oracle", "ondemand")
 
@@ -81,42 +81,44 @@ class PolicyResult:
         return sum(self.energies)
 
 
-def interval_energy(pm: PowerModel, f: float, active_ms: float, period_ms: float) -> float:
-    """Joules for one interval with active_ms of rendering at f MHz."""
-    if f <= 0 or active_ms < 0 or period_ms <= 0:
+def interval_energy(pm: PowerModel, f, active_ms, period_ms: float):
+    """Joules for intervals with active_ms of rendering at f MHz.
+
+    f and active_ms broadcast against each other; active time beyond the
+    period is capped at it.
+    """
+    f = np.asarray(f, dtype=float)
+    active_ms = np.asarray(active_ms, dtype=float)
+    if (f <= 0).any() or (active_ms < 0).any() or period_ms <= 0:
         raise ValueError("need f > 0, active_ms >= 0, period_ms > 0")
-    active = min(active_ms, period_ms)
+    active = np.minimum(active_ms, period_ms)
     idle = period_ms - active
     return (pm.active_power(f) * active + pm.p_idle * idle) / 1000.0
 
 
-def _predicted_energy(pm: PowerModel, cfg: GovernorConfig, f: float, frame_ms: float) -> float:
-    active = cfg.frames_per_interval * max(frame_ms, 0.0)
-    return interval_energy(pm, f, min(active, cfg.period), cfg.period)
+def _cheapest_feasible(frame_ms: np.ndarray, table: FrequencyTable, cfg: GovernorConfig,
+                       pm: PowerModel) -> np.ndarray:
+    """Table level of least predicted energy that holds the frame rate, per row.
+
+    frame_ms holds predicted frame times, (..., levels) in table order.
+    Where no level is within the frame budget, the top level is the safe
+    fallback; ties go to the lower level.
+    """
+    frame_ms = np.maximum(frame_ms, 0.0)
+    energy = interval_energy(pm, table.freqs_mhz, cfg.frames_per_interval * frame_ms,
+                             cfg.period)
+    feasible = frame_ms <= cfg.frame_budget_ms
+    cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
+    return np.where(feasible.any(axis=-1), cheapest, len(table) - 1)
 
 
 def rls_policy_step(state: RlsState, prev_frame_time: float, cur_freq: float,
                     table: FrequencyTable, cfg: GovernorConfig, pm: PowerModel) -> float:
-    """Minimum predicted energy among frequencies predicted to hold the frame rate.
-
-    Evaluates the what-if frame time at every table frequency from the
-    current operating point (prev_frame_time ms at cur_freq MHz); if no
-    candidate is predicted feasible, the maximum frequency is the safe
-    fallback.
-    """
-    budget = cfg.frame_budget_ms
+    """Cheapest feasible frequency by the what-if frame times predicted from
+    the current operating point, prev_frame_time ms at cur_freq MHz."""
     deltas = model.candidate_delta(state.a, prev_frame_time, cur_freq,
                                    np.asarray(table.freqs_mhz))
-    best_f = None
-    best_e = None
-    for f, delta in zip(table, deltas.tolist()):
-        pred = max(prev_frame_time + delta, 0.0)
-        if pred > budget:
-            continue
-        e = _predicted_energy(pm, cfg, f, pred)
-        if best_e is None or e < best_e:
-            best_f, best_e = f, e
-    return best_f if best_f is not None else table.max
+    return table.freqs_mhz[int(_cheapest_feasible(prev_frame_time + deltas, table, cfg, pm))]
 
 
 def ondemand_policy_step(utilization: float, current_f: float,
@@ -132,6 +134,19 @@ def ondemand_policy_step(utilization: float, current_f: float,
     return current_f
 
 
+def _policy_result(policy: str, freqs: np.ndarray, frame_ms: np.ndarray,
+                   cfg: GovernorConfig, pm: PowerModel) -> PolicyResult:
+    """Energies and frame-rate violations of a run, from its chosen frequencies
+    and realized frame times."""
+    energies = interval_energy(pm, freqs, cfg.frames_per_interval * frame_ms,
+                               cfg.period).tolist()
+    violations = (frame_ms > cfg.frame_budget_ms).tolist()
+    f, t = freqs.tolist(), frame_ms.tolist()
+    return PolicyResult(policy, f, energies, sum(violations),
+                        list(zip(range(len(f)), [policy] * len(f), f, t, energies,
+                                 violations)))
+
+
 def oracle_policy(spec: WorkloadSpec, table: FrequencyTable, cfg: GovernorConfig,
                   pm: PowerModel, noise=None) -> PolicyResult:
     """Per-interval exhaustive optimum with perfect knowledge.
@@ -143,34 +158,12 @@ def oracle_policy(spec: WorkloadSpec, table: FrequencyTable, cfg: GovernorConfig
     """
     if not isinstance(spec, WorkloadSpec):
         raise ValueError("oracle policy requires an analytic workload")
-    schedule = spec.complexity_schedule
-    if noise is None:
-        noise = np.ones(len(schedule))
-    result = PolicyResult(policy="oracle")
-    budget = cfg.frame_budget_ms
-    for k, c in enumerate(schedule):
-        best = None
-        for f in table:
-            t = oracle_frame_time(spec, c, f) * noise[k]
-            e = _predicted_energy(pm, cfg, f, t)
-            feasible = t <= budget
-            if feasible and (best is None or e < best[2]):
-                best = (f, t, e)
-        if best is None:
-            f = table.max
-            t = oracle_frame_time(spec, c, f) * noise[k]
-            best = (f, t, _predicted_energy(pm, cfg, f, t))
-        _log_interval(result, cfg, k, *best)
-    return result
-
-
-def _log_interval(result: PolicyResult, cfg: GovernorConfig,
-                  k: int, f: float, t_real: float, energy: float) -> None:
-    violation = t_real > cfg.frame_budget_ms
-    result.freq_schedule.append(f)
-    result.energies.append(energy)
-    result.fps_violations += int(violation)
-    result.per_interval_log.append((k, result.policy, f, t_real, energy, violation))
+    frame_ms = oracle_frame_times(spec, spec.complexity_schedule, table)
+    if noise is not None:
+        frame_ms = frame_ms * np.asarray(noise)[:, None]
+    level = _cheapest_feasible(frame_ms, table, cfg, pm)
+    return _policy_result("oracle", np.asarray(table.freqs_mhz)[level],
+                          frame_ms[np.arange(len(level)), level], cfg, pm)
 
 
 def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
@@ -181,6 +174,8 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     frame time there (noise drawn once per interval from the seed, shared
     across policies), and the estimator behind the rls policy learns from
     the realized sample.  Deterministic for a given (policy, spec, seed).
+    Energy never feeds back into a decision, so it is computed after the
+    loop.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
@@ -194,10 +189,8 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
 
     if policy == "oracle":
         return oracle_policy(spec, table, cfg, pm, noise=noise)
-
-    result = PolicyResult(policy=policy)
     if n == 0:
-        return result
+        return PolicyResult(policy=policy)
 
     n_frames = cfg.frames_per_interval
     if policy == "rls":
@@ -208,15 +201,16 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         x = np.array([oracle_counters(spec, c, table.max)[n_dep:] for c in schedule])
         units = estimator_units(x)
 
+    frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
+    freqs, realized = np.empty(n), np.empty(n)
     f = table.max
-    for k, c in enumerate(schedule):
-        t_real = oracle_frame_time(spec, c, f) * noise[k]
-        active = min(n_frames * t_real, cfg.period)
-        energy = interval_energy(pm, f, active, cfg.period)
-        _log_interval(result, cfg, k, f, t_real, energy)
+    for k in range(n):
+        t_real = frame_ms[k, table.index(f)]
+        freqs[k], realized[k] = f, t_real
 
         if policy == "ondemand":
-            f = ondemand_policy_step(active / cfg.period, f, table, cfg)
+            utilization = min(n_frames * t_real, cfg.period) / cfg.period
+            f = ondemand_policy_step(utilization, f, table, cfg)
             continue
 
         # rls: learn from the realized sample, then choose the next frequency
@@ -228,4 +222,4 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
             f = table.max
         else:
             f = rls_policy_step(state, t_real, f, table, cfg, pm)
-    return result
+    return _policy_result(policy, freqs, realized, cfg, pm)

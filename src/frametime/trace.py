@@ -326,6 +326,16 @@ def oracle_frame_time(spec: WorkloadSpec, c: float, f: float, noisy: bool = Fals
     return max(t, 0.0)
 
 
+def oracle_frame_times(spec: WorkloadSpec, complexities, table: FrequencyTable) -> np.ndarray:
+    """Noiseless oracle_frame_time for each complexity (rows) at each table level (columns).
+
+    The scalar oracle runs once per distinct complexity and level.
+    """
+    distinct, at = np.unique(np.asarray(complexities, dtype=float), return_inverse=True)
+    grid = [[oracle_frame_time(spec, c, f) for f in table] for c in distinct.tolist()]
+    return np.array(grid).reshape(distinct.size, len(table))[at]
+
+
 def oracle_frame_time_derivative(spec: WorkloadSpec, c: float, f: float) -> float:
     """Analytic d(frame time)/d(frequency) in ms per MHz: -scalable*ref/f^2."""
     if f <= 0:

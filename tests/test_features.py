@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frametime.features import (FeatureSpec, LassoPath, RegressionDataset,
@@ -191,6 +191,7 @@ class TestLassoFit:
     @pytest.mark.parametrize("case", ["plain", "duplicate", "constant", "wide"])
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), p=st.integers(1, 7))
+    @example(seed=5597396, n=3, p=1)    # centring leaves a rounding-level third direction
     def test_kkt_at_every_grid_eta(self, case, seed, n, p):
         rng = np.random.default_rng(seed)
         if case == "wide":      # more features than rows

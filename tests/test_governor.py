@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,7 @@ PM = PowerModel()
 
 def flat_state(coeffs):
     base = rls_init(len(coeffs), mu=1.0)
-    return type(base)(a=np.asarray(coeffs, dtype=float), P=base.P, lam=1.0,
-                      mu=1.0, a_init=base.a_init, step=5)
+    return type(base)(a=np.asarray(coeffs, dtype=float), P=base.P, lam=1.0)
 
 
 class TestIntervalEnergy:
@@ -88,23 +89,34 @@ class TestOraclePolicy:
         assert set(result.freq_schedule) == {TABLE.min}
         assert result.fps_violations == 0
 
-    def test_matches_brute_force_enumeration(self):
-        spec = workloads.heavy_workloads(12)["heavy_square_a"]
-        noise = np.ones(12)
+    @pytest.mark.parametrize("case", ["ones", "noisy_two_level"])
+    def test_matches_brute_force_enumeration(self, case):
+        if case == "ones":
+            spec = workloads.heavy_workloads(12)["heavy_square_a"]
+            noise = np.ones(12)
+        else:
+            # two complexities; the seed leaves two intervals infeasible at
+            # every level, so the top-level fallback is taken
+            spec = replace(workloads.heavy_workloads(24)["heavy_square_b"],
+                           complexity_schedule=(37.0, 56.0) * 12)
+            noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
         result = oracle_policy(spec, TABLE, CFG, PM, noise=noise)
         budget = CFG.frame_budget_ms
+        fallbacks = 0
         for k, c in enumerate(spec.complexity_schedule):
             # independent exhaustive search over the frequency choices
             best_f, best_e = TABLE.max, None
             feasible_found = False
             for f in TABLE:
-                t = oracle_frame_time(spec, c, f)
+                t = oracle_frame_time(spec, c, f) * noise[k]
                 e = interval_energy(PM, f, min(3 * t, CFG.period), CFG.period)
                 if t <= budget and (best_e is None or e < best_e):
                     best_f, best_e, feasible_found = f, e, True
             if not feasible_found:
                 best_f = TABLE.max
+                fallbacks += 1
             assert result.freq_schedule[k] == best_f
+        assert fallbacks == (0 if case == "ones" else 2)
 
     def test_requires_analytic_workload(self):
         with pytest.raises(ValueError):

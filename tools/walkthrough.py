@@ -1,0 +1,100 @@
+"""Run the CLI walkthrough once per seed and keep everything it prints and writes.
+
+    python tools/walkthrough.py --out DIR [--seeds 1 7 42] [--repo CHECKOUT]
+
+For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
+file the commands write, and for each command NN-name.stdout, .stderr and
+.exit.  Commands run in that directory as `python -m frametime` with
+CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.  A
+refactor that must leave the walkthrough unchanged is checked by running
+this on the parent checkout and on the change and comparing:
+
+    python tools/walkthrough.py --repo ../parent --out /tmp/before
+    python tools/walkthrough.py --out /tmp/after
+    diff -r /tmp/before /tmp/after
+
+Standard library only.  Exit status 0 once every command has run, whatever
+their own exit codes were.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+DEFAULT_SEEDS = (1, 7, 42)
+
+
+def commands(seed: int) -> list[tuple[str, list[str]]]:
+    """(name, frametime arguments) of the walkthrough, in run order."""
+    seeded = ["--seed", str(seed)]
+    char = ["--config", "configs/characterization.ini"]
+    steps = [
+        ("characterize-sweep", ["characterize", "--config", "configs/selection.ini",
+                                "--out", "sweep.csv", *seeded]),
+        ("select-features", ["select-features", "--trace", "sweep.csv",
+                             "--config", "configs/selection.ini",
+                             "--out", "features.spec", "--rule", "min_mse"]),
+        ("characterize-runtime", ["characterize", *char, "--out", "runtime.csv",
+                                  "--mode", "runtime", *seeded]),
+    ]
+    for algo in ("rls", "dcd", "arlms"):
+        steps.append((f"replay-{algo}", ["replay", "--trace", "runtime.csv",
+                                         "--spec", "features.spec", *char,
+                                         "--algo", algo, "--out", f"replay-{algo}.csv"]))
+    sens = ["sensitivity", "--spec", "features.spec"]
+    steps += [
+        ("sensitivity", [*sens, "--trace", "runtime.csv", *char,
+                         "--out", "sens.csv", "--jumps", "3"]),
+        ("sensitivity-no-config", [*sens, "--trace", "runtime.csv",
+                                   "--out", "sens-no-config.csv", "--jumps", "9"]),
+        ("sensitivity-sweep", [*sens, "--trace", "sweep.csv",
+                               "--config", "configs/selection.ini",
+                               "--out", "sens-sweep.csv", "--jumps", "2"]),
+    ]
+    for load in ("heavy", "light"):
+        steps.append((f"govern-{load}", ["govern", "--config",
+                                         f"configs/governor_{load}.ini", "--policy", "all",
+                                         "--out", f"govern-{load}.csv", *seeded]))
+    return steps
+
+
+def run_seed(repo: Path, out: Path, seed: int) -> None:
+    workdir = out / f"seed-{seed}"
+    if workdir.exists():
+        shutil.rmtree(workdir)
+    shutil.copytree(repo / "configs", workdir / "configs")
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED="0")
+    for i, (name, args) in enumerate(commands(seed), start=1):
+        done = subprocess.run([sys.executable, "-m", "frametime", *args], cwd=workdir,
+                              env=env, capture_output=True, check=False)
+        stem = workdir / f"{i:02d}-{name}"
+        stem.with_suffix(".stdout").write_bytes(done.stdout)
+        stem.with_suffix(".stderr").write_bytes(done.stderr)
+        stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
+        print(f"seed {seed}: {name} exit {done.returncode}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
+    parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout to run (default: the one holding this script)")
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    if not (repo / "src" / "frametime").is_dir():
+        parser.error(f"{repo} has no src/frametime")
+    args.out.mkdir(parents=True, exist_ok=True)
+    for seed in args.seeds:
+        run_seed(repo, args.out.resolve(), seed)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
