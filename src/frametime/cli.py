@@ -135,22 +135,26 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
     if any(i >= n_counters for i in fspec.indep_counter_indices):
         raise CliError(EXIT_MISMATCH,
                        f"feature spec indexes counters beyond the trace's {n_counters}")
-    if algo == "rls":
-        state = estimator.rls_init(fspec.m)
-        update = estimator.rls_update
-    else:
-        state = estimator.dcd_rls_init(fspec.m)
-        update = estimator.dcd_rls_update
-
     dataset = features.build_dataset(trace, fspec)
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
+    # the dataset holds finite entries only, and units >= 1 keep them finite,
+    # so the public updates' step runs unchecked: it takes the carried
+    # state, then a (feature row, target) pair, then the constants
     h = dataset.h / features.estimator_units(counters)[1:]
+    if algo == "rls":
+        state = estimator.rls_init(fspec.m)
+        step, carry, consts = estimator._rls_step, [state.P], (state.lam,)
+    else:
+        state = estimator.dcd_rls_init(fspec.m)
+        step, carry = estimator._dcd_step, [state.R, state.beta]
+        consts = (state.lam, state.nu, state.mb)
+    a = state.a
     coefs = np.empty_like(h)
     deltas = np.empty(len(h))
-    for i, target in enumerate(dataset.targets):
-        coefs[i] = state.a
-        deltas[i] = h[i] @ state.a
-        state = update(state, h[i], target)
+    for i, target in enumerate(dataset.targets.tolist()):
+        coefs[i] = a
+        deltas[i] = h[i] @ a
+        a, *carry = step(a, *carry, h[i], target, *consts)
 
     t = trace.frame_times
     predicted = np.maximum(t[:-1] + deltas, 0.0)
@@ -162,16 +166,19 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
 
 def _replay_arlms(trace: Trace, threshold: float):
     state = estimator.arlms_init()
-    predictions = []
-    for t_k in trace.frame_times:
-        state, pred = estimator.arlms_update(state, t_k)
-        predictions.append(pred)
-    # the prediction made after consuming interval k-1 is for interval k,
-    # and only a full history makes one
+    t = trace.frame_times
+    # interval k is predicted from the `order` frame times before it, and
+    # only a full history makes a prediction
     k = np.arange(state.order, len(trace))
     if not k.size:
         raise CliError(EXIT_DEGENERATE, "trace too short for the AR baseline")
-    return _replay_result(trace, k, np.array(predictions)[k - 1], np.full(k.size, np.nan),
+    predicted = np.empty(k.size)
+    w = state.w
+    for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, state.order),
+                                        t[k].tolist())):
+        predicted[i] = w @ hist
+        w = estimator._arlms_step(w, hist, t_k, state.step_size)
+    return _replay_result(trace, k, predicted, np.full(k.size, np.nan),
                           np.zeros(k.size, dtype=bool), None, threshold)
 
 
@@ -379,8 +386,11 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
     use = steady & ~result.rows.one_sided
     if np.count_nonzero(use) >= 2:
-        ref = np.array([oracle_frame_time_derivative(spec, ci, fi) for ci, fi in
-                        zip(c_k[use].tolist(), result.rows.f_k[use].tolist())])
+        # the scalar oracle once per distinct (complexity, frequency) pair
+        pairs, at = np.unique(np.column_stack([c_k[use], result.rows.f_k[use]]), axis=0,
+                              return_inverse=True)
+        ref = np.array([oracle_frame_time_derivative(spec, ci, fi)
+                        for ci, fi in pairs.tolist()])[at.reshape(-1)]
         est = result.rows.dtf_df[use]
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")

@@ -4,14 +4,18 @@ Three adaptive algorithms share the same job, learning the coefficients a
 of delta_t ~= h' a from a stream of (feature vector, observed delta) pairs:
 
 * covariance-form recursive least squares (no matrix inversion),
-* its dichotomous coordinate descent variant with per-update cost linear
-  in the feature count,
+* its dichotomous coordinate descent variant, whose coordinate solve is
+  linear in the feature count M (the correlation update lam R + h h' is
+  still O(M^2)),
 * a normalized-LMS autoregressive baseline that predicts frame time from
   past frame times only.
 
 A direct ridge solver is included as the reference the recursive forms
 must reproduce, plus the per-update arithmetic operation counts of the
 two RLS forms.
+
+Each public update checks its input and calls one unchecked step on bare
+arrays (_rls_step, _dcd_step, _arlms_step), which hot loops call directly.
 
 Feature convention at this boundary: rows arrive in estimator units
 (features.estimator_units), with the frequency delta in GHz and counter
@@ -107,6 +111,21 @@ def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
     return RlsState(a=a0, P=np.eye(m) / mu, lam=lam)
 
 
+def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float):
+    """rls_update on bare arrays, unchecked: returns the new (a, P).
+
+    P starts at I/mu, so a reordered step would round differently; only
+    the exact no-op of dividing by lam == 1.0 is skipped.
+    """
+    err = d - float(h @ a)
+    Ph = P @ h
+    G = Ph / (float(h @ Ph) + lam)
+    P = P - G[:, None] * Ph
+    if lam != 1.0:
+        P = P / lam
+    return a + G * err, (P + P.T) / 2.0
+
+
 def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
     """One covariance-form update.
 
@@ -117,13 +136,7 @@ def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    err = float(actual_delta) - float(h @ state.a)
-    Ph = state.P @ h
-    denom = float(h @ Ph) + state.lam
-    G = Ph / denom
-    P = (state.P - np.outer(G, Ph)) / state.lam
-    P = (P + P.T) / 2.0
-    a = state.a + G * err
+    a, P = _rls_step(state.a, state.P, h, float(actual_delta), state.lam)
     return RlsState(a=a, P=P, lam=state.lam)
 
 
@@ -149,28 +162,45 @@ def _dcd_solve(R: np.ndarray, beta: np.ndarray, nu: int, mb: int):
 
     Steps are quantized to DCD_STEP_AMPLITUDE / 2^level; the amplitude
     halves whenever the leading residual no longer justifies the current
-    step.  At most nu
-    coordinate updates are applied, each costing one column combination.
-    Returns (da, remaining residual).
+    step.  At most nu coordinate updates are applied, each costing one
+    column combination.  The ladder runs on Python floats, which round
+    each element as numpy would; max/index picks the first largest
+    residual, as argmax does while no residual is nan.  Returns (da,
+    remaining residual) as lists.
     """
-    da = np.zeros_like(beta)
-    r = beta.copy()
+    da = [0.0] * len(beta)
+    r = beta.tolist()
+    columns = R.T.tolist()
+    diag = R.diagonal().tolist()
     alpha = DCD_STEP_AMPLITUDE
     level = 1
-    updates = 0
-    diag = np.diag(R)
-    while updates < nu:
-        j = int(np.argmax(np.abs(r)))
-        while abs(r[j]) <= (alpha / 2.0) * diag[j]:
+    for _ in range(nu):
+        mags = list(map(abs, r))
+        j = mags.index(max(mags))
+        while mags[j] <= (alpha / 2.0) * diag[j]:
             level += 1
             if level > mb:
                 return da, r
             alpha /= 2.0
         step = math.copysign(alpha, r[j])
         da[j] += step
-        r = r - step * R[:, j]
-        updates += 1
+        r = [v - step * c for v, c in zip(r, columns[j])]
     return da, r
+
+
+def _dcd_step(a: np.ndarray, R: np.ndarray, beta: np.ndarray, h: np.ndarray, d: float,
+              lam: float, nu: int, mb: int):
+    """dcd_rls_update on bare arrays, unchecked: returns the new (a, R, beta).
+
+    Scaling by lam == 1.0 is skipped as the exact no-op it is; every other
+    operation keeps dcd_rls_update's order.
+    """
+    err = d - float(h @ a)
+    if lam != 1.0:
+        R, beta = lam * R, lam * beta
+    R = R + h[:, None] * h
+    da, r = _dcd_solve(R, beta + err * h, nu, mb)
+    return a + np.array(da), R, np.array(r)
 
 
 def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
@@ -183,11 +213,9 @@ def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    err = float(actual_delta) - float(h @ state.a)
-    R = state.lam * state.R + np.outer(h, h)
-    beta0 = state.lam * state.beta + err * h
-    da, beta = _dcd_solve(R, beta0, state.nu, state.mb)
-    return replace(state, a=state.a + da, R=R, beta=beta)
+    a, R, beta = _dcd_step(state.a, state.R, state.beta, h, float(actual_delta),
+                           state.lam, state.nu, state.mb)
+    return replace(state, a=a, R=R, beta=beta)
 
 
 def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
@@ -196,6 +224,13 @@ def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
     if not 0 < step_size < 2:
         raise ValueError("step_size must be in (0, 2)")
     return ArLmsState(w=np.zeros(order), history=(), order=order, step_size=step_size)
+
+
+def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float,
+                step_size: float) -> np.ndarray:
+    """Normalized LMS weights after the error on frame_time, predicted from hist."""
+    err = frame_time - float(w @ hist)
+    return w + step_size * err * hist / (ARLMS_EPS + float(hist @ hist))
 
 
 def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:
@@ -209,9 +244,7 @@ def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, floa
         raise ValueError("frame_time must be >= 0")
     w = state.w
     if state.warm:
-        hist = np.array(state.history)
-        err = frame_time - float(w @ hist)
-        w = w + state.step_size * err * hist / (ARLMS_EPS + float(hist @ hist))
+        w = _arlms_step(w, np.array(state.history), frame_time, state.step_size)
         history = state.history[1:] + (frame_time,)
     else:
         history = state.history + (frame_time,)

@@ -15,12 +15,13 @@ while it idles out the rest of the interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model
-from .estimator import RlsState, rls_init, rls_update
+from .estimator import RlsState, _rls_step, rls_init
 from .features import differential_features, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
                     oracle_frame_times)
@@ -91,34 +92,48 @@ def interval_energy(pm: PowerModel, f, active_ms, period_ms: float):
     active_ms = np.asarray(active_ms, dtype=float)
     if (f <= 0).any() or (active_ms < 0).any() or period_ms <= 0:
         raise ValueError("need f > 0, active_ms >= 0, period_ms > 0")
+    return _interval_energy(pm.active_power(f), active_ms, period_ms, pm.p_idle)
+
+
+def _interval_energy(power, active_ms, period_ms: float, p_idle: float):
+    """interval_energy from the active power (W) at each frequency, unchecked."""
     active = np.minimum(active_ms, period_ms)
-    idle = period_ms - active
-    return (pm.active_power(f) * active + pm.p_idle * idle) / 1000.0
+    return (power * active + p_idle * (period_ms - active)) / 1000.0
 
 
-def _cheapest_feasible(frame_ms: np.ndarray, table: FrequencyTable, cfg: GovernorConfig,
-                       pm: PowerModel) -> np.ndarray:
+def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorConfig,
+                       pm: PowerModel):
     """Table level of least predicted energy that holds the frame rate, per row.
 
-    frame_ms holds predicted frame times, (..., levels) in table order.
-    Where no level is within the frame budget, the top level is the safe
-    fallback; ties go to the lower level.
+    frame_ms holds predicted frame times, (..., levels) in table order, and
+    power the active power of each level; one row gives an int, more an
+    array.  Where no level is within the frame budget, the top level is the
+    safe fallback; ties go to the lower level.
     """
     frame_ms = np.maximum(frame_ms, 0.0)
-    energy = interval_energy(pm, table.freqs_mhz, cfg.frames_per_interval * frame_ms,
-                             cfg.period)
+    energy = _interval_energy(power, cfg.frames_per_interval * frame_ms, cfg.period,
+                              pm.p_idle)
+    if frame_ms.ndim == 1:
+        # one row, as the rls policy asks each interval: the same choice on
+        # Python floats, where a level count this small costs less than the
+        # numpy calls; min/index picks the first minimum, as argmin does
+        budget = cfg.frame_budget_ms
+        feasible = [t <= budget for t in frame_ms.tolist()]
+        costs = [e if ok else math.inf for e, ok in zip(energy.tolist(), feasible)]
+        return costs.index(min(costs)) if any(feasible) else power.size - 1
     feasible = frame_ms <= cfg.frame_budget_ms
     cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
-    return np.where(feasible.any(axis=-1), cheapest, len(table) - 1)
+    return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
 
 
 def rls_policy_step(state: RlsState, prev_frame_time: float, cur_freq: float,
                     table: FrequencyTable, cfg: GovernorConfig, pm: PowerModel) -> float:
     """Cheapest feasible frequency by the what-if frame times predicted from
     the current operating point, prev_frame_time ms at cur_freq MHz."""
-    deltas = model.candidate_delta(state.a, prev_frame_time, cur_freq,
-                                   np.asarray(table.freqs_mhz))
-    return table.freqs_mhz[int(_cheapest_feasible(prev_frame_time + deltas, table, cfg, pm))]
+    freqs = np.asarray(table.freqs_mhz)
+    deltas = model.candidate_delta(state.a, prev_frame_time, cur_freq, freqs)
+    level = _cheapest_feasible(prev_frame_time + deltas, pm.active_power(freqs), cfg, pm)
+    return table.freqs_mhz[int(level)]
 
 
 def ondemand_policy_step(utilization: float, current_f: float,
@@ -161,8 +176,9 @@ def oracle_policy(spec: WorkloadSpec, table: FrequencyTable, cfg: GovernorConfig
     frame_ms = oracle_frame_times(spec, spec.complexity_schedule, table)
     if noise is not None:
         frame_ms = frame_ms * np.asarray(noise)[:, None]
-    level = _cheapest_feasible(frame_ms, table, cfg, pm)
-    return _policy_result("oracle", np.asarray(table.freqs_mhz)[level],
+    freqs = np.asarray(table.freqs_mhz)
+    level = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)
+    return _policy_result("oracle", freqs[level],
                           frame_ms[np.arange(len(level)), level], cfg, pm)
 
 
@@ -193,15 +209,22 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         return PolicyResult(policy=policy)
 
     n_frames = cfg.frames_per_interval
+    frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
     if policy == "rls":
         state = rls_init(2 + len(spec.indep_counters))
+        a, P = state.a, state.P
         # independent counters depend on the complexity only, so the whole
         # run's values, and with them the estimator units, are known upfront
         n_dep = len(spec.dep_counters)
-        x = np.array([oracle_counters(spec, c, table.max)[n_dep:] for c in schedule])
+        distinct, at = np.unique(np.asarray(schedule), return_inverse=True)
+        x = np.array([oracle_counters(spec, c, table.max)[n_dep:]
+                      for c in distinct.tolist()])[at]
+        if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
+            raise ValueError("non-finite update input, state left unchanged")
         units = estimator_units(x)
+        levels = np.asarray(table.freqs_mhz)
+        power = pm.active_power(levels)
 
-    frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
     freqs, realized = np.empty(n), np.empty(n)
     f = table.max
     for k in range(n):
@@ -216,10 +239,12 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         # rls: learn from the realized sample, then choose the next frequency
         if k > 0:
             h = differential_features(t_prev, f_prev, f, x[k] - x[k - 1]) / units[k]
-            state = rls_update(state, h, t_real - t_prev)
+            a, P = _rls_step(a, P, h, t_real - t_prev, state.lam)
         t_prev, f_prev = t_real, f
         if k + 1 < cfg.warmup_intervals:
             f = table.max
         else:
-            f = rls_policy_step(state, t_real, f, table, cfg, pm)
+            # rls_policy_step on the run's fixed table and power
+            deltas = model._candidate_delta(a, t_real, f, levels)
+            f = table.freqs_mhz[int(_cheapest_feasible(t_real + deltas, power, cfg, pm))]
     return _policy_result(policy, freqs, realized, cfg, pm)

@@ -28,7 +28,12 @@ def candidate_delta(a, prev_frame_time, f_k, f_new):
     """
     if np.minimum(f_k, f_new).min() <= 0:
         raise ValueError("frequencies must be > 0")
-    a = np.asarray(a, dtype=float)
+    return _candidate_delta(np.asarray(a, dtype=float), prev_frame_time, f_k, f_new)
+
+
+def _candidate_delta(a: np.ndarray, prev_frame_time, f_k, f_new):
+    """candidate_delta without its frequency check, for callers whose
+    frequencies are table entries."""
     return (a[..., 0] * prev_frame_time * (f_k / f_new - 1.0)
             + a[..., 1] * (f_new - f_k) / MHZ_PER_GHZ)
 

@@ -428,6 +428,7 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 # Trace file format
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
+_PARSE_BLOCK_ROWS = 256  # rows converted per numpy call when parsing
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -496,12 +497,33 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
                                  f"{len(_FIXED_COLUMNS)}")
     counter_names = tuple(header[len(_FIXED_COLUMNS):])
     names = _FIXED_COLUMNS + counter_names
+    table = freq_table or embedded_table or DEFAULT_FREQ_TABLE
+
+    ncol = len(names)
+    if rows and all(raw.count(",") == ncol - 1 for raw in rows):
+        # numpy converts each block of rows at once, applying float() and
+        # int() to every cell as the row loop does; a bad cell falls through
+        # to the loop, which names the first bad row.  Blocks keep few cell
+        # strings alive at a time, which bounds the parse's peak memory.
+        data = np.empty((len(rows), ncol))
+        counts = np.empty(len(rows), dtype=np.int64)
+        try:
+            for start in range(0, len(rows), _PARSE_BLOCK_ROWS):
+                block = slice(start, start + _PARSE_BLOCK_ROWS)
+                cells = ",".join(rows[block]).split(",")
+                data[block] = np.array(cells, dtype=float).reshape(-1, ncol)
+                counts[block] = np.array(cells[2::ncol], dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            return Trace(data[:, 0], data[:, 1], counts, data[:, 3], data[:, 4:],
+                         counter_names, table)
 
     values, counts = [], []
     for i, raw in enumerate(rows, start=1):
         fields = raw.split(",")
-        if len(fields) != len(names):
-            raise ColumnCountError(i, f"expected {len(names)} fields, got {len(fields)}")
+        if len(fields) != ncol:
+            raise ColumnCountError(i, f"expected {ncol} fields, got {len(fields)}")
         row = [_parse_float(v, i, name) for v, name in zip(fields[:2], names)]
         try:
             counts.append(int(fields[2]))
@@ -510,6 +532,5 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
                                      f"{fields[2].strip()!r}") from None
         row += [_parse_float(v, i, name) for v, name in zip(fields[3:], names[3:])]
         values.append(row)
-    data = np.array(values, dtype=float).reshape(len(rows), len(names) - 1)
-    return Trace(data[:, 0], data[:, 1], counts, data[:, 2], data[:, 3:], counter_names,
-                 freq_table or embedded_table or DEFAULT_FREQ_TABLE)
+    data = np.array(values, dtype=float).reshape(len(rows), ncol - 1)
+    return Trace(data[:, 0], data[:, 1], counts, data[:, 2], data[:, 3:], counter_names, table)

@@ -5,10 +5,11 @@ from frametime import workloads
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
-from frametime.estimator import dcd_rls_init, dcd_rls_update, rls_init, rls_update
+from frametime.estimator import (arlms_init, arlms_update, dcd_rls_init, dcd_rls_update,
+                                 rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
-from frametime.trace import generate_runtime, parse_trace, serialize_trace
+from frametime.trace import Trace, generate_runtime, parse_trace, serialize_trace
 
 CONFIG_TEXT = """
 [frequency_table]
@@ -358,6 +359,33 @@ class TestRunReplayApi:
     def test_arlms_has_no_coefs(self, tmp_path):
         _, trace = write_runtime_trace(tmp_path, n=40)
         assert run_replay(trace, None, "arlms").coefs is None
+
+    def test_arlms_equals_plain_update_loop(self, tmp_path):
+        _, trace = write_runtime_trace(tmp_path, n=80)
+        res = run_replay(trace, None, "arlms")
+        state, predictions = arlms_init(), []
+        for t_k in trace.frame_times:
+            state, pred = arlms_update(state, t_k)
+            predictions.append(pred)
+        # the prediction made after consuming interval k - 1 is for interval k
+        k = np.arange(state.order, len(trace))
+        want = np.array(predictions)[k - 1]
+        assert np.array_equal(res.rows.k, k)
+        assert np.array_equal(res.rows.t_pred, want)
+        assert res.report == compute_metrics(trace.frame_times[k], want)
+
+    @pytest.mark.parametrize("algo", ["rls", "dcd"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_features_rejected(self, algo):
+        # t_prev * (f_prev / f_cur - 1) overflows for a huge frame time and a
+        # falling clock, although every trace field is finite; the estimator
+        # step itself checks nothing
+        trace = Trace(timestamps=[0.05, 0.10, 0.15], frame_times=[1.0, 1.5e308, 1.0],
+                      frame_counts=[3, 0, 3], freqs=[200.0, 511.0, 200.0],
+                      counters=np.ones((3, 1)), counter_names=("c0",),
+                      freq_table=workloads.SWEEP_TABLE)
+        with pytest.raises(ValueError, match="must be finite"):
+            run_replay(trace, FeatureSpec((0,)), algo)
 
 
 class TestFullPipeline:

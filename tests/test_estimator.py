@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from frametime.estimator import (arlms_init, arlms_update, batch_ridge_solve,
-                                 dcd_rls_init, dcd_rls_update, op_count, rls_init,
-                                 rls_update)
+from frametime.estimator import (DCD_STEP_AMPLITUDE, arlms_init, arlms_update,
+                                 batch_ridge_solve, dcd_rls_init, dcd_rls_update,
+                                 op_count, rls_init, rls_update)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
                                 estimator_units)
 
@@ -215,6 +219,64 @@ class TestArLms:
         state = arlms_init()
         with pytest.raises(ValueError):
             arlms_update(state, -1.0)
+
+
+def reference_rls(a, P, h, d, lam):
+    """The covariance-form update written as plain numpy, every operation kept."""
+    err = float(d) - float(h @ a)
+    Ph = P @ h
+    G = Ph / (float(h @ Ph) + lam)
+    P = (P - np.outer(G, Ph)) / lam
+    P = (P + P.T) / 2.0
+    return a + G * err, P
+
+
+def reference_dcd(a, R, beta, h, d, lam, nu, mb):
+    """The DCD-RLS update with its coordinate ladder on numpy arrays."""
+    err = float(d) - float(h @ a)
+    R = lam * R + np.outer(h, h)
+    r = lam * beta + err * h
+    da = np.zeros_like(r)
+    alpha, level = DCD_STEP_AMPLITUDE, 1
+    diag = np.diag(R)
+    for _ in range(nu):
+        j = int(np.argmax(np.abs(r)))
+        while abs(r[j]) <= (alpha / 2.0) * diag[j]:
+            level += 1
+            if level > mb:
+                return a + da, R, r
+            alpha /= 2.0
+        step = math.copysign(alpha, r[j])
+        da[j] += step
+        r = r - step * R[:, j]
+    return a + da, R, r
+
+
+class TestUpdatesMatchReferenceForms:
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.9, 1.0), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
+           n=st.integers(1, 40), nu=st.integers(1, 6), halves=st.booleans())
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False)
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=True)
+    def test_bitwise_for_forgetting_factors(self, lam, seed, m, n, nu, halves):
+        # lam == 1.0 skips the division and scaling by lam; below it they run.
+        # Entries on a grid of halves tie the DCD residuals, where the first
+        # largest one must lead.
+        rng = np.random.default_rng(seed)
+        if halves:
+            H, D = rng.integers(-2, 3, size=(n, m)) / 2.0, rng.integers(-2, 3, size=n) / 2.0
+        else:
+            H, D = rng.normal(size=(n, m)), rng.normal(size=n)
+        rls, dcd = rls_init(m, lam=lam), dcd_rls_init(m, lam=lam, nu=nu)
+        a, P = rls.a, rls.P
+        b, R, beta = dcd.a, dcd.R, dcd.beta
+        for h, d in zip(H, D):
+            rls, dcd = rls_update(rls, h, d), dcd_rls_update(dcd, h, d)
+            a, P = reference_rls(a, P, h, d, lam)
+            b, R, beta = reference_dcd(b, R, beta, h, d, lam, nu, dcd.mb)
+            assert np.array_equal(rls.a, a) and np.array_equal(rls.P, P)
+            assert (np.array_equal(dcd.a, b) and np.array_equal(dcd.R, R)
+                    and np.array_equal(dcd.beta, beta))
 
 
 class TestBatchRidge:

@@ -1,15 +1,21 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from frametime import workloads
-from frametime.estimator import rls_init
+from frametime.config import load_config
+from frametime.estimator import rls_init, rls_update
+from frametime.features import differential_features, estimator_units
 from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
-                                interval_energy, ondemand_policy_step,
-                                oracle_policy, rls_policy_step, simulate)
+                                _cheapest_feasible, interval_energy,
+                                ondemand_policy_step, oracle_policy, rls_policy_step,
+                                simulate)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
-                             WorkloadSpec, oracle_frame_time)
+                             WorkloadSpec, oracle_counters, oracle_frame_time)
 
 
 TABLE = workloads.SWEEP_TABLE
@@ -62,6 +68,21 @@ class TestRlsPolicyStep:
         assert pred_at(chosen) <= CFG.frame_budget_ms
         below = [f for f in TABLE if f < chosen]
         assert all(pred_at(f) > CFG.frame_budget_ms for f in below)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.sampled_from([-1.0, 0.0, 5.0, 12.0, 16.0, 1000 / 60,
+                                                   16.7, 40.0]),
+                                  min_size=len(TABLE), max_size=len(TABLE)),
+                         min_size=1, max_size=8))
+    @example(rows=[[1000 / 60] + [40.0] * (len(TABLE) - 1), [0.0, -1.0] + [16.0] * 7])
+    def test_one_row_rule_equals_matrix_rule(self, rows):
+        # a frame time on the budget is feasible, levels at zero frame time
+        # tie in energy, and a row above the budget everywhere takes the
+        # top-level fallback
+        frame_ms = np.array(rows)
+        power = PM.active_power(np.asarray(TABLE.freqs_mhz))
+        matrix = _cheapest_feasible(frame_ms, power, CFG, PM)
+        assert [_cheapest_feasible(row, power, CFG, PM) for row in frame_ms] == matrix.tolist()
 
 
 class TestOndemand:
@@ -168,6 +189,48 @@ class TestSimulate:
         agree = sum(1 for a, b in zip(rls.freq_schedule[warm:], oracle.freq_schedule[warm:])
                     if a == b)
         assert agree / (200 - warm) > 0.95
+
+    @pytest.mark.parametrize("load, sigma", [("heavy", None), ("light", None), ("heavy", 0.05)])
+    def test_rls_equals_public_update_and_step_loop(self, load, sigma):
+        # the shipped configs, and heavy at more noise, where the choice
+        # between two levels flips often enough to expose a small
+        # difference in the predictions
+        bundle = load_config(Path(__file__).resolve().parent.parent / "configs"
+                             / f"governor_{load}.ini")
+        spec, table = bundle.workload, bundle.freq_table
+        if sigma is not None:
+            spec = replace(spec, noise_sigma=sigma)
+        cfg, pm, seed = bundle.governor, bundle.power_model, 1
+        result = simulate("rls", spec, table, cfg, pm, seed=seed)
+
+        schedule = spec.complexity_schedule
+        noise = np.maximum(1.0 + np.random.default_rng(seed).normal(
+            0.0, spec.noise_sigma, size=len(schedule)), 0.0)
+        n_dep = len(spec.dep_counters)
+        x = np.array([oracle_counters(spec, c, table.max)[n_dep:] for c in schedule])
+        units = estimator_units(x)
+        state, f, freqs, realized = rls_init(x.shape[1] + 2), table.max, [], []
+        for k, c in enumerate(schedule):
+            t_real = oracle_frame_time(spec, c, f) * noise[k]
+            freqs.append(f)
+            realized.append(t_real)
+            if k > 0:
+                h = differential_features(realized[-2], freqs[-2], f, x[k] - x[k - 1])
+                state = rls_update(state, h / units[k], t_real - realized[-2])
+            f = (table.max if k + 1 < cfg.warmup_intervals
+                 else rls_policy_step(state, t_real, f, table, cfg, pm))
+        assert result.freq_schedule == freqs
+        want = interval_energy(pm, freqs, cfg.frames_per_interval * np.array(realized),
+                               cfg.period)
+        assert result.energies == want.tolist()
+        assert len(set(freqs)) > 2  # the schedule is not one clock
+
+    def test_rls_rejects_non_finite_frame_times(self):
+        # scalable_ms * ref_freq overflows to inf at every level
+        spec = WorkloadSpec((5.0,) * 20, AffineMap(0.0, 1e308), AffineMap(0.0, 1.0),
+                            200.0, noise_sigma=0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate("rls", spec, TABLE, CFG, PM, seed=0)
 
     def test_unknown_policy(self):
         spec = workloads.light_workloads(10)["light_square"]

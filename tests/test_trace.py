@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_trace
-from frametime.trace import (AffineMap, ColumnCountError, CounterModel,
-                             FieldValueError, FrequencyTable, HashNoiseMap,
+from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
+                             CounterModel, FieldValueError, FrequencyTable, HashNoiseMap,
                              PiecewiseLinearMap, Trace,
                              UnknownFrequencyError, WorkloadSpec,
                              generate_characterization, generate_runtime,
@@ -70,8 +72,12 @@ class TestParse:
         ("0.15, 8.2, 3, 350, 120", UnknownFrequencyError),  # frequency not in the table
         ("0.10, 8.2, 3, 400, 120", FieldValueError),        # timestamp repeats row 2's
         ("0.05, 8.2, 3, 400, 120", FieldValueError),        # timestamp goes back
+        ("0.15, 8.2, 3.0, 400, 120", FieldValueError),      # float frame count
+        ("0.15, 8.2, 3, 400", ColumnCountError),            # short row
+        ("0.15, 8.2, 1_0, 400, -1.0", FieldValueError),     # 1_0 parses, the counter fails
     ], ids=["negative_counter", "nan_frame_time", "negative_frame_count",
-            "unknown_frequency", "repeated_timestamp", "earlier_timestamp"])
+            "unknown_frequency", "repeated_timestamp", "earlier_timestamp",
+            "float_frame_count", "short_row", "underscore_frame_count"])
     def test_single_bad_row_named(self, small_table, row3, error):
         text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
                 "0.05, 8.2, 3, 400, 120\n"
@@ -91,6 +97,44 @@ class TestParse:
             assert parsed == trace
             again = serialize_trace(parsed)
             assert "".join(again.split()) == "".join(text.split())
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(0, 3))
+    @example(seed=1, n=600, k=2)  # three conversion blocks
+    def test_columns_equal_per_field_conversion(self, seed, n, k):
+        # the block-wise numpy conversion of the body against float() and
+        # int() per field, over the spellings a log may use
+        rng = np.random.default_rng(seed)
+        spell = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}"]
+
+        def cell(value):
+            return spell[rng.integers(len(spell))].format(value)
+
+        lines = ["time,frame_time_ms,frame_count,gpu_freq_mhz"
+                 + "".join(f",c{j}" for j in range(k))]
+        for i in range(n):
+            count = int(rng.integers(0, 5000))
+            fields = [repr((i + 1) * 0.05), cell(float(rng.uniform(0, 40))),
+                      rng.choice([str(count), f"{count:_}", f" {count} "]),
+                      cell(float(rng.choice(DEFAULT_FREQS_MHZ)))]
+            fields += [cell(float(rng.uniform(0, 1e6))) for _ in range(k)]
+            lines.append(",".join(fields))
+        trace = parse_trace("\n".join(lines))
+        cells = [line.split(",") for line in lines[1:]]
+        floats = np.array([[float(c) for j, c in enumerate(row) if j != 2] for row in cells])
+        assert np.array_equal(trace.timestamps, floats[:, 0])
+        assert np.array_equal(trace.frame_times, floats[:, 1])
+        assert trace.frame_counts.tolist() == [int(row[2]) for row in cells]
+        assert np.array_equal(trace.freqs, floats[:, 2])
+        assert np.array_equal(trace.counters, floats[:, 3:].reshape(n, k))
+
+    def test_bad_cell_in_a_later_block_named(self, small_table):
+        rows = [f"{(i + 1) * 0.05!r}, 8.2, 3, 400, 120" for i in range(600)]
+        rows[400] = rows[400].replace("120", "12O")
+        text = "time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n" + "\n".join(rows)
+        with pytest.raises(FieldValueError) as err:
+            parse_trace(text, freq_table=small_table)
+        assert err.value.row == 401
 
     def test_embedded_table_used(self):
         rng = np.random.default_rng(3)

@@ -46,6 +46,14 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         steps.append((f"replay-{algo}", ["replay", "--trace", "runtime.csv",
                                          "--spec", "features.spec", *char,
                                          "--algo", algo, "--out", f"replay-{algo}.csv"]))
+    # the sweep barely moves the clock, so its frequency terms stay poorly
+    # identified: a second regime for the estimators' rounding
+    for algo in ("rls", "dcd", "arlms"):
+        steps.append((f"replay-{algo}-sweep", ["replay", "--trace", "sweep.csv",
+                                               "--spec", "features.spec",
+                                               "--config", "configs/selection.ini",
+                                               "--algo", algo,
+                                               "--out", f"replay-{algo}-sweep.csv"]))
     sens = ["sensitivity", "--spec", "features.spec"]
     steps += [
         ("sensitivity", [*sens, "--trace", "runtime.csv", *char,
