@@ -17,9 +17,9 @@ are comma separated with a header row.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +37,7 @@ EXIT_UNSUPPORTED = 5
 DEFAULT_SEED = 42
 CONVERGENCE_WINDOW = 5
 DEFAULT_CONVERGENCE_THRESHOLD = 10.0  # percent APE
+CSV_BLOCK_ROWS = 256
 
 
 class CliError(Exception):
@@ -139,22 +140,22 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
     # the dataset holds finite entries only, and units >= 1 keep them finite,
     # so the public updates' step runs unchecked: it takes the carried
-    # state, then a (feature row, target) pair, then the constants
+    # state, then a (feature row, target) pair, then the constants, and
+    # returns the carried state and its prediction of the target
     h = dataset.h / features.estimator_units(counters)[1:]
     if algo == "rls":
         state = estimator.rls_init(fspec.m)
         step, carry, consts = estimator._rls_step, [state.P], (state.lam,)
     else:
         state = estimator.dcd_rls_init(fspec.m)
-        step, carry = estimator._dcd_step, [state.R, state.beta]
+        step, carry = estimator._dcd_step, [state.R.tolist(), state.beta.tolist()]
         consts = (state.lam, state.nu, state.mb)
     a = state.a
     coefs = np.empty_like(h)
     deltas = np.empty(len(h))
     for i, target in enumerate(dataset.targets.tolist()):
         coefs[i] = a
-        deltas[i] = h[i] @ a
-        a, *carry = step(a, *carry, h[i], target, *consts)
+        a, *carry, deltas[i] = step(a, *carry, h[i], target, *consts)
 
     t = trace.frame_times
     predicted = np.maximum(t[:-1] + deltas, 0.0)
@@ -176,8 +177,7 @@ def _replay_arlms(trace: Trace, threshold: float):
     w = state.w
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, state.order),
                                         t[k].tolist())):
-        predicted[i] = w @ hist
-        w = estimator._arlms_step(w, hist, t_k, state.step_size)
+        w, predicted[i] = estimator._arlms_step(w, hist, t_k, state.step_size)
     return _replay_result(trace, k, predicted, np.full(k.size, np.nan),
                           np.zeros(k.size, dtype=bool), None, threshold)
 
@@ -268,6 +268,38 @@ def cmd_select_features(args) -> int:
     return 0
 
 
+def _column(values, conversion: str, blank=None) -> tuple[str, list]:
+    """One CSV column as (printf conversion, cells).
+
+    Cells where the boolean array blank is set come out empty; such a
+    column is formatted here, any other one with its block of rows.
+    """
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if blank is None or not np.any(blank):
+        return conversion, values
+    cells = list(map(conversion.__mod__, values))
+    for i in np.flatnonzero(blank).tolist():
+        cells[i] = ""
+    return "%s", cells
+
+
+def _write_csv(path, header, columns, tail=()) -> None:
+    """Write a header row, the rows of equal-length _column columns, then
+    the ready-made lines of tail.
+
+    Each block of CSV_BLOCK_ROWS rows is one printf-style format, so the
+    formatted text never holds more than a block.
+    """
+    row = ",".join(conversion for conversion, _ in columns) + "\n"
+    rows = zip(*(cells for _, cells in columns))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := tuple(chain.from_iterable(islice(rows, CSV_BLOCK_ROWS))):
+            fh.write((row * (len(block) // len(columns))) % block)
+        fh.write("".join(line + "\n" for line in tail))
+
+
 def _load_spec(path) -> features.FeatureSpec:
     try:
         return features.load_feature_spec(path)
@@ -280,12 +312,12 @@ def cmd_replay(args) -> int:
     trace = _load_trace(args.trace, bundle)
     fspec = _load_spec(args.spec) if args.spec else None
     result = run_replay(trace, fspec, args.algo)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("k,f_k,t_actual,t_pred,abs_pct_err,dtf_df\n")
-        for k, f_k, t_actual, t_pred, ape, dtf_df, _ in result.rows.tolist():
-            err = "" if math.isnan(ape) else f"{ape:.6g}"
-            dtf = "" if math.isnan(dtf_df) else f"{dtf_df:.8g}"
-            fh.write(f"{k},{f_k:g},{t_actual:.8g},{t_pred:.8g},{err},{dtf}\n")
+    rows = result.rows
+    _write_csv(args.out, ["k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df"],
+               [_column(rows.k, "%d"), _column(rows.f_k, "%g"),
+                _column(rows.t_actual, "%.8g"), _column(rows.t_pred, "%.8g"),
+                _column(rows.abs_pct_err, "%.6g", np.isnan(rows.abs_pct_err)),
+                _column(rows.dtf_df, "%.8g", np.isnan(rows.dtf_df))])
     rep = result.report
     print(f"rows={len(result.rows)} mape={rep.mape:.3f}% median_ape={rep.median_ape:.3f}% "
           f"nrmse={rep.nrmse:.3f}% convergence_ms={rep.convergence_time_ms:g} "
@@ -312,15 +344,12 @@ def cmd_sensitivity(args) -> int:
     header = ["k", "f_k", "dtf_df", "one_sided"]
     for j in range(1, jumps + 1):
         header += [f"delta_up{j}", f"delta_down{j}"]
-    n = len(result.rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for (k, f_k, _, _, _, dtf_df, one_sided), deltas, oks in zip(
-                result.rows.tolist(), delta.reshape(n, -1).tolist(),
-                valid.reshape(n, -1).tolist()):
-            cells = [str(k), f"{f_k:g}", f"{dtf_df:.8g}", str(int(one_sided))]
-            cells += [f"{d:.8g}" if ok else "" for d, ok in zip(deltas, oks)]
-            fh.write(",".join(cells) + "\n")
+    rows, n = result.rows, len(result.rows)
+    _write_csv(args.out, header,
+               [_column(rows.k, "%d"), _column(rows.f_k, "%g"), _column(rows.dtf_df, "%.8g"),
+                _column(rows.one_sided, "%d"),
+                *(_column(d, "%.8g", ~ok) for d, ok in zip(delta.reshape(n, -1).T,
+                                                            valid.reshape(n, -1).T))])
     print(f"wrote {n} sensitivity rows to {args.out}")
 
     if bundle is not None:
@@ -422,15 +451,12 @@ def cmd_govern(args) -> int:
         results[policy] = governor.simulate(policy, bundle.workload, bundle.freq_table,
                                             bundle.governor, bundle.power_model,
                                             seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("k,policy,f_mhz,t_frame_ms,energy_j,violation\n")
-        for policy in policies:
-            for k, name, f, t, e, v in results[policy].per_interval_log:
-                fh.write(f"{k},{name},{f:g},{t:.8g},{e:.8g},{int(v)}\n")
-        for policy in policies:
-            r = results[policy]
-            fh.write(f"summary,{policy},,,{r.total_energy:.8g},{r.fps_violations}\n")
-
+    log = [row for policy in policies for row in results[policy].per_interval_log]
+    formats = ("%d", "%s", "%g", "%.8g", "%.8g", "%d")
+    summary = [f"summary,{policy},,,{results[policy].total_energy:.8g},"
+               f"{results[policy].fps_violations}" for policy in policies]
+    _write_csv(args.out, ["k", "policy", "f_mhz", "t_frame_ms", "energy_j", "violation"],
+               [_column(c, fmt) for c, fmt in zip(zip(*log), formats)], summary)
     for policy in policies:
         r = results[policy]
         print(f"{policy}: energy={r.total_energy:.6g} J violations={r.fps_violations}")

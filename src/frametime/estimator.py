@@ -14,8 +14,15 @@ A direct ridge solver is included as the reference the recursive forms
 must reproduce, plus the per-update arithmetic operation counts of the
 two RLS forms.
 
-Each public update checks its input and calls one unchecked step on bare
-arrays (_rls_step, _dcd_step, _arlms_step), which hot loops call directly.
+Each public update checks its input and calls one unchecked step
+(_rls_step, _dcd_step, _arlms_step), which hot loops call directly; each
+step also returns the prediction it made before updating, so a replay
+computes it once.  Inside a step only the BLAS reductions (h'a, P h,
+h'P h) stay in numpy: their summation order sets the rounding that the
+outputs depend on.  The DCD step keeps R and beta as lists of Python
+floats from one step to the next, because its correlation update and
+coordinate ladder are elementwise, and Python rounds each element as
+numpy does at a fraction of the per-call cost on M of about 4.
 
 Feature convention at this boundary: rows arrive in estimator units
 (features.estimator_units), with the frequency delta in GHz and counter
@@ -54,9 +61,9 @@ class DcdRlsState:
     """Traversal-form RLS state solved by dichotomous coordinate descent.
 
     R accumulates the exponentially weighted feature correlation matrix,
-    beta the residual of the normal equations R * a = rhs.  nu bounds the
-    coordinate updates per sample and mb is the bit depth of the halving
-    step ladder.
+    exactly symmetric, and beta the residual of the normal equations
+    R * a = rhs.  nu bounds the coordinate updates per sample and mb is the
+    bit depth of the halving step ladder.
     """
 
     a: np.ndarray
@@ -112,18 +119,19 @@ def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
 
 
 def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float):
-    """rls_update on bare arrays, unchecked: returns the new (a, P).
+    """rls_update on bare arrays, unchecked: returns the new (a, P) and the
+    prediction h'a made before the update.
 
     P starts at I/mu, so a reordered step would round differently; only
     the exact no-op of dividing by lam == 1.0 is skipped.
     """
-    err = d - float(h @ a)
+    pred = float(h @ a)
     Ph = P @ h
     G = Ph / (float(h @ Ph) + lam)
     P = P - G[:, None] * Ph
     if lam != 1.0:
         P = P / lam
-    return a + G * err, (P + P.T) / 2.0
+    return a + G * (d - pred), (P + P.T) / 2.0, pred
 
 
 def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
@@ -136,7 +144,7 @@ def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    a, P = _rls_step(state.a, state.P, h, float(actual_delta), state.lam)
+    a, P, _ = _rls_step(state.a, state.P, h, float(actual_delta), state.lam)
     return RlsState(a=a, P=P, lam=state.lam)
 
 
@@ -157,50 +165,48 @@ def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
     return DcdRlsState(a=a0, R=np.eye(m) * mu, beta=np.zeros(m), lam=lam, nu=nu, mb=mb)
 
 
-def _dcd_solve(R: np.ndarray, beta: np.ndarray, nu: int, mb: int):
-    """Approximately solve R * da = beta with leading-element DCD.
+def _dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
+              lam: float, nu: int, mb: int):
+    """dcd_rls_update, unchecked, with R (rows) and beta as lists of Python
+    floats: returns the new (a, R, beta) and the prediction h'a made before
+    the update.
 
-    Steps are quantized to DCD_STEP_AMPLITUDE / 2^level; the amplitude
-    halves whenever the leading residual no longer justifies the current
-    step.  At most nu coordinate updates are applied, each costing one
-    column combination.  The ladder runs on Python floats, which round
-    each element as numpy would; max/index picks the first largest
-    residual, as argmax does while no residual is nan.  Returns (da,
-    remaining residual) as lists.
+    Besides the prediction, numpy only adds the increment to a; the rest
+    runs on Python floats, which round each element as numpy's elementwise
+    operations do.  Scaling by lam == 1.0 is skipped as the exact no-op it
+    is.
+
+    The coordinate solve of R da = beta + err h is leading-element DCD:
+    steps are quantized to DCD_STEP_AMPLITUDE / 2^level, the amplitude
+    halving whenever the leading residual no longer justifies the current
+    step, and at most nu coordinate updates are applied, each costing one
+    column combination.  R is exactly symmetric (it starts at mu I, and
+    h_i h_j == h_j h_i), so row j serves as column j.  max/index picks the
+    first largest residual, as argmax does while no residual is nan.
     """
-    da = [0.0] * len(beta)
-    r = beta.tolist()
-    columns = R.T.tolist()
-    diag = R.diagonal().tolist()
+    pred = float(h @ a)
+    err = d - pred
+    hs = h.tolist()
+    if lam != 1.0:
+        R = [[lam * v for v in row] for row in R]
+        beta = [lam * v for v in beta]
+    R = [[v + hi * hj for v, hj in zip(row, hs)] for row, hi in zip(R, hs)]
+    r = [v + err * hi for v, hi in zip(beta, hs)]
+    da = [0.0] * len(r)
     alpha = DCD_STEP_AMPLITUDE
     level = 1
     for _ in range(nu):
         mags = list(map(abs, r))
         j = mags.index(max(mags))
-        while mags[j] <= (alpha / 2.0) * diag[j]:
+        while mags[j] <= (alpha / 2.0) * R[j][j]:
             level += 1
             if level > mb:
-                return da, r
+                return a + np.array(da), R, r, pred
             alpha /= 2.0
         step = math.copysign(alpha, r[j])
         da[j] += step
-        r = [v - step * c for v, c in zip(r, columns[j])]
-    return da, r
-
-
-def _dcd_step(a: np.ndarray, R: np.ndarray, beta: np.ndarray, h: np.ndarray, d: float,
-              lam: float, nu: int, mb: int):
-    """dcd_rls_update on bare arrays, unchecked: returns the new (a, R, beta).
-
-    Scaling by lam == 1.0 is skipped as the exact no-op it is; every other
-    operation keeps dcd_rls_update's order.
-    """
-    err = d - float(h @ a)
-    if lam != 1.0:
-        R, beta = lam * R, lam * beta
-    R = R + h[:, None] * h
-    da, r = _dcd_solve(R, beta + err * h, nu, mb)
-    return a + np.array(da), R, np.array(r)
+        r = [v - step * c for v, c in zip(r, R[j])]
+    return a + np.array(da), R, r, pred
 
 
 def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
@@ -213,9 +219,9 @@ def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
     h = _check_vector(h, state.m)
     if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
         raise ValueError("non-finite update input, state left unchanged")
-    a, R, beta = _dcd_step(state.a, state.R, state.beta, h, float(actual_delta),
-                           state.lam, state.nu, state.mb)
-    return replace(state, a=a, R=R, beta=beta)
+    a, R, beta, _ = _dcd_step(state.a, state.R.tolist(), state.beta.tolist(), h,
+                              float(actual_delta), state.lam, state.nu, state.mb)
+    return replace(state, a=a, R=np.array(R), beta=np.array(beta))
 
 
 def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
@@ -226,11 +232,12 @@ def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
     return ArLmsState(w=np.zeros(order), history=(), order=order, step_size=step_size)
 
 
-def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float,
-                step_size: float) -> np.ndarray:
-    """Normalized LMS weights after the error on frame_time, predicted from hist."""
-    err = frame_time - float(w @ hist)
-    return w + step_size * err * hist / (ARLMS_EPS + float(hist @ hist))
+def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float, step_size: float):
+    """Normalized LMS weights after the error on frame_time, and the
+    prediction w'hist of frame_time they were made from."""
+    pred = float(w @ hist)
+    err = frame_time - pred
+    return w + step_size * err * hist / (ARLMS_EPS + float(hist @ hist)), pred
 
 
 def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:
@@ -244,7 +251,7 @@ def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, floa
         raise ValueError("frame_time must be >= 0")
     w = state.w
     if state.warm:
-        w = _arlms_step(w, np.array(state.history), frame_time, state.step_size)
+        w, _ = _arlms_step(w, np.array(state.history), frame_time, state.step_size)
         history = state.history[1:] + (frame_time,)
     else:
         history = state.history + (frame_time,)

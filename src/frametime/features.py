@@ -73,8 +73,11 @@ class RegressionDataset:
             raise ValueError("feature matrix width must equal the spec's M")
         if self.targets.shape != (self.h.shape[0],):
             raise ValueError("targets must align with feature rows")
-        if not (np.all(np.isfinite(self.h)) and np.all(np.isfinite(self.targets))):
-            raise ValueError("dataset entries must be finite")
+        bad = np.flatnonzero(~(np.isfinite(self.h).all(axis=1) & np.isfinite(self.targets)))
+        if bad.size:
+            # row i is the step from trace row i to trace row i + 1
+            raise ValueError(f"dataset entries must be finite: not so for trace row "
+                             f"{bad[0] + 1}, the step from row {bad[0]}")
 
     def __len__(self):
         return self.h.shape[0]
@@ -145,10 +148,15 @@ def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
     """
     dx = np.asarray(dx, dtype=float)
     h = np.empty(dx.shape[:-1] + (2 + dx.shape[-1],))
-    h[..., 0] = t_prev * (f_prev / f_cur - 1.0)
-    h[..., 1] = f_cur - f_prev
+    h[..., 0], h[..., 1] = _frequency_terms(t_prev, f_prev, f_cur)
     h[..., 2:] = dx
     return h
+
+
+def _frequency_terms(t_prev, f_prev, f_cur):
+    """The scalable-time term and the clock step of a raw feature row, on
+    arrays or on Python floats."""
+    return t_prev * (f_prev / f_cur - 1.0), f_cur - f_prev
 
 
 def counter_scales(counters) -> np.ndarray:
@@ -198,8 +206,11 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     f = trace.freqs
     x = trace.counters[:, list(spec.indep_counter_indices)]
 
-    h = differential_features(t[:-1], f[:-1], f[1:], x[1:] - x[:-1])
-    targets = t[1:] - t[:-1]
+    # finite fields can still overflow a feature; the dataset check names
+    # the first such row instead of numpy warning about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = differential_features(t[:-1], f[:-1], f[1:], x[1:] - x[:-1])
+        targets = t[1:] - t[:-1]
     return RegressionDataset(h=h, targets=targets, feature_spec=spec)
 
 

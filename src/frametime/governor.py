@@ -11,6 +11,13 @@ interval's energy comes from a parametric power model.
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
+
+An rls interval makes one estimator step (_rls_step, whose BLAS
+reductions set the rounding) and asks the model one what-if question per
+table level.  Those questions and the cheapest-feasible choice among
+their answers run on Python floats (_rls_choice), which round each
+operation as numpy's elementwise operations do, so the choice equals
+the oracle's matrix rule (_cheapest_feasible) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 
 from . import model
 from .estimator import RlsState, _rls_step, rls_init
-from .features import differential_features, estimator_units
+from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
                     oracle_frame_times)
 
@@ -92,48 +99,72 @@ def interval_energy(pm: PowerModel, f, active_ms, period_ms: float):
     active_ms = np.asarray(active_ms, dtype=float)
     if (f <= 0).any() or (active_ms < 0).any() or period_ms <= 0:
         raise ValueError("need f > 0, active_ms >= 0, period_ms > 0")
-    return _interval_energy(pm.active_power(f), active_ms, period_ms, pm.p_idle)
+    return _interval_energy(pm.active_power(f), np.minimum(active_ms, period_ms),
+                            period_ms, pm.p_idle)
 
 
 def _interval_energy(power, active_ms, period_ms: float, p_idle: float):
-    """interval_energy from the active power (W) at each frequency, unchecked."""
-    active = np.minimum(active_ms, period_ms)
-    return (power * active + p_idle * (period_ms - active)) / 1000.0
+    """interval_energy from the active power (W) and an active time already
+    capped at the period, unchecked; on arrays or on Python floats."""
+    return (power * active_ms + p_idle * (period_ms - active_ms)) / 1000.0
 
 
 def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorConfig,
-                       pm: PowerModel):
+                       pm: PowerModel) -> np.ndarray:
     """Table level of least predicted energy that holds the frame rate, per row.
 
-    frame_ms holds predicted frame times, (..., levels) in table order, and
-    power the active power of each level; one row gives an int, more an
-    array.  Where no level is within the frame budget, the top level is the
-    safe fallback; ties go to the lower level.
+    frame_ms holds predicted frame times, (rows, levels) in table order, and
+    power the active power of each level.  Where no level is within the
+    frame budget, the top level is the safe fallback; ties go to the lower
+    level.
     """
     frame_ms = np.maximum(frame_ms, 0.0)
-    energy = _interval_energy(power, cfg.frames_per_interval * frame_ms, cfg.period,
-                              pm.p_idle)
-    if frame_ms.ndim == 1:
-        # one row, as the rls policy asks each interval: the same choice on
-        # Python floats, where a level count this small costs less than the
-        # numpy calls; min/index picks the first minimum, as argmin does
-        budget = cfg.frame_budget_ms
-        feasible = [t <= budget for t in frame_ms.tolist()]
-        costs = [e if ok else math.inf for e, ok in zip(energy.tolist(), feasible)]
-        return costs.index(min(costs)) if any(feasible) else power.size - 1
+    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period)
+    energy = _interval_energy(power, active, cfg.period, pm.p_idle)
     feasible = frame_ms <= cfg.frame_budget_ms
     cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
     return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
+
+
+def _cheapest_level(frame_ms: list, power: list, cfg: GovernorConfig,
+                    pm: PowerModel) -> int:
+    """_cheapest_feasible for one row of Python floats.
+
+    A level count this small costs less on floats than in numpy calls.
+    The first level of strictly least energy wins, as argmin picks.
+    """
+    n_frames, period, budget = cfg.frames_per_interval, cfg.period, cfg.frame_budget_ms
+    level, least = len(power) - 1, math.inf
+    for i, (t, p) in enumerate(zip(frame_ms, power)):
+        # the budget is positive, so clamping t at 0 first decides nothing
+        if t <= budget:
+            active = min(n_frames * max(t, 0.0), period)
+            energy = _interval_energy(p, active, period, pm.p_idle)
+            if energy < least:
+                level, least = i, energy
+    return level
+
+
+def _rls_choice(a0: float, a1: float, t: float, f: float, levels, power: list,
+                cfg: GovernorConfig, pm: PowerModel) -> int:
+    """Level of the rls policy's choice from frequency coefficients a0, a1,
+    the last frame time t ms at f MHz, the table levels and their active
+    power, all on Python floats."""
+    return _cheapest_level([t + model._candidate_delta(a0, a1, t, f, g) for g in levels],
+                           power, cfg, pm)
 
 
 def rls_policy_step(state: RlsState, prev_frame_time: float, cur_freq: float,
                     table: FrequencyTable, cfg: GovernorConfig, pm: PowerModel) -> float:
     """Cheapest feasible frequency by the what-if frame times predicted from
     the current operating point, prev_frame_time ms at cur_freq MHz."""
-    freqs = np.asarray(table.freqs_mhz)
-    deltas = model.candidate_delta(state.a, prev_frame_time, cur_freq, freqs)
-    level = _cheapest_feasible(prev_frame_time + deltas, pm.active_power(freqs), cfg, pm)
-    return table.freqs_mhz[int(level)]
+    if cur_freq <= 0:
+        raise ValueError("frequencies must be > 0")
+    levels = table.freqs_mhz
+    a0, a1 = state.a[:2].tolist()
+    power = pm.active_power(np.asarray(levels)).tolist()
+    return levels[_rls_choice(a0, a1, float(prev_frame_time), float(cur_freq), levels,
+                              power, cfg, pm)]
 
 
 def ondemand_policy_step(utilization: float, current_f: float,
@@ -208,43 +239,50 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     if n == 0:
         return PolicyResult(policy=policy)
 
-    n_frames = cfg.frames_per_interval
     frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
-    if policy == "rls":
-        state = rls_init(2 + len(spec.indep_counters))
-        a, P = state.a, state.P
-        # independent counters depend on the complexity only, so the whole
-        # run's values, and with them the estimator units, are known upfront
-        n_dep = len(spec.dep_counters)
-        distinct, at = np.unique(np.asarray(schedule), return_inverse=True)
-        x = np.array([oracle_counters(spec, c, table.max)[n_dep:]
-                      for c in distinct.tolist()])[at]
-        if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
-            raise ValueError("non-finite update input, state left unchanged")
-        units = estimator_units(x)
-        levels = np.asarray(table.freqs_mhz)
-        power = pm.active_power(levels)
+    if policy == "ondemand":
+        n_frames = cfg.frames_per_interval
+        freqs, realized = [], []
+        f = table.max
+        for row in frame_ms.tolist():
+            t_real = row[table.index(f)]
+            freqs.append(f)
+            realized.append(t_real)
+            f = ondemand_policy_step(min(n_frames * t_real, cfg.period) / cfg.period, f,
+                                     table, cfg)
+        return _policy_result(policy, np.array(freqs), np.array(realized), cfg, pm)
 
-    freqs, realized = np.empty(n), np.empty(n)
-    f = table.max
-    for k in range(n):
-        t_real = frame_ms[k, table.index(f)]
-        freqs[k], realized[k] = f, t_real
+    # rls: learn from each realized sample, then choose the next frequency
+    state = rls_init(2 + len(spec.indep_counters))
+    a, P = state.a, state.P
+    # independent counters depend on the complexity only, so the whole run's
+    # values, and with them the estimator units and each interval's counter
+    # deltas in those units, are known upfront; only the two frequency
+    # entries of a feature row depend on the choices
+    n_dep = len(spec.dep_counters)
+    distinct, at = np.unique(np.asarray(schedule), return_inverse=True)
+    x = np.array([oracle_counters(spec, c, table.max)[n_dep:]
+                  for c in distinct.tolist()])[at]
+    if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
+        raise ValueError("non-finite update input, state left unchanged")
+    h = np.empty((n, 2 + x.shape[1]))
+    h[1:, 2:] = (x[1:] - x[:-1]) / estimator_units(x)[1:, 2:]
+    levels = table.freqs_mhz
+    power = pm.active_power(np.asarray(levels)).tolist()
 
-        if policy == "ondemand":
-            utilization = min(n_frames * t_real, cfg.period) / cfg.period
-            f = ondemand_policy_step(utilization, f, table, cfg)
-            continue
-
-        # rls: learn from the realized sample, then choose the next frequency
+    chosen, realized = [], []
+    level = len(levels) - 1
+    for k, row in enumerate(frame_ms.tolist()):
+        chosen.append(level)
+        f, t_real = levels[level], row[level]
+        realized.append(t_real)
         if k > 0:
-            h = differential_features(t_prev, f_prev, f, x[k] - x[k - 1]) / units[k]
-            a, P = _rls_step(a, P, h, t_real - t_prev, state.lam)
+            # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]
+            dt, df = _frequency_terms(t_prev, f_prev, f)
+            h[k, 0], h[k, 1] = dt, df / MHZ_PER_GHZ
+            a, P, _ = _rls_step(a, P, h[k], t_real - t_prev, state.lam)
         t_prev, f_prev = t_real, f
-        if k + 1 < cfg.warmup_intervals:
-            f = table.max
-        else:
-            # rls_policy_step on the run's fixed table and power
-            deltas = model._candidate_delta(a, t_real, f, levels)
-            f = table.freqs_mhz[int(_cheapest_feasible(t_real + deltas, power, cfg, pm))]
-    return _policy_result(policy, freqs, realized, cfg, pm)
+        if k + 1 >= cfg.warmup_intervals:
+            a0, a1 = a[:2].tolist()
+            level = _rls_choice(a0, a1, t_real, f, levels, power, cfg, pm)
+    return _policy_result(policy, np.asarray(levels)[chosen], np.array(realized), cfg, pm)

@@ -28,14 +28,17 @@ def candidate_delta(a, prev_frame_time, f_k, f_new):
     """
     if np.minimum(f_k, f_new).min() <= 0:
         raise ValueError("frequencies must be > 0")
-    return _candidate_delta(np.asarray(a, dtype=float), prev_frame_time, f_k, f_new)
+    a = np.asarray(a, dtype=float)
+    return _candidate_delta(a[..., 0], a[..., 1], prev_frame_time, f_k, f_new)
 
 
-def _candidate_delta(a: np.ndarray, prev_frame_time, f_k, f_new):
-    """candidate_delta without its frequency check, for callers whose
-    frequencies are table entries."""
-    return (a[..., 0] * prev_frame_time * (f_k / f_new - 1.0)
-            + a[..., 1] * (f_new - f_k) / MHZ_PER_GHZ)
+def _candidate_delta(a0, a1, prev_frame_time, f_k, f_new):
+    """candidate_delta from the two frequency coefficients, unchecked.
+
+    The same expression runs on arrays and on Python floats, which round
+    each operation alike, so a single row costs no numpy calls.
+    """
+    return a0 * prev_frame_time * (f_k / f_new - 1.0) + a1 * (f_new - f_k) / MHZ_PER_GHZ
 
 
 def three_point_derivative(t_lo, t_mid, t_hi, df1, df2):

@@ -83,7 +83,8 @@ def random_walk_freqs(table: FrequencyTable, n: int, seed: int,
     for _ in range(n):
         r = rng.random()
         if r < p_step:
-            i = min(max(i + int(rng.choice((-1, 1))), 0), len(table) - 1)
+            # the draw rng.choice((-1, 1)) makes, without its overhead
+            i = min(max(i + (1 if rng.integers(2) else -1), 0), len(table) - 1)
         elif r < p_step + p_jump:
             i = int(rng.integers(0, len(table)))
         out.append(table.freqs_mhz[i])

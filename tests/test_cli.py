@@ -375,16 +375,16 @@ class TestRunReplayApi:
         assert res.report == compute_metrics(trace.frame_times[k], want)
 
     @pytest.mark.parametrize("algo", ["rls", "dcd"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_features_rejected(self, algo):
         # t_prev * (f_prev / f_cur - 1) overflows for a huge frame time and a
         # falling clock, although every trace field is finite; the estimator
-        # step itself checks nothing
+        # step itself checks nothing, and the error names the step into row 2
         trace = Trace(timestamps=[0.05, 0.10, 0.15], frame_times=[1.0, 1.5e308, 1.0],
                       frame_counts=[3, 0, 3], freqs=[200.0, 511.0, 200.0],
                       counters=np.ones((3, 1)), counter_names=("c0",),
                       freq_table=workloads.SWEEP_TABLE)
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="must be finite: not so for trace row 2,"):
             run_replay(trace, FeatureSpec((0,)), algo)
 
 

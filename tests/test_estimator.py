@@ -167,12 +167,17 @@ class TestDcdRls:
             totals.append(total)
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
-    def test_correlation_matrix_symmetric(self):
-        rng = np.random.default_rng(8)
-        state = dcd_rls_init(3, mu=1.0)
-        for _ in range(50):
-            state = dcd_rls_update(state, rng.normal(size=3), float(rng.normal()))
-            assert np.max(np.abs(state.R - state.R.T)) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(lam=st.floats(0.9, 1.0), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 8),
+           n=st.integers(1, 40), mu=st.sampled_from([1e-14, 1.0]))
+    def test_correlation_matrix_symmetric(self, lam, seed, m, n, mu):
+        # exactly: the coordinate ladder reads row j of R as its column j
+        rng = np.random.default_rng(seed)
+        state = dcd_rls_init(m, mu=mu, lam=lam)
+        for h, d in zip(rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=m),
+                        rng.normal(size=n)):
+            state = dcd_rls_update(state, h, d)
+            assert np.array_equal(state.R, state.R.T)
 
     def test_non_finite_rejected(self):
         state = dcd_rls_init(2, mu=1.0)

@@ -11,7 +11,7 @@ from frametime.config import load_config
 from frametime.estimator import rls_init, rls_update
 from frametime.features import differential_features, estimator_units
 from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
-                                _cheapest_feasible, interval_energy,
+                                _cheapest_feasible, _cheapest_level, interval_energy,
                                 ondemand_policy_step, oracle_policy, rls_policy_step,
                                 simulate)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
@@ -82,7 +82,8 @@ class TestRlsPolicyStep:
         frame_ms = np.array(rows)
         power = PM.active_power(np.asarray(TABLE.freqs_mhz))
         matrix = _cheapest_feasible(frame_ms, power, CFG, PM)
-        assert [_cheapest_feasible(row, power, CFG, PM) for row in frame_ms] == matrix.tolist()
+        assert ([_cheapest_level(row, power.tolist(), CFG, PM) for row in rows]
+                == matrix.tolist())
 
 
 class TestOndemand:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frametime.features import differential_features, estimator_units
-from frametime.model import (candidate_delta, frequency_sensitivity,
+from frametime.model import (_candidate_delta, candidate_delta, frequency_sensitivity,
                              three_point_derivative)
 from frametime.trace import FrequencyTable
 
@@ -41,6 +41,18 @@ class TestCandidateDelta:
             candidate_delta([1.0, 0.0], 10.0, 400.0, 0.0)
         with pytest.raises(ValueError):
             candidate_delta([1.0, 0.0], 10.0, -1.0, 400.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a0=st.floats(-1e3, 1e3), a1=st.floats(-1e3, 1e3), t=st.floats(0.0, 1e3),
+           f_k=st.floats(1.0, 5e3),
+           levels=st.lists(st.floats(1.0, 5e3), min_size=1, max_size=12))
+    def test_floats_equal_arrays_bitwise(self, a0, a1, t, f_k, levels):
+        # the rls governor asks one row on Python floats, replay and
+        # sensitivity ask arrays of rows
+        on_floats = [_candidate_delta(a0, a1, t, f_k, f) for f in levels]
+        on_arrays = _candidate_delta(np.full(len(levels), a0), np.array(a1), np.array(t),
+                                     f_k, np.array(levels))
+        assert np.array(on_floats).tobytes() == on_arrays.tobytes()
 
 
 class TestPredictFrameTime:

@@ -273,6 +273,24 @@ class TestGenerate:
                                                for v in t]
         assert trace.timestamps.tolist() == [(k + 1) * 50.0 / 1000.0 for k in range(n)]
 
+    def test_random_walk_equals_choice_stream(self, sweep_table):
+        # the reference walk draws each step's sign with rng.choice((-1, 1))
+        def choice_walk(table, n, seed, p_step=0.35, p_jump=0.07):
+            rng = np.random.default_rng(seed)
+            i, out = len(table) - 1, []
+            for _ in range(n):
+                r = rng.random()
+                if r < p_step:
+                    i = min(max(i + int(rng.choice((-1, 1))), 0), len(table) - 1)
+                elif r < p_step + p_jump:
+                    i = int(rng.integers(0, len(table)))
+                out.append(table.freqs_mhz[i])
+            return tuple(out)
+
+        for seed in range(60):
+            assert random_walk_freqs(sweep_table, 400, seed) == choice_walk(sweep_table,
+                                                                             400, seed)
+
     def test_runtime_constant_and_sequence(self, simple_workload, small_table):
         trace = generate_runtime(simple_workload, small_table, 400.0, seed=1)
         assert len(trace) == len(simple_workload.complexity_schedule)

@@ -68,6 +68,10 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         steps.append((f"govern-{load}", ["govern", "--config",
                                          f"configs/governor_{load}.ini", "--policy", "all",
                                          "--out", f"govern-{load}.csv", *seeded]))
+    # the runtime workload's noise (sigma 0.03) puts the rls choices next to
+    # the frame budget, where the governor configs (sigma 0.01) rarely go
+    steps.append(("govern-runtime", ["govern", *char, "--policy", "all",
+                                     "--out", "govern-runtime.csv", *seeded]))
     return steps
 
 
