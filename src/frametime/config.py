@@ -15,12 +15,16 @@ Sections:
   [power_model]       p_static_w, p_dyn_w_per_ghz3, p_idle_w
 
 complexity_schedule accepts an explicit comma list or the compact forms
-constant:V:N, ramp:A:B:N and square:LO:HI:HALF_PERIOD:N.
+constant:V:N, ramp:A:B:N, square:LO:HI:HALF_PERIOD:N and
+stairs:LO:HI:STEP:HOLD:N (the levels LO, LO+STEP, ... up to HI, each
+held for HOLD intervals, cycling).  N, HALF_PERIOD and HOLD must be at
+least 1, STEP positive and LO no greater than HI.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,13 @@ class ConfigBundle:
     power_model: PowerModel
 
 
+def _count(value: float, name: str, text: str) -> int:
+    """A schedule length, half period or hold: finite and at least 1."""
+    if not (math.isfinite(value) and value >= 1):
+        raise ConfigError(f"bad schedule expression {text!r}: {name} must be at least 1")
+    return int(value)
+
+
 def parse_schedule(text: str) -> tuple[float, ...]:
     """Expand a schedule expression into per-interval complexity values."""
     text = text.strip()
@@ -54,20 +65,23 @@ def parse_schedule(text: str) -> tuple[float, ...]:
     args = [float(p) for p in parts[1:]]
     if kind == "constant" and len(args) == 2:
         value, n = args
-        return (value,) * int(n)
+        return (value,) * _count(n, "N", text)
     if kind == "ramp" and len(args) == 3:
         a, b, n = args
-        return tuple(float(v) for v in np.linspace(a, b, int(n)))
+        return tuple(float(v) for v in np.linspace(a, b, _count(n, "N", text)))
     if kind == "square" and len(args) == 4:
         lo, hi, half, n = args
-        half = int(half)
-        vals = [lo if (k // half) % 2 == 0 else hi for k in range(int(n))]
-        return tuple(vals)
+        half = _count(half, "HALF_PERIOD", text)
+        return tuple(lo if (k // half) % 2 == 0 else hi for k in range(_count(n, "N", text)))
     if kind == "stairs" and len(args) == 5:
         lo, hi, step, hold, n = args
+        if not (math.isfinite(step) and step > 0):
+            raise ConfigError(f"bad schedule expression {text!r}: STEP must be positive")
+        if not lo <= hi:
+            raise ConfigError(f"bad schedule expression {text!r}: LO must not exceed HI")
         levels = [float(v) for v in np.arange(lo, hi + step / 2, step)]
-        hold = int(hold)
-        return tuple(levels[(k // hold) % len(levels)] for k in range(int(n)))
+        hold = _count(hold, "HOLD", text)
+        return tuple(levels[(k // hold) % len(levels)] for k in range(_count(n, "N", text)))
     raise ConfigError(f"bad schedule expression {text!r}")
 
 

@@ -84,20 +84,6 @@ class FrequencyTable:
     def index(self, f: float) -> int:
         return self.freqs_mhz.index(float(f))
 
-    def step(self, f: float, levels: int) -> float:
-        """Frequency `levels` table entries away from f; raises out of bounds."""
-        i = self.index(f) + levels
-        if not 0 <= i < len(self.freqs_mhz):
-            raise IndexError(f"no frequency {levels:+d} levels from {f} MHz")
-        return self.freqs_mhz[i]
-
-    def neighbors(self, f: float) -> tuple[float | None, float | None]:
-        """(one level lower, one level higher), None at the table edges."""
-        i = self.index(f)
-        lower = self.freqs_mhz[i - 1] if i > 0 else None
-        upper = self.freqs_mhz[i + 1] if i + 1 < len(self.freqs_mhz) else None
-        return lower, upper
-
 
 DEFAULT_FREQ_TABLE = FrequencyTable(DEFAULT_FREQS_MHZ)
 

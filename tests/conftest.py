@@ -1,25 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from frametime import workloads
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
                              WorkloadSpec, generate_characterization)
+from scenarios import shipped
 
 
 @pytest.fixture(scope="session")
 def sweep_table():
-    return workloads.SWEEP_TABLE
+    return shipped("characterization").freq_table
 
 
 @pytest.fixture(scope="session")
 def char_workload():
-    return workloads.characterization_workload()
+    return shipped("characterization").workload
 
 
 @pytest.fixture(scope="session")
 def small_sweep(char_workload, sweep_table):
     """Small noiseless sweep shared by parse/feature tests."""
-    spec = workloads.noiseless(char_workload)
+    spec = replace(char_workload, noise_sigma=0.0)
     return generate_characterization(spec, sweep_table, range(1, 9), 2, seed=11)
 
 

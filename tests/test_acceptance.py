@@ -5,11 +5,12 @@ lines; tolerances are fixed here, not tuned at runtime.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frametime import cli, model, workloads
+from frametime import cli, model
 from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_rls_update,
                                  op_count, rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
@@ -17,7 +18,10 @@ from frametime.features import (FeatureSpec, build_dataset, cross_validated_path
 from frametime.governor import GovernorConfig, PowerModel, simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
-from frametime.workloads import SWEEP_TABLE
+from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, heavy_runs, light_runs,
+                       sensitivity_run, shipped)
+
+SWEEP_TABLE = shipped("characterization").freq_table
 
 
 def verdict(num, slug, ok, detail):
@@ -28,13 +32,16 @@ def verdict(num, slug, ok, detail):
 @pytest.fixture(scope="module")
 def sweep_replays():
     """Noisy and noiseless characterization sweeps with adaptive replays."""
-    noisy_spec = workloads.characterization_workload()                # sigma 0.03
-    clean_spec = workloads.noiseless(noisy_spec)
+    sweep = shipped("characterization")
+
+    def sweep_of(spec):
+        return generate_characterization(spec, sweep.freq_table,
+                                         sweep.characterization_complexities,
+                                         sweep.characterization_repeats, seed=SWEEP_SEED)
+
     fspec = FeatureSpec((2, 3))
-    noisy = generate_characterization(noisy_spec, SWEEP_TABLE, range(1, 65),
-                                      workloads.SWEEP_REPEATS, seed=workloads.SWEEP_SEED)
-    clean = generate_characterization(clean_spec, SWEEP_TABLE, range(1, 65),
-                                      workloads.SWEEP_REPEATS, seed=workloads.SWEEP_SEED)
+    noisy = sweep_of(sweep.workload)                                  # sigma 0.03
+    clean = sweep_of(replace(sweep.workload, noise_sigma=0.0))
     return {
         "noisy": noisy,
         "rls": cli.run_replay(noisy, fspec, "rls"),
@@ -46,7 +53,7 @@ def sweep_replays():
 @pytest.fixture(scope="module")
 def runtime_replay():
     """Random-walk frequency run used for the sensitivity criteria."""
-    spec, freqs = workloads.sensitivity_replay(n=2400, seed=5)
+    spec, freqs = sensitivity_run(2400, seed=5)
     trace = generate_runtime(spec, SWEEP_TABLE, freqs, seed=5)
     fspec = FeatureSpec((2, 3))
     result = cli.run_replay(trace, fspec, "rls")
@@ -130,9 +137,28 @@ def _same_complexity_rows(spec, rows, states, warmup):
             yield r, st, schedule[r.k]
 
 
-def test_criterion_05_sensitivity_accuracy(runtime_replay):
-    from frametime.trace import oracle_frame_time, oracle_frame_time_derivative
+def _candidate_apes(runtime_replay, jump):
+    """APE against the oracle of the frame time predicted `jump` levels up
+    and down from each post-warmup row whose complexity did not change."""
+    from frametime.trace import oracle_frame_time
     spec, trace, result, states = runtime_replay
+    t = trace.frame_times
+    apes = []
+    for r, st, c in _same_complexity_rows(spec, result.rows, states, 500):
+        for direction in (+1, -1):
+            i = SWEEP_TABLE.index(r.f_k) + direction * jump
+            if not 0 <= i < len(SWEEP_TABLE):  # off the ladder; never wrap around
+                continue
+            f_new = SWEEP_TABLE.freqs_mhz[i]
+            pred = t[r.k - 1] + model.candidate_delta(st, t[r.k - 1], r.f_k, f_new)
+            truth = oracle_frame_time(spec, c, f_new)
+            apes.append(abs(pred - truth) / truth * 100.0)
+    return apes
+
+
+def test_criterion_05_sensitivity_accuracy(runtime_replay):
+    from frametime.trace import oracle_frame_time_derivative
+    spec, _, result, states = runtime_replay
     ref, got = [], []
     for r, _, c in _same_complexity_rows(spec, result.rows, states, 500):
         if r.one_sided:
@@ -142,42 +168,16 @@ def test_criterion_05_sensitivity_accuracy(runtime_replay):
     ref, got = np.array(ref), np.array(got)
     rmse = float(np.sqrt(np.mean((ref - got) ** 2)))
     nrmse = rmse / float(ref.max() - ref.min()) * 100.0
-
-    t = trace.frame_times
-    apes = []
-    for r, st, c in _same_complexity_rows(spec, result.rows, states, 500):
-        for direction in (+1, -1):
-            try:
-                f_new = SWEEP_TABLE.step(r.f_k, direction)
-            except IndexError:
-                continue
-            pred = t[r.k - 1] + model.candidate_delta(st, t[r.k - 1], r.f_k, f_new)
-            truth = oracle_frame_time(spec, c, f_new)
-            apes.append(abs(pred - truth) / truth * 100.0)
-    mape1 = float(np.mean(apes))
+    mape1 = float(np.mean(_candidate_apes(runtime_replay, 1)))
     ok = nrmse < 10.0 and mape1 < 6.0
     assert verdict(5, "sensitivity-accuracy", ok,
                    f"derivative nrmse {nrmse:.2f}%, one-level mape {mape1:.2f}%")
 
 
 def test_criterion_06_multi_jump_degradation(runtime_replay):
-    from frametime.trace import oracle_frame_time
-    spec, trace, result, states = runtime_replay
-    t = trace.frame_times
     max_jump = len(SWEEP_TABLE) - 1
-    mape = {}
-    for jump in range(1, max_jump + 1):
-        apes = []
-        for r, st, c in _same_complexity_rows(spec, result.rows, states, 500):
-            for direction in (+1, -1):
-                try:
-                    f_new = SWEEP_TABLE.step(r.f_k, direction * jump)
-                except IndexError:
-                    continue
-                pred = t[r.k - 1] + model.candidate_delta(st, t[r.k - 1], r.f_k, f_new)
-                truth = oracle_frame_time(spec, c, f_new)
-                apes.append(abs(pred - truth) / truth * 100.0)
-        mape[jump] = float(np.mean(apes))
+    mape = {jump: float(np.mean(_candidate_apes(runtime_replay, jump)))
+            for jump in range(1, max_jump + 1)}
     ok = mape[max_jump] < 12.0 and mape[max_jump] > mape[1]
     assert verdict(6, "multi-jump-degradation", ok,
                    f"mape by jump {{1: {mape[1]:.2f}, {max_jump}: {mape[max_jump]:.2f}}}%")
@@ -205,13 +205,12 @@ def test_criterion_07_dcd_fidelity(sweep_replays):
 
 
 def test_criterion_08_convergence_ordering():
-    spec = workloads.step_change_workload()
-    trace = generate_runtime(spec, SWEEP_TABLE, 400.0, seed=3)
+    trace = generate_runtime(STEP_CHANGE, SWEEP_TABLE, 400.0, seed=3)
     res_rls = cli.run_replay(trace, FeatureSpec((1,)), "rls")
     res_ar = cli.run_replay(trace, None, "arlms")
 
     def converge_interval(rows, threshold=10.0, window=5):
-        ape = np.array([np.inf if r.abs_pct_err is None else r.abs_pct_err for r in rows])
+        ape = np.where(np.isnan(rows.abs_pct_err), np.inf, rows.abs_pct_err)
         ks = [r.k for r in rows]
         rolling = np.array([ape[max(0, i - window + 1):i + 1].mean()
                             for i in range(len(ape))])
@@ -241,7 +240,7 @@ def test_criterion_10_governor_dominance_and_savings():
     dominance = True
     ratios = {}
     totals = {"rls": 0.0, "oracle": 0.0, "ondemand": 0.0}
-    for name, spec in workloads.heavy_workloads(600).items():
+    for name, spec in heavy_runs(600).items():
         res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=9)
                for p in ("oracle", "rls", "ondemand")}
         eo, er, ed = (res[p].total_energy for p in ("oracle", "rls", "ondemand"))
@@ -251,12 +250,12 @@ def test_criterion_10_governor_dominance_and_savings():
             totals[p] += res[p].total_energy
     # dominance must also hold on other seeds and on the light runs
     for seed in (10, 11):
-        for spec in workloads.heavy_workloads(300).values():
+        for spec in heavy_runs(300).values():
             res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=seed)
                    for p in ("oracle", "rls", "ondemand")}
             dominance &= (res["oracle"].total_energy <= res["rls"].total_energy
                           <= res["ondemand"].total_energy)
-    for spec in workloads.light_workloads(300).values():
+    for spec in light_runs(300).values():
         res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=9)
                for p in ("oracle", "rls", "ondemand")}
         dominance &= res["oracle"].total_energy <= res["rls"].total_energy
@@ -272,10 +271,10 @@ def test_criterion_10_governor_dominance_and_savings():
 
 
 def test_criterion_11_feature_selection():
-    spec = workloads.selection_workload()
-    trace = generate_characterization(spec, SWEEP_TABLE, range(1, 65),
-                                      workloads.SELECTION_REPEATS,
-                                      seed=workloads.SELECTION_SEED)
+    sweep = shipped("selection")
+    trace = generate_characterization(sweep.workload, sweep.freq_table,
+                                      sweep.characterization_complexities,
+                                      sweep.characterization_repeats, seed=SELECTION_SEED)
     kept = pearson_prune(trace)
     pruned_deps = kept == [2, 3, 4, 5]  # both clock-tracking counters dropped
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from frametime import workloads
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
@@ -9,7 +8,11 @@ from frametime.estimator import (arlms_init, arlms_update, dcd_rls_init, dcd_rls
                                  rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
-from frametime.trace import Trace, generate_runtime, parse_trace, serialize_trace
+from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
+                             generate_runtime, parse_trace, serialize_trace)
+from scenarios import sensitivity_run, shipped
+
+TABLE = shipped("characterization").freq_table
 
 CONFIG_TEXT = """
 [frequency_table]
@@ -80,14 +83,33 @@ class TestConfig:
         assert bundle.characterization_repeats == 2
         assert len(bundle.workload.complexity_schedule) == 100
         assert bundle.workload.scalable_ms(32.0) == pytest.approx(7.2)
+        # the `kind = noise` and `response = piecewise` counter forms
+        indep = bundle.workload.indep_counters
+        assert CounterModel("probe_jitter_a", "indep", HashNoiseMap(200.0, salt=3.0)) in indep
+        assert CounterModel("geometry_batches", "indep", PiecewiseLinearMap(
+            ((1.0, 12.0), (32.0, 48.0), (64.0, 180.0)))) in indep
+        assert bundle.governor.fps_target == 60.0
+        assert bundle.power_model.p_dyn_coeff == 8.0
 
     def test_schedules(self):
         assert parse_schedule("constant:5:3") == (5.0, 5.0, 5.0)
         assert parse_schedule("ramp:0:10:3") == (0.0, 5.0, 10.0)
         assert parse_schedule("square:1:2:2:6") == (1.0, 1.0, 2.0, 2.0, 1.0, 1.0)
+        assert parse_schedule("stairs:2:6:2:2:8") == (2.0, 2.0, 4.0, 4.0, 6.0, 6.0, 2.0, 2.0)
         assert parse_schedule("3, 1, 2") == (3.0, 1.0, 2.0)
         with pytest.raises(ConfigError):
             parse_schedule("sawtooth:1:2")
+
+    @pytest.mark.parametrize("text", [
+        "constant:5:0", "ramp:0:10:-1", "square:1:2:2:0",          # N
+        "square:1:2:0:6", "square:1:2:-2:6", "square:1:2:inf:6",   # HALF_PERIOD
+        "stairs:1:3:1:0:6",                                        # HOLD
+        "stairs:1:3:0:2:6", "stairs:1:3:-1:2:6",                   # STEP
+        "stairs:3:1:1:2:6",                                        # LO > HI
+    ])
+    def test_bad_schedule_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_schedule(text)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -147,8 +169,8 @@ class TestMetrics:
 
 
 def write_runtime_trace(tmp_path, n=160, seed=2):
-    spec, freqs = workloads.sensitivity_replay(n=n, seed=seed)
-    trace = generate_runtime(spec, workloads.SWEEP_TABLE, freqs, seed=seed)
+    spec, freqs = sensitivity_run(n, seed)
+    trace = generate_runtime(spec, TABLE, freqs, seed=seed)
     path = tmp_path / "trace.csv"
     path.write_text(serialize_trace(trace))
     return path, trace
@@ -202,8 +224,8 @@ class TestSelectFeatures:
         assert spec.m >= 2
 
     def test_single_frequency_trace_exit3(self, tmp_path):
-        spec, _ = workloads.sensitivity_replay(n=40, seed=1)
-        trace = generate_runtime(spec, workloads.SWEEP_TABLE, 400.0, seed=1)
+        spec, _ = sensitivity_run(40, seed=1)
+        trace = generate_runtime(spec, TABLE, 400.0, seed=1)
         path = tmp_path / "flat.csv"
         path.write_text(serialize_trace(trace))
         code = main(["select-features", "--trace", str(path),
@@ -211,8 +233,8 @@ class TestSelectFeatures:
         assert code == EXIT_DEGENERATE
 
     def test_trace_shorter_than_folds_exit3(self, tmp_path, capsys):
-        spec, _ = workloads.sensitivity_replay(n=8, seed=1)
-        trace = generate_runtime(spec, workloads.SWEEP_TABLE, [200.0, 400.0] * 4, seed=1)
+        spec, _ = sensitivity_run(8, seed=1)
+        trace = generate_runtime(spec, TABLE, [200.0, 400.0] * 4, seed=1)
         path = tmp_path / "short.csv"
         path.write_text(serialize_trace(trace))
         code = main(["select-features", "--trace", str(path),
@@ -282,12 +304,11 @@ class TestSensitivity:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "k,f_k,dtf_df,one_sided,delta_up1,delta_down1,delta_up2,delta_down2"
-        table = workloads.SWEEP_TABLE
         for line in lines[1:]:
             cells = line.split(",")
             f_k = float(cells[1])
             one_sided = cells[3] == "1"
-            assert one_sided == (f_k in (table.min, table.max))
+            assert one_sided == (f_k in (TABLE.min, TABLE.max))
 
     @pytest.mark.parametrize("jumps", ["0", "-2"])
     def test_jumps_below_one_exit2(self, tmp_path, capsys, jumps):
@@ -324,6 +345,13 @@ class TestGovern:
         assert set(summaries) == {"rls", "oracle", "ondemand"}
         energy = {p: float(summaries[p].split(",")[4]) for p in summaries}
         assert energy["oracle"] <= energy["rls"] <= energy["ondemand"]
+
+    def test_bad_schedule_exit2(self, config_file, tmp_path, capsys):
+        text = config_file.read_text().replace("square:20:40:25:100", "square:1:2:0:6")
+        config_file.write_text(text)
+        code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_trace_input_unsupported_exit5(self, tmp_path):
         trace_path, _ = write_runtime_trace(tmp_path, n=40)
@@ -383,7 +411,7 @@ class TestRunReplayApi:
         trace = Trace(timestamps=[0.05, 0.10, 0.15], frame_times=[1.0, 1.5e308, 1.0],
                       frame_counts=[3, 0, 3], freqs=[200.0, 511.0, 200.0],
                       counters=np.ones((3, 1)), counter_names=("c0",),
-                      freq_table=workloads.SWEEP_TABLE)
+                      freq_table=TABLE)
         with pytest.raises(ValueError, match="must be finite: not so for trace row 2,"):
             run_replay(trace, FeatureSpec((0,)), algo)
 

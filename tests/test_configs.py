@@ -1,36 +1,9 @@
-"""The shipped config files must stay in sync with the built-in workloads."""
-
-from pathlib import Path
+"""Every shipped config file loads."""
 
 import pytest
 
-from frametime import workloads
 from frametime.config import load_config
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-
-
-def test_characterization_config_matches_builder():
-    bundle = load_config(CONFIG_DIR / "characterization.ini")
-    assert bundle.freq_table == workloads.SWEEP_TABLE
-    assert bundle.workload == workloads.characterization_workload()
-    assert bundle.characterization_complexities == workloads.SWEEP_COMPLEXITIES
-    assert bundle.characterization_repeats == workloads.SWEEP_REPEATS
-
-
-def test_selection_config_matches_builder():
-    bundle = load_config(CONFIG_DIR / "selection.ini")
-    assert bundle.workload == workloads.selection_workload()
-    assert bundle.characterization_repeats == workloads.SELECTION_REPEATS
-
-
-def test_governor_configs_match_builders():
-    heavy = load_config(CONFIG_DIR / "governor_heavy.ini")
-    assert heavy.workload == workloads.heavy_workloads(600)["heavy_square_a"]
-    light = load_config(CONFIG_DIR / "governor_light.ini")
-    assert light.workload == workloads.light_workloads(600)["light_square"]
-    assert heavy.governor.fps_target == 60.0
-    assert heavy.power_model.p_dyn_coeff == 8.0
+from scenarios import CONFIG_DIR
 
 
 @pytest.mark.parametrize("name", ["characterization.ini", "selection.ini",

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,18 +67,16 @@ class TestPearsonPrune:
             pearson_prune(trace)
 
     def test_oracle_indep_counter_kept(self, char_workload, sweep_table):
-        from frametime.workloads import noiseless
         from frametime.trace import generate_characterization
-        trace = generate_characterization(noiseless(char_workload), sweep_table,
-                                          range(1, 17), 1, seed=0)
+        clean = replace(char_workload, noise_sigma=0.0)
+        trace = generate_characterization(clean, sweep_table, range(1, 17), 1, seed=0)
         kept = pearson_prune(trace)
         assert kept == [2, 3, 4, 5]
 
-    def test_threshold_domain(self, char_workload):
+    def test_threshold_domain(self, char_workload, sweep_table):
         from frametime.trace import generate_characterization
-        from frametime.workloads import SWEEP_TABLE, noiseless
-        trace = generate_characterization(noiseless(char_workload), SWEEP_TABLE,
-                                          [1.0, 2.0], 1, seed=0)
+        clean = replace(char_workload, noise_sigma=0.0)
+        trace = generate_characterization(clean, sweep_table, [1.0, 2.0], 1, seed=0)
         with pytest.raises(ValueError):
             pearson_prune(trace, threshold=0.0)
 

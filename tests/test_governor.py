@@ -1,13 +1,10 @@
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frametime import workloads
-from frametime.config import load_config
 from frametime.estimator import rls_init, rls_update
 from frametime.features import differential_features, estimator_units
 from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
@@ -16,9 +13,10 @@ from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
                                 simulate)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
                              WorkloadSpec, oracle_counters, oracle_frame_time)
+from scenarios import heavy_runs, light_runs, shipped
 
 
-TABLE = workloads.SWEEP_TABLE
+TABLE = shipped("governor_heavy").freq_table
 CFG = GovernorConfig()
 PM = PowerModel()
 
@@ -114,12 +112,12 @@ class TestOraclePolicy:
     @pytest.mark.parametrize("case", ["ones", "noisy_two_level"])
     def test_matches_brute_force_enumeration(self, case):
         if case == "ones":
-            spec = workloads.heavy_workloads(12)["heavy_square_a"]
+            spec = heavy_runs(12)["heavy_square_a"]
             noise = np.ones(12)
         else:
             # two complexities; the seed leaves two intervals infeasible at
             # every level, so the top-level fallback is taken
-            spec = replace(workloads.heavy_workloads(24)["heavy_square_b"],
+            spec = replace(heavy_runs(24)["heavy_square_b"],
                            complexity_schedule=(37.0, 56.0) * 12)
             noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
         result = oracle_policy(spec, TABLE, CFG, PM, noise=noise)
@@ -145,7 +143,7 @@ class TestOraclePolicy:
             oracle_policy("not a workload", TABLE, CFG, PM)
 
     def test_oracle_never_beaten(self):
-        for name, spec in workloads.heavy_workloads(60).items():
+        for name, spec in heavy_runs(60).items():
             res = {p: simulate(p, spec, TABLE, CFG, PM, seed=3)
                    for p in ("oracle", "rls", "ondemand")}
             assert res["oracle"].total_energy <= res["rls"].total_energy
@@ -160,7 +158,7 @@ class TestSimulate:
         assert result.total_energy == 0.0
 
     def test_deterministic_per_seed(self):
-        spec = workloads.light_workloads(80)["light_square"]
+        spec = light_runs(80)["light_square"]
         a = simulate("rls", spec, TABLE, CFG, PM, seed=5)
         b = simulate("rls", spec, TABLE, CFG, PM, seed=5)
         assert a.freq_schedule == b.freq_schedule
@@ -168,13 +166,13 @@ class TestSimulate:
         assert a.per_interval_log == b.per_interval_log
 
     def test_energy_decomposition_exact(self):
-        spec = workloads.heavy_workloads(50)["heavy_steady"]
+        spec = heavy_runs(50)["heavy_steady"]
         result = simulate("ondemand", spec, TABLE, CFG, PM, seed=1)
         assert result.total_energy == sum(result.energies)
         assert len(result.energies) == 50
 
     def test_violation_accounting_uses_realized_time(self):
-        spec = workloads.heavy_workloads(40)["heavy_square_b"]
+        spec = heavy_runs(40)["heavy_square_b"]
         result = simulate("rls", spec, TABLE, CFG, PM, seed=2)
         budget = CFG.frame_budget_ms
         want = sum(1 for row in result.per_interval_log if row[3] > budget)
@@ -183,7 +181,7 @@ class TestSimulate:
             assert row[5] == (row[3] > budget)
 
     def test_rls_and_oracle_agree_on_light_load(self):
-        spec = workloads.light_workloads(200)["light_square"]
+        spec = light_runs(200)["light_square"]
         rls = simulate("rls", spec, TABLE, CFG, PM, seed=4)
         oracle = simulate("oracle", spec, TABLE, CFG, PM, seed=4)
         warm = CFG.warmup_intervals
@@ -196,8 +194,7 @@ class TestSimulate:
         # the shipped configs, and heavy at more noise, where the choice
         # between two levels flips often enough to expose a small
         # difference in the predictions
-        bundle = load_config(Path(__file__).resolve().parent.parent / "configs"
-                             / f"governor_{load}.ini")
+        bundle = shipped(f"governor_{load}")
         spec, table = bundle.workload, bundle.freq_table
         if sigma is not None:
             spec = replace(spec, noise_sigma=sigma)
@@ -234,7 +231,7 @@ class TestSimulate:
             simulate("rls", spec, TABLE, CFG, PM, seed=0)
 
     def test_unknown_policy(self):
-        spec = workloads.light_workloads(10)["light_square"]
+        spec = light_runs(10)["light_square"]
         with pytest.raises(ValueError):
             simulate("racing", spec, TABLE, CFG, PM, seed=0)
 

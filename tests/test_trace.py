@@ -26,14 +26,6 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             FrequencyTable((-1.0, 200.0))
 
-    def test_neighbors_and_step(self, small_table):
-        assert small_table.neighbors(400.0) == (200.0, 600.0)
-        assert small_table.neighbors(200.0) == (None, 400.0)
-        assert small_table.neighbors(600.0) == (400.0, None)
-        assert small_table.step(200.0, 2) == 600.0
-        with pytest.raises(IndexError):
-            small_table.step(600.0, 1)
-
 
 class TestParse:
     def test_direct_field_mapping(self, small_table):
