@@ -36,7 +36,7 @@ EXIT_UNSUPPORTED = 5
 
 DEFAULT_SEED = 42
 CONVERGENCE_WINDOW = 5
-DEFAULT_CONVERGENCE_THRESHOLD = 10.0  # percent APE
+CONVERGENCE_THRESHOLD = 10.0  # percent APE
 CSV_BLOCK_ROWS = 256
 
 
@@ -58,14 +58,13 @@ class MetricsReport:
     excluded_terms: int            # zero-actual points dropped from APE
 
 
-def compute_metrics(actual, predicted, threshold: float = DEFAULT_CONVERGENCE_THRESHOLD,
-                    period_ms: float = 50.0, window: int = CONVERGENCE_WINDOW) -> MetricsReport:
+def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport:
     """Accuracy summary of a prediction series against its reference.
 
     APE terms with a zero actual value are excluded and counted.  The
     convergence time is the first interval from which the trailing
-    `window`-interval mean APE stays below `threshold` percent for the
-    rest of the series.
+    CONVERGENCE_WINDOW-interval mean APE stays below CONVERGENCE_THRESHOLD
+    percent for the rest of the series.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -90,11 +89,11 @@ def compute_metrics(actual, predicted, threshold: float = DEFAULT_CONVERGENCE_TH
 
     # zero padding sums each window in order, equal to slice means bitwise;
     # a running cumsum would let one inf term make every later mean nan
-    padded = np.concatenate([np.zeros(window - 1), ape])
-    rolling = (sliding_window_view(padded, window).sum(axis=1)
-               / np.minimum(np.arange(1, ape.size + 1), window))
+    padded = np.concatenate([np.zeros(CONVERGENCE_WINDOW - 1), ape])
+    rolling = (sliding_window_view(padded, CONVERGENCE_WINDOW).sum(axis=1)
+               / np.minimum(np.arange(1, ape.size + 1), CONVERGENCE_WINDOW))
     # settled from one past the last interval not below the threshold
-    not_below = np.flatnonzero(~(rolling < threshold))
+    not_below = np.flatnonzero(~(rolling < CONVERGENCE_THRESHOLD))
     settle = int(not_below[-1]) + 1 if not_below.size else 0
     conv = settle * period_ms if settle < ape.size else float("inf")
     return MetricsReport(mape=mape, median_ape=median, nrmse=nrmse,
@@ -116,20 +115,18 @@ class ReplayResult:
                                   # with; None for the AR baseline
 
 
-def _replay_result(trace: Trace, k, predicted, dtf, one_sided, coefs,
-                   threshold: float) -> ReplayResult:
+def _replay_result(trace: Trace, k, predicted, dtf, one_sided, coefs) -> ReplayResult:
     """Rows for the intervals k predicted as `predicted`, and their metrics."""
     actual = trace.frame_times[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         ape = np.where(actual != 0, np.abs(actual - predicted) / actual * 100.0, np.nan)
     rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf, one_sided],
                              names=ROW_FIELDS)
-    report = compute_metrics(actual, predicted, threshold=threshold, period_ms=trace.period)
+    report = compute_metrics(actual, predicted, period_ms=trace.period)
     return ReplayResult(rows, report, coefs)
 
 
-def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
-                     threshold: float):
+def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
     if len(trace) < 2:
         raise CliError(EXIT_DEGENERATE, "trace too short to form differential rows")
     n_counters = len(trace.counter_names)
@@ -161,29 +158,26 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str,
     predicted = np.maximum(t[:-1] + deltas, 0.0)
     dtf, one_sided = model.frequency_sensitivity(coefs, t[:-1], trace.freqs[1:],
                                                  trace.freq_table)
-    return _replay_result(trace, np.arange(1, len(trace)), predicted, dtf, one_sided,
-                          coefs, threshold)
+    return _replay_result(trace, np.arange(1, len(trace)), predicted, dtf, one_sided, coefs)
 
 
-def _replay_arlms(trace: Trace, threshold: float):
-    state = estimator.arlms_init()
+def _replay_arlms(trace: Trace):
+    order = estimator.ARLMS_ORDER
     t = trace.frame_times
     # interval k is predicted from the `order` frame times before it, and
     # only a full history makes a prediction
-    k = np.arange(state.order, len(trace))
+    k = np.arange(order, len(trace))
     if not k.size:
         raise CliError(EXIT_DEGENERATE, "trace too short for the AR baseline")
     predicted = np.empty(k.size)
-    w = state.w
-    for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, state.order),
-                                        t[k].tolist())):
-        w, predicted[i] = estimator._arlms_step(w, hist, t_k, state.step_size)
+    w = estimator.arlms_init().w
+    for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
+        w, predicted[i] = estimator._arlms_step(w, hist, t_k)
     return _replay_result(trace, k, predicted, np.full(k.size, np.nan),
-                          np.zeros(k.size, dtype=bool), None, threshold)
+                          np.zeros(k.size, dtype=bool), None)
 
 
-def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str,
-               threshold: float = DEFAULT_CONVERGENCE_THRESHOLD) -> ReplayResult:
+def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> ReplayResult:
     """Stream a trace through one estimator, one prediction per interval.
 
     The adaptive algorithms predict each interval with the coefficients
@@ -194,9 +188,9 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str,
     if algo in ("rls", "dcd"):
         if fspec is None:
             raise CliError(EXIT_INPUT, f"--spec is required for --algo {algo}")
-        return _replay_adaptive(trace, fspec, algo, threshold)
+        return _replay_adaptive(trace, fspec, algo)
     if algo == "arlms":
-        return _replay_arlms(trace, threshold)
+        return _replay_arlms(trace)
     raise CliError(EXIT_INPUT, f"unknown algo {algo!r}")
 
 
@@ -253,10 +247,10 @@ def cmd_select_features(args) -> int:
         indep_counter_indices=tuple(kept),
         counter_names=tuple(trace.counter_names[i] for i in kept))
     dataset = features.build_dataset(trace, candidate)
-    if len(dataset) < features.DEFAULT_FOLDS:
+    if len(dataset) < features.CV_FOLDS:
         raise CliError(EXIT_DEGENERATE, f"trace too short: {len(dataset)} rows, "
-                                        f"fewer than {features.DEFAULT_FOLDS} folds")
-    path = features.cross_validated_path(dataset, features.default_eta_grid(dataset))
+                                        f"fewer than {features.CV_FOLDS} folds")
+    path = features.cross_validated_path(dataset)
     print("eta,cv_mean_mse,cv_stderr,nonzero_features")
     for i in range(path.etas.size):
         print(f"{path.etas[i]:.6g},{path.cv_mean_mse[i]:.6g},"

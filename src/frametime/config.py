@@ -49,8 +49,8 @@ class ConfigBundle:
 
 
 def _count(value: float, name: str, text: str) -> int:
-    """A schedule length, half period or hold: finite and at least 1."""
-    if not (math.isfinite(value) and value >= 1):
+    """A schedule length, half period or hold, already finite: at least 1."""
+    if value < 1:
         raise ConfigError(f"bad schedule expression {text!r}: {name} must be at least 1")
     return int(value)
 
@@ -58,11 +58,16 @@ def _count(value: float, name: str, text: str) -> int:
 def parse_schedule(text: str) -> tuple[float, ...]:
     """Expand a schedule expression into per-interval complexity values."""
     text = text.strip()
-    if ":" not in text:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    parts = text.split(":")
-    kind = parts[0].strip().lower()
-    args = [float(p) for p in parts[1:]]
+    kind, compact, rest = text.partition(":")
+    if compact:
+        args = [float(p) for p in rest.split(":")]
+    else:
+        args = [float(v) for v in text.split(",") if v.strip()]
+    if not all(map(math.isfinite, args)):
+        raise ConfigError(f"bad schedule expression {text!r}: values must be finite")
+    if not compact:
+        return tuple(args)
+    kind = kind.strip().lower()
     if kind == "constant" and len(args) == 2:
         value, n = args
         return (value,) * _count(n, "N", text)
@@ -75,7 +80,7 @@ def parse_schedule(text: str) -> tuple[float, ...]:
         return tuple(lo if (k // half) % 2 == 0 else hi for k in range(_count(n, "N", text)))
     if kind == "stairs" and len(args) == 5:
         lo, hi, step, hold, n = args
-        if not (math.isfinite(step) and step > 0):
+        if step <= 0:
             raise ConfigError(f"bad schedule expression {text!r}: STEP must be positive")
         if not lo <= hi:
             raise ConfigError(f"bad schedule expression {text!r}: LO must not exceed HI")

@@ -40,6 +40,8 @@ import numpy as np
 DEFAULT_MU = 1e-14
 DEFAULT_LAMBDA = 1.0
 DCD_STEP_AMPLITUDE = 1.0   # largest DCD coordinate step, halved down the ladder
+ARLMS_ORDER = 10           # past frame times the AR baseline predicts from
+ARLMS_STEP_SIZE = 0.5      # NLMS step, stable in (0, 2)
 ARLMS_EPS = 1e-6           # keeps the NLMS normalization finite on a zero history
 
 
@@ -84,12 +86,10 @@ class ArLmsState:
 
     w: np.ndarray
     history: tuple[float, ...]
-    order: int = 10
-    step_size: float = 0.5
 
     @property
     def warm(self) -> bool:
-        return len(self.history) == self.order
+        return len(self.history) == ARLMS_ORDER
 
 
 def _check_vector(h, m: int) -> np.ndarray:
@@ -99,13 +99,9 @@ def _check_vector(h, m: int) -> np.ndarray:
     return h
 
 
-def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
-             a_init=None) -> RlsState:
-    """Fresh RLS state: a = a_init (default all ones), P = I/mu.
-
-    The all-ones start treats frames as fully scalable until data says
-    otherwise.  mu is the ridge weight pulling coefficients toward a_init.
-    """
+def _initial_coefs(m: int, mu: float, lam: float, a_init) -> np.ndarray:
+    """Check the settings both RLS forms start from; return a copy of
+    a_init, all ones by default."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if mu <= 0:
@@ -115,7 +111,17 @@ def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
     a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float).copy()
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
-    return RlsState(a=a0, P=np.eye(m) / mu, lam=lam)
+    return a0
+
+
+def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
+             a_init=None) -> RlsState:
+    """Fresh RLS state: a = a_init (default all ones), P = I/mu.
+
+    The all-ones start treats frames as fully scalable until data says
+    otherwise.  mu is the ridge weight pulling coefficients toward a_init.
+    """
+    return RlsState(a=_initial_coefs(m, mu, lam, a_init), P=np.eye(m) / mu, lam=lam)
 
 
 def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float):
@@ -151,17 +157,9 @@ def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
 def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
                  a_init=None, nu: int = 4, mb: int = 16) -> DcdRlsState:
     """Fresh DCD-RLS state: R = mu*I, beta = 0, a = a_init (default ones)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must be in (0, 1]")
+    a0 = _initial_coefs(m, mu, lam, a_init)
     if nu < 1 or mb < 1:
         raise ValueError("need nu >= 1, mb >= 1")
-    a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float).copy()
-    if a0.shape != (m,):
-        raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
     return DcdRlsState(a=a0, R=np.eye(m) * mu, beta=np.zeros(m), lam=lam, nu=nu, mb=mb)
 
 
@@ -224,26 +222,23 @@ def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
     return replace(state, a=a, R=np.array(R), beta=np.array(beta))
 
 
-def arlms_init(order: int = 10, step_size: float = 0.5) -> ArLmsState:
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if not 0 < step_size < 2:
-        raise ValueError("step_size must be in (0, 2)")
-    return ArLmsState(w=np.zeros(order), history=(), order=order, step_size=step_size)
+def arlms_init() -> ArLmsState:
+    """Fresh AR baseline: ARLMS_ORDER zero weights and an empty history."""
+    return ArLmsState(w=np.zeros(ARLMS_ORDER), history=())
 
 
-def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float, step_size: float):
+def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float):
     """Normalized LMS weights after the error on frame_time, and the
     prediction w'hist of frame_time they were made from."""
     pred = float(w @ hist)
     err = frame_time - pred
-    return w + step_size * err * hist / (ARLMS_EPS + float(hist @ hist)), pred
+    return w + ARLMS_STEP_SIZE * err * hist / (ARLMS_EPS + float(hist @ hist)), pred
 
 
 def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:
     """Consume one frame time, return the prediction for the next one.
 
-    Until `order` samples have been seen the filter only fills its history
+    Until ARLMS_ORDER samples have been seen the filter only fills its history
     and predicts 0.  Once warm, the weights move by the normalized LMS
     rule against the error on the sample just consumed.
     """
@@ -251,7 +246,7 @@ def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, floa
         raise ValueError("frame_time must be >= 0")
     w = state.w
     if state.warm:
-        w, _ = _arlms_step(w, np.array(state.history), frame_time, state.step_size)
+        w, _ = _arlms_step(w, np.array(state.history), frame_time)
         history = state.history[1:] + (frame_time,)
     else:
         history = state.history + (frame_time,)

@@ -21,8 +21,10 @@ import numpy as np
 
 from .trace import Trace
 
-DEFAULT_PEARSON_THRESHOLD = 0.1
-DEFAULT_FOLDS = 10
+PEARSON_THRESHOLD = 0.1  # |r| against the clock at or above which a counter is pruned
+CV_FOLDS = 10
+ETA_GRID_POINTS = 50
+ETA_GRID_RATIO = 1e-4    # smallest penalty of the grid, relative to the all-zero one
 # singular values below this share of the largest are rounding left by
 # centring, not rank; numpy's default cut (about 1e-15 relative) lets them in
 RANK_RTOL = 1e-10
@@ -126,16 +128,14 @@ def frequency_correlations(trace: Trace) -> np.ndarray:
     return out
 
 
-def pearson_prune(trace: Trace, threshold: float = DEFAULT_PEARSON_THRESHOLD) -> list[int]:
-    """Indices of counters with |r against frequency| below threshold.
+def pearson_prune(trace: Trace) -> list[int]:
+    """Indices of counters with |r against frequency| below PEARSON_THRESHOLD.
 
     Counters tracking the clock get pruned; constant counters carry no
     signal at all and are disqualified too.
     """
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must be in (0, 1)")
     corr = frequency_correlations(trace)
-    return [j for j, r in enumerate(corr) if np.isfinite(r) and abs(r) < threshold]
+    return [j for j, r in enumerate(corr) if np.isfinite(r) and abs(r) < PEARSON_THRESHOLD]
 
 
 def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
@@ -292,20 +292,20 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     return np.array(lams), np.array(knots)
 
 
-def default_eta_grid(dataset: RegressionDataset, n: int = 50, ratio: float = 1e-4) -> np.ndarray:
-    """Descending log grid from the smallest all-zero penalty down to ratio times it."""
+def default_eta_grid(dataset: RegressionDataset) -> np.ndarray:
+    """Descending log grid of ETA_GRID_POINTS penalties from the smallest
+    all-zero penalty down to ETA_GRID_RATIO times it."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     X, yc, _, _, _ = _standardize(dataset.h, dataset.targets)
     eta_max = 2.0 * float(np.max(np.abs(X.T @ yc)))
     if eta_max == 0:
         eta_max = 1.0
-    return np.geomspace(eta_max, eta_max * ratio, n)
+    return np.geomspace(eta_max, eta_max * ETA_GRID_RATIO, ETA_GRID_POINTS)
 
 
-def cross_validated_path(dataset: RegressionDataset, etas,
-                         folds: int = DEFAULT_FOLDS) -> LassoPath:
-    """Held-out MSE along the penalty grid with contiguous time blocks.
+def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
+    """Held-out MSE along default_eta_grid with CV_FOLDS contiguous time blocks.
 
     Rows are serially correlated, so folds are contiguous blocks rather
     than shuffled rows; the result is deterministic.  Inputs are
@@ -313,14 +313,10 @@ def cross_validated_path(dataset: RegressionDataset, etas,
     coefficients; coefs come back in the original feature units).  Each
     fold and the full data take one exact path, read at every penalty.
     """
-    etas = np.sort(np.asarray(etas, dtype=float))[::-1]
-    if etas.size == 0:
-        raise ValueError("empty eta grid")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
     n = len(dataset)
-    if n < folds:
-        raise ValueError(f"dataset has {n} rows, fewer than {folds} folds")
+    if n < CV_FOLDS:
+        raise ValueError(f"dataset has {n} rows, fewer than {CV_FOLDS} folds")
+    etas = default_eta_grid(dataset)
 
     def fit(h, y):
         X, yc, x_mean, x_std, y_mean = _standardize(h, y)
@@ -329,9 +325,9 @@ def cross_validated_path(dataset: RegressionDataset, etas,
         coefs = a / x_std
         return coefs, y_mean - coefs @ x_mean
 
-    bounds = np.linspace(0, n, folds + 1, dtype=int)
-    fold_mse = np.empty((etas.size, folds))
-    for k in range(folds):
+    bounds = np.linspace(0, n, CV_FOLDS + 1, dtype=int)
+    fold_mse = np.empty((etas.size, CV_FOLDS))
+    for k in range(CV_FOLDS):
         test = np.zeros(n, dtype=bool)
         test[bounds[k]:bounds[k + 1]] = True
         coefs, intercepts = fit(dataset.h[~test], dataset.targets[~test])
@@ -343,7 +339,7 @@ def cross_validated_path(dataset: RegressionDataset, etas,
         etas=etas,
         coefs=coefs_path,
         cv_mean_mse=fold_mse.mean(axis=1),
-        cv_stderr=fold_mse.std(axis=1, ddof=1) / np.sqrt(folds),
+        cv_stderr=fold_mse.std(axis=1, ddof=1) / np.sqrt(CV_FOLDS),
         nonzero_counts=np.count_nonzero(coefs_path, axis=1),
         feature_spec=dataset.feature_spec,
     )

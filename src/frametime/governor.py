@@ -45,8 +45,10 @@ class PowerModel:
     p_idle: float = 0.2
 
     def __post_init__(self):
-        if self.p_static < 0 or self.p_dyn_coeff < 0 or self.p_idle < 0:
-            raise ValueError("power parameters must be >= 0")
+        for name in ("p_static", "p_dyn_coeff", "p_idle"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def active_power(self, f_mhz: float) -> float:
         return self.p_static + self.p_dyn_coeff * (f_mhz / 1000.0) ** 3
@@ -63,8 +65,10 @@ class GovernorConfig:
     def __post_init__(self):
         if not 0 < self.down_threshold < self.up_threshold <= 1:
             raise ValueError("need 0 < down_threshold < up_threshold <= 1")
-        if self.fps_target <= 0 or self.period <= 0:
-            raise ValueError("fps_target and period must be > 0")
+        for name in ("fps_target", "period"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     @property
     def frame_budget_ms(self) -> float:
@@ -194,19 +198,18 @@ def _policy_result(policy: str, freqs: np.ndarray, frame_ms: np.ndarray,
 
 
 def oracle_policy(spec: WorkloadSpec, table: FrequencyTable, cfg: GovernorConfig,
-                  pm: PowerModel, noise=None) -> PolicyResult:
+                  pm: PowerModel, noise) -> PolicyResult:
     """Per-interval exhaustive optimum with perfect knowledge.
 
     Requires the analytic workload; a parsed hardware trace cannot answer
-    what-if frequencies.  noise is an optional per-interval multiplicative
-    factor array so the oracle judges the same realized frame times as the
+    what-if frequencies.  noise is the per-interval multiplicative factor
+    array, so the oracle judges the same realized frame times as the
     policies it is compared with.
     """
     if not isinstance(spec, WorkloadSpec):
         raise ValueError("oracle policy requires an analytic workload")
-    frame_ms = oracle_frame_times(spec, spec.complexity_schedule, table)
-    if noise is not None:
-        frame_ms = frame_ms * np.asarray(noise)[:, None]
+    noise = np.asarray(noise)[:, None]
+    frame_ms = oracle_frame_times(spec, spec.complexity_schedule, table) * noise
     freqs = np.asarray(table.freqs_mhz)
     level = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)
     return _policy_result("oracle", freqs[level],
@@ -235,7 +238,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         noise = np.ones(n)
 
     if policy == "oracle":
-        return oracle_policy(spec, table, cfg, pm, noise=noise)
+        return oracle_policy(spec, table, cfg, pm, noise)
     if n == 0:
         return PolicyResult(policy=policy)
 

@@ -259,10 +259,10 @@ class WorkloadSpec:
     def __post_init__(self):
         object.__setattr__(self, "complexity_schedule",
                            tuple(float(c) for c in self.complexity_schedule))
-        if self.ref_freq <= 0:
-            raise ValueError("ref_freq must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.ref_freq) and self.ref_freq > 0):
+            raise ValueError(f"ref_freq must be finite and > 0, got {self.ref_freq}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if any(cm.kind != "dep" for cm in self.dep_counters):
             raise ValueError("dep_counters must have kind 'dep'")
         if any(cm.kind != "indep" for cm in self.indep_counters):
@@ -390,17 +390,12 @@ def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
 
 
 def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int) -> Trace:
-    """Trace following the spec's own complexity schedule.
-
-    freqs is either a single frequency held for the whole run or a
-    per-interval sequence of the same length as the schedule.
-    """
+    """Trace following the spec's own complexity schedule at freqs, a
+    per-interval frequency sequence of the same length as the schedule."""
     schedule = spec.complexity_schedule
     if not schedule:
         raise ValueError("workload has an empty complexity schedule")
     freq_seq = np.asarray(freqs, dtype=float)
-    if freq_seq.ndim == 0:
-        freq_seq = np.full(len(schedule), freq_seq)
     if freq_seq.shape != (len(schedule),):
         raise ValueError("frequency sequence length must match the schedule")
     foreign = freq_seq[~np.isin(freq_seq, table.freqs_mhz)]

@@ -14,7 +14,7 @@ from frametime import cli, model
 from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_rls_update,
                                  op_count, rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
-                                default_eta_grid, pearson_prune, select_features)
+                                pearson_prune, select_features)
 from frametime.governor import GovernorConfig, PowerModel, simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
@@ -205,16 +205,18 @@ def test_criterion_07_dcd_fidelity(sweep_replays):
 
 
 def test_criterion_08_convergence_ordering():
-    trace = generate_runtime(STEP_CHANGE, SWEEP_TABLE, 400.0, seed=3)
+    trace = generate_runtime(STEP_CHANGE, SWEEP_TABLE,
+                             [400.0] * len(STEP_CHANGE.complexity_schedule), seed=3)
     res_rls = cli.run_replay(trace, FeatureSpec((1,)), "rls")
     res_ar = cli.run_replay(trace, None, "arlms")
 
-    def converge_interval(rows, threshold=10.0, window=5):
+    def converge_interval(rows):
+        window = cli.CONVERGENCE_WINDOW
         ape = np.where(np.isnan(rows.abs_pct_err), np.inf, rows.abs_pct_err)
         ks = [r.k for r in rows]
         rolling = np.array([ape[max(0, i - window + 1):i + 1].mean()
                             for i in range(len(ape))])
-        below = rolling < threshold
+        below = rolling < cli.CONVERGENCE_THRESHOLD
         for i in range(len(ape)):
             if below[i:].all():
                 return ks[i]
@@ -280,7 +282,7 @@ def test_criterion_11_feature_selection():
 
     candidate = FeatureSpec(tuple(kept), tuple(trace.counter_names[i] for i in kept))
     dataset = build_dataset(trace, candidate)
-    path = cross_validated_path(dataset, default_eta_grid(dataset), folds=10)
+    path = cross_validated_path(dataset)
     chosen = select_features(path, "min_mse")
     informative = chosen.indep_counter_indices == (2, 3)
     ok = pruned_deps and informative and chosen.m == 4

@@ -4,8 +4,8 @@ import pytest
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
-from frametime.estimator import (arlms_init, arlms_update, dcd_rls_init, dcd_rls_update,
-                                 rls_init, rls_update)
+from frametime.estimator import (ARLMS_ORDER, arlms_init, arlms_update, dcd_rls_init,
+                                 dcd_rls_update, rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
@@ -106,6 +106,7 @@ class TestConfig:
         "stairs:1:3:1:0:6",                                        # HOLD
         "stairs:1:3:0:2:6", "stairs:1:3:-1:2:6",                   # STEP
         "stairs:3:1:1:2:6",                                        # LO > HI
+        "constant:nan:20", "ramp:0:inf:20", "1,nan,2",             # non-finite
     ])
     def test_bad_schedule_rejected(self, text):
         with pytest.raises(ConfigError):
@@ -225,7 +226,7 @@ class TestSelectFeatures:
 
     def test_single_frequency_trace_exit3(self, tmp_path):
         spec, _ = sensitivity_run(40, seed=1)
-        trace = generate_runtime(spec, TABLE, 400.0, seed=1)
+        trace = generate_runtime(spec, TABLE, [400.0] * 40, seed=1)
         path = tmp_path / "flat.csv"
         path.write_text(serialize_trace(trace))
         code = main(["select-features", "--trace", str(path),
@@ -353,6 +354,20 @@ class TestGovern:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("square:20:40:25:100", "constant:nan:20", "constant:nan:20"),
+        ("noise_sigma = 0.003", "noise_sigma = nan", "noise_sigma"),
+        ("ref_freq_mhz = 200", "ref_freq_mhz = inf", "ref_freq"),
+        ("fps_target = 60", "fps_target = nan", "fps_target"),
+        ("p_idle_w = 0.2", "p_idle_w = nan", "p_idle"),
+    ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w"])
+    def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
+        config_file.write_text(config_file.read_text().replace(old, new))
+        code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
     def test_trace_input_unsupported_exit5(self, tmp_path):
         trace_path, _ = write_runtime_trace(tmp_path, n=40)
         code = main(["govern", "--trace", str(trace_path), "--policy", "oracle",
@@ -396,7 +411,7 @@ class TestRunReplayApi:
             state, pred = arlms_update(state, t_k)
             predictions.append(pred)
         # the prediction made after consuming interval k - 1 is for interval k
-        k = np.arange(state.order, len(trace))
+        k = np.arange(ARLMS_ORDER, len(trace))
         want = np.array(predictions)[k - 1]
         assert np.array_equal(res.rows.k, k)
         assert np.array_equal(res.rows.t_pred, want)

@@ -194,7 +194,7 @@ class TestArLms:
         assert pred == pytest.approx(8.0, rel=1e-3)
 
     def test_no_prediction_before_history_full(self):
-        state = arlms_init(order=10)
+        state = arlms_init()
         preds = []
         for k in range(12):
             state, p = arlms_update(state, 5.0)
@@ -211,16 +211,12 @@ class TestArLms:
         r = rls_update(r, h_stream[0], float(h_stream[0] @ a_star))
         second = float(h_stream[1] @ r.a)
         assert second != 0.0
-        ar = arlms_init(order=10)
+        ar = arlms_init()
         for k in range(9):
             ar, p = arlms_update(ar, 5.0 + k)
             assert p == 0.0
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            arlms_init(order=0)
-        with pytest.raises(ValueError):
-            arlms_init(step_size=2.5)
         state = arlms_init()
         with pytest.raises(ValueError):
             arlms_update(state, -1.0)

@@ -73,13 +73,6 @@ class TestPearsonPrune:
         kept = pearson_prune(trace)
         assert kept == [2, 3, 4, 5]
 
-    def test_threshold_domain(self, char_workload, sweep_table):
-        from frametime.trace import generate_characterization
-        clean = replace(char_workload, noise_sigma=0.0)
-        trace = generate_characterization(clean, sweep_table, [1.0, 2.0], 1, seed=0)
-        with pytest.raises(ValueError):
-            pearson_prune(trace, threshold=0.0)
-
 
 class TestBuildDataset:
     def test_direct_substitution(self):
@@ -131,7 +124,8 @@ class TestBuildDataset:
             build_dataset(trace, FeatureSpec((0,)))
 
     def test_constant_frequency_rows_use_counters_only(self, simple_workload, small_table):
-        trace = generate_runtime(simple_workload, small_table, 400.0, seed=0)
+        trace = generate_runtime(simple_workload, small_table,
+                                 [400.0] * len(simple_workload.complexity_schedule), seed=0)
         ds = build_dataset(trace, FeatureSpec((0,)))
         assert np.allclose(ds.h[:, 0], 0.0)
         assert np.allclose(ds.h[:, 1], 0.0)
@@ -233,9 +227,8 @@ class TestCrossValidation:
     def test_path_shapes_and_determinism(self):
         rng = np.random.default_rng(6)
         ds, _ = synthetic_dataset(rng, n=120, noise=0.2)
-        grid = default_eta_grid(ds, n=20)
-        a = cross_validated_path(ds, grid, folds=5)
-        b = cross_validated_path(ds, grid, folds=5)
+        a = cross_validated_path(ds)
+        b = cross_validated_path(ds)
         assert np.array_equal(a.cv_mean_mse, b.cv_mean_mse)
         assert np.array_equal(a.coefs, b.coefs)
         assert np.all(a.cv_stderr >= 0)
@@ -244,7 +237,7 @@ class TestCrossValidation:
     def test_min_mse_eta_not_above_one_se_eta(self):
         rng = np.random.default_rng(7)
         ds, _ = synthetic_dataset(rng, n=200, noise=0.5)
-        path = cross_validated_path(ds, default_eta_grid(ds, n=30), folds=5)
+        path = cross_validated_path(ds)
         i_min = int(np.argmin(path.cv_mean_mse))
         limit = path.cv_mean_mse[i_min] + path.cv_stderr[i_min]
         i_1se = next(i for i in range(path.etas.size) if path.cv_mean_mse[i] <= limit)
@@ -254,7 +247,7 @@ class TestCrossValidation:
         rng = np.random.default_rng(8)
         for trial in range(5):
             ds, _ = synthetic_dataset(rng, n=150, noise=1.0)
-            path = cross_validated_path(ds, default_eta_grid(ds, n=25), folds=5)
+            path = cross_validated_path(ds)
             n_min = select_features(path, "min_mse").m
             n_1se = select_features(path, "one_se").m
             assert n_1se <= n_min
@@ -262,7 +255,7 @@ class TestCrossValidation:
     def test_more_features_than_rows_support_bounded_by_rank(self):
         rng = np.random.default_rng(10)
         ds, _ = synthetic_dataset(rng, n=12, m_counters=10, noise=0.1)   # M = 12
-        path = cross_validated_path(ds, default_eta_grid(ds, n=20), folds=4)
+        path = cross_validated_path(ds)
         assert np.all(np.isfinite(path.cv_mean_mse))
         assert np.max(path.nonzero_counts) <= np.linalg.matrix_rank(ds.h - ds.h.mean(0))
 
@@ -270,7 +263,7 @@ class TestCrossValidation:
         rng = np.random.default_rng(9)
         ds, _ = synthetic_dataset(rng, n=5)
         with pytest.raises(ValueError):
-            cross_validated_path(ds, [1.0, 0.1], folds=10)
+            cross_validated_path(ds)
 
 
 class TestSelectFeatures:

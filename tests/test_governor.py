@@ -105,7 +105,7 @@ class TestOraclePolicy:
     def test_light_workload_constant_min_frequency(self):
         spec = WorkloadSpec((5.0,) * 30, AffineMap(0.0, 1.0), AffineMap(0.0, 3.0),
                             200.0, noise_sigma=0.0)
-        result = oracle_policy(spec, TABLE, CFG, PM)
+        result = oracle_policy(spec, TABLE, CFG, PM, np.ones(30))
         assert set(result.freq_schedule) == {TABLE.min}
         assert result.fps_violations == 0
 
@@ -120,7 +120,7 @@ class TestOraclePolicy:
             spec = replace(heavy_runs(24)["heavy_square_b"],
                            complexity_schedule=(37.0, 56.0) * 12)
             noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
-        result = oracle_policy(spec, TABLE, CFG, PM, noise=noise)
+        result = oracle_policy(spec, TABLE, CFG, PM, noise)
         budget = CFG.frame_budget_ms
         fallbacks = 0
         for k, c in enumerate(spec.complexity_schedule):
@@ -140,7 +140,7 @@ class TestOraclePolicy:
 
     def test_requires_analytic_workload(self):
         with pytest.raises(ValueError):
-            oracle_policy("not a workload", TABLE, CFG, PM)
+            oracle_policy("not a workload", TABLE, CFG, PM, np.ones(1))
 
     def test_oracle_never_beaten(self):
         for name, spec in heavy_runs(60).items():

@@ -284,8 +284,9 @@ class TestGenerate:
                                                                              400, seed)
 
     def test_runtime_constant_and_sequence(self, simple_workload, small_table):
-        trace = generate_runtime(simple_workload, small_table, 400.0, seed=1)
-        assert len(trace) == len(simple_workload.complexity_schedule)
+        n = len(simple_workload.complexity_schedule)
+        trace = generate_runtime(simple_workload, small_table, [400.0] * n, seed=1)
+        assert len(trace) == n
         assert set(trace.freqs.tolist()) == {400.0}
         freqs = [200.0, 400.0] * 10
         trace2 = generate_runtime(simple_workload, small_table, freqs, seed=1)

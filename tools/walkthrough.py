@@ -39,6 +39,9 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
         ("select-features", ["select-features", "--trace", "sweep.csv",
                              "--config", "configs/selection.ini",
                              "--out", "features.spec", "--rule", "min_mse"]),
+        ("select-features-one-se", ["select-features", "--trace", "sweep.csv",
+                                    "--config", "configs/selection.ini",
+                                    "--out", "features-one-se.spec", "--rule", "one_se"]),
         ("characterize-runtime", ["characterize", *char, "--out", "runtime.csv",
                                   "--mode", "runtime", *seeded]),
     ]
