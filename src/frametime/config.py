@@ -91,22 +91,53 @@ def parse_schedule(text: str) -> tuple[float, ...]:
 
 
 def parse_complexities(text: str) -> tuple[float, ...]:
-    """Sweep complexities: either 'lo:hi' inclusive integers or a comma list."""
+    """Sweep complexities: either 'lo:hi' inclusive integers or a comma list
+    of finite numbers."""
     text = text.strip()
-    if ":" in text:
-        lo, hi = (int(p) for p in text.split(":"))
-        return tuple(float(c) for c in range(lo, hi + 1))
-    return tuple(float(v) for v in text.split(",") if v.strip())
+    try:
+        if ":" in text:
+            lo, hi = (int(p) for p in text.split(":"))
+            return tuple(float(c) for c in range(lo, hi + 1))
+        values = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ConfigError(f"bad complexities {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad complexities {text!r}: values must be finite")
+    return values
 
 
-def _parse_points(text: str):
+def _number(section, key: str, default: float, where: str) -> float:
+    """section[key] as a finite float, default where the key is absent."""
+    raw = section.get(key, default)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {key} must be finite, got {raw!r}")
+    return value
+
+
+def _integer(section, key: str, default: int, where: str) -> int:
+    """section[key] as an int, default where the key is absent."""
+    raw = section.get(key, default)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
+
+
+def _parse_points(text: str, where: str):
     pts = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         c, _, v = chunk.partition(":")
-        pts.append((float(c), float(v)))
+        point = (float(c), float(v))
+        if not all(map(math.isfinite, point)):
+            raise ConfigError(f"{where}: piecewise points must be finite, got {chunk!r}")
+        pts.append(point)
     return tuple(pts)
 
 
@@ -115,21 +146,19 @@ def _parse_response(section, where: str, kind_key: str = "kind"):
     if kind == "piecewise":
         if "points" not in section:
             raise ConfigError(f"{where}: piecewise map needs points")
-        return PiecewiseLinearMap(_parse_points(section["points"]))
+        return PiecewiseLinearMap(_parse_points(section["points"], where))
     if kind == "affine":
-        try:
-            return AffineMap(float(section.get("slope", 0.0)),
-                             float(section.get("intercept", 0.0)))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        return AffineMap(_number(section, "slope", 0.0, where),
+                         _number(section, "intercept", 0.0, where))
     raise ConfigError(f"{where}: unknown map kind {kind!r}")
 
 
 def _parse_counter(name: str, section) -> CounterModel:
     kind = section.get("kind", "indep").strip().lower()
     if kind == "noise":
-        response = HashNoiseMap(amplitude=float(section.get("amplitude", 1.0)),
-                                salt=float(section.get("salt", 0.0)))
+        where = f"counter {name}"
+        response = HashNoiseMap(amplitude=_number(section, "amplitude", 1.0, where),
+                                salt=_number(section, "salt", 0.0, where))
         return CounterModel(name=name, kind="indep", response=response)
     if kind not in ("dep", "indep"):
         raise ConfigError(f"counter {name}: unknown kind {kind!r}")
@@ -179,7 +208,7 @@ def load_config(path) -> ConfigBundle:
         if "characterization" in cp:
             ch = cp["characterization"]
             complexities = parse_complexities(ch.get("complexities", "1:64"))
-            repeats = int(ch.get("repeats", 10))
+            repeats = _integer(ch, "repeats", 10, "[characterization]")
         else:
             complexities, repeats = (), 1
 
@@ -189,7 +218,7 @@ def load_config(path) -> ConfigBundle:
             period=float(g.get("period_ms", 50.0)),
             up_threshold=float(g.get("up_threshold", 0.8)),
             down_threshold=float(g.get("down_threshold", 0.3)),
-            warmup_intervals=int(g.get("warmup_intervals", 10)),
+            warmup_intervals=_integer(g, "warmup_intervals", 10, "[governor]"),
         )
 
         p = cp["power_model"] if "power_model" in cp else {}

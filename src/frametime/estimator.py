@@ -19,10 +19,19 @@ Each public update checks its input and calls one unchecked step
 step also returns the prediction it made before updating, so a replay
 computes it once.  Inside a step only the BLAS reductions (h'a, P h,
 h'P h) stay in numpy: their summation order sets the rounding that the
-outputs depend on.  The DCD step keeps R and beta as lists of Python
-floats from one step to the next, because its correlation update and
-coordinate ladder are elementwise, and Python rounds each element as
-numpy does at a fraction of the per-call cost on M of about 4.
+outputs depend on.  They are called as ndarray.dot, which costs less per
+call than @ and gives the same bits, except that a sum of zeros may come
+out -0.0 where @ gives +0.0.  Each prediction adds +0.0 to keep that
+zero positive; in P h and h'P h the sign of a zero reaches no output,
+since a zero there only ever meets +0.0 or a nonzero.  At lambda = 1 an
+RLS step on a feature row with no nonzero entry, a steady interval at
+one clock, returns a and P at once: the full step would give both back
+bit for bit (_rls_step says why).  DCD-RLS gets no such skip, because
+its ladder keeps working on the carried residual beta.  The DCD step
+keeps R and beta as lists of Python floats from one step to the next,
+because its correlation update and coordinate ladder are elementwise,
+and Python rounds each element as numpy does at a fraction of the
+per-call cost on M of about 4.
 
 Feature convention at this boundary: rows arrive in estimator units
 (features.estimator_units), with the frequency delta in GHz and counter
@@ -108,7 +117,8 @@ def _initial_coefs(m: int, mu: float, lam: float, a_init) -> np.ndarray:
         raise ValueError("mu must be > 0")
     if not 0 < lam <= 1:
         raise ValueError("lambda must be in (0, 1]")
-    a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float).copy()
+    # + 0.0 copies a_init and turns any -0.0 into +0.0 (see _rls_step)
+    a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float) + 0.0
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
     return a0
@@ -129,11 +139,23 @@ def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float)
     prediction h'a made before the update.
 
     P starts at I/mu, so a reordered step would round differently; only
-    the exact no-op of dividing by lam == 1.0 is skipped.
+    exact no-ops are skipped.  Dividing by lam == 1.0 is one.  A whole
+    step on a row with no nonzero entry at lam == 1.0 is another, and it
+    returns a and P as they came: P h and G are then +-0, so P - G (P h)'
+    gives back P, (P + P')/2 gives back P because P is exactly symmetric
+    after every step (and 2P finite, which only a mu near the smallest
+    normal float breaks), and a + G e gives back a.  That holds because
+    neither a nor P ever holds -0.0: they start from ones (or a_init with
+    its zeros made +0.0) and from I/mu with +0.0 off the diagonal, and
+    under round-to-nearest a sum or difference that comes out exactly
+    zero is +0.0 unless both operands are -0.0.  Below lam == 1.0, P / lam
+    grows on such a row and the step runs.
     """
-    pred = float(h @ a)
-    Ph = P @ h
-    G = Ph / (float(h @ Ph) + lam)
+    pred = float(h.dot(a)) + 0.0
+    if lam == 1.0 and not any(h.tolist()):
+        return a, P, pred
+    Ph = P.dot(h)
+    G = Ph / (float(h.dot(Ph)) + lam)
     P = P - G[:, None] * Ph
     if lam != 1.0:
         P = P / lam
@@ -182,7 +204,7 @@ def _dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
     h_i h_j == h_j h_i), so row j serves as column j.  max/index picks the
     first largest residual, as argmax does while no residual is nan.
     """
-    pred = float(h @ a)
+    pred = float(h.dot(a)) + 0.0
     err = d - pred
     hs = h.tolist()
     if lam != 1.0:
@@ -230,9 +252,9 @@ def arlms_init() -> ArLmsState:
 def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float):
     """Normalized LMS weights after the error on frame_time, and the
     prediction w'hist of frame_time they were made from."""
-    pred = float(w @ hist)
+    pred = float(w.dot(hist)) + 0.0
     err = frame_time - pred
-    return w + ARLMS_STEP_SIZE * err * hist / (ARLMS_EPS + float(hist @ hist)), pred
+    return w + ARLMS_STEP_SIZE * err * hist / (ARLMS_EPS + float(hist.dot(hist))), pred
 
 
 def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:

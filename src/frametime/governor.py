@@ -14,10 +14,14 @@ while it idles out the rest of the interval.
 
 An rls interval makes one estimator step (_rls_step, whose BLAS
 reductions set the rounding) and asks the model one what-if question per
-table level.  Those questions and the cheapest-feasible choice among
-their answers run on Python floats (_rls_choice), which round each
-operation as numpy's elementwise operations do, so the choice equals
-the oracle's matrix rule (_cheapest_feasible) bit for bit.
+table level.  In a steady interval, at the same clock and complexity as
+the last, the feature row is all zeros, and at lambda = 1 the step then
+returns the state at once, as the full update would leave it bit for
+bit; most intervals of a steady workload are such intervals.  Those
+questions and the cheapest-feasible choice among their answers run on
+Python floats (_rls_choice), which round each operation as numpy's
+elementwise operations do, so the choice equals the oracle's matrix rule
+(_cheapest_feasible) bit for bit.
 """
 
 from __future__ import annotations

@@ -5,10 +5,16 @@ and a test that needs a variant changes the loaded spec with
 dataclasses.replace.  Only what no config holds is written out here: the
 light ramp governor run, the step-change workload of the convergence
 criterion, and the seeds of the acceptance sweeps.
+
+reference_rls, the covariance-form update written out in full, is here
+too: the estimator and governor tests both check the package's update
+against it.
 """
 
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from frametime.config import load_config, parse_schedule
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
@@ -18,6 +24,17 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SWEEP_SEED = 42       # the noisy characterization sweep of criteria 4 and 7
 SELECTION_SEED = 7    # the selection sweep of criterion 11
+
+
+def reference_rls(a, P, h, d, lam):
+    """The covariance-form update written as plain numpy, every operation
+    kept, zero rows included: returns the new (a, P)."""
+    err = float(d) - float(h @ a)
+    Ph = P @ h
+    G = Ph / (float(h @ Ph) + lam)
+    P = (P - np.outer(G, Ph)) / lam
+    P = (P + P.T) / 2.0
+    return a + G * err, P
 
 
 def shipped(name: str):

@@ -209,6 +209,26 @@ class TestCharacterize:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("complexities = 1:16", "complexities = 1,nan,3", "complexities"),
+        ("complexities = 1:16", "complexities = 1:nan", "complexities"),
+        ("repeats = 2", "repeats = nan", "repeats"),
+        ("64:20.0", "64:nan", "[scalable_ms]"),
+        ("64:180", "64:inf", "counter geometry_batches"),
+        ("slope = 0.02", "slope = nan", "[unscalable_ms]"),
+        ("amplitude = 200", "amplitude = inf", "counter probe_jitter_a"),
+    ], ids=["complexities", "complexity_range", "repeats", "scalable_points",
+            "counter_points", "affine_slope", "noise_amplitude"])
+    def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
+        assert CONFIG_TEXT.count(old) == 1
+        config_file.write_text(config_file.read_text().replace(old, new))
+        out = tmp_path / "sweep.csv"
+        code = main(["characterize", "--config", str(config_file), "--out", str(out)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
 
 class TestSelectFeatures:
     def test_pipeline(self, config_file, tmp_path, capsys):
@@ -360,7 +380,9 @@ class TestGovern:
         ("ref_freq_mhz = 200", "ref_freq_mhz = inf", "ref_freq"),
         ("fps_target = 60", "fps_target = nan", "fps_target"),
         ("p_idle_w = 0.2", "p_idle_w = nan", "p_idle"),
-    ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w"])
+        ("period_ms = 50", "period_ms = 50\nwarmup_intervals = nan", "warmup_intervals"),
+    ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
+            "warmup_intervals"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])

@@ -10,6 +10,7 @@ from frametime.estimator import (DCD_STEP_AMPLITUDE, arlms_init, arlms_update,
                                  op_count, rls_init, rls_update)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
                                 estimator_units)
+from scenarios import reference_rls
 
 
 class TestRlsInit:
@@ -222,16 +223,6 @@ class TestArLms:
             arlms_update(state, -1.0)
 
 
-def reference_rls(a, P, h, d, lam):
-    """The covariance-form update written as plain numpy, every operation kept."""
-    err = float(d) - float(h @ a)
-    Ph = P @ h
-    G = Ph / (float(h @ Ph) + lam)
-    P = (P - np.outer(G, Ph)) / lam
-    P = (P + P.T) / 2.0
-    return a + G * err, P
-
-
 def reference_dcd(a, R, beta, h, d, lam, nu, mb):
     """The DCD-RLS update with its coordinate ladder on numpy arrays."""
     err = float(d) - float(h @ a)
@@ -253,21 +244,34 @@ def reference_dcd(a, R, beta, h, d, lam, nu, mb):
     return a + da, R, r
 
 
+def same_bits(x, y) -> bool:
+    """Bitwise equality, which tells -0.0 from +0.0 where == does not."""
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 class TestUpdatesMatchReferenceForms:
     @settings(max_examples=60, deadline=None)
     @given(lam=st.floats(0.9, 1.0), seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
-           n=st.integers(1, 40), nu=st.integers(1, 6), halves=st.booleans())
-    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False)
-    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=True)
-    def test_bitwise_for_forgetting_factors(self, lam, seed, m, n, nu, halves):
-        # lam == 1.0 skips the division and scaling by lam; below it they run.
-        # Entries on a grid of halves tie the DCD residuals, where the first
-        # largest one must lead.
+           n=st.integers(1, 40), nu=st.integers(1, 6), halves=st.booleans(),
+           zeros=st.lists(st.booleans(), max_size=40))
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False, zeros=[])
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=True, zeros=[])
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False, zeros=[True] * 40)
+    def test_bitwise_for_forgetting_factors(self, lam, seed, m, n, nu, halves, zeros):
+        # lam == 1.0 skips the division and scaling by lam, and the whole
+        # rls step on a zero row; below it they run.  Row i is all zeros,
+        # some of them -0.0, where zeros[i] holds, so zero rows come first,
+        # where P is still I/mu, as well as later.  Entries on a grid of
+        # halves tie the DCD residuals, where the first largest one must
+        # lead, and zero some entries of a row but not all.
         rng = np.random.default_rng(seed)
         if halves:
             H, D = rng.integers(-2, 3, size=(n, m)) / 2.0, rng.integers(-2, 3, size=n) / 2.0
         else:
             H, D = rng.normal(size=(n, m)), rng.normal(size=n)
+        for i, zero in enumerate(zeros[:n]):
+            if zero:
+                H[i] = np.where(rng.random(m) < 0.5, -0.0, 0.0)
         rls, dcd = rls_init(m, lam=lam), dcd_rls_init(m, lam=lam, nu=nu)
         a, P = rls.a, rls.P
         b, R, beta = dcd.a, dcd.R, dcd.beta
@@ -275,9 +279,8 @@ class TestUpdatesMatchReferenceForms:
             rls, dcd = rls_update(rls, h, d), dcd_rls_update(dcd, h, d)
             a, P = reference_rls(a, P, h, d, lam)
             b, R, beta = reference_dcd(b, R, beta, h, d, lam, nu, dcd.mb)
-            assert np.array_equal(rls.a, a) and np.array_equal(rls.P, P)
-            assert (np.array_equal(dcd.a, b) and np.array_equal(dcd.R, R)
-                    and np.array_equal(dcd.beta, beta))
+            assert same_bits(rls.a, a) and same_bits(rls.P, P)
+            assert same_bits(dcd.a, b) and same_bits(dcd.R, R) and same_bits(dcd.beta, beta)
 
 
 class TestBatchRidge:
