@@ -12,11 +12,18 @@ Exit codes: 0 success, 2 input error, 3 degenerate data, 4 spec/trace
 mismatch, 5 unsupported combination.  Every command is deterministic
 given its flags (characterize and govern take --seed); all output tables
 are comma separated with a header row.
+
+A process executes only the layers its command uses: characterize needs
+config and trace alone, select-features adds features, replay and
+sensitivity add estimator and model, and only govern runs governor.  The
+layers past trace are lazy modules (_layer); main imports a command's
+layers, from its parser defaults, before the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -24,10 +31,34 @@ from itertools import chain, islice
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import estimator, features, governor, model
-from .config import ConfigBundle, ConfigError, load_config
+from .config import POLICIES, ConfigBundle, ConfigError, load_config
 from .trace import (Trace, generate_characterization, generate_runtime,
                     parse_trace, serialize_trace)
+
+
+def _layer(name: str):
+    """The package module `name`, in sys.modules from now on but executed
+    only when it is imported or one of its attributes is looked up.
+
+    Registering it keeps the module findable by name, as by code that wraps
+    a layer's functions in place, before any command has used it.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+features = _layer("features")
+estimator = _layer("estimator")
+model = _layer("model")
+governor = _layer("governor")
 
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
@@ -78,7 +109,19 @@ def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport
 
     finite_ape = ape[nonzero]
     mape = float(finite_ape.mean()) if finite_ape.size else float("inf")
-    median = float(np.median(finite_ape)) if finite_ape.size else float("inf")
+    # np.median bit for bit, without the numpy.ma import of its nan check:
+    # nan if any term is (sorted last), else the middle term or the mean of
+    # the middle pair
+    median = float("inf")
+    if finite_ape.size:
+        ranked = np.sort(finite_ape)
+        mid = ranked.size // 2
+        if np.isnan(ranked[-1]):
+            median = float(ranked[-1])
+        elif ranked.size % 2:
+            median = float(ranked[mid])
+        else:
+            median = (float(ranked[mid - 1]) + float(ranked[mid])) / 2.0
 
     rmse = float(np.sqrt(np.mean((actual - predicted) ** 2)))
     spread = float(actual.max() - actual.min())
@@ -439,7 +482,7 @@ def cmd_govern(args) -> int:
     if not args.config:
         raise CliError(EXIT_INPUT, "--config is required")
     bundle = _load_bundle(args.config)
-    policies = list(governor.POLICIES) if args.policy == "all" else [args.policy]
+    policies = list(POLICIES) if args.policy == "all" else [args.policy]
     results = {}
     for policy in policies:
         results[policy] = governor.simulate(policy, bundle.workload, bundle.freq_table,
@@ -477,14 +520,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep: full factorial; runtime: workload schedule "
                         "under a random-walk frequency")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_characterize)
+    p.set_defaults(func=cmd_characterize, layers=())
 
     p = sub.add_parser("select-features", help="prune and select online features")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rule", choices=("min_mse", "one_se"), default="min_mse")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_select_features)
+    p.set_defaults(func=cmd_select_features, layers=("features",))
 
     p = sub.add_parser("replay", help="stream a trace through an online estimator")
     p.add_argument("--trace", required=True)
@@ -492,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("rls", "dcd", "arlms"), default="rls")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=cmd_replay, layers=("features", "estimator", "model"))
 
     p = sub.add_parser("sensitivity", help="frequency what-if deltas and derivatives")
     p.add_argument("--trace", required=True)
@@ -500,20 +543,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jumps", type=int, default=1)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(func=cmd_sensitivity, layers=("features", "estimator", "model"))
 
     p = sub.add_parser("govern", help="closed-loop DVFS policy simulation")
     p.add_argument("--config")
     p.add_argument("--trace")
-    p.add_argument("--policy", choices=governor.POLICIES + ("all",), default="all")
+    p.add_argument("--policy", choices=POLICIES + ("all",), default="all")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_govern)
+    p.set_defaults(func=cmd_govern, layers=("governor",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a layer compiled before the command allocates its data frees the
+    # compiler's temporary memory for that data; compiled midway, it leaves
+    # holes under the data that raise a long process's peak resident size
+    for name in args.layers:
+        importlib.import_module(f"{__package__}.{name}")
     try:
         return args.func(args)
     except CliError as exc:

@@ -19,6 +19,10 @@ constant:V:N, ramp:A:B:N, square:LO:HI:HALF_PERIOD:N and
 stairs:LO:HI:STEP:HOLD:N (the levels LO, LO+STEP, ... up to HI, each
 held for HOLD intervals, cycling).  N, HALF_PERIOD and HOLD must be at
 least 1, STEP positive and LO no greater than HI.
+
+The settings of the [governor] and [power_model] sections, GovernorConfig
+and PowerModel, are defined here with the governor's policy names
+POLICIES, so that loading a config imports no layer past trace.
 """
 
 from __future__ import annotations
@@ -29,13 +33,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .governor import GovernorConfig, PowerModel
 from .trace import (AffineMap, CounterModel, FrequencyTable, HashNoiseMap,
                     PiecewiseLinearMap, WorkloadSpec)
 
 
+POLICIES = ("rls", "oracle", "ondemand")
+
+
 class ConfigError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class PowerModel:
+    """Watts: p_static + p_dyn_coeff * (f_ghz)^3 while active, p_idle while idle."""
+
+    p_static: float = 0.5
+    p_dyn_coeff: float = 8.0     # W per GHz^3
+    p_idle: float = 0.2
+
+    def __post_init__(self):
+        for name in ("p_static", "p_dyn_coeff", "p_idle"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+    def active_power(self, f_mhz: float) -> float:
+        return self.p_static + self.p_dyn_coeff * (f_mhz / 1000.0) ** 3
+
+
+@dataclass(frozen=True)
+class GovernorConfig:
+    fps_target: float = 60.0
+    period: float = 50.0          # ms
+    up_threshold: float = 0.8
+    down_threshold: float = 0.3
+    warmup_intervals: int = 10    # rls policy holds max frequency this long
+
+    def __post_init__(self):
+        if not 0 < self.down_threshold < self.up_threshold <= 1:
+            raise ValueError("need 0 < down_threshold < up_threshold <= 1")
+        for name in ("fps_target", "period"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+    @property
+    def frame_budget_ms(self) -> float:
+        return 1000.0 / self.fps_target
+
+    @property
+    def frames_per_interval(self) -> int:
+        return max(1, round(self.period / self.frame_budget_ms))
 
 
 @dataclass(frozen=True)
@@ -146,7 +195,11 @@ def _parse_response(section, where: str, kind_key: str = "kind"):
     if kind == "piecewise":
         if "points" not in section:
             raise ConfigError(f"{where}: piecewise map needs points")
-        return PiecewiseLinearMap(_parse_points(section["points"], where))
+        points = _parse_points(section["points"], where)
+        try:
+            return PiecewiseLinearMap(points)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     if kind == "affine":
         return AffineMap(_number(section, "slope", 0.0, where),
                          _number(section, "intercept", 0.0, where))

@@ -113,8 +113,9 @@ def _initial_coefs(m: int, mu: float, lam: float, a_init) -> np.ndarray:
     a_init, all ones by default."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+    # rls_init's P = I/mu is doubled in the step's (P + P')/2, so 2/mu must be finite
+    if not (math.isfinite(mu) and mu > 0 and math.isfinite(2.0 / float(mu))):
+        raise ValueError(f"mu must be finite and > 0 with 2/mu finite, got {mu}")
     if not 0 < lam <= 1:
         raise ValueError("lambda must be in (0, 1]")
     # + 0.0 copies a_init and turns any -0.0 into +0.0 (see _rls_step)

@@ -32,55 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
+from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import RlsState, _rls_step, rls_init
 from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
                     oracle_frame_times)
-
-POLICIES = ("rls", "oracle", "ondemand")
-
-
-@dataclass(frozen=True)
-class PowerModel:
-    """Watts: p_static + p_dyn_coeff * (f_ghz)^3 while active, p_idle while idle."""
-
-    p_static: float = 0.5
-    p_dyn_coeff: float = 8.0     # W per GHz^3
-    p_idle: float = 0.2
-
-    def __post_init__(self):
-        for name in ("p_static", "p_dyn_coeff", "p_idle"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-    def active_power(self, f_mhz: float) -> float:
-        return self.p_static + self.p_dyn_coeff * (f_mhz / 1000.0) ** 3
-
-
-@dataclass(frozen=True)
-class GovernorConfig:
-    fps_target: float = 60.0
-    period: float = 50.0          # ms
-    up_threshold: float = 0.8
-    down_threshold: float = 0.3
-    warmup_intervals: int = 10    # rls policy holds max frequency this long
-
-    def __post_init__(self):
-        if not 0 < self.down_threshold < self.up_threshold <= 1:
-            raise ValueError("need 0 < down_threshold < up_threshold <= 1")
-        for name in ("fps_target", "period"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-
-    @property
-    def frame_budget_ms(self) -> float:
-        return 1000.0 / self.fps_target
-
-    @property
-    def frames_per_interval(self) -> int:
-        return max(1, round(self.period / self.frame_budget_ms))
 
 
 @dataclass
@@ -247,12 +203,15 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         return PolicyResult(policy=policy)
 
     frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
+    # each interval realizes one level's frame time; indexing a memoryview
+    # reads it as a Python float without a Python copy of the whole table
+    realizable = memoryview(frame_ms)
     if policy == "ondemand":
         n_frames = cfg.frames_per_interval
         freqs, realized = [], []
         f = table.max
-        for row in frame_ms.tolist():
-            t_real = row[table.index(f)]
+        for k in range(n):
+            t_real = realizable[k, table.index(f)]
             freqs.append(f)
             realized.append(t_real)
             f = ondemand_policy_step(min(n_frames * t_real, cfg.period) / cfg.period, f,
@@ -279,9 +238,9 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
 
     chosen, realized = [], []
     level = len(levels) - 1
-    for k, row in enumerate(frame_ms.tolist()):
+    for k in range(n):
         chosen.append(level)
-        f, t_real = levels[level], row[level]
+        f, t_real = levels[level], realizable[k, level]
         realized.append(t_real)
         if k > 0:
             # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]

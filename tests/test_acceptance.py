@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from frametime import cli, model
+from frametime.config import GovernorConfig, PowerModel
 from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_rls_update,
                                  op_count, rls_init, rls_update)
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
                                 pearson_prune, select_features)
-from frametime.governor import GovernorConfig, PowerModel, simulate
+from frametime.governor import simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
 from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, heavy_runs, light_runs,

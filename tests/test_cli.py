@@ -1,5 +1,16 @@
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import frametime
 
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
@@ -168,6 +179,25 @@ class TestMetrics:
                         float("inf"))
             assert rep.convergence_time_ms == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)),
+        st.one_of(st.floats(-1e4, 1e4), st.sampled_from([math.nan, math.inf, -math.inf]))),
+        min_size=1, max_size=60))
+    @example([(10.0, 11.0), (20.0, 19.0)])                    # even: the middle pair
+    @example([(10.0, math.nan), (20.0, 19.0), (0.0, 3.0)])    # nan term, zero excluded
+    @example([(10.0, math.inf), (20.0, 19.0), (5.0, 5.0)])
+    def test_median_equals_np_median_bitwise(self, pairs):
+        actual, predicted = np.array(pairs).T
+        rep = compute_metrics(actual, predicted)
+        nonzero = actual != 0
+        terms = (np.abs(actual[nonzero] - predicted[nonzero]) / np.abs(actual[nonzero])
+                 * 100.0)
+        if terms.size:
+            assert np.float64(rep.median_ape).tobytes() == np.median(terms).tobytes()
+        else:
+            assert rep.median_ape == math.inf
+
 
 def write_runtime_trace(tmp_path, n=160, seed=2):
     spec, freqs = sensitivity_run(n, seed)
@@ -220,6 +250,19 @@ class TestCharacterize:
     ], ids=["complexities", "complexity_range", "repeats", "scalable_points",
             "counter_points", "affine_slope", "noise_amplitude"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
+        self._assert_rejected_naming(config_file, tmp_path, capsys, old, new, named)
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("points = 1:12, 32:48, 64:180", "points = 1:12, 64:48, 32:180",
+         "counter geometry_batches: piecewise breakpoints must be strictly increasing"),
+        ("points = 1:0.925, 32:7.2, 64:20.0", "points = 1:0.925",
+         "[scalable_ms]: piecewise map needs at least two points"),
+    ], ids=["unordered_counter_points", "single_scalable_point"])
+    def test_bad_piecewise_map_exit2(self, config_file, tmp_path, capsys, old, new, named):
+        self._assert_rejected_naming(config_file, tmp_path, capsys, old, new, named)
+
+    @staticmethod
+    def _assert_rejected_naming(config_file, tmp_path, capsys, old, new, named):
         assert CONFIG_TEXT.count(old) == 1
         config_file.write_text(config_file.read_text().replace(old, new))
         out = tmp_path / "sweep.csv"
@@ -477,3 +520,50 @@ class TestFullPipeline:
         # the runtime trace matches the config schedule, so the analytic
         # reference summary is available
         assert "candidate_mape" in printed
+
+
+FOOTPRINT_SCRIPT = """
+import json, sys, types
+from frametime import cli
+layers, numpy_ma = [], []
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+    # a layer registered but not yet executed is of a lazy ModuleType subclass
+    layers.append(sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+                         if name.startswith("frametime.")
+                         and type(module) is types.ModuleType))
+    numpy_ma.append("numpy.ma" in sys.modules)
+print(json.dumps({"layers": layers, "numpy_ma": numpy_ma}))
+"""
+
+
+class TestModuleFootprint:
+    def test_each_command_executes_only_its_layers(self, config_file, tmp_path):
+        cfg = ["--config", str(config_file)]
+        spec = ["--spec", "features.spec"]
+        commands = [
+            ["characterize", *cfg, "--out", "sweep.csv"],
+            ["select-features", "--trace", "sweep.csv", *cfg, "--out", "features.spec"],
+            ["replay", "--trace", "sweep.csv", *spec, *cfg, "--out", "replay.csv"],
+            ["sensitivity", "--trace", "sweep.csv", *spec, *cfg, "--out", "sens.csv"],
+            ["govern", *cfg, "--out", "govern.csv"],
+        ]
+        src = str(Path(frametime.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+
+        online = ["cli", "config", "estimator", "features", "model", "trace"]
+        assert seen["layers"] == [
+            ["cli", "config", "trace"],                                  # characterize
+            ["cli", "config", "features", "trace"],                      # select-features
+            online,                                                      # replay
+            online,                                                      # sensitivity
+            ["cli", "config", "estimator", "features", "governor", "model", "trace"],
+        ]
+        assert not any(seen["numpy_ma"])

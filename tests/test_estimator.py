@@ -12,6 +12,10 @@ from frametime.features import (SCALE_WINDOW, counter_scales, differential_featu
                                 estimator_units)
 from scenarios import reference_rls
 
+# mu values whose P = I/mu, or its doubling in (P + P')/2, is not finite,
+# or which make P zero so that the estimator never learns
+BAD_MU = [math.nan, math.inf, 1e-310, 1e-308, np.float64(1e-310)]
+
 
 class TestRlsInit:
     def test_default_initialization(self):
@@ -34,6 +38,14 @@ class TestRlsInit:
             rls_init(4, lam=1.5)
         with pytest.raises(ValueError):
             rls_init(0)
+        for mu in BAD_MU:
+            with pytest.raises(ValueError, match="mu must be finite"):
+                rls_init(4, mu=mu)
+
+    def test_tiny_accepted_mu_keeps_p_finite(self):
+        # 1e-308 is rejected above: 1/mu is finite there, but 2/mu is not
+        state = rls_init(2, mu=1e-307)
+        assert np.isfinite(state.P).all() and np.isfinite(2.0 * state.P).all()
 
 
 class TestRlsUpdate:
@@ -179,6 +191,11 @@ class TestDcdRls:
                         rng.normal(size=n)):
             state = dcd_rls_update(state, h, d)
             assert np.array_equal(state.R, state.R.T)
+
+    def test_domain_errors(self):
+        for mu in [0.0, -1.0, *BAD_MU]:
+            with pytest.raises(ValueError, match="mu must be finite"):
+                dcd_rls_init(4, mu=mu)
 
     def test_non_finite_rejected(self):
         state = dcd_rls_init(2, mu=1.0)

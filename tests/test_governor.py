@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frametime.config import GovernorConfig, PowerModel
 from frametime.estimator import rls_init
 from frametime.features import differential_features, estimator_units
-from frametime.governor import (GovernorConfig, PolicyResult, PowerModel,
-                                _cheapest_feasible, _cheapest_level, interval_energy,
-                                ondemand_policy_step, oracle_policy, rls_policy_step,
-                                simulate)
+from frametime.governor import (PolicyResult, _cheapest_feasible, _cheapest_level,
+                                interval_energy, ondemand_policy_step, oracle_policy,
+                                rls_policy_step, simulate)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
                              WorkloadSpec, oracle_counters, oracle_frame_time)
 from scenarios import heavy_runs, light_runs, reference_rls, shipped

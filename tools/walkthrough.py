@@ -5,7 +5,9 @@
 For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
 file the commands write, and for each command NN-name.stdout, .stderr and
 .exit.  Commands run in that directory as `python -m frametime` with
-CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.  A
+CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.
+The wall time of each command, and their total per seed, go to stdout
+only, so the files under OUT stay comparable between runs.  A
 refactor that must leave the walkthrough unchanged is checked by running
 this on the parent checkout and on the change and comparing:
 
@@ -24,6 +26,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 DEFAULT_SEEDS = (1, 7, 42)
@@ -84,14 +87,19 @@ def run_seed(repo: Path, out: Path, seed: int) -> None:
         shutil.rmtree(workdir)
     shutil.copytree(repo / "configs", workdir / "configs")
     env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED="0")
+    total = 0.0
     for i, (name, args) in enumerate(commands(seed), start=1):
+        start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "frametime", *args], cwd=workdir,
                               env=env, capture_output=True, check=False)
+        seconds = time.perf_counter() - start
+        total += seconds
         stem = workdir / f"{i:02d}-{name}"
         stem.with_suffix(".stdout").write_bytes(done.stdout)
         stem.with_suffix(".stderr").write_bytes(done.stderr)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
-        print(f"seed {seed}: {name} exit {done.returncode}")
+        print(f"seed {seed}: {name} exit {done.returncode} {seconds:.3f} s")
+    print(f"seed {seed}: total {total:.3f} s")
 
 
 def main(argv=None) -> int:
