@@ -178,24 +178,19 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
                        f"feature spec indexes counters beyond the trace's {n_counters}")
     dataset = features.build_dataset(trace, fspec)
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
-    # the dataset holds finite entries only, and units >= 1 keep them finite,
-    # so the public updates' step runs unchecked: it takes the carried
-    # state, then a (feature row, target) pair, then the constants, and
-    # returns the carried state and its prediction of the target
+    # the dataset holds finite entries only, and units >= 1 keep them
+    # finite, so the steps, which check nothing, may take its rows
     h = dataset.h / features.estimator_units(counters)[1:]
     if algo == "rls":
-        state = estimator.rls_init(fspec.m)
-        step, carry, consts = estimator._rls_step, [state.P], (state.lam,)
+        init, step = estimator.rls_init, estimator.rls_step
     else:
-        state = estimator.dcd_rls_init(fspec.m)
-        step, carry = estimator._dcd_step, [state.R.tolist(), state.beta.tolist()]
-        consts = (state.lam, state.nu, state.mb)
-    a = state.a
+        init, step = estimator.dcd_rls_init, estimator.dcd_step
+    a, *carry = init(fspec.m)
     coefs = np.empty_like(h)
     deltas = np.empty(len(h))
     for i, target in enumerate(dataset.targets.tolist()):
         coefs[i] = a
-        a, *carry, deltas[i] = step(a, *carry, h[i], target, *consts)
+        a, *carry, deltas[i] = step(a, *carry, h[i], target)
 
     t = trace.frame_times
     predicted = np.maximum(t[:-1] + deltas, 0.0)
@@ -213,9 +208,9 @@ def _replay_arlms(trace: Trace):
     if not k.size:
         raise CliError(EXIT_DEGENERATE, "trace too short for the AR baseline")
     predicted = np.empty(k.size)
-    w = estimator.arlms_init().w
+    w = np.zeros(order)
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
-        w, predicted[i] = estimator._arlms_step(w, hist, t_k)
+        w, predicted[i] = estimator.arlms_step(w, hist, t_k)
     return _replay_result(trace, k, predicted, np.full(k.size, np.nan),
                           np.zeros(k.size, dtype=bool), None)
 

@@ -108,10 +108,13 @@ def parse_schedule(text: str) -> tuple[float, ...]:
     """Expand a schedule expression into per-interval complexity values."""
     text = text.strip()
     kind, compact, rest = text.partition(":")
-    if compact:
-        args = [float(p) for p in rest.split(":")]
-    else:
-        args = [float(v) for v in text.split(",") if v.strip()]
+    try:
+        if compact:
+            args = [float(p) for p in rest.split(":")]
+        else:
+            args = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"bad schedule expression {text!r}: values must be numbers") from None
     if not all(map(math.isfinite, args)):
         raise ConfigError(f"bad schedule expression {text!r}: values must be finite")
     if not compact:
@@ -183,7 +186,11 @@ def _parse_points(text: str, where: str):
         if not chunk:
             continue
         c, _, v = chunk.partition(":")
-        point = (float(c), float(v))
+        try:
+            point = (float(c), float(v))
+        except ValueError:
+            raise ConfigError(f"{where}: piecewise points must be numbers, "
+                              f"got {chunk!r}") from None
         if not all(map(math.isfinite, point)):
             raise ConfigError(f"{where}: piecewise points must be finite, got {chunk!r}")
         pts.append(point)
@@ -231,7 +238,12 @@ def load_config(path) -> ConfigBundle:
     try:
         if "frequency_table" in cp:
             raw = cp["frequency_table"].get("freqs_mhz", "")
-            table = FrequencyTable(tuple(float(v) for v in raw.split(",") if v.strip()))
+            try:
+                freqs = tuple(float(v) for v in raw.split(",") if v.strip())
+            except ValueError:
+                raise ConfigError(f"[frequency_table]: freqs_mhz must be numbers, "
+                                  f"got {raw!r}") from None
+            table = FrequencyTable(freqs)
         else:
             from .trace import DEFAULT_FREQ_TABLE
             table = DEFAULT_FREQ_TABLE
@@ -252,10 +264,10 @@ def load_config(path) -> ConfigBundle:
             complexity_schedule=parse_schedule(w.get("complexity_schedule", "")),
             scalable_ms=_parse_response(cp["scalable_ms"], "[scalable_ms]"),
             unscalable_ms=_parse_response(cp["unscalable_ms"], "[unscalable_ms]"),
-            ref_freq=float(w.get("ref_freq_mhz", table.min)),
+            ref_freq=_number(w, "ref_freq_mhz", table.min, "[workload]"),
             dep_counters=tuple(dep),
             indep_counters=tuple(indep),
-            noise_sigma=float(w.get("noise_sigma", 0.03)),
+            noise_sigma=_number(w, "noise_sigma", 0.03, "[workload]"),
         )
 
         if "characterization" in cp:
@@ -267,18 +279,18 @@ def load_config(path) -> ConfigBundle:
 
         g = cp["governor"] if "governor" in cp else {}
         governor = GovernorConfig(
-            fps_target=float(g.get("fps_target", 60.0)),
-            period=float(g.get("period_ms", 50.0)),
-            up_threshold=float(g.get("up_threshold", 0.8)),
-            down_threshold=float(g.get("down_threshold", 0.3)),
+            fps_target=_number(g, "fps_target", 60.0, "[governor]"),
+            period=_number(g, "period_ms", 50.0, "[governor]"),
+            up_threshold=_number(g, "up_threshold", 0.8, "[governor]"),
+            down_threshold=_number(g, "down_threshold", 0.3, "[governor]"),
             warmup_intervals=_integer(g, "warmup_intervals", 10, "[governor]"),
         )
 
         p = cp["power_model"] if "power_model" in cp else {}
         power = PowerModel(
-            p_static=float(p.get("p_static_w", 0.5)),
-            p_dyn_coeff=float(p.get("p_dyn_w_per_ghz3", 8.0)),
-            p_idle=float(p.get("p_idle_w", 0.2)),
+            p_static=_number(p, "p_static_w", 0.5, "[power_model]"),
+            p_dyn_coeff=_number(p, "p_dyn_w_per_ghz3", 8.0, "[power_model]"),
+            p_idle=_number(p, "p_idle_w", 0.2, "[power_model]"),
         )
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):

@@ -14,24 +14,28 @@ A direct ridge solver is included as the reference the recursive forms
 must reproduce, plus the per-update arithmetic operation counts of the
 two RLS forms.
 
-Each public update checks its input and calls one unchecked step
-(_rls_step, _dcd_step, _arlms_step), which hot loops call directly; each
-step also returns the prediction it made before updating, so a replay
-computes it once.  Inside a step only the BLAS reductions (h'a, P h,
-h'P h) stay in numpy: their summation order sets the rounding that the
-outputs depend on.  They are called as ndarray.dot, which costs less per
-call than @ and gives the same bits, except that a sum of zeros may come
-out -0.0 where @ gives +0.0.  Each prediction adds +0.0 to keep that
-zero positive; in P h and h'P h the sign of a zero reaches no output,
-since a zero there only ever meets +0.0 or a nonzero.  At lambda = 1 an
-RLS step on a feature row with no nonzero entry, a steady interval at
-one clock, returns a and P at once: the full step would give both back
-bit for bit (_rls_step says why).  DCD-RLS gets no such skip, because
-its ladder keeps working on the carried residual beta.  The DCD step
-keeps R and beta as lists of Python floats from one step to the next,
-because its correlation update and coordinate ladder are elementwise,
-and Python rounds each element as numpy does at a fraction of the
-per-call cost on M of about 4.
+Each algorithm is one step (rls_step, dcd_step, arlms_step) on bare
+state, and rls_init and dcd_rls_init check the settings and return the
+state an RLS form starts from.  A step checks nothing: the data reach it
+already checked where they enter the program.  RegressionDataset rejects
+a non-finite feature or target, governor.simulate rejects non-finite
+counters and frame times before its loop, and Trace validation rejects
+a negative or non-finite frame time.  Each step returns the prediction
+it made before updating, so a replay computes it once.  Inside a step
+only the BLAS reductions (h'a, P h, h'P h) stay in numpy: their
+summation order sets the rounding that the outputs depend on.  They are
+called as ndarray.dot, which costs less per call than @ and gives the
+same bits, except that a sum of zeros may come out -0.0 where @ gives
++0.0.  Each prediction adds +0.0 to keep that zero positive; in P h and
+h'P h the sign of a zero reaches no output, since a zero there only ever
+meets +0.0 or a nonzero.  At lambda = 1 an RLS step on a feature row
+with no nonzero entry, a steady interval at one clock, returns a and P
+at once: the full step would give both back bit for bit (rls_step says
+why).  DCD-RLS gets no such skip, because its ladder keeps working on
+the carried residual beta.  The DCD state keeps R and beta as lists of
+Python floats, because its correlation update and coordinate ladder are
+elementwise, and Python rounds each element as numpy does at a fraction
+of the per-call cost on M of about 4.
 
 Feature convention at this boundary: rows arrive in estimator units
 (features.estimator_units), with the frequency delta in GHz and counter
@@ -42,73 +46,20 @@ window, so feature entries are O(1).  Coefficients are in those units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 DEFAULT_MU = 1e-14
 DEFAULT_LAMBDA = 1.0
 DCD_STEP_AMPLITUDE = 1.0   # largest DCD coordinate step, halved down the ladder
+DCD_NU = 4                 # coordinate updates per DCD step
+DCD_MB = 16                # levels of the DCD step ladder
 ARLMS_ORDER = 10           # past frame times the AR baseline predicts from
 ARLMS_STEP_SIZE = 0.5      # NLMS step, stable in (0, 2)
 ARLMS_EPS = 1e-6           # keeps the NLMS normalization finite on a zero history
 
 
-@dataclass(frozen=True)
-class RlsState:
-    """Covariance-form RLS state: coefficients a and covariance P."""
-
-    a: np.ndarray
-    P: np.ndarray
-    lam: float
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class DcdRlsState:
-    """Traversal-form RLS state solved by dichotomous coordinate descent.
-
-    R accumulates the exponentially weighted feature correlation matrix,
-    exactly symmetric, and beta the residual of the normal equations
-    R * a = rhs.  nu bounds the coordinate updates per sample and mb is the
-    bit depth of the halving step ladder.
-    """
-
-    a: np.ndarray
-    R: np.ndarray
-    beta: np.ndarray
-    lam: float
-    nu: int = 4
-    mb: int = 16
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class ArLmsState:
-    """Autoregressive frame-time predictor trained by normalized LMS."""
-
-    w: np.ndarray
-    history: tuple[float, ...]
-
-    @property
-    def warm(self) -> bool:
-        return len(self.history) == ARLMS_ORDER
-
-
-def _check_vector(h, m: int) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape != (m,):
-        raise ValueError(f"feature vector has shape {h.shape}, expected ({m},)")
-    return h
-
-
-def _initial_coefs(m: int, mu: float, lam: float, a_init) -> np.ndarray:
+def _initial_coefs(m: int, mu: float, a_init) -> np.ndarray:
     """Check the settings both RLS forms start from; return a copy of
     a_init, all ones by default."""
     if m < 1:
@@ -116,28 +67,30 @@ def _initial_coefs(m: int, mu: float, lam: float, a_init) -> np.ndarray:
     # rls_init's P = I/mu is doubled in the step's (P + P')/2, so 2/mu must be finite
     if not (math.isfinite(mu) and mu > 0 and math.isfinite(2.0 / float(mu))):
         raise ValueError(f"mu must be finite and > 0 with 2/mu finite, got {mu}")
-    if not 0 < lam <= 1:
-        raise ValueError("lambda must be in (0, 1]")
-    # + 0.0 copies a_init and turns any -0.0 into +0.0 (see _rls_step)
+    # + 0.0 copies a_init and turns any -0.0 into +0.0 (see rls_step)
     a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float) + 0.0
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
     return a0
 
 
-def rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
-             a_init=None) -> RlsState:
-    """Fresh RLS state: a = a_init (default all ones), P = I/mu.
+def rls_init(m: int, mu: float = DEFAULT_MU, a_init=None):
+    """Fresh RLS state (a, P): a = a_init (default all ones), P = I/mu.
 
     The all-ones start treats frames as fully scalable until data says
     otherwise.  mu is the ridge weight pulling coefficients toward a_init.
     """
-    return RlsState(a=_initial_coefs(m, mu, lam, a_init), P=np.eye(m) / mu, lam=lam)
+    return _initial_coefs(m, mu, a_init), np.eye(m) / mu
 
 
-def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float):
-    """rls_update on bare arrays, unchecked: returns the new (a, P) and the
-    prediction h'a made before the update.
+def rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float,
+             lam: float = DEFAULT_LAMBDA):
+    """One covariance-form update on the target d for feature row h:
+    returns the new (a, P) and the prediction h'a made before the update.
+
+    Gain G = P h / (h' P h + lam); the denominator is a scalar, so no
+    matrix inversion is performed, and P is symmetrized after the update.
+    lam is the forgetting factor, in (0, 1].
 
     P starts at I/mu, so a reordered step would round differently; only
     exact no-ops are skipped.  Dividing by lam == 1.0 is one.  A whole
@@ -163,34 +116,23 @@ def _rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float, lam: float)
     return a + G * (d - pred), (P + P.T) / 2.0, pred
 
 
-def rls_update(state: RlsState, h, actual_delta: float) -> RlsState:
-    """One covariance-form update.
-
-    Gain G = P h / (h' P h + lambda); the denominator is a scalar so no
-    matrix inversion is performed.  P is symmetrized after the update.
-    Non-finite inputs raise and the caller's state stays untouched.
-    """
-    h = _check_vector(h, state.m)
-    if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
-        raise ValueError("non-finite update input, state left unchanged")
-    a, P, _ = _rls_step(state.a, state.P, h, float(actual_delta), state.lam)
-    return RlsState(a=a, P=P, lam=state.lam)
+def dcd_rls_init(m: int, mu: float = DEFAULT_MU, a_init=None):
+    """Fresh DCD-RLS state (a, R, beta): a = a_init (default all ones),
+    R = mu I as rows of Python floats, beta a list of zeros."""
+    return _initial_coefs(m, mu, a_init), (np.eye(m) * mu).tolist(), [0.0] * m
 
 
-def dcd_rls_init(m: int, mu: float = DEFAULT_MU, lam: float = DEFAULT_LAMBDA,
-                 a_init=None, nu: int = 4, mb: int = 16) -> DcdRlsState:
-    """Fresh DCD-RLS state: R = mu*I, beta = 0, a = a_init (default ones)."""
-    a0 = _initial_coefs(m, mu, lam, a_init)
-    if nu < 1 or mb < 1:
-        raise ValueError("need nu >= 1, mb >= 1")
-    return DcdRlsState(a=a0, R=np.eye(m) * mu, beta=np.zeros(m), lam=lam, nu=nu, mb=mb)
+def dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
+             lam: float = DEFAULT_LAMBDA, nu: int = DCD_NU, mb: int = DCD_MB):
+    """One traversal-form update with an inexact coordinate-descent solve,
+    R (rows) and beta as lists of Python floats: returns the new (a, R,
+    beta) and the prediction h'a made before the update.
 
-
-def _dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
-              lam: float, nu: int, mb: int):
-    """dcd_rls_update, unchecked, with R (rows) and beta as lists of Python
-    floats: returns the new (a, R, beta) and the prediction h'a made before
-    the update.
+    R <- lam R + h h' accumulates the exponentially weighted feature
+    correlation, exactly symmetric, and beta the residual of the normal
+    equations R a = rhs.  The innovation enters the residual and the
+    coefficient increment comes from at most nu coordinate updates; the
+    unsolved residual carries over, so nothing is lost to truncation.
 
     Besides the prediction, numpy only adds the increment to a; the rest
     runs on Python floats, which round each element as numpy's elementwise
@@ -200,10 +142,11 @@ def _dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
     The coordinate solve of R da = beta + err h is leading-element DCD:
     steps are quantized to DCD_STEP_AMPLITUDE / 2^level, the amplitude
     halving whenever the leading residual no longer justifies the current
-    step, and at most nu coordinate updates are applied, each costing one
-    column combination.  R is exactly symmetric (it starts at mu I, and
-    h_i h_j == h_j h_i), so row j serves as column j.  max/index picks the
-    first largest residual, as argmax does while no residual is nan.
+    step, down to mb levels, and at most nu coordinate updates are
+    applied, each costing one column combination.  R is exactly symmetric
+    (it starts at mu I, and h_i h_j == h_j h_i), so row j serves as column
+    j.  max/index picks the first largest residual, as argmax does while no
+    residual is nan.
     """
     pred = float(h.dot(a)) + 0.0
     err = d - pred
@@ -230,52 +173,16 @@ def _dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
     return a + np.array(da), R, r, pred
 
 
-def dcd_rls_update(state: DcdRlsState, h, actual_delta: float) -> DcdRlsState:
-    """One traversal-form update with an inexact coordinate-descent solve.
-
-    R <- lam R + h h'; the innovation enters the residual vector and the
-    coefficient increment comes from at most nu DCD coordinate updates.
-    The unsolved residual carries over, so nothing is lost to truncation.
-    """
-    h = _check_vector(h, state.m)
-    if not np.all(np.isfinite(h)) or not np.isfinite(actual_delta):
-        raise ValueError("non-finite update input, state left unchanged")
-    a, R, beta, _ = _dcd_step(state.a, state.R.tolist(), state.beta.tolist(), h,
-                              float(actual_delta), state.lam, state.nu, state.mb)
-    return replace(state, a=a, R=np.array(R), beta=np.array(beta))
-
-
-def arlms_init() -> ArLmsState:
-    """Fresh AR baseline: ARLMS_ORDER zero weights and an empty history."""
-    return ArLmsState(w=np.zeros(ARLMS_ORDER), history=())
-
-
-def _arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float):
+def arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float):
     """Normalized LMS weights after the error on frame_time, and the
-    prediction w'hist of frame_time they were made from."""
+    prediction w'hist of frame_time they were made from.
+
+    hist holds the ARLMS_ORDER frame times before frame_time, oldest
+    first; the baseline starts from ARLMS_ORDER zero weights.
+    """
     pred = float(w.dot(hist)) + 0.0
     err = frame_time - pred
     return w + ARLMS_STEP_SIZE * err * hist / (ARLMS_EPS + float(hist.dot(hist))), pred
-
-
-def arlms_update(state: ArLmsState, frame_time: float) -> tuple[ArLmsState, float]:
-    """Consume one frame time, return the prediction for the next one.
-
-    Until ARLMS_ORDER samples have been seen the filter only fills its history
-    and predicts 0.  Once warm, the weights move by the normalized LMS
-    rule against the error on the sample just consumed.
-    """
-    if frame_time < 0:
-        raise ValueError("frame_time must be >= 0")
-    w = state.w
-    if state.warm:
-        w, _ = _arlms_step(w, np.array(state.history), frame_time)
-        history = state.history[1:] + (frame_time,)
-    else:
-        history = state.history + (frame_time,)
-    new = replace(state, w=w, history=history)
-    prediction = float(w @ np.array(history)) if new.warm else 0.0
-    return new, prediction
 
 
 def batch_ridge_solve(h_rows, targets, mu: float, a_init) -> np.ndarray:
@@ -291,8 +198,8 @@ def batch_ridge_solve(h_rows, targets, mu: float, a_init) -> np.ndarray:
         raise ValueError("need a non-empty matrix of feature rows")
     if d.shape != (H.shape[0],):
         raise ValueError("targets must align with feature rows")
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
     a0 = np.asarray(a_init, dtype=float)
     m = H.shape[1]
     if a0.shape != (m,):

@@ -12,16 +12,17 @@ The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
 
-An rls interval makes one estimator step (_rls_step, whose BLAS
+An rls interval makes one estimator step (estimator.rls_step, whose BLAS
 reductions set the rounding) and asks the model one what-if question per
-table level.  In a steady interval, at the same clock and complexity as
-the last, the feature row is all zeros, and at lambda = 1 the step then
-returns the state at once, as the full update would leave it bit for
-bit; most intervals of a steady workload are such intervals.  Those
-questions and the cheapest-feasible choice among their answers run on
-Python floats (_rls_choice), which round each operation as numpy's
-elementwise operations do, so the choice equals the oracle's matrix rule
-(_cheapest_feasible) bit for bit.
+table level.  The step checks nothing, so simulate rejects non-finite
+counters and frame times once, before its loop.  In a steady interval,
+at the same clock and complexity as the last, the feature row is all
+zeros, and at lambda = 1 the step then returns the state at once, as the
+full update would leave it bit for bit; most intervals of a steady
+workload are such intervals.  Those questions and the cheapest-feasible
+choice among their answers run on Python floats (_rls_choice), which
+round each operation as numpy's elementwise operations do, so the choice
+equals the oracle's matrix rule (_cheapest_feasible) bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import model
 from .config import POLICIES, GovernorConfig, PowerModel
-from .estimator import RlsState, _rls_step, rls_init
+from .estimator import rls_init, rls_step
 from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
 from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
                     oracle_frame_times)
@@ -116,19 +117,6 @@ def _rls_choice(a0: float, a1: float, t: float, f: float, levels, power: list,
     power, all on Python floats."""
     return _cheapest_level([t + model._candidate_delta(a0, a1, t, f, g) for g in levels],
                            power, cfg, pm)
-
-
-def rls_policy_step(state: RlsState, prev_frame_time: float, cur_freq: float,
-                    table: FrequencyTable, cfg: GovernorConfig, pm: PowerModel) -> float:
-    """Cheapest feasible frequency by the what-if frame times predicted from
-    the current operating point, prev_frame_time ms at cur_freq MHz."""
-    if cur_freq <= 0:
-        raise ValueError("frequencies must be > 0")
-    levels = table.freqs_mhz
-    a0, a1 = state.a[:2].tolist()
-    power = pm.active_power(np.asarray(levels)).tolist()
-    return levels[_rls_choice(a0, a1, float(prev_frame_time), float(cur_freq), levels,
-                              power, cfg, pm)]
 
 
 def ondemand_policy_step(utilization: float, current_f: float,
@@ -219,8 +207,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         return _policy_result(policy, np.array(freqs), np.array(realized), cfg, pm)
 
     # rls: learn from each realized sample, then choose the next frequency
-    state = rls_init(2 + len(spec.indep_counters))
-    a, P = state.a, state.P
+    a, P = rls_init(2 + len(spec.indep_counters))
     # independent counters depend on the complexity only, so the whole run's
     # values, and with them the estimator units and each interval's counter
     # deltas in those units, are known upfront; only the two frequency
@@ -230,7 +217,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     x = np.array([oracle_counters(spec, c, table.max)[n_dep:]
                   for c in distinct.tolist()])[at]
     if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
-        raise ValueError("non-finite update input, state left unchanged")
+        raise ValueError("non-finite counters or frame times in the rls run")
     h = np.empty((n, 2 + x.shape[1]))
     h[1:, 2:] = (x[1:] - x[:-1]) / estimator_units(x)[1:, 2:]
     levels = table.freqs_mhz
@@ -246,7 +233,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
             # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]
             dt, df = _frequency_terms(t_prev, f_prev, f)
             h[k, 0], h[k, 1] = dt, df / MHZ_PER_GHZ
-            a, P, _ = _rls_step(a, P, h[k], t_real - t_prev, state.lam)
+            a, P, _ = rls_step(a, P, h[k], t_real - t_prev)
         t_prev, f_prev = t_real, f
         if k + 1 >= cfg.warmup_intervals:
             a0, a1 = a[:2].tolist()

@@ -6,17 +6,22 @@ dataclasses.replace.  Only what no config holds is written out here: the
 light ramp governor run, the step-change workload of the convergence
 criterion, and the seeds of the acceptance sweeps.
 
-reference_rls, the covariance-form update written out in full, is here
-too: the estimator and governor tests both check the package's update
-against it.
+The estimators written out in full are here too, as the references the
+estimator, replay and governor tests check the package's steps against:
+reference_rls, the covariance-form update, reference_dcd, the DCD-RLS
+update with its coordinate ladder, and reference_arlms, the AR baseline
+with its warm-up.
 """
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from frametime.config import load_config, parse_schedule
+from frametime.estimator import (ARLMS_EPS, ARLMS_ORDER, ARLMS_STEP_SIZE,
+                                 DCD_STEP_AMPLITUDE)
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
 from frametime.workloads import random_walk_freqs
 
@@ -35,6 +40,48 @@ def reference_rls(a, P, h, d, lam):
     P = (P - np.outer(G, Ph)) / lam
     P = (P + P.T) / 2.0
     return a + G * err, P
+
+
+def reference_dcd(a, R, beta, h, d, lam, nu, mb):
+    """The DCD-RLS update with its coordinate ladder on numpy arrays:
+    returns the new (a, R, beta)."""
+    err = float(d) - float(h @ a)
+    R = lam * R + np.outer(h, h)
+    r = lam * beta + err * h
+    da = np.zeros_like(r)
+    alpha, level = DCD_STEP_AMPLITUDE, 1
+    diag = np.diag(R)
+    for _ in range(nu):
+        j = int(np.argmax(np.abs(r)))
+        while abs(r[j]) <= (alpha / 2.0) * diag[j]:
+            level += 1
+            if level > mb:
+                return a + da, R, r
+            alpha /= 2.0
+        step = math.copysign(alpha, r[j])
+        da[j] += step
+        r = r - step * R[:, j]
+    return a + da, R, r
+
+
+def reference_arlms(frame_times):
+    """The AR baseline over a stream of frame times: after each one, the
+    prediction of the next, 0.0 until ARLMS_ORDER frame times fill the
+    history.  The weights start at zero and, once the history is full,
+    move by normalized LMS against the error on each new frame time
+    before it enters the history."""
+    w, history, predictions = np.zeros(ARLMS_ORDER), [], []
+    for t in frame_times:
+        t = float(t)
+        if len(history) == ARLMS_ORDER:
+            x = np.array(history)
+            err = t - float(w @ x)
+            w = w + ARLMS_STEP_SIZE * err * x / (ARLMS_EPS + float(x @ x))
+            history = history[1:]
+        history.append(t)
+        warm = len(history) == ARLMS_ORDER
+        predictions.append(float(w @ np.array(history)) if warm else 0.0)
+    return predictions
 
 
 def shipped(name: str):

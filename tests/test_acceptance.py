@@ -12,8 +12,8 @@ import pytest
 
 from frametime import cli, model
 from frametime.config import GovernorConfig, PowerModel
-from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_rls_update,
-                                 op_count, rls_init, rls_update)
+from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_step, op_count,
+                                 rls_init, rls_step)
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
                                 pearson_prune, select_features)
 from frametime.governor import simulate
@@ -78,13 +78,13 @@ def test_criterion_01_rls_equals_batch_ridge():
         steps = int(rng.integers(50, 501))
         mu = float(rng.uniform(0.25, 4.0))
         a_init = rng.normal(size=m)
-        state = rls_init(m, mu=mu, lam=1.0, a_init=a_init)
+        a, P = rls_init(m, mu=mu, a_init=a_init)
         H = rng.normal(size=(steps, m))
         d = H @ rng.normal(size=m) + 0.2 * rng.normal(size=steps)
         for k in range(steps):
-            state = rls_update(state, H[k], float(d[k]))
+            a, P, _ = rls_step(a, P, H[k], float(d[k]), lam=1.0)
             ref = batch_ridge_solve(H[:k + 1], d[:k + 1], mu, a_init)
-            rel = float(np.max(np.abs(state.a - ref))) / max(float(np.max(np.abs(ref))), 1e-12)
+            rel = float(np.max(np.abs(a - ref))) / max(float(np.max(np.abs(ref))), 1e-12)
             worst = max(worst, rel)
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -95,11 +95,11 @@ def test_criterion_01_rls_equals_batch_ridge():
 def test_criterion_02_exact_recovery():
     rng = np.random.default_rng(7)
     a_star = np.array([1.2, -0.7, 2.0, 0.4])
-    state = rls_init(4)
+    a, P = rls_init(4)
     for _ in range(50):
         h = rng.normal(size=4)
-        state = rls_update(state, h, float(h @ a_star))
-    err = float(np.max(np.abs(state.a - a_star)))
+        a, P, _ = rls_step(a, P, h, float(h @ a_star))
+    err = float(np.max(np.abs(a - a_star)))
     assert verdict(2, "exact-recovery", err < 1e-4, f"max err {err:.2e} in 50 updates")
 
 
@@ -187,15 +187,15 @@ def test_criterion_06_multi_jump_degradation(runtime_replay):
 def test_criterion_07_dcd_fidelity(sweep_replays):
     rng = np.random.default_rng(31)
     a_star = np.array([0.9, -0.4, 1.3, 0.2])
-    exact = rls_init(4, mu=1.0)
-    fast = dcd_rls_init(4, mu=1.0, nu=64, mb=32)
+    a, P = rls_init(4, mu=1.0)
+    b, R, beta = dcd_rls_init(4, mu=1.0)
     worst = 0.0
     for _ in range(200):
         h = rng.normal(size=4)
         target = float(h @ a_star) + 0.05 * float(rng.normal())
-        worst = max(worst, abs(float(h @ exact.a) - float(h @ fast.a)))
-        exact = rls_update(exact, h, target)
-        fast = dcd_rls_update(fast, h, target)
+        worst = max(worst, abs(float(h @ a) - float(h @ b)))
+        a, P, _ = rls_step(a, P, h, target)
+        b, R, beta, _ = dcd_step(b, R, beta, h, target, nu=64, mb=32)
 
     rls_mape = post_warmup_mape(sweep_replays["clean_rls"].rows, 100)
     dcd_mape = post_warmup_mape(sweep_replays["clean_dcd"].rows, 100)

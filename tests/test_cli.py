@@ -15,13 +15,14 @@ import frametime
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
-from frametime.estimator import (ARLMS_ORDER, arlms_init, arlms_update, dcd_rls_init,
-                                 dcd_rls_update, rls_init, rls_update)
+from frametime.estimator import (ARLMS_ORDER, DCD_MB, DCD_NU, DEFAULT_LAMBDA, dcd_rls_init,
+                                 rls_init)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
                              generate_runtime, parse_trace, serialize_trace)
-from scenarios import sensitivity_run, shipped
+from scenarios import (reference_arlms, reference_dcd, reference_rls, sensitivity_run,
+                       shipped)
 
 TABLE = shipped("characterization").freq_table
 
@@ -247,8 +248,12 @@ class TestCharacterize:
         ("64:180", "64:inf", "counter geometry_batches"),
         ("slope = 0.02", "slope = nan", "[unscalable_ms]"),
         ("amplitude = 200", "amplitude = inf", "counter probe_jitter_a"),
+        ("points = 1:12, 32:48, 64:180", "points = 1:12, x:48, 64:180",
+         "counter geometry_batches: piecewise points must be numbers"),
+        ("freqs_mhz = 200, 244,", "freqs_mhz = 200, abc,", "[frequency_table]: freqs_mhz"),
     ], ids=["complexities", "complexity_range", "repeats", "scalable_points",
-            "counter_points", "affine_slope", "noise_amplitude"])
+            "counter_points", "affine_slope", "noise_amplitude", "counter_points_text",
+            "freqs_text"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         self._assert_rejected_naming(config_file, tmp_path, capsys, old, new, named)
 
@@ -424,8 +429,12 @@ class TestGovern:
         ("fps_target = 60", "fps_target = nan", "fps_target"),
         ("p_idle_w = 0.2", "p_idle_w = nan", "p_idle"),
         ("period_ms = 50", "period_ms = 50\nwarmup_intervals = nan", "warmup_intervals"),
+        ("fps_target = 60", "fps_target = abc", "[governor]: fps_target must be a number"),
+        ("noise_sigma = 0.003", "noise_sigma = abc", "[workload]: noise_sigma must be a number"),
+        ("square:20:40:25:100", "constant:x:20",
+         "bad schedule expression 'constant:x:20': values must be numbers"),
     ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
-            "warmup_intervals"])
+            "warmup_intervals", "fps_target_text", "noise_sigma_text", "schedule_text"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
@@ -449,9 +458,8 @@ class TestRunReplayApi:
         assert len(res.rows) == len(trace) - 1
         assert res.report.mape >= 0.0
 
-    @pytest.mark.parametrize("algo, init, update", [("rls", rls_init, rls_update),
-                                                    ("dcd", dcd_rls_init, dcd_rls_update)])
-    def test_coefs_equal_plain_update_loop(self, tmp_path, algo, init, update):
+    @pytest.mark.parametrize("algo", ["rls", "dcd"])
+    def test_coefs_equal_plain_update_loop(self, tmp_path, algo):
         # row i is predicted with the state held before consuming row i
         _, trace = write_runtime_trace(tmp_path, n=80)
         fspec = FeatureSpec((2, 3))
@@ -459,10 +467,16 @@ class TestRunReplayApi:
         dataset = build_dataset(trace, fspec)
         units = estimator_units(trace.counters[:, [2, 3]])
         assert res.coefs.shape == (len(res.rows), fspec.m)
-        state = init(fspec.m)
+        a, P = rls_init(fspec.m)
+        _, R, beta = dcd_rls_init(fspec.m)
+        R, beta = np.array(R), np.array(beta)
         for i, (h, target) in enumerate(zip(dataset.h, dataset.targets)):
-            assert np.array_equal(res.coefs[i], state.a)
-            state = update(state, h / units[i + 1], target)
+            assert np.array_equal(res.coefs[i], a)
+            if algo == "rls":
+                a, P = reference_rls(a, P, h / units[i + 1], target, DEFAULT_LAMBDA)
+            else:
+                a, R, beta = reference_dcd(a, R, beta, h / units[i + 1], target,
+                                           DEFAULT_LAMBDA, DCD_NU, DCD_MB)
 
     def test_arlms_has_no_coefs(self, tmp_path):
         _, trace = write_runtime_trace(tmp_path, n=40)
@@ -471,13 +485,9 @@ class TestRunReplayApi:
     def test_arlms_equals_plain_update_loop(self, tmp_path):
         _, trace = write_runtime_trace(tmp_path, n=80)
         res = run_replay(trace, None, "arlms")
-        state, predictions = arlms_init(), []
-        for t_k in trace.frame_times:
-            state, pred = arlms_update(state, t_k)
-            predictions.append(pred)
         # the prediction made after consuming interval k - 1 is for interval k
         k = np.arange(ARLMS_ORDER, len(trace))
-        want = np.array(predictions)[k - 1]
+        want = np.array(reference_arlms(trace.frame_times))[k - 1]
         assert np.array_equal(res.rows.k, k)
         assert np.array_equal(res.rows.t_pred, want)
         assert res.report == compute_metrics(trace.frame_times[k], want)

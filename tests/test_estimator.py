@@ -4,38 +4,44 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from frametime.estimator import (DCD_STEP_AMPLITUDE, arlms_init, arlms_update,
-                                 batch_ridge_solve, dcd_rls_init, dcd_rls_update,
-                                 op_count, rls_init, rls_update)
+from frametime.cli import CliError, run_replay
+from frametime.estimator import (ARLMS_ORDER, DCD_MB, DEFAULT_LAMBDA, arlms_step,
+                                 batch_ridge_solve, dcd_rls_init, dcd_step, op_count,
+                                 rls_init, rls_step)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
                                 estimator_units)
-from scenarios import reference_rls
+from frametime.trace import FrequencyTable, Trace
+from scenarios import reference_dcd, reference_rls
 
 # mu values whose P = I/mu, or its doubling in (P + P')/2, is not finite,
 # or which make P zero so that the estimator never learns
 BAD_MU = [math.nan, math.inf, 1e-310, 1e-308, np.float64(1e-310)]
 
 
+def one_clock_trace(frame_times):
+    """A trace at one clock with one constant counter."""
+    n = len(frame_times)
+    return Trace(0.05 * np.arange(n), frame_times, np.full(n, 3), np.full(n, 400.0),
+                 np.ones((n, 1)), ("c0",), FrequencyTable((200.0, 400.0)))
+
+
 class TestRlsInit:
     def test_default_initialization(self):
-        state = rls_init(4, mu=1e-14)
-        assert np.array_equal(state.a, np.ones(4))
-        assert np.allclose(state.P, np.eye(4) * 1e14)
-        assert state.lam == 1.0
+        a, P = rls_init(4, mu=1e-14)
+        assert np.array_equal(a, np.ones(4))
+        assert np.allclose(P, np.eye(4) * 1e14)
+        assert DEFAULT_LAMBDA == 1.0
 
     def test_unit_case(self):
-        state = rls_init(1, mu=1.0)
-        assert state.P.shape == (1, 1) and state.P[0, 0] == 1.0
-        assert state.a[0] == 1.0
+        a, P = rls_init(1, mu=1.0)
+        assert P.shape == (1, 1) and P[0, 0] == 1.0
+        assert a[0] == 1.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             rls_init(4, mu=0.0)
-        with pytest.raises(ValueError):
-            rls_init(4, lam=0.0)
-        with pytest.raises(ValueError):
-            rls_init(4, lam=1.5)
         with pytest.raises(ValueError):
             rls_init(0)
         for mu in BAD_MU:
@@ -44,48 +50,48 @@ class TestRlsInit:
 
     def test_tiny_accepted_mu_keeps_p_finite(self):
         # 1e-308 is rejected above: 1/mu is finite there, but 2/mu is not
-        state = rls_init(2, mu=1e-307)
-        assert np.isfinite(state.P).all() and np.isfinite(2.0 * state.P).all()
+        _, P = rls_init(2, mu=1e-307)
+        assert np.isfinite(P).all() and np.isfinite(2.0 * P).all()
 
 
 class TestRlsUpdate:
     def test_zero_regressor(self):
-        state = rls_init(3, mu=1.0, lam=0.5)
-        new = rls_update(state, np.zeros(3), 2.0)
-        assert np.array_equal(new.a, state.a)
-        assert np.allclose(new.P, state.P / 0.5)
+        a, P = rls_init(3, mu=1.0)
+        a1, P1, _ = rls_step(a, P, np.zeros(3), 2.0, lam=0.5)
+        assert np.array_equal(a1, a)
+        assert np.allclose(P1, P / 0.5)
 
     def test_exact_recovery_noiseless_stream(self):
         rng = np.random.default_rng(1)
         a_star = np.array([1.0, -0.5, 2.0, 0.25])
-        state = rls_init(4)
+        a, P = rls_init(4)
         for _ in range(50):
             h = rng.normal(size=4)
-            state = rls_update(state, h, float(h @ a_star))
-        assert np.max(np.abs(state.a - a_star)) < 1e-4
+            a, P, _ = rls_step(a, P, h, float(h @ a_star))
+        assert np.max(np.abs(a - a_star)) < 1e-4
 
     def test_matches_batch_ridge_along_stream(self):
         rng = np.random.default_rng(2)
         m, mu = 3, 0.7
         a_init = rng.normal(size=m)
-        state = rls_init(m, mu=mu, lam=1.0, a_init=a_init)
+        a, P = rls_init(m, mu=mu, a_init=a_init)
         H, d = [], []
         for _ in range(40):
             h = rng.normal(size=m)
             y = float(rng.normal())
             H.append(h)
             d.append(y)
-            state = rls_update(state, h, y)
+            a, P, _ = rls_step(a, P, h, y, lam=1.0)
             ref = batch_ridge_solve(np.array(H), np.array(d), mu, a_init)
-            assert np.max(np.abs(state.a - ref)) / max(np.max(np.abs(ref)), 1e-12) < 1e-8
+            assert np.max(np.abs(a - ref)) / max(np.max(np.abs(ref)), 1e-12) < 1e-8
 
     def test_covariance_stays_symmetric(self):
         rng = np.random.default_rng(3)
-        state = rls_init(5, mu=1e-14)
+        a, P = rls_init(5, mu=1e-14)
         for _ in range(100):
             h = rng.normal(size=5) * rng.uniform(0.1, 10)
-            state = rls_update(state, h, float(rng.normal()))
-            assert np.max(np.abs(state.P - state.P.T)) < 1e-9
+            a, P, _ = rls_step(a, P, h, float(rng.normal()))
+            assert np.max(np.abs(P - P.T)) < 1e-9
 
     def test_covariance_positive_definite_at_moderate_mu(self):
         # at the tiny production mu, P starts at 1e14*I and float64 keeps
@@ -93,32 +99,27 @@ class TestRlsUpdate:
         # so positivity is asserted where P is representable; coefficient
         # correctness at tiny mu is covered by the closed-form comparison
         rng = np.random.default_rng(3)
-        state = rls_init(5, mu=1.0)
+        a, P = rls_init(5, mu=1.0)
         for _ in range(100):
             h = rng.normal(size=5) * rng.uniform(0.1, 10)
-            state = rls_update(state, h, float(rng.normal()))
-            assert np.all(np.diag(state.P) > 0)
-            np.linalg.cholesky(state.P)
-
-    def test_non_finite_input_rejected(self):
-        state = rls_init(2, mu=1.0)
-        with pytest.raises(ValueError):
-            rls_update(state, np.array([np.nan, 1.0]), 1.0)
-        with pytest.raises(ValueError):
-            rls_update(state, np.array([1.0, 1.0]), float("inf"))
+            a, P, _ = rls_step(a, P, h, float(rng.normal()))
+            assert np.all(np.diag(P) > 0)
+            np.linalg.cholesky(P)
 
     def test_error_is_exact_difference(self):
-        # the innovation the gain multiplies is exactly actual - h'a
+        # the innovation the gain multiplies is exactly actual - h'a, and
+        # h'a is the prediction the step returns
         rng = np.random.default_rng(4)
-        state = rls_init(3, mu=1.0)
+        a, P = rls_init(3, mu=1.0)
         for _ in range(20):
             h = rng.normal(size=3)
             actual = float(rng.normal())
-            Ph = state.P @ h
-            gain = Ph / (float(h @ Ph) + state.lam)
-            want = state.a + gain * (actual - float(h @ state.a))
-            state = rls_update(state, h, actual)
-            assert np.array_equal(state.a, want)
+            Ph = P @ h
+            gain = Ph / (float(h @ Ph) + 1.0)
+            want = a + gain * (actual - float(h @ a))
+            prior = float(h @ a)
+            a, P, pred = rls_step(a, P, h, actual)
+            assert np.array_equal(a, want) and pred == prior
 
     def test_objective_optimality_vs_competitors(self):
         # at lambda=1 the running coefficients minimize the ridge cost on
@@ -126,7 +127,7 @@ class TestRlsUpdate:
         rng = np.random.default_rng(5)
         m, mu = 3, 0.5
         a_init = np.ones(m)
-        state = rls_init(m, mu=mu, lam=1.0, a_init=a_init)
+        a, P = rls_init(m, mu=mu, a_init=a_init)
         H, d = [], []
 
         def cost(a):
@@ -138,45 +139,45 @@ class TestRlsUpdate:
             y = float(rng.normal())
             H.append(h)
             d.append(y)
-            state = rls_update(state, h, y)
+            a, P, _ = rls_step(a, P, h, y, lam=1.0)
             if k % 7 == 0:
                 for _ in range(5):
-                    rival = state.a + rng.normal(size=m) * 0.1
-                    assert cost(state.a) <= cost(rival) + 1e-9
+                    rival = a + rng.normal(size=m) * 0.1
+                    assert cost(a) <= cost(rival) + 1e-9
 
 
 class TestDcdRls:
     def test_matches_exact_rls_with_large_budget(self):
         rng = np.random.default_rng(6)
         a_star = np.array([0.8, -0.3, 1.5, 0.2])
-        r = rls_init(4, mu=1.0)
-        d = dcd_rls_init(4, mu=1.0, nu=1000, mb=32)
+        a, P = rls_init(4, mu=1.0)
+        b, R, beta = dcd_rls_init(4, mu=1.0)
         for _ in range(200):
             h = rng.normal(size=4)
             y = float(h @ a_star) + 0.05 * float(rng.normal())
-            r = rls_update(r, h, y)
-            d = dcd_rls_update(d, h, y)
-        assert np.max(np.abs(r.a - d.a)) < 1e-3
+            a, P, _ = rls_step(a, P, h, y)
+            b, R, beta, _ = dcd_step(b, R, beta, h, y, nu=1000, mb=32)
+        assert np.max(np.abs(a - b)) < 1e-3
 
     def test_zero_regressor_leaves_coefficients(self):
-        state = dcd_rls_init(3, mu=1.0)
-        new = dcd_rls_update(state, np.zeros(3), 5.0)
-        assert np.array_equal(new.a, state.a)
+        a, R, beta = dcd_rls_init(3, mu=1.0)
+        b, _, _, _ = dcd_step(a, R, beta, np.zeros(3), 5.0)
+        assert np.array_equal(b, a)
 
     def test_discrepancy_non_increasing_in_nu(self):
         a_star = np.array([0.8, -0.3, 1.5, 0.2])
         totals = []
         for nu in (1, 4, 16, 64):
             rng = np.random.default_rng(7)
-            r = rls_init(4, mu=1.0)
-            d = dcd_rls_init(4, mu=1.0, nu=nu, mb=16)
+            a, P = rls_init(4, mu=1.0)
+            b, R, beta = dcd_rls_init(4, mu=1.0)
             total = 0.0
             for _ in range(200):
                 h = rng.normal(size=4)
                 y = float(h @ a_star) + 0.05 * float(rng.normal())
-                total += abs(float(h @ r.a) - float(h @ d.a))
-                r = rls_update(r, h, y)
-                d = dcd_rls_update(d, h, y)
+                total += abs(float(h @ a) - float(h @ b))
+                a, P, _ = rls_step(a, P, h, y)
+                b, R, beta, _ = dcd_step(b, R, beta, h, y, nu=nu, mb=16)
             totals.append(total)
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
@@ -186,83 +187,51 @@ class TestDcdRls:
     def test_correlation_matrix_symmetric(self, lam, seed, m, n, mu):
         # exactly: the coordinate ladder reads row j of R as its column j
         rng = np.random.default_rng(seed)
-        state = dcd_rls_init(m, mu=mu, lam=lam)
+        a, R, beta = dcd_rls_init(m, mu=mu)
         for h, d in zip(rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4, size=m),
-                        rng.normal(size=n)):
-            state = dcd_rls_update(state, h, d)
-            assert np.array_equal(state.R, state.R.T)
+                        rng.normal(size=n).tolist()):
+            a, R, beta, _ = dcd_step(a, R, beta, h, d, lam=lam)
+            assert np.array_equal(np.array(R), np.array(R).T)
 
     def test_domain_errors(self):
         for mu in [0.0, -1.0, *BAD_MU]:
             with pytest.raises(ValueError, match="mu must be finite"):
                 dcd_rls_init(4, mu=mu)
 
-    def test_non_finite_rejected(self):
-        state = dcd_rls_init(2, mu=1.0)
-        with pytest.raises(ValueError):
-            dcd_rls_update(state, np.array([1.0, np.inf]), 0.0)
-
 
 class TestArLms:
     def test_constant_stream_converges(self):
-        state = arlms_init()
-        pred = 0.0
-        for _ in range(200):
-            state, pred = arlms_update(state, 8.0)
-        assert pred == pytest.approx(8.0, rel=1e-3)
+        t = np.full(200, 8.0)
+        w = np.zeros(ARLMS_ORDER)
+        for hist, t_k in zip(sliding_window_view(t, ARLMS_ORDER), t[ARLMS_ORDER:].tolist()):
+            w, _ = arlms_step(w, hist, t_k)
+        assert float(w @ t[:ARLMS_ORDER]) == pytest.approx(8.0, rel=1e-3)
 
     def test_no_prediction_before_history_full(self):
-        state = arlms_init()
-        preds = []
-        for k in range(12):
-            state, p = arlms_update(state, 5.0)
-            preds.append(p)
-        assert all(p == 0.0 for p in preds[:9])
-        assert preds[10] != 0.0 or preds[11] != 0.0
+        # replay predicts interval k only from the ARLMS_ORDER frame times
+        # before it; the first prediction comes from the zero start weights
+        with pytest.raises(CliError, match="too short for the AR baseline"):
+            run_replay(one_clock_trace([5.0] * ARLMS_ORDER), None, "arlms")
+        rows = run_replay(one_clock_trace([5.0] * (ARLMS_ORDER + 2)), None, "arlms").rows
+        assert rows.k.tolist() == [ARLMS_ORDER, ARLMS_ORDER + 1]
+        assert rows.t_pred[0] == 0.0 and rows.t_pred[1] != 0.0
 
     def test_rls_predicts_from_second_sample_arlms_does_not(self):
         # step stream: adaptive model with features reacts immediately
         rng = np.random.default_rng(9)
         h_stream = rng.normal(size=(15, 2))
         a_star = np.array([2.0, -1.0])
-        r = rls_init(2, mu=1e-14)
-        r = rls_update(r, h_stream[0], float(h_stream[0] @ a_star))
-        second = float(h_stream[1] @ r.a)
+        a, P = rls_init(2, mu=1e-14)
+        a, P, _ = rls_step(a, P, h_stream[0], float(h_stream[0] @ a_star))
+        second = float(h_stream[1] @ a)
         assert second != 0.0
-        ar = arlms_init()
-        for k in range(9):
-            ar, p = arlms_update(ar, 5.0 + k)
-            assert p == 0.0
-
-    def test_domain_checks(self):
-        state = arlms_init()
-        with pytest.raises(ValueError):
-            arlms_update(state, -1.0)
-
-
-def reference_dcd(a, R, beta, h, d, lam, nu, mb):
-    """The DCD-RLS update with its coordinate ladder on numpy arrays."""
-    err = float(d) - float(h @ a)
-    R = lam * R + np.outer(h, h)
-    r = lam * beta + err * h
-    da = np.zeros_like(r)
-    alpha, level = DCD_STEP_AMPLITUDE, 1
-    diag = np.diag(R)
-    for _ in range(nu):
-        j = int(np.argmax(np.abs(r)))
-        while abs(r[j]) <= (alpha / 2.0) * diag[j]:
-            level += 1
-            if level > mb:
-                return a + da, R, r
-            alpha /= 2.0
-        step = math.copysign(alpha, r[j])
-        da[j] += step
-        r = r - step * R[:, j]
-    return a + da, R, r
+        rows = run_replay(one_clock_trace(5.0 + np.arange(15.0)), None, "arlms").rows
+        assert rows.k[0] == ARLMS_ORDER
 
 
 def same_bits(x, y) -> bool:
     """Bitwise equality, which tells -0.0 from +0.0 where == does not."""
+    x, y = np.asarray(x), np.asarray(y)
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
@@ -289,15 +258,18 @@ class TestUpdatesMatchReferenceForms:
         for i, zero in enumerate(zeros[:n]):
             if zero:
                 H[i] = np.where(rng.random(m) < 0.5, -0.0, 0.0)
-        rls, dcd = rls_init(m, lam=lam), dcd_rls_init(m, lam=lam, nu=nu)
-        a, P = rls.a, rls.P
-        b, R, beta = dcd.a, dcd.R, dcd.beta
-        for h, d in zip(H, D):
-            rls, dcd = rls_update(rls, h, d), dcd_rls_update(dcd, h, d)
-            a, P = reference_rls(a, P, h, d, lam)
-            b, R, beta = reference_dcd(b, R, beta, h, d, lam, nu, dcd.mb)
-            assert same_bits(rls.a, a) and same_bits(rls.P, P)
-            assert same_bits(dcd.a, b) and same_bits(dcd.R, R) and same_bits(dcd.beta, beta)
+        a, P = rls_init(m)
+        b, R, beta = dcd_rls_init(m)
+        ref_a, ref_P = a, P
+        ref_b, ref_R, ref_beta = b, np.array(R), np.array(beta)
+        for h, d in zip(H, D.tolist()):
+            a, P, _ = rls_step(a, P, h, d, lam)
+            b, R, beta, _ = dcd_step(b, R, beta, h, d, lam, nu)
+            ref_a, ref_P = reference_rls(ref_a, ref_P, h, d, lam)
+            ref_b, ref_R, ref_beta = reference_dcd(ref_b, ref_R, ref_beta, h, d, lam, nu,
+                                                   DCD_MB)
+            assert same_bits(a, ref_a) and same_bits(P, ref_P)
+            assert same_bits(b, ref_b) and same_bits(R, ref_R) and same_bits(beta, ref_beta)
 
 
 class TestBatchRidge:
@@ -322,6 +294,9 @@ class TestBatchRidge:
             batch_ridge_solve(np.zeros((0, 2)), np.zeros(0), 1.0, np.zeros(2))
         with pytest.raises(ValueError):
             batch_ridge_solve(np.zeros((3, 2)), np.zeros(3), 0.0, np.zeros(2))
+        for mu in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                batch_ridge_solve(np.ones((3, 2)), np.ones(3), mu, np.zeros(2))
 
 
 class TestOpCount:

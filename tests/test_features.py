@@ -118,6 +118,19 @@ class TestBuildDataset:
         assert np.allclose(ds.h[:, 0], expect_h0)
         assert np.allclose(ds.targets, expect_target)
 
+    @pytest.mark.parametrize("row, column", [(1, 2), (2, None)],
+                             ids=["nan_feature", "inf_target"])
+    def test_non_finite_entry_rejected(self, row, column):
+        # the estimator steps check nothing, so this is where a non-finite
+        # feature or target stops; the message names the trace row
+        h, targets = np.ones((3, 3)), np.ones(3)
+        if column is None:
+            targets[row] = np.inf
+        else:
+            h[row, column] = np.nan
+        with pytest.raises(ValueError, match=f"not so for trace row {row + 1},"):
+            RegressionDataset(h=h, targets=targets, feature_spec=FeatureSpec((0,)))
+
     def test_needs_two_samples(self):
         trace = make_trace([1.0], [200.0], [[1.0]], FrequencyTable((200.0, 400.0)))
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from frametime.config import GovernorConfig, PowerModel
 from frametime.estimator import rls_init
 from frametime.features import differential_features, estimator_units
 from frametime.governor import (PolicyResult, _cheapest_feasible, _cheapest_level,
-                                interval_energy, ondemand_policy_step, oracle_policy,
-                                rls_policy_step, simulate)
+                                _rls_choice, interval_energy, ondemand_policy_step,
+                                oracle_policy, simulate)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
                              WorkloadSpec, oracle_counters, oracle_frame_time)
 from scenarios import heavy_runs, light_runs, reference_rls, shipped
@@ -21,9 +21,13 @@ CFG = GovernorConfig()
 PM = PowerModel()
 
 
-def flat_state(coeffs):
-    base = rls_init(len(coeffs), mu=1.0)
-    return type(base)(a=np.asarray(coeffs, dtype=float), P=base.P, lam=1.0)
+def rls_choice(a0, a1, frame_time, freq, table=TABLE, cfg=CFG, pm=PM):
+    """The rls policy's frequency from frequency coefficients a0, a1 and the
+    last frame time at freq."""
+    levels = table.freqs_mhz
+    power = pm.active_power(np.asarray(levels)).tolist()
+    return levels[_rls_choice(float(a0), float(a1), float(frame_time), float(freq),
+                              levels, power, cfg, pm)]
 
 
 class TestIntervalEnergy:
@@ -49,18 +53,15 @@ class TestIntervalEnergy:
 
 class TestRlsPolicyStep:
     def test_unscalable_model_picks_min_frequency(self):
-        state = flat_state([0.0, 0.0, 0.0])
-        assert rls_policy_step(state, 10.0, 400.0, TABLE, CFG, PM) == TABLE.min
+        assert rls_choice(0.0, 0.0, 10.0, 400.0) == TABLE.min
 
     def test_infeasible_everywhere_picks_max(self):
-        state = flat_state([0.0, 0.0, 0.0])
         # 40 ms > budget at any f
-        assert rls_policy_step(state, 40.0, 400.0, TABLE, CFG, PM) == TABLE.max
+        assert rls_choice(0.0, 0.0, 40.0, 400.0) == TABLE.max
 
     def test_scalable_model_picks_cheapest_feasible(self):
         # fully scalable converged model: frame time scales exactly with 1/f
-        state = flat_state([1.0, 0.0, 0.0])
-        chosen = rls_policy_step(state, 16.0, 400.0, TABLE, CFG, PM)
+        chosen = rls_choice(1.0, 0.0, 16.0, 400.0)
         # feasible set excludes frequencies predicting > 16.67 ms
         pred_at = lambda f: 16.0 + 1.0 * 16.0 * (400.0 / f - 1.0)
         assert pred_at(chosen) <= CFG.frame_budget_ms
@@ -210,18 +211,16 @@ class TestSimulate:
         # the updates run through the full reference formula, which has
         # no shortcut for zero rows, so a wrong skip in the package's
         # update shows here
-        state, f, freqs, realized = rls_init(x.shape[1] + 2), table.max, [], []
+        (a, P), f, freqs, realized = rls_init(x.shape[1] + 2), table.max, [], []
         for k, c in enumerate(schedule):
             t_real = oracle_frame_time(spec, c, f) * noise[k]
             freqs.append(f)
             realized.append(t_real)
             if k > 0:
                 h = differential_features(realized[-2], freqs[-2], f, x[k] - x[k - 1])
-                a, P = reference_rls(state.a, state.P, h / units[k], t_real - realized[-2],
-                                     state.lam)
-                state = replace(state, a=a, P=P)
+                a, P = reference_rls(a, P, h / units[k], t_real - realized[-2], 1.0)
             f = (table.max if k + 1 < cfg.warmup_intervals
-                 else rls_policy_step(state, t_real, f, table, cfg, pm))
+                 else rls_choice(a[0], a[1], t_real, f, table, cfg, pm))
         assert result.freq_schedule == freqs
         want = interval_energy(pm, freqs, cfg.frames_per_interval * np.array(realized),
                                cfg.period)

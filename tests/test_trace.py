@@ -67,9 +67,11 @@ class TestParse:
         ("0.15, 8.2, 3.0, 400, 120", FieldValueError),      # float frame count
         ("0.15, 8.2, 3, 400", ColumnCountError),            # short row
         ("0.15, 8.2, 1_0, 400, -1.0", FieldValueError),     # 1_0 parses, the counter fails
+        ("0.15, -8.2, 3, 400, 120", FieldValueError),       # negative frame time
     ], ids=["negative_counter", "nan_frame_time", "negative_frame_count",
             "unknown_frequency", "repeated_timestamp", "earlier_timestamp",
-            "float_frame_count", "short_row", "underscore_frame_count"])
+            "float_frame_count", "short_row", "underscore_frame_count",
+            "negative_frame_time"])
     def test_single_bad_row_named(self, small_table, row3, error):
         text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
                 "0.05, 8.2, 3, 400, 120\n"

@@ -1,6 +1,7 @@
 """Run the CLI walkthrough once per seed and keep everything it prints and writes.
 
-    python tools/walkthrough.py --out DIR [--seeds 1 7 42] [--repo CHECKOUT]
+    python tools/walkthrough.py --out OUT [--seeds 1 7 42] [--repo CHECKOUT]
+                                [--against DIR]
 
 For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
 file the commands write, and for each command NN-name.stdout, .stderr and
@@ -9,19 +10,24 @@ CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.
 The wall time of each command, and their total per seed, go to stdout
 only, so the files under OUT stay comparable between runs.  A
 refactor that must leave the walkthrough unchanged is checked by running
-this on the parent checkout and on the change and comparing:
+this on the parent checkout, then on the change with --against:
 
     python tools/walkthrough.py --repo ../parent --out /tmp/before
-    python tools/walkthrough.py --out /tmp/after
-    diff -r /tmp/before /tmp/after
+    python tools/walkthrough.py --out /tmp/after --against /tmp/before
+
+--against DIR compares OUT with DIR file by file, byte for byte, once
+every command has run, and prints each path that differs, is missing
+from OUT or is extra in OUT.
 
 Standard library only.  Exit status 0 once every command has run, whatever
-their own exit codes were.
+their own exit codes were, or 1 if --against found a path that is not the
+same in both trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import os
 import shutil
 import subprocess
@@ -102,6 +108,20 @@ def run_seed(repo: Path, out: Path, seed: int) -> None:
     print(f"seed {seed}: total {total:.3f} s")
 
 
+def compare_trees(out: Path, against: Path) -> list[str]:
+    """One line per file that differs between the trees, is missing from
+    out or is extra in out, by path relative to the tree roots."""
+    def files(root: Path) -> set[Path]:
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+    mine, theirs = files(out), files(against)
+    lines = [f"missing: {p}" for p in sorted(theirs - mine)]
+    lines += [f"extra: {p}" for p in sorted(mine - theirs)]
+    lines += [f"differs: {p}" for p in sorted(mine & theirs)
+              if not filecmp.cmp(out / p, against / p, shallow=False)]
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -109,14 +129,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
     parser.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout to run (default: the one holding this script)")
+    parser.add_argument("--against", type=Path,
+                        help="an earlier OUT to compare this run's OUT with, file by file")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if not (repo / "src" / "frametime").is_dir():
         parser.error(f"{repo} has no src/frametime")
+    if args.against is not None and not args.against.is_dir():
+        parser.error(f"{args.against} is not a directory")
     args.out.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         run_seed(repo, args.out.resolve(), seed)
-    return 0
+    if args.against is None:
+        return 0
+    lines = compare_trees(args.out.resolve(), args.against.resolve())
+    for line in lines:
+        print(line)
+    print(f"against {args.against}: {len(lines)} paths not the same")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":
