@@ -185,12 +185,19 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
         init, step = estimator.rls_init, estimator.rls_step
     else:
         init, step = estimator.dcd_rls_init, estimator.dcd_step
+    # at lambda = 1 an rls step on a row with no excitation gives its state
+    # back and predicts h'a + 0.0: +0.0 while a is finite, nan once it is
+    # not.  So rls steps on the other rows only; dcd steps on every row,
+    # since its ladder keeps working on the carried residual.
+    moves = h.any(axis=1) if algo == "rls" else np.ones(len(h), dtype=bool)
     a, *carry = init(fspec.m)
     coefs = np.empty_like(h)
-    deltas = np.empty(len(h))
-    for i, target in enumerate(dataset.targets.tolist()):
+    deltas = np.zeros(len(h))
+    for i, (target, move) in enumerate(zip(dataset.targets.tolist(), moves.tolist())):
         coefs[i] = a
-        a, *carry, deltas[i] = step(a, *carry, h[i], target)
+        if move:
+            a, *carry, deltas[i] = step(a, *carry, h[i], target)
+    deltas[~moves & ~np.isfinite(coefs).all(axis=1)] = np.nan
 
     t = trace.frame_times
     predicted = np.maximum(t[:-1] + deltas, 0.0)
@@ -310,10 +317,7 @@ def _column(values, conversion: str, blank=None) -> tuple[str, list]:
         values = values.tolist()
     if blank is None or not np.any(blank):
         return conversion, values
-    cells = list(map(conversion.__mod__, values))
-    for i in np.flatnonzero(blank).tolist():
-        cells[i] = ""
-    return "%s", cells
+    return "%s", ["" if empty else conversion % v for v, empty in zip(values, blank.tolist())]
 
 
 def _write_csv(path, header, columns, tail=()) -> None:

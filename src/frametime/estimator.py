@@ -31,8 +31,9 @@ h'P h the sign of a zero reaches no output, since a zero there only ever
 meets +0.0 or a nonzero.  At lambda = 1 an RLS step on a feature row
 with no nonzero entry, a steady interval at one clock, returns a and P
 at once: the full step would give both back bit for bit (rls_step says
-why).  DCD-RLS gets no such skip, because its ladder keeps working on
-the carried residual beta.  The DCD state keeps R and beta as lists of
+why).  DCD-RLS skips only its correlation and residual updates on such a
+row, for the same reason (dcd_step says why): its ladder still works on
+the residual beta carried over.  The DCD state keeps R and beta as lists of
 Python floats, because its correlation update and coordinate ladder are
 elementwise, and Python rounds each element as numpy does at a fraction
 of the per-call cost on M of about 4.
@@ -71,6 +72,8 @@ def _initial_coefs(m: int, mu: float, a_init) -> np.ndarray:
     a0 = np.ones(m) if a_init is None else np.asarray(a_init, dtype=float) + 0.0
     if a0.shape != (m,):
         raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
+    if not np.isfinite(a0).all():
+        raise ValueError("a_init must be finite")
     return a0
 
 
@@ -136,38 +139,58 @@ def dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
 
     Besides the prediction, numpy only adds the increment to a; the rest
     runs on Python floats, which round each element as numpy's elementwise
-    operations do.  Scaling by lam == 1.0 is skipped as the exact no-op it
-    is.
+    operations do.  Only exact no-ops are skipped.  Scaling by lam == 1.0
+    is one.  At lam == 1.0, on a row with no nonzero entry, the updates
+    R + h h' and beta + err h are another, and the ladder starts from
+    beta itself: h h' and err h are then +-0, because err = d - h'a is
+    finite (d is checked data, and a starts finite and moves by at most
+    nu steps of at most DCD_STEP_AMPLITUDE), and adding +-0 gives back
+    every value but -0.0.  R and beta never hold -0.0: they start from
+    mu I and zeros, and under round-to-nearest a sum or difference that
+    comes out exactly zero is +0.0 unless both operands are -0.0.
 
     The coordinate solve of R da = beta + err h is leading-element DCD:
     steps are quantized to DCD_STEP_AMPLITUDE / 2^level, the amplitude
     halving whenever the leading residual no longer justifies the current
     step, down to mb levels, and at most nu coordinate updates are
-    applied, each costing one column combination.  R is exactly symmetric
-    (it starts at mu I, and h_i h_j == h_j h_i), so row j serves as column
-    j.  max/index picks the first largest residual, as argmax does while no
-    residual is nan.
+    applied, each costing one column combination.  Level L steps when the
+    leading residual lead = |r_j| exceeds DCD_STEP_AMPLITUDE R_jj / 2^L,
+    computed with math.ldexp, which scales by a power of two exactly, as
+    repeated halving would.  With lead = f 2^e and that diagonal F 2^E, f
+    and F in [0.5, 1), every level below E - e has a threshold above lead,
+    so the ladder looks from there on, at one or two levels, instead of
+    halving through each; it walks to mb when lead is 0.  The test stays
+    lead <= the threshold, which a nan residual fails, so that residual
+    still steps at the level it meets.  R is exactly symmetric (it starts at mu I, and
+    h_i h_j == h_j h_i), so row j serves as column j.  max/index picks the
+    first largest residual, as argmax does while no residual is nan.
     """
     pred = float(h.dot(a)) + 0.0
-    err = d - pred
     hs = h.tolist()
-    if lam != 1.0:
-        R = [[lam * v for v in row] for row in R]
-        beta = [lam * v for v in beta]
-    R = [[v + hi * hj for v, hj in zip(row, hs)] for row, hi in zip(R, hs)]
-    r = [v + err * hi for v, hi in zip(beta, hs)]
+    if lam == 1.0 and not any(hs):
+        r = beta
+    else:
+        err = d - pred
+        if lam != 1.0:
+            R = [[lam * v for v in row] for row in R]
+            beta = [lam * v for v in beta]
+        R = [[v + hi * hj for v, hj in zip(row, hs)] for row, hi in zip(R, hs)]
+        r = [v + err * hi for v, hi in zip(beta, hs)]
     da = [0.0] * len(r)
-    alpha = DCD_STEP_AMPLITUDE
     level = 1
     for _ in range(nu):
         mags = list(map(abs, r))
-        j = mags.index(max(mags))
-        while mags[j] <= (alpha / 2.0) * R[j][j]:
-            level += 1
+        lead = max(mags)
+        j = mags.index(lead)
+        rjj = DCD_STEP_AMPLITUDE * R[j][j]
+        if lead <= math.ldexp(rjj, -level):
+            # the thresholds of the levels below E - e exceed lead
+            level = max(level + 1, math.frexp(rjj)[1] - math.frexp(lead)[1])
+            while level <= mb and lead <= math.ldexp(rjj, -level):
+                level += 1
             if level > mb:
                 return a + np.array(da), R, r, pred
-            alpha /= 2.0
-        step = math.copysign(alpha, r[j])
+        step = math.copysign(math.ldexp(DCD_STEP_AMPLITUDE, 1 - level), r[j])
         da[j] += step
         r = [v - step * c for v, c in zip(r, R[j])]
     return a + np.array(da), R, r, pred

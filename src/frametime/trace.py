@@ -481,24 +481,31 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     table = freq_table or embedded_table or DEFAULT_FREQ_TABLE
 
     ncol = len(names)
-    if rows and all(raw.count(",") == ncol - 1 for raw in rows):
-        # numpy converts each block of rows at once, applying float() and
-        # int() to every cell as the row loop does; a bad cell falls through
-        # to the loop, which names the first bad row.  Blocks keep few cell
-        # strings alive at a time, which bounds the parse's peak memory.
-        data = np.empty((len(rows), ncol))
-        counts = np.empty(len(rows), dtype=np.int64)
+    # numpy's C reader converts each block of rows into one record per row.
+    # On ASCII text without the separators \x1c-\x1f it reads each cell as
+    # float() or int() would, and it rejects every row with the wrong field
+    # count and every cell they reject, as well as a few they accept, such
+    # as 1_0.  Elsewhere it may differ: it takes those separators for white
+    # space, and its integer reader takes other letters for digits.  Such a
+    # block, or a rejected one, leaves the whole body to the row loop, which
+    # names the first bad row.  Blocks keep the reader's buffers and the
+    # joined text small, which bounds the parse's peak memory.
+    record = np.dtype([("t", float), ("ft", float), ("n", np.int64), ("f", float),
+                       ("c", float, (len(counter_names),))])
+    data = np.empty(len(rows), record)
+    for start in range(0, len(rows), _PARSE_BLOCK_ROWS):
+        block = rows[start:start + _PARSE_BLOCK_ROWS]
+        chars = "".join(block)
+        if not chars.isascii() or any(c in chars for c in "\x1c\x1d\x1e\x1f"):
+            break
         try:
-            for start in range(0, len(rows), _PARSE_BLOCK_ROWS):
-                block = slice(start, start + _PARSE_BLOCK_ROWS)
-                cells = ",".join(rows[block]).split(",")
-                data[block] = np.array(cells, dtype=float).reshape(-1, ncol)
-                counts[block] = np.array(cells[2::ncol], dtype=np.int64)
+            data[start:start + len(block)] = np.loadtxt(block, dtype=record, delimiter=",",
+                                                        comments=None, ndmin=1)
         except (ValueError, OverflowError):
-            pass
-        else:
-            return Trace(data[:, 0], data[:, 1], counts, data[:, 3], data[:, 4:],
-                         counter_names, table)
+            break
+    else:
+        return Trace(data["t"], data["ft"], data["n"], data["f"], data["c"],
+                     counter_names, table)
 
     values, counts = [], []
     for i, raw in enumerate(rows, start=1):

@@ -15,7 +15,7 @@ import frametime
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import ConfigError, load_config, parse_schedule
-from frametime.estimator import (ARLMS_ORDER, DCD_MB, DCD_NU, DEFAULT_LAMBDA, dcd_rls_init,
+from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  rls_init)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
@@ -459,24 +459,52 @@ class TestRunReplayApi:
         assert res.report.mape >= 0.0
 
     @pytest.mark.parametrize("algo", ["rls", "dcd"])
-    def test_coefs_equal_plain_update_loop(self, tmp_path, algo):
-        # row i is predicted with the state held before consuming row i
-        _, trace = write_runtime_trace(tmp_path, n=80)
+    def test_coefs_equal_plain_update_loop(self, algo):
+        # row i is predicted with the state held before consuming row i, by
+        # the reference forms at the paper's DCD settings nu = 4, mb = 16.
+        # The clock holds still over the first and last schedule level, so
+        # rows with no excitation come first, where the state is fresh, and
+        # last; rls skips them and dcd carries its residual through them.
+        spec, freqs = sensitivity_run(80, seed=2)
+        freqs = (TABLE.max,) * 8 + freqs[8:-8] + (TABLE.min,) * 8
+        trace = generate_runtime(spec, TABLE, freqs, seed=2)
         fspec = FeatureSpec((2, 3))
         res = run_replay(trace, fspec, algo)
         dataset = build_dataset(trace, fspec)
-        units = estimator_units(trace.counters[:, [2, 3]])
+        rows = dataset.h / estimator_units(trace.counters[:, [2, 3]])[1:]
+        assert not rows[:7].any() and not rows[-7:].any() and rows[7].any()
         assert res.coefs.shape == (len(res.rows), fspec.m)
         a, P = rls_init(fspec.m)
         _, R, beta = dcd_rls_init(fspec.m)
         R, beta = np.array(R), np.array(beta)
-        for i, (h, target) in enumerate(zip(dataset.h, dataset.targets)):
+        deltas = []
+        for i, (h, target) in enumerate(zip(rows, dataset.targets)):
             assert np.array_equal(res.coefs[i], a)
+            deltas.append(float(h @ a) + 0.0)
             if algo == "rls":
-                a, P = reference_rls(a, P, h / units[i + 1], target, DEFAULT_LAMBDA)
+                a, P = reference_rls(a, P, h, target, DEFAULT_LAMBDA)
             else:
-                a, R, beta = reference_dcd(a, R, beta, h / units[i + 1], target,
-                                           DEFAULT_LAMBDA, DCD_NU, DCD_MB)
+                a, R, beta = reference_dcd(a, R, beta, h, target, DEFAULT_LAMBDA, 4, 16)
+        want = np.maximum(trace.frame_times[:-1] + np.array(deltas), 0.0)
+        assert res.rows.t_pred.tobytes() == want.tobytes()
+
+    def test_zero_rows_after_divergence_predict_nan(self):
+        # one excited row with a tiny counter step and a frame time near the
+        # float limit drives rls's coefficients past it; the rows with no
+        # excitation after it are then predicted as nan, as their skipped
+        # step's h'a would be, not as the previous frame time
+        n = 30
+        counters = np.ones((n, 1))
+        counters[24] += 1e-7
+        frame_times = np.ones(n)
+        frame_times[24] = 1e308
+        trace = Trace(0.05 * np.arange(1, n + 1), frame_times, np.full(n, 3),
+                      np.full(n, 400.0), counters, ("c0",), TABLE)
+        with np.errstate(all="ignore"):
+            res = run_replay(trace, FeatureSpec((0,)), "rls")
+        assert not np.isfinite(res.coefs[-1]).all()
+        assert np.isnan(res.rows.t_pred[25:]).all()
+        assert np.array_equal(res.rows.t_pred[:23], frame_times[:23])
 
     def test_arlms_has_no_coefs(self, tmp_path):
         _, trace = write_runtime_trace(tmp_path, n=40)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from frametime.cli import CliError, run_replay
-from frametime.estimator import (ARLMS_ORDER, DCD_MB, DEFAULT_LAMBDA, arlms_step,
+from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, arlms_step,
                                  batch_ridge_solve, dcd_rls_init, dcd_step, op_count,
                                  rls_init, rls_step)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
@@ -47,6 +47,10 @@ class TestRlsInit:
         for mu in BAD_MU:
             with pytest.raises(ValueError, match="mu must be finite"):
                 rls_init(4, mu=mu)
+        for init in (rls_init, dcd_rls_init):
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="a_init must be finite"):
+                    init(2, a_init=[1.0, bad])
 
     def test_tiny_accepted_mu_keeps_p_finite(self):
         # 1e-308 is rejected above: 1/mu is finite there, but 2/mu is not
@@ -243,13 +247,20 @@ class TestUpdatesMatchReferenceForms:
     @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False, zeros=[])
     @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=True, zeros=[])
     @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False, zeros=[True] * 40)
+    @example(lam=1.0, seed=0, m=4, n=40, nu=4, halves=False, zeros=[False, True])
+    @example(lam=1.0, seed=115, m=4, n=40, nu=4, halves=False, zeros=[False, True])
+    @example(lam=1.0, seed=89, m=4, n=1, nu=5, halves=False, zeros=[])
     def test_bitwise_for_forgetting_factors(self, lam, seed, m, n, nu, halves, zeros):
-        # lam == 1.0 skips the division and scaling by lam, and the whole
-        # rls step on a zero row; below it they run.  Row i is all zeros,
-        # some of them -0.0, where zeros[i] holds, so zero rows come first,
-        # where P is still I/mu, as well as later.  Entries on a grid of
-        # halves tie the DCD residuals, where the first largest one must
-        # lead, and zero some entries of a row but not all.
+        # lam == 1.0 skips the division and scaling by lam, the whole rls
+        # step on a zero row, and dcd's correlation and residual updates on
+        # one; below it they run.  Row i is all zeros, some of them -0.0,
+        # where zeros[i] holds, so zero rows come first, where P is still
+        # I/mu, as well as later.  Entries on a grid of halves tie the DCD
+        # residuals, where the first largest one must lead, and zero some
+        # entries of a row but not all.  The last three examples: a zero row
+        # after a dcd step that made all nu updates, whose carried residual
+        # then moves a at levels 7 to 11; a zero row after a step that
+        # exhausted the ladder; and a step whose last update is at level mb.
         rng = np.random.default_rng(seed)
         if halves:
             H, D = rng.integers(-2, 3, size=(n, m)) / 2.0, rng.integers(-2, 3, size=n) / 2.0
@@ -266,8 +277,8 @@ class TestUpdatesMatchReferenceForms:
             a, P, _ = rls_step(a, P, h, d, lam)
             b, R, beta, _ = dcd_step(b, R, beta, h, d, lam, nu)
             ref_a, ref_P = reference_rls(ref_a, ref_P, h, d, lam)
-            ref_b, ref_R, ref_beta = reference_dcd(ref_b, ref_R, ref_beta, h, d, lam, nu,
-                                                   DCD_MB)
+            # the paper's ladder depth, which dcd_step takes by default
+            ref_b, ref_R, ref_beta = reference_dcd(ref_b, ref_R, ref_beta, h, d, lam, nu, 16)
             assert same_bits(a, ref_a) and same_bits(P, ref_P)
             assert same_bits(b, ref_b) and same_bits(R, ref_R) and same_bits(beta, ref_beta)
 

@@ -1,4 +1,6 @@
+import io
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,37 @@ from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
                              oracle_counters, oracle_frame_time,
                              oracle_frame_time_derivative, parse_trace,
                              serialize_trace)
+from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
+
+SPELLINGS = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}", "{:+.6E}\t"]
+
+
+def spelled_body(rng, n, k, counts):
+    """Header and n rows of a trace body with k counters: each float field
+    in a random one of SPELLINGS, each frame count in one of counts."""
+    def cell(value):
+        return SPELLINGS[rng.integers(len(SPELLINGS))].format(value)
+
+    lines = ["time,frame_time_ms,frame_count,gpu_freq_mhz" + "".join(f",c{j}" for j in range(k))]
+    for i in range(n):
+        fields = [repr((i + 1) * 0.05), cell(float(rng.uniform(0, 40))),
+                  counts[rng.integers(len(counts))].format(int(rng.integers(0, 5000))),
+                  cell(float(rng.choice(DEFAULT_FREQS_MHZ)))]
+        fields += [cell(float(rng.uniform(0, 1e6))) for _ in range(k)]
+        lines.append(",".join(fields))
+    return lines
+
+
+def assert_per_field_columns(trace, lines, k):
+    """The trace's columns are float() and int() of each field, bit for bit."""
+    cells = [line.split(",") for line in lines[1:]]
+    floats = np.array([[float(c) for j, c in enumerate(row) if j != 2] for row in cells])
+    floats = floats.reshape(len(cells), 3 + k)
+    assert trace.frame_counts.tolist() == [int(row[2]) for row in cells]
+    for column, want in zip((trace.timestamps, trace.frame_times, trace.freqs, trace.counters),
+                            (floats[:, 0], floats[:, 1], floats[:, 2], floats[:, 3:])):
+        assert column.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestFrequencyTable:
@@ -96,38 +128,50 @@ class TestParse:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(0, 3))
     @example(seed=1, n=600, k=2)  # three conversion blocks
     def test_columns_equal_per_field_conversion(self, seed, n, k):
-        # the block-wise numpy conversion of the body against float() and
-        # int() per field, over the spellings a log may use
-        rng = np.random.default_rng(seed)
-        spell = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}"]
+        # the parsed body against float() and int() per field, over the
+        # spellings a log may use; 1_000 counts send a body to the row loop
+        lines = spelled_body(np.random.default_rng(seed), n, k, ["{}", "{:_}", " {} "])
+        assert_per_field_columns(parse_trace("\n".join(lines)), lines, k)
 
-        def cell(value):
-            return spell[rng.integers(len(spell))].format(value)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(0, 3))
+    @example(seed=1, n=600, k=2)  # three reader blocks
+    def test_reader_equals_per_field_conversion(self, seed, n, k):
+        # padded, signed and exponent cells stay in numpy's C reader: the
+        # row loop, whose float conversion fails here, never runs
+        lines = spelled_body(np.random.default_rng(seed), n, k, ["{}", " {} ", "+{}\t"])
+        with mock.patch("frametime.trace._parse_float", side_effect=AssertionError):
+            trace = parse_trace("\n".join(lines))
+        assert_per_field_columns(trace, lines, k)
 
-        lines = ["time,frame_time_ms,frame_count,gpu_freq_mhz"
-                 + "".join(f",c{j}" for j in range(k))]
-        for i in range(n):
-            count = int(rng.integers(0, 5000))
-            fields = [repr((i + 1) * 0.05), cell(float(rng.uniform(0, 40))),
-                      rng.choice([str(count), f"{count:_}", f" {count} "]),
-                      cell(float(rng.choice(DEFAULT_FREQS_MHZ)))]
-            fields += [cell(float(rng.uniform(0, 1e6))) for _ in range(k)]
-            lines.append(",".join(fields))
-        trace = parse_trace("\n".join(lines))
-        cells = [line.split(",") for line in lines[1:]]
-        floats = np.array([[float(c) for j, c in enumerate(row) if j != 2] for row in cells])
-        assert np.array_equal(trace.timestamps, floats[:, 0])
-        assert np.array_equal(trace.frame_times, floats[:, 1])
-        assert trace.frame_counts.tolist() == [int(row[2]) for row in cells]
-        assert np.array_equal(trace.freqs, floats[:, 2])
-        assert np.array_equal(trace.counters, floats[:, 3:].reshape(n, k))
+    @pytest.mark.parametrize("spelling", ["1_0", "\uff11\uff10"])  # 10 in full-width digits
+    def test_python_only_spellings_fall_back(self, small_table, spelling):
+        # float() and int() read these as 10; the C reader rejects them, or
+        # is not given non-ASCII text, so the row loop converts the body
+        text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
+                f"0.05, {spelling}, {spelling}, 400, {spelling}\n")
+        with mock.patch("frametime.trace._parse_float", wraps=trace_module._parse_float) as spy:
+            trace = parse_trace(text, freq_table=small_table)
+        assert spy.called
+        assert (trace.frame_times.tolist(), trace.frame_counts.tolist(),
+                trace.counters.tolist()) == ([10.0], [10], [[10.0]])
 
-    def test_bad_cell_in_a_later_block_named(self, small_table):
+    @pytest.mark.parametrize("old, new, error", [
+        ("120", "12O", FieldValueError),
+        (", 120", "", ColumnCountError),
+        ("120", "120, 5", ColumnCountError),
+        (" 3,", " 3.0,", FieldValueError),
+        (" 3,", " \u01fe,", FieldValueError),  # numpy's integer reader takes it for 462
+        (" 3,", " 3\x1c,", FieldValueError),    # the C reader takes \x1c for white space
+    ], ids=["non_numeric_counter", "short_row", "long_row", "float_frame_count",
+            "letter_frame_count", "separator_padded_count"])
+    def test_bad_row_in_a_later_block_named(self, small_table, old, new, error):
+        # read from a file, whose lines, unlike str.splitlines, keep \x1c
         rows = [f"{(i + 1) * 0.05!r}, 8.2, 3, 400, 120" for i in range(600)]
-        rows[400] = rows[400].replace("120", "12O")
+        rows[400] = rows[400].replace(old, new)
         text = "time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n" + "\n".join(rows)
-        with pytest.raises(FieldValueError) as err:
-            parse_trace(text, freq_table=small_table)
+        with pytest.raises(error) as err:
+            parse_trace(io.StringIO(text), freq_table=small_table)
         assert err.value.row == 401
 
     def test_embedded_table_used(self):
