@@ -104,6 +104,17 @@ def _count(value: float, name: str, text: str) -> int:
     return int(value)
 
 
+def _cycle(levels, hold: int, n: int) -> tuple[float, ...]:
+    """n intervals of levels, each held for hold intervals, cycling.
+
+    One period is built and repeated.  Runs longer than n and levels the
+    first n intervals never reach are left out of it, so it holds fewer
+    than 2n values however large HOLD or the level count."""
+    run = min(hold, n)
+    period = tuple(v for v in levels[:-(-n // run)] for _ in range(run))
+    return (period * -(-n // len(period)))[:n]
+
+
 def parse_schedule(text: str) -> tuple[float, ...]:
     """Expand a schedule expression into per-interval complexity values."""
     text = text.strip()
@@ -128,8 +139,7 @@ def parse_schedule(text: str) -> tuple[float, ...]:
         return tuple(float(v) for v in np.linspace(a, b, _count(n, "N", text)))
     if kind == "square" and len(args) == 4:
         lo, hi, half, n = args
-        half = _count(half, "HALF_PERIOD", text)
-        return tuple(lo if (k // half) % 2 == 0 else hi for k in range(_count(n, "N", text)))
+        return _cycle((lo, hi), _count(half, "HALF_PERIOD", text), _count(n, "N", text))
     if kind == "stairs" and len(args) == 5:
         lo, hi, step, hold, n = args
         if step <= 0:
@@ -137,8 +147,7 @@ def parse_schedule(text: str) -> tuple[float, ...]:
         if not lo <= hi:
             raise ConfigError(f"bad schedule expression {text!r}: LO must not exceed HI")
         levels = [float(v) for v in np.arange(lo, hi + step / 2, step)]
-        hold = _count(hold, "HOLD", text)
-        return tuple(levels[(k // hold) % len(levels)] for k in range(_count(n, "N", text)))
+        return _cycle(levels, _count(hold, "HOLD", text), _count(n, "N", text))
     raise ConfigError(f"bad schedule expression {text!r}")
 
 

@@ -226,6 +226,16 @@ def _standardize(h: np.ndarray, y: np.ndarray):
     return (h - x_mean) / x_std, y - y_mean, x_mean, x_std, y_mean
 
 
+def _raises_rank(R: np.ndarray, active: list[int], j: int) -> bool:
+    """Whether column j adds to the numerical rank of the active columns:
+    counting singular values above RANK_RTOL of the largest, the block of
+    both has more than len(active).  R is the triangular factor of X = QR;
+    R[:, S] has the singular values of X[:, S] (Golub & Van Loan, Matrix
+    Computations, 5.2) and at most as many rows as X has columns."""
+    sv = np.linalg.svd(R[:, active + [j]], compute_uv=False)
+    return np.count_nonzero(sv > RANK_RTOL * sv[0]) > len(active)
+
+
 def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     """Knots (lams descending, coefs) of argmin ||y - X a||^2 + eta ||a||_1, lam = eta / 2.
 
@@ -237,7 +247,8 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     A column joins only if it raises the numerical rank of the active
     block (singular values above RANK_RTOL of the largest): duplicate and
     constant columns never join, and the active set stops growing at
-    rank(X).
+    rank(X).  The rank tests read the triangular factor of X = QR, taken
+    once per path, in place of the tall column blocks of X.
     """
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -245,6 +256,7 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
         raise ValueError("eta must be >= 0")
     gram = X.T @ X
     xy = X.T @ y
+    R = np.linalg.qr(X, mode="r")
     m = X.shape[1]
     a = np.zeros(m)
     signs = np.zeros(m)
@@ -270,8 +282,7 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
         for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
             if gamma[j] >= step:
                 break
-            sv = np.linalg.svd(X[:, active + [j]], compute_uv=False)
-            if np.count_nonzero(sv > RANK_RTOL * sv[0]) > len(active):
+            if _raises_rank(R, active, j):
                 step, join = gamma[j], j
                 break
         for j in active:

@@ -18,6 +18,7 @@ depend on the workload only).
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -258,7 +259,7 @@ class WorkloadSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "complexity_schedule",
-                           tuple(float(c) for c in self.complexity_schedule))
+                           tuple(map(float, self.complexity_schedule)))
         if not (math.isfinite(self.ref_freq) and self.ref_freq > 0):
             raise ValueError(f"ref_freq must be finite and > 0, got {self.ref_freq}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -409,7 +410,7 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 # Trace file format
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
-_PARSE_BLOCK_ROWS = 256  # rows converted per numpy call when parsing
+_BLOCK_ROWS = 256  # rows per numpy call when parsing, per value table when serializing
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -420,13 +421,28 @@ def serialize_trace(trace: Trace) -> str:
     is self-describing; then the header row, then one row per interval.
     Each value is the repr of a Python float or int, which parses back to
     the same number; the columns go through tolist() because the repr of
-    a numpy scalar reads np.float64(...).
+    a numpy scalar reads np.float64(...).  Frequency, frame count and
+    counter columns hold few distinct values, so each block of _BLOCK_ROWS
+    rows formats each distinct value of a column once, keyed by its bit
+    pattern so that -0.0 stays apart from 0.0; the block bounds the size
+    of those tables.
     """
     lines = [f"{_TABLE_COMMENT} " + ",".join(repr(f) for f in trace.freq_table)]
     lines.append(",".join(_FIXED_COLUMNS + trace.counter_names))
-    columns = [trace.timestamps.tolist(), trace.frame_times.tolist(),
-               trace.frame_counts.tolist(), trace.freqs.tolist(), *trace.counters.T.tolist()]
-    lines.extend(",".join(map(repr, row)) for row in zip(*columns))
+    columns = [trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
+               *trace.counters.T]
+    for start in range(0, len(trace), _BLOCK_ROWS):
+        cells = []
+        for column in columns:
+            block = column[start:start + _BLOCK_ROWS]
+            keys = block.view(np.int64).tolist()
+            values = dict(zip(keys, block.tolist()))
+            if len(values) == len(keys):    # no repeats: the values are in row order
+                cells.append(map(repr, values.values()))
+                continue
+            strs = dict(zip(values, map(repr, values.values())))
+            cells.append(map(strs.__getitem__, keys))
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -440,18 +456,18 @@ def _parse_float(raw: str, row: int, column: str) -> float:
 def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     """Parse the trace log format, validating every row.
 
-    text is a string or an iterable of lines.  Column order is fixed:
-    time, frame time, frame count, GPU frequency, then the counters named
-    by the header.  Malformed rows abort the parse with an error naming
-    the row; rows are never silently skipped.
+    text is a string or an iterable of lines; a string breaks into lines
+    where a text-mode file would, at LF, CR LF and lone CR only.  Column
+    order is fixed: time, frame time, frame count, GPU frequency, then the
+    counters named by the header.  Malformed rows abort the parse with an
+    error naming the row; rows are never silently skipped.
 
     The frequency table is taken from the freq_table argument when given,
     else from the file's own table comment, else DEFAULT_FREQ_TABLE.
     """
     if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in text]
+        text = io.StringIO(text, newline=None)
+    lines = [line.rstrip("\n") for line in text]
 
     header = None
     embedded_table = None
@@ -493,8 +509,8 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     record = np.dtype([("t", float), ("ft", float), ("n", np.int64), ("f", float),
                        ("c", float, (len(counter_names),))])
     data = np.empty(len(rows), record)
-    for start in range(0, len(rows), _PARSE_BLOCK_ROWS):
-        block = rows[start:start + _PARSE_BLOCK_ROWS]
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
         chars = "".join(block)
         if not chars.isascii() or any(c in chars for c in "\x1c\x1d\x1e\x1f"):
             break

@@ -112,6 +112,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_schedule("sawtooth:1:2")
 
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.integers(0, 20), step=st.sampled_from([0.1, 0.3, 0.5, 1.0, 4.0]),
+           count=st.integers(1, 40), hold=st.integers(1, 9), n=st.integers(1, 150))
+    @example(lo=4, step=4.0, count=16, hold=8, n=2400)  # the shipped stairs
+    @example(lo=1, step=1.0, count=3, hold=5, n=7)      # N shorter than one period
+    @example(lo=1, step=1.0, count=3, hold=5, n=38)     # N not a multiple of the period
+    @example(lo=0, step=1.0, count=3000, hold=1000, n=2500)  # N ends before the levels do
+    def test_cycles_follow_per_interval_formula(self, lo, step, count, hold, n):
+        hi = lo + step * (count - 1)
+        levels = [float(v) for v in np.arange(lo, hi + step / 2, step)]
+        assert parse_schedule(f"stairs:{lo}:{hi}:{step}:{hold}:{n}") == tuple(
+            levels[(k // hold) % len(levels)] for k in range(n))
+        assert parse_schedule(f"square:{lo}:{hi}:{hold}:{n}") == tuple(
+            lo if (k // hold) % 2 == 0 else hi for k in range(n))
+
     @pytest.mark.parametrize("text", [
         "constant:5:0", "ramp:0:10:-1", "square:1:2:2:0",          # N
         "square:1:2:0:6", "square:1:2:-2:6", "square:1:2:inf:6",   # HALF_PERIOD

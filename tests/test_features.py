@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frametime.features import (FeatureSpec, LassoPath, RegressionDataset,
-                                ZeroFrequencyVarianceError, _lasso_path,
+from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDataset,
+                                ZeroFrequencyVarianceError, _lasso_path, _raises_rank,
                                 _standardize, build_dataset, cross_validated_path,
                                 default_eta_grid, differential_features,
                                 load_feature_spec, pearson_prune,
@@ -227,6 +227,28 @@ class TestLassoFit:
                 assert a[-1] == 0 or a[-2] == 0
             if case == "constant":
                 assert a[-1] == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), p=st.integers(1, 3))
+    @example(seed=0, n=4, p=3)      # fewer rows than the six columns: R is 4 x 6
+    def test_rank_rule_on_r_matches_x(self, seed, n, p):
+        # for every column subset S, the last column raises the rank of the
+        # others as read from R exactly when X[:, S] has full numerical rank;
+        # X holds a duplicate, a constant and a column collinear with another
+        # to within 1e-12 to 1e-7, on both sides of the cut
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(n, p))
+        h = np.column_stack([h, h[:, 0], np.full(n, 3.7),
+                             h[:, -1] + 10.0 ** rng.uniform(-12, -7) * rng.normal(size=n)])
+        X = _standardize(h, np.zeros(n))[0]
+        R = np.linalg.qr(X, mode="r")
+        for size in range(1, X.shape[1] + 1):
+            for S in itertools.combinations(range(X.shape[1]), size):
+                sv = np.linalg.svd(X[:, S], compute_uv=False)
+                if np.any((sv > 0.1 * RANK_RTOL * sv[0]) & (sv < 10 * RANK_RTOL * sv[0])):
+                    continue    # too near the cut for rounding to settle either way
+                full = np.count_nonzero(sv > RANK_RTOL * sv[0]) == size
+                assert _raises_rank(R, list(S[:-1]), S[-1]) == full
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_trace
 from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
                              CounterModel, FieldValueError, FrequencyTable, HashNoiseMap,
-                             PiecewiseLinearMap, Trace,
+                             PiecewiseLinearMap, Trace, TraceParseError,
                              UnknownFrequencyError, WorkloadSpec,
                              generate_characterization, generate_runtime,
                              oracle_counters, oracle_frame_time,
@@ -20,6 +20,11 @@ from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
 
 SPELLINGS = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}", "{:+.6E}\t"]
+# line breaks to str.splitlines, and not to a text-mode file
+SPLITLINES_ONLY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# cell values that repeat, with reprs of every length; -0.0 is kept apart
+POOL = [0.0, 0.1, 0.30000000000000004, 1e-07, 5e-324, 2.5, 123456789.0, 1e+16,
+        3.141592653589793]
 
 
 def spelled_body(rng, n, k, counts):
@@ -173,6 +178,46 @@ class TestParse:
         with pytest.raises(error) as err:
             parse_trace(io.StringIO(text), freq_table=small_table)
         assert err.value.row == 401
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("char", SPLITLINES_ONLY,
+                             ids=[f"u{ord(c):04x}" for c in SPLITLINES_ONLY])
+    def test_string_parses_as_file(self, small_table, tmp_path, char, newline):
+        rows = ["time,frame_time_ms,frame_count,gpu_freq_mhz,c1", "0.05, 8.2, 3, 400, 120",
+                f"0.10, 8.2, 3{char}, 400, 120", "0.15, 8.2, 3, 400, 120"]
+        text = newline.join(rows) + newline
+        path = tmp_path / "trace.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def outcome(source):
+            try:
+                return parse_trace(source, freq_table=small_table)
+            except TraceParseError as err:
+                return type(err), err.row
+
+        with open(path, encoding="utf-8") as fh:
+            from_file = outcome(fh)
+        assert outcome(text) == from_file
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+    def test_serialization_is_repr_per_cell(self, n, seed, k):
+        rng = np.random.default_rng(seed)
+        table = FrequencyTable(DEFAULT_FREQS_MHZ)
+        counters = rng.choice(POOL, size=(n, k))
+        counters[:, 0] = rng.choice([0.0, -0.0, 2.5], size=n)
+        counters[0, 0] = -0.0
+        trace = Trace(np.arange(1, n + 1) * 0.05, rng.choice(POOL, size=n),
+                      rng.integers(0, 4, size=n), rng.choice(DEFAULT_FREQS_MHZ, size=n),
+                      counters, tuple(f"c{j}" for j in range(k)), table)
+        lines = ["# freq_table_mhz = " + ",".join(map(repr, DEFAULT_FREQS_MHZ)),
+                 "time,frame_time_ms,frame_count,gpu_freq_mhz," + ",".join(trace.counter_names)]
+        columns = [trace.timestamps.tolist(), trace.frame_times.tolist(),
+                   trace.frame_counts.tolist(), trace.freqs.tolist(), *trace.counters.T.tolist()]
+        lines += [",".join(map(repr, row)) for row in zip(*columns)]
+        # compared line by line, so that a mismatch names its line
+        assert serialize_trace(trace).split("\n") == lines + [""]
 
     def test_embedded_table_used(self):
         rng = np.random.default_rng(3)
