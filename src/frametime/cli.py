@@ -438,7 +438,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     change from the previous interval, mirroring a repeated-frame
     measurement; the derivative also skips one-sided rows.
     """
-    from .trace import oracle_frame_time_derivative, oracle_frame_times
+    from .trace import oracle_frame_times, workload_columns
 
     c = _sample_complexities(trace, bundle)
     if c is None:
@@ -451,11 +451,8 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
     use = steady & ~result.rows.one_sided
     if np.count_nonzero(use) >= 2:
-        # the scalar oracle once per distinct (complexity, frequency) pair
-        pairs, at = np.unique(np.column_stack([c_k[use], result.rows.f_k[use]]), axis=0,
-                              return_inverse=True)
-        ref = np.array([oracle_frame_time_derivative(spec, ci, fi)
-                        for ci, fi in pairs.tolist()])[at.reshape(-1)]
+        f_k = result.rows.f_k[use]
+        ref = -workload_columns(spec, c_k[use])[:, 0] * spec.ref_freq / (f_k * f_k)
         est = result.rows.dtf_df[use]
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")

@@ -115,6 +115,27 @@ def _cycle(levels, hold: int, n: int) -> tuple[float, ...]:
     return (period * -(-n // len(period)))[:n]
 
 
+def _stairs_levels(lo: float, hi: float, step: float, reach: int,
+                   text: str) -> list[float]:
+    """The first levels of np.arange(lo, hi + step / 2, step), at most reach.
+
+    LO = HI gives the one level.  numpy fills the range as lo, lo + step,
+    then lo + i * ((lo + step) - lo), so the levels are built that way, and
+    only as many as the intervals reach however long the range.
+    """
+    if lo == hi:
+        return [lo]
+    if lo + step == lo:
+        raise ConfigError(f"bad schedule expression {text!r}: STEP is below LO's "
+                          f"float resolution")
+    count = max(1, math.ceil(min(reach, (hi + step / 2 - lo) / step)))
+    delta = (lo + step) - lo
+    levels = [lo, lo + step, *(lo + i * delta for i in range(2, count))][:count]
+    if not all(map(math.isfinite, levels)):
+        raise ConfigError(f"bad schedule expression {text!r}: levels must be finite")
+    return levels
+
+
 def parse_schedule(text: str) -> tuple[float, ...]:
     """Expand a schedule expression into per-interval complexity values."""
     text = text.strip()
@@ -146,8 +167,8 @@ def parse_schedule(text: str) -> tuple[float, ...]:
             raise ConfigError(f"bad schedule expression {text!r}: STEP must be positive")
         if not lo <= hi:
             raise ConfigError(f"bad schedule expression {text!r}: LO must not exceed HI")
-        levels = [float(v) for v in np.arange(lo, hi + step / 2, step)]
-        return _cycle(levels, _count(hold, "HOLD", text), _count(n, "N", text))
+        hold, n = _count(hold, "HOLD", text), _count(n, "N", text)
+        return _cycle(_stairs_levels(lo, hi, step, -(-n // hold), text), hold, n)
     raise ConfigError(f"bad schedule expression {text!r}")
 
 

@@ -8,6 +8,10 @@ a frequency, the workload realizes a frame time (with a common,
 per-interval noise draw shared by all policies at a given seed), and the
 interval's energy comes from a parametric power model.
 
+The workload's frame time at every table level and its counters come
+from one evaluation of its maps, trace.workload_columns, which rejects
+the workloads that characterize rejects.
+
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
@@ -36,8 +40,8 @@ from . import model
 from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import rls_init, rls_step
 from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
-from .trace import (FrequencyTable, WorkloadSpec, oracle_counters,
-                    oracle_frame_times)
+from .trace import (FrequencyTable, WorkloadSpec, oracle_frame_times,
+                    workload_columns)
 
 
 @dataclass
@@ -212,10 +216,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     # values, and with them the estimator units and each interval's counter
     # deltas in those units, are known upfront; only the two frequency
     # entries of a feature row depend on the choices
-    n_dep = len(spec.dep_counters)
-    distinct, at = np.unique(np.asarray(schedule), return_inverse=True)
-    x = np.array([oracle_counters(spec, c, table.max)[n_dep:]
-                  for c in distinct.tolist()])[at]
+    x = workload_columns(spec, schedule)[:, 2 + len(spec.dep_counters):]
     if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
         raise ValueError("non-finite counters or frame times in the rls run")
     h = np.empty((n, 2 + x.shape[1]))

@@ -13,7 +13,9 @@ unscalable portion:
 
 where C is the frame complexity.  Counters are either frequency dependent
 (they track busy cycles and grow with f) or frequency independent (they
-depend on the workload only).
+depend on the workload only).  workload_columns is the one evaluation of
+the workload's maps; generated traces, the oracle frame-time grid, the
+governor's counters and the sensitivity reference all derive from it.
 """
 
 from __future__ import annotations
@@ -238,12 +240,6 @@ class CounterModel:
         if self.kind not in ("dep", "indep"):
             raise ValueError(f"unknown counter kind {self.kind!r}")
 
-    def value(self, c: float, f: float, ref_freq: float) -> float:
-        base = self.response(c)
-        if self.kind == "dep":
-            return base * (f / ref_freq)
-        return base
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -273,70 +269,56 @@ class WorkloadSpec:
     def counter_names(self) -> tuple[str, ...]:
         return tuple(cm.name for cm in self.dep_counters + self.indep_counters)
 
-    def validate(self, complexities) -> None:
-        """Check map values over the given complexities.
 
-        Scalable/unscalable times must be nonnegative, dependent counter
-        bases positive (so they stay strictly monotone in f), and all
-        counter values nonnegative.
-        """
-        for c in complexities:
-            if self.scalable_ms(c) < 0 or self.unscalable_ms(c) < 0:
-                raise ValueError(f"negative frame-time component at C={c}")
-            for cm in self.dep_counters:
-                if cm.response(c) <= 0:
-                    raise ValueError(f"dep counter {cm.name} base must be > 0 at C={c}")
-            for cm in self.indep_counters:
-                if cm.response(c) < 0:
-                    raise ValueError(f"counter {cm.name} negative at C={c}")
+def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
+    """The workload's response maps at each complexity, one row per complexity.
 
+    The columns are scalable ms s, unscalable ms u, then each counter's
+    base in counter_names order.  Each map runs once per distinct
+    complexity, and every other form of the analytic workload is this
+    array broadcast against frequencies f (MHz):
 
-def oracle_frame_time(spec: WorkloadSpec, c: float, f: float, noisy: bool = False,
-                      rng: np.random.Generator | None = None) -> float:
-    """Analytic frame time in ms at complexity c and frequency f (MHz).
+        frame time            s * ref_freq / f + u      (_frame_times)
+        d(frame time)/df      -s * ref_freq / (f * f)
+        dep counter           base * (f / ref_freq)
+        indep counter         base
 
-    Noiseless form is scalable_ms(c) * ref_freq / f + unscalable_ms(c).
-    With noisy=True the value is multiplied by (1 + e), e ~ N(0, sigma^2),
-    and clamped at zero; an rng must be supplied.
+    Raises ValueError at the lowest complexity with a negative frame-time
+    component, a dep counter base <= 0 (it must grow strictly with f) or a
+    negative indep counter, checked in that order.
     """
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
-    s = spec.scalable_ms(c)
-    u = spec.unscalable_ms(c)
-    if s < 0 or u < 0:
-        raise ValueError(f"negative frame-time component at C={c}")
-    t = s * spec.ref_freq / f + u
-    if noisy and spec.noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noisy evaluation requires an rng")
-        t *= 1.0 + rng.normal(0.0, spec.noise_sigma)
-    return max(t, 0.0)
+    counters = spec.dep_counters + spec.indep_counters
+    maps = (spec.scalable_ms, spec.unscalable_ms, *(cm.response for cm in counters))
+    distinct, at = np.unique(np.asarray(complexities, dtype=float), return_inverse=True)
+    cs = distinct.tolist()
+    values = np.array([[m(c) for m in maps] for c in cs], dtype=float)
+    values = values.reshape(len(cs), len(maps))
+    dep_end = 2 + len(spec.dep_counters)
+    bad = values < 0
+    bad[:, 2:dep_end] = values[:, 2:dep_end] <= 0
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(maps))   # lowest C, then column order
+        if col < 2:
+            raise ValueError(f"negative frame-time component at C={cs[row]}")
+        name = counters[col - 2].name
+        if col < dep_end:
+            raise ValueError(f"dep counter {name} base must be > 0 at C={cs[row]}")
+        raise ValueError(f"counter {name} negative at C={cs[row]}")
+    return values[at]
+
+
+def _frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
+    """Noiseless frame time s * ref_freq / f + u in ms, from workload_columns
+    rows broadcast against f.  A value too large for a float is inf without
+    a numpy warning: Trace validation and the rls run reject it."""
+    with np.errstate(over="ignore"):
+        return columns[..., 0] * spec.ref_freq / f + columns[..., 1]
 
 
 def oracle_frame_times(spec: WorkloadSpec, complexities, table: FrequencyTable) -> np.ndarray:
-    """Noiseless oracle_frame_time for each complexity (rows) at each table level (columns).
-
-    The scalar oracle runs once per distinct complexity and level.
-    """
-    distinct, at = np.unique(np.asarray(complexities, dtype=float), return_inverse=True)
-    grid = [[oracle_frame_time(spec, c, f) for f in table] for c in distinct.tolist()]
-    return np.array(grid).reshape(distinct.size, len(table))[at]
-
-
-def oracle_frame_time_derivative(spec: WorkloadSpec, c: float, f: float) -> float:
-    """Analytic d(frame time)/d(frequency) in ms per MHz: -scalable*ref/f^2."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
-    return -spec.scalable_ms(c) * spec.ref_freq / (f * f)
-
-
-def oracle_counters(spec: WorkloadSpec, c: float, f: float) -> tuple[float, ...]:
-    """Counter values at (c, f), frequency-dependent counters first."""
-    if f <= 0:
-        raise ValueError("frequency must be > 0")
-    dep = [cm.value(c, f, spec.ref_freq) for cm in spec.dep_counters]
-    indep = [cm.value(c, f, spec.ref_freq) for cm in spec.indep_counters]
-    return tuple(dep + indep)
+    """Noiseless frame time for each complexity (rows) at each table level (columns)."""
+    columns = workload_columns(spec, complexities)
+    return _frame_times(spec, columns[:, None, :], np.asarray(table.freqs_mhz))
 
 
 FPS_CAP = 3  # most frames counted in one interval
@@ -345,27 +327,21 @@ FPS_CAP = 3  # most frames counted in one interval
 def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Trace:
     """Trace of the analytic workload at per-interval complexities c and frequencies f.
 
-    Column arithmetic in the operation order of oracle_frame_time and
-    oracle_counters, with the noise drawn as one block of the seeded
-    stream, so every value equals the scalar oracles' bit for bit.
+    Columns of workload_columns broadcast against f, with the noise drawn
+    as one block of the seeded stream: the same numbers as one scalar draw
+    per interval in order.  Overflowing values become inf, which the
+    Trace's finite check rejects, naming the row.
     """
     f = np.asarray(f, dtype=float)
-    levels, at = np.unique(np.asarray(c, dtype=float), return_inverse=True)
-    levels = levels.tolist()
-
-    def per_interval(response):
-        return np.array([response(v) for v in levels], dtype=float)[at]
-
-    t = per_interval(spec.scalable_ms) * spec.ref_freq / f + per_interval(spec.unscalable_ms)
-    if spec.noise_sigma > 0:
-        t *= 1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.size)
-    t = np.where(t < 0.0, 0.0, t)
-    with np.errstate(divide="ignore"):
+    columns = workload_columns(spec, c)
+    t = _frame_times(spec, columns, f)
+    with np.errstate(over="ignore", divide="ignore"):
+        if spec.noise_sigma > 0:
+            t *= 1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.size)
+        t = np.where(t < 0.0, 0.0, t)
         counts = np.where(t > 0, np.minimum(FPS_CAP, DEFAULT_PERIOD_MS // t), FPS_CAP)
-    counters = np.empty((t.size, len(spec.counter_names)))
-    for j, cm in enumerate(spec.dep_counters + spec.indep_counters):
-        base = per_interval(cm.response)
-        counters[:, j] = base * (f / spec.ref_freq) if cm.kind == "dep" else base
+        counters = columns[:, 2:]
+        counters[:, :len(spec.dep_counters)] *= (f / spec.ref_freq)[:, None]
     timestamps = np.arange(1, t.size + 1) * DEFAULT_PERIOD_MS / 1000.0
     return Trace(timestamps, t, counts, f, counters, spec.counter_names, table)
 
@@ -384,7 +360,6 @@ def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
         raise ValueError("complexity list must not be empty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    spec.validate(complexities)
     per_freq = np.repeat(complexities, repeats)
     return _generate(spec, table, np.tile(per_freq, len(table)),
                      np.repeat(table.freqs_mhz, per_freq.size), seed)
@@ -402,7 +377,6 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
     foreign = freq_seq[~np.isin(freq_seq, table.freqs_mhz)]
     if foreign.size:
         raise ValueError(f"frequency {foreign[0]} MHz not in table")
-    spec.validate(sorted(set(schedule)))
     return _generate(spec, table, schedule, freq_seq, seed)
 
 

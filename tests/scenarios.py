@@ -10,7 +10,10 @@ The estimators written out in full are here too, as the references the
 estimator, replay and governor tests check the package's steps against:
 reference_rls, the covariance-form update, reference_dcd, the DCD-RLS
 update with its coordinate ladder, and reference_arlms, the AR baseline
-with its warm-up.
+with its warm-up.  So is the analytic workload at one (complexity,
+frequency) point, on Python floats, which the trace, governor and
+acceptance tests compare the package's columns with:
+reference_frame_time, reference_derivative and reference_counters.
 """
 
 import math
@@ -82,6 +85,24 @@ def reference_arlms(frame_times):
         warm = len(history) == ARLMS_ORDER
         predictions.append(float(w @ np.array(history)) if warm else 0.0)
     return predictions
+
+
+def reference_frame_time(spec, c, f):
+    """Noiseless frame time in ms at complexity c and f MHz:
+    scalable_ms(c) * ref_freq / f + unscalable_ms(c)."""
+    return spec.scalable_ms(c) * spec.ref_freq / f + spec.unscalable_ms(c)
+
+
+def reference_derivative(spec, c, f):
+    """d(frame time)/d(frequency) in ms per MHz at (c, f): -scalable_ms(c) * ref_freq / f^2."""
+    return -spec.scalable_ms(c) * spec.ref_freq / (f * f)
+
+
+def reference_counters(spec, c, f):
+    """Counter values at (c, f) in counter_names order: each dep counter's
+    response times f / ref_freq, then each indep counter's response."""
+    dep = [cm.response(c) * (f / spec.ref_freq) for cm in spec.dep_counters]
+    return tuple(dep + [cm.response(c) for cm in spec.indep_counters])
 
 
 def shipped(name: str):

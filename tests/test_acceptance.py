@@ -20,7 +20,7 @@ from frametime.governor import simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
 from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, heavy_runs, light_runs,
-                       sensitivity_run, shipped)
+                       reference_derivative, reference_frame_time, sensitivity_run, shipped)
 
 SWEEP_TABLE = shipped("characterization").freq_table
 
@@ -141,7 +141,6 @@ def _same_complexity_rows(spec, rows, states, warmup):
 def _candidate_apes(runtime_replay, jump):
     """APE against the oracle of the frame time predicted `jump` levels up
     and down from each post-warmup row whose complexity did not change."""
-    from frametime.trace import oracle_frame_time
     spec, trace, result, states = runtime_replay
     t = trace.frame_times
     apes = []
@@ -152,19 +151,18 @@ def _candidate_apes(runtime_replay, jump):
                 continue
             f_new = SWEEP_TABLE.freqs_mhz[i]
             pred = t[r.k - 1] + model.candidate_delta(st, t[r.k - 1], r.f_k, f_new)
-            truth = oracle_frame_time(spec, c, f_new)
+            truth = reference_frame_time(spec, c, f_new)
             apes.append(abs(pred - truth) / truth * 100.0)
     return apes
 
 
 def test_criterion_05_sensitivity_accuracy(runtime_replay):
-    from frametime.trace import oracle_frame_time_derivative
     spec, _, result, states = runtime_replay
     ref, got = [], []
     for r, _, c in _same_complexity_rows(spec, result.rows, states, 500):
         if r.one_sided:
             continue
-        ref.append(oracle_frame_time_derivative(spec, c, r.f_k))
+        ref.append(reference_derivative(spec, c, r.f_k))
         got.append(r.dtf_df)
     ref, got = np.array(ref), np.array(got)
     rmse = float(np.sqrt(np.mean((ref - got) ** 2)))

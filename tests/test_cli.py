@@ -127,12 +127,38 @@ class TestConfig:
         assert parse_schedule(f"square:{lo}:{hi}:{hold}:{n}") == tuple(
             lo if (k // hold) % 2 == 0 else hi for k in range(n))
 
+    @settings(max_examples=100, deadline=None)
+    @given(lo=st.floats(-1e6, 1e6), step=st.sampled_from([0.1, 0.3, 0.5, 1.0, 4.0, 1e3]),
+           span=st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 1e13)),
+           hold=st.integers(1, 9), n=st.integers(1, 150))
+    @example(lo=0.0, step=1.0, span=1e6, hold=1, n=3)    # stairs:0:1e6:1:1:3
+    @example(lo=0.0, step=1.0, span=1e12, hold=1, n=3)   # stairs:0:1e12:1:1:3
+    @example(lo=1e16, step=1.0, span=0.0, hold=1, n=3)   # stairs:1e16:1e16:1:1:3, LO = HI
+    def test_stairs_levels_follow_numpys_fill(self, lo, step, span, hold, n):
+        # level j of np.arange(lo, hi + step / 2, step) is lo, lo + step,
+        # then lo + j * ((lo + step) - lo); checked against numpy where the
+        # range is short, and used as the reference where it is too long
+        # to build
+        hi = lo + span
+        count = 1 if lo == hi else max(1, math.ceil((hi + step / 2 - lo) / step))
+
+        def level(j):
+            return lo if j == 0 else lo + step if j == 1 else lo + j * ((lo + step) - lo)
+
+        if lo < hi and count <= 4096:
+            assert [level(j) for j in range(count)] == [
+                float(v) for v in np.arange(lo, hi + step / 2, step)]
+        assert parse_schedule(f"stairs:{lo!r}:{hi!r}:{step!r}:{hold}:{n}") == tuple(
+            level((k // hold) % count) for k in range(n))
+
     @pytest.mark.parametrize("text", [
         "constant:5:0", "ramp:0:10:-1", "square:1:2:2:0",          # N
         "square:1:2:0:6", "square:1:2:-2:6", "square:1:2:inf:6",   # HALF_PERIOD
         "stairs:1:3:1:0:6",                                        # HOLD
         "stairs:1:3:0:2:6", "stairs:1:3:-1:2:6",                   # STEP
         "stairs:3:1:1:2:6",                                        # LO > HI
+        "stairs:1e16:2e16:1:1:3",                                  # STEP below LO's ulp
+        "stairs:1e308:1.7e308:1e308:1:3",                          # levels overflow
         "constant:nan:20", "ramp:0:inf:20", "1,nan,2",             # non-finite
     ])
     def test_bad_schedule_rejected(self, text):
@@ -456,6 +482,35 @@ class TestGovern:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_rejects_what_characterize_rejects(self, config_file, tmp_path, capsys):
+        # a dep counter base <= 0 at C=20, the lower of the schedule's complexities
+        config_file.write_text(config_file.read_text().replace(
+            "slope = 50\nintercept = 500", "slope = 50\nintercept = -5000"))
+        errors = []
+        for command in (["characterize", "--mode", "runtime"], ["govern"]):
+            code = main([*command, "--config", str(config_file),
+                         "--out", str(tmp_path / "out.csv")])
+            errors.append((code, capsys.readouterr().err))
+        want = "error: dep counter render_busy_kcycles base must be > 0 at C=20.0\n"
+        assert errors == [(EXIT_INPUT, want)] * 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, old, new, message", [
+        (["characterize", "--mode", "runtime"], "points = 1:0.925, 32:7.2, 64:20.0",
+         "points = 1:1e308, 32:1e308, 64:1e308", "row 1: fields must be finite"),
+        (["characterize", "--mode", "runtime"], "slope = 50\nintercept = 500",
+         "slope = 50\nintercept = 1e308", "row 1: fields must be finite"),
+        (["govern"], "points = 1:0.925, 32:7.2, 64:20.0",
+         "points = 1:1e308, 32:1e308, 64:1e308",
+         "non-finite counters or frame times in the rls run"),
+    ], ids=["characterize-frame-time", "characterize-dep-counter", "govern-frame-time"])
+    def test_overflow_is_one_error_line(self, config_file, tmp_path, capsys, command, old,
+                                        new, message):
+        # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to inf
+        config_file.write_text(config_file.read_text().replace(old, new))
+        code = main([*command, "--config", str(config_file), "--out", str(tmp_path / "o.csv")])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
 
     def test_trace_input_unsupported_exit5(self, tmp_path):
         trace_path, _ = write_runtime_trace(tmp_path, n=40)

@@ -11,9 +11,9 @@ from frametime.features import differential_features, estimator_units
 from frametime.governor import (PolicyResult, _cheapest_feasible, _cheapest_level,
                                 _rls_choice, interval_energy, ondemand_policy_step,
                                 oracle_policy, simulate)
-from frametime.trace import (AffineMap, CounterModel, FrequencyTable,
-                             WorkloadSpec, oracle_counters, oracle_frame_time)
-from scenarios import heavy_runs, light_runs, reference_rls, shipped
+from frametime.trace import AffineMap, WorkloadSpec
+from scenarios import (heavy_runs, light_runs, reference_counters, reference_frame_time,
+                       reference_rls, shipped)
 
 
 TABLE = shipped("governor_heavy").freq_table
@@ -129,7 +129,7 @@ class TestOraclePolicy:
             best_f, best_e = TABLE.max, None
             feasible_found = False
             for f in TABLE:
-                t = oracle_frame_time(spec, c, f) * noise[k]
+                t = reference_frame_time(spec, c, f) * noise[k]
                 e = interval_energy(PM, f, min(3 * t, CFG.period), CFG.period)
                 if t <= budget and (best_e is None or e < best_e):
                     best_f, best_e, feasible_found = f, e, True
@@ -206,14 +206,14 @@ class TestSimulate:
         noise = np.maximum(1.0 + np.random.default_rng(seed).normal(
             0.0, spec.noise_sigma, size=len(schedule)), 0.0)
         n_dep = len(spec.dep_counters)
-        x = np.array([oracle_counters(spec, c, table.max)[n_dep:] for c in schedule])
+        x = np.array([reference_counters(spec, c, table.max)[n_dep:] for c in schedule])
         units = estimator_units(x)
         # the updates run through the full reference formula, which has
         # no shortcut for zero rows, so a wrong skip in the package's
         # update shows here
         (a, P), f, freqs, realized = rls_init(x.shape[1] + 2), table.max, [], []
         for k, c in enumerate(schedule):
-            t_real = oracle_frame_time(spec, c, f) * noise[k]
+            t_real = reference_frame_time(spec, c, f) * noise[k]
             freqs.append(f)
             realized.append(t_real)
             if k > 0:
@@ -226,6 +226,16 @@ class TestSimulate:
                                cfg.period)
         assert result.energies == want.tolist()
         assert len(set(freqs)) > 2  # the schedule is not one clock
+
+    @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
+    def test_rejects_what_generation_rejects(self, policy):
+        # a dep counter base <= 0 at C=32, the lower of the two complexities
+        heavy = shipped("governor_heavy").workload
+        counter = replace(heavy.dep_counters[0], response=AffineMap(20.0, -1000.0))
+        spec = replace(heavy, dep_counters=(counter,))
+        message = "dep counter render_busy_kcycles base must be > 0 at C=32.0"
+        with pytest.raises(ValueError, match=message):
+            simulate(policy, spec, TABLE, CFG, PM, seed=0)
 
     def test_rls_rejects_non_finite_frame_times(self):
         # scalable_ms * ref_freq overflows to inf at every level

@@ -13,11 +13,11 @@ from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
                              PiecewiseLinearMap, Trace, TraceParseError,
                              UnknownFrequencyError, WorkloadSpec,
                              generate_characterization, generate_runtime,
-                             oracle_counters, oracle_frame_time,
-                             oracle_frame_time_derivative, parse_trace,
-                             serialize_trace)
+                             oracle_frame_times, parse_trace, serialize_trace,
+                             workload_columns)
 from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
+from scenarios import reference_counters, reference_derivative, reference_frame_time
 
 SPELLINGS = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}", "{:+.6E}\t"]
 # line breaks to str.splitlines, and not to a text-mode file
@@ -226,88 +226,183 @@ class TestParse:
         assert parsed.freq_table == trace.freq_table
 
 
+def frame_times_at(spec, c, freqs):
+    """oracle_frame_times at one complexity, over a table of freqs."""
+    return oracle_frame_times(spec, [c], FrequencyTable(tuple(freqs)))[0]
+
+
 class TestOracleFrameTime:
     def test_direct_substitution(self, simple_workload):
         # scalable 10 at ref 200, unscalable 5 via custom maps
         spec = WorkloadSpec((1.0,), AffineMap(0.0, 10.0), AffineMap(0.0, 5.0), 200.0)
-        assert oracle_frame_time(spec, 1.0, 400.0) == pytest.approx(10.0)
+        assert frame_times_at(spec, 1.0, (200.0, 400.0))[1] == pytest.approx(10.0)
 
     def test_identity_frequency(self, simple_workload):
         c = 10.0
         expected = simple_workload.scalable_ms(c) + simple_workload.unscalable_ms(c)
-        assert oracle_frame_time(simple_workload, c, 200.0) == pytest.approx(expected)
-
-    def test_domain_error(self, simple_workload):
-        with pytest.raises(ValueError):
-            oracle_frame_time(simple_workload, 10.0, 0.0)
+        assert frame_times_at(simple_workload, c, (200.0, 400.0))[0] == pytest.approx(expected)
 
     def test_derivative_matches_finite_difference(self, simple_workload):
         for c in (1.0, 10.0, 40.0):
             for f in (250.0, 400.0, 500.0):
                 eps = 1e-3
-                fd = (oracle_frame_time(simple_workload, c, f + eps)
-                      - oracle_frame_time(simple_workload, c, f - eps)) / (2 * eps)
-                an = oracle_frame_time_derivative(simple_workload, c, f)
-                assert an == pytest.approx(fd, rel=1e-6)
+                lo, hi = frame_times_at(simple_workload, c, (f - eps, f + eps))
+                an = reference_derivative(simple_workload, c, f)
+                assert an == pytest.approx((hi - lo) / (2 * eps), rel=1e-6)
 
     def test_strictly_decreasing_when_scalable(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             spec = WorkloadSpec((1.0,), AffineMap(0.0, float(rng.uniform(0.5, 20))),
                                 AffineMap(0.0, float(rng.uniform(0, 5))), 200.0)
-            freqs = np.sort(rng.uniform(100, 600, 5))
-            times = [oracle_frame_time(spec, 1.0, f) for f in freqs]
+            freqs = np.sort(rng.uniform(100, 600, 5)).tolist()
+            times = frame_times_at(spec, 1.0, freqs).tolist()
             assert all(b < a for a, b in zip(times, times[1:]))
 
     def test_constant_when_unscalable_only(self):
         spec = WorkloadSpec((1.0,), AffineMap(0.0, 0.0), AffineMap(0.0, 7.0), 200.0)
-        times = {oracle_frame_time(spec, 1.0, f) for f in (200.0, 311.0, 511.0)}
-        assert times == {7.0}
+        assert set(frame_times_at(spec, 1.0, (200.0, 311.0, 511.0)).tolist()) == {7.0}
 
-    def test_noise_requires_rng_and_reproduces(self, simple_workload):
-        from dataclasses import replace
-        spec = replace(simple_workload, noise_sigma=0.1)
-        with pytest.raises(ValueError):
-            oracle_frame_time(spec, 10.0, 400.0, noisy=True)
-        a = oracle_frame_time(spec, 10.0, 400.0, noisy=True, rng=np.random.default_rng(1))
-        b = oracle_frame_time(spec, 10.0, 400.0, noisy=True, rng=np.random.default_rng(1))
-        assert a == b
+    def test_grid_equals_reference_bitwise(self, char_workload, sweep_table):
+        schedule = char_workload.complexity_schedule[::7]
+        grid = oracle_frame_times(char_workload, schedule, sweep_table)
+        assert grid.tolist() == [[reference_frame_time(char_workload, c, f)
+                                   for f in sweep_table] for c in schedule]
+
+
+def swept_counters(spec, table, complexities):
+    """Counters of a noiseless one-repeat sweep, (levels, complexities, counters)."""
+    trace = generate_characterization(replace(spec, noise_sigma=0.0), table,
+                                      complexities, 1, seed=0)
+    return trace.counters.reshape(len(table), len(complexities), -1)
 
 
 class TestOracleCounters:
-    def test_indep_constant_in_frequency(self, char_workload):
-        low = oracle_counters(char_workload, 10.0, 200.0)
-        high = oracle_counters(char_workload, 10.0, 511.0)
+    def test_indep_constant_in_frequency(self, char_workload, sweep_table):
         n_dep = len(char_workload.dep_counters)
-        assert low[n_dep:] == high[n_dep:]
+        indep = swept_counters(char_workload, sweep_table, [10.0])[:, 0, n_dep:]
+        assert (indep == indep[0]).all()
 
     def test_dep_monotone_in_frequency(self, char_workload, sweep_table):
-        for c in (1.0, 32.0, 64.0):
-            for j in range(len(char_workload.dep_counters)):
-                vals = [oracle_counters(char_workload, c, f)[j] for f in sweep_table]
-                assert all(b > a for a, b in zip(vals, vals[1:]))
+        x = swept_counters(char_workload, sweep_table, [1.0, 32.0, 64.0])
+        dep = x[:, :, :len(char_workload.dep_counters)]
+        assert (dep[1:] > dep[:-1]).all()
 
-    def test_order_matches_counter_names(self, char_workload):
+    def test_order_matches_counter_names(self, char_workload, sweep_table):
         names = char_workload.counter_names
         assert names[:2] == ("render_busy_kcycles", "dispatch_busy_kcycles")
-        vals = oracle_counters(char_workload, 8.0, 400.0)
-        assert len(vals) == len(names)
+        x = swept_counters(char_workload, sweep_table, [8.0])
+        assert x.shape[2] == len(names)
+        assert x[:, 0].tolist() == [list(reference_counters(char_workload, 8.0, f))
+                                    for f in sweep_table]
 
     def test_indep_zero_pearson_with_frequency(self, char_workload, sweep_table):
         spec = char_workload
-        rows, freqs = [], []
-        for f in sweep_table:
-            for c in range(1, 33):
-                rows.append(oracle_counters(spec, float(c), f))
-                freqs.append(f)
-        rows = np.array(rows)
-        freqs = np.array(freqs, dtype=float)
+        rows = swept_counters(spec, sweep_table, [float(c) for c in range(1, 33)])
+        freqs = np.repeat(sweep_table.freqs_mhz, rows.shape[1])
+        rows = rows.reshape(freqs.size, -1)
         fc = freqs - freqs.mean()
         n_dep = len(spec.dep_counters)
         for j in range(n_dep, rows.shape[1]):
             x = rows[:, j] - rows[:, j].mean()
             r = float(fc @ x) / np.sqrt(float(fc @ fc) * float(x @ x))
             assert abs(r) < 1e-9
+
+
+class CountingMap:
+    """A map that records the complexities it is called at."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    def __call__(self, c):
+        self.calls.append(c)
+        return self.inner(c)
+
+
+def columns_by_loop(spec, complexities):
+    """workload_columns written as a loop over complexities: the rows of map
+    values, or the ValueError message of the first complexity, taken from
+    the lowest, whose values are out of range."""
+    for c in sorted(set(map(float, complexities))):
+        if spec.scalable_ms(c) < 0 or spec.unscalable_ms(c) < 0:
+            return f"negative frame-time component at C={c}"
+        for cm in spec.dep_counters:
+            if cm.response(c) <= 0:
+                return f"dep counter {cm.name} base must be > 0 at C={c}"
+        for cm in spec.indep_counters:
+            if cm.response(c) < 0:
+                return f"counter {cm.name} negative at C={c}"
+    maps = [spec.scalable_ms, spec.unscalable_ms,
+            *(cm.response for cm in spec.dep_counters + spec.indep_counters)]
+    return [[m(float(c)) for m in maps] for c in complexities]
+
+
+POINT = st.floats(-2.0, 100.0)
+MAPS = st.one_of(
+    st.builds(AffineMap, st.floats(-1.0, 5.0), POINT),
+    st.lists(st.tuples(st.floats(-20.0, 90.0), POINT), min_size=2, max_size=4,
+             unique_by=lambda p: p[0]).map(lambda pts: PiecewiseLinearMap(tuple(sorted(pts)))),
+    st.builds(HashNoiseMap, st.floats(0.0, 100.0), st.floats(0.0, 10.0)),
+)
+
+
+class TestWorkloadColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(maps=st.lists(MAPS, min_size=2, max_size=6), n_dep=st.integers(0, 4),
+           complexities=st.lists(st.sampled_from([-3.0, 0.0, 1.0, 2.5, 8.0, 32.0, 64.0, 70.5]),
+                                 min_size=1, max_size=30))
+    @example(maps=[AffineMap(0.0, 1.0)] * 3, n_dep=1, complexities=[])
+    def test_rows_equal_map_values_bitwise(self, maps, n_dep, complexities):
+        counters = [CounterModel(f"c{j}", "dep" if j < n_dep else "indep", m)
+                    for j, m in enumerate(maps[2:])]
+        spec = WorkloadSpec((), maps[0], maps[1], 200.0,
+                            tuple(cm for cm in counters if cm.kind == "dep"),
+                            tuple(cm for cm in counters if cm.kind == "indep"))
+        want = columns_by_loop(spec, complexities)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as raised:
+                workload_columns(spec, complexities)
+            assert str(raised.value) == want
+            return
+        got = workload_columns(spec, complexities)
+        assert got.shape == (len(complexities), len(maps))
+        assert got.tobytes() == np.array(want, dtype=float).reshape(got.shape).tobytes()
+
+    def test_each_map_runs_once_per_distinct_complexity(self, char_workload):
+        counted = [CountingMap(char_workload.scalable_ms),
+                   CountingMap(char_workload.unscalable_ms)]
+        spec = replace(char_workload, scalable_ms=counted[0], unscalable_ms=counted[1],
+                       dep_counters=tuple(replace(cm, response=CountingMap(cm.response))
+                                          for cm in char_workload.dep_counters),
+                       indep_counters=tuple(replace(cm, response=CountingMap(cm.response))
+                                            for cm in char_workload.indep_counters))
+        counted += [cm.response for cm in spec.dep_counters + spec.indep_counters]
+        complexities = [32.0, 4.0, 32.0, 8.0, 4.0, 4.0, 64.0]
+        workload_columns(spec, complexities)
+        for m in counted:
+            assert m.calls == [4.0, 8.0, 32.0, 64.0]
+
+    @pytest.mark.parametrize("scalable, dep, indep, message", [
+        (AffineMap(1.0, -5.0), AffineMap(0.0, 0.0), AffineMap(0.0, -1.0),
+         "negative frame-time component at C=2.0"),
+        (AffineMap(1.0, 0.0), AffineMap(10.0, -30.0), AffineMap(0.0, -1.0),
+         "dep counter busy base must be > 0 at C=2.0"),
+        (AffineMap(1.0, 0.0), AffineMap(10.0, 5.0), AffineMap(1.0, -3.0),
+         "counter units negative at C=2.0"),
+    ], ids=["frame_time", "dep", "indep"])
+    def test_error_names_the_old_loops_complexity_and_counter(self, scalable, dep, indep,
+                                                              message):
+        # every fault holds at C=2 and at C=1 only the listed one or none,
+        # so the message shows both the complexity and the check order
+        spec = WorkloadSpec((), scalable, AffineMap(0.0, 1.0), 200.0,
+                            (CounterModel("busy", "dep", dep),),
+                            (CounterModel("units", "indep", indep),))
+        complexities = [9.0, 2.0, 5.0, 2.0]
+        assert columns_by_loop(spec, complexities) == message
+        with pytest.raises(ValueError) as raised:
+            workload_columns(spec, complexities)
+        assert str(raised.value) == message
 
 
 class TestGenerate:
@@ -346,10 +441,10 @@ class TestGenerate:
         freqs = random_walk_freqs(sweep_table, n, seed)
         trace = generate_runtime(spec, sweep_table, freqs, seed=seed)
         rng = np.random.default_rng(seed)  # one scalar draw per interval, in order
-        t = [oracle_frame_time(spec, c, f, noisy=True, rng=rng)
-             for c, f in zip(spec.complexity_schedule, freqs)]
+        t = [max(reference_frame_time(spec, c, f) * (1.0 + rng.normal(0.0, spec.noise_sigma)),
+                 0.0) for c, f in zip(spec.complexity_schedule, freqs)]
         assert trace.frame_times.tolist() == t
-        assert trace.counters.tolist() == [list(oracle_counters(spec, c, f))
+        assert trace.counters.tolist() == [list(reference_counters(spec, c, f))
                                            for c, f in zip(spec.complexity_schedule, freqs)]
         assert trace.freqs.tolist() == list(freqs)
         assert trace.frame_counts.tolist() == [min(3, int(50.0 // v)) if v > 0 else 3
@@ -403,8 +498,8 @@ class TestMaps:
 
     def test_workload_validate(self):
         spec = WorkloadSpec((1.0,), AffineMap(-1.0, 0.5), AffineMap(0.0, 1.0), 200.0)
-        with pytest.raises(ValueError):
-            spec.validate([10.0])
+        with pytest.raises(ValueError, match="negative frame-time component at C=10.0"):
+            workload_columns(spec, [10.0])
 
 
 def one_row(small_table, freq=200.0, frame_time=1.0, frame_count=1, counters=()):
