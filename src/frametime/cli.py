@@ -407,8 +407,8 @@ def _what_if(trace, coefs, jumps):
     target = np.searchsorted(freqs, f_k)[:, None, None] + steps
     valid = (target >= 0) & (target < freqs.size)
     level = np.clip(target, 0, freqs.size - 1)
-    delta = model.candidate_delta(coefs[:, None, None, :], t[:-1, None, None],
-                                  f_k[:, None, None], freqs[level])
+    delta = model.candidate_delta(coefs[:, None, None, 0], coefs[:, None, None, 1],
+                                  t[:-1, None, None], f_k[:, None, None], freqs[level])
     return level, valid, delta
 
 
@@ -438,7 +438,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     change from the previous interval, mirroring a repeated-frame
     measurement; the derivative also skips one-sided rows.
     """
-    from .trace import oracle_frame_times, workload_columns
+    from .trace import frame_times, workload_columns
 
     c = _sample_complexities(trace, bundle)
     if c is None:
@@ -447,18 +447,19 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
 
     spec = bundle.workload
     c_k = c[1:]
+    columns = workload_columns(spec, c_k)
     steady = c_k == c[:-1]
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
     use = steady & ~result.rows.one_sided
     if np.count_nonzero(use) >= 2:
         f_k = result.rows.f_k[use]
-        ref = -workload_columns(spec, c_k[use])[:, 0] * spec.ref_freq / (f_k * f_k)
+        ref = -columns[use, 0] * spec.ref_freq / (f_k * f_k)
         est = result.rows.dtf_df[use]
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
 
-    truth = oracle_frame_times(spec, c_k, trace.freq_table)
-    truth = truth[np.arange(c_k.size)[:, None, None], level]
+    truth = frame_times(spec, columns[:, None, None, :],
+                        np.asarray(trace.freq_table.freqs_mhz)[level])
     scored = valid & steady[:, None, None] & (truth > 0)
     pred = trace.frame_times[:-1, None, None] + delta
     ape = np.zeros(delta.shape)
@@ -484,12 +485,15 @@ def cmd_govern(args) -> int:
         results[policy] = governor.simulate(policy, bundle.workload, bundle.freq_table,
                                             bundle.governor, bundle.power_model,
                                             seed=args.seed)
-    log = [row for policy in policies for row in results[policy].per_interval_log]
-    formats = ("%d", "%s", "%g", "%.8g", "%.8g", "%d")
-    summary = [f"summary,{policy},,,{results[policy].total_energy:.8g},"
-               f"{results[policy].fps_violations}" for policy in policies]
+    runs = [results[policy] for policy in policies]
+    summary = [f"summary,{r.policy},,,{r.total_energy:.8g},{r.fps_violations}" for r in runs]
     _write_csv(args.out, ["k", "policy", "f_mhz", "t_frame_ms", "energy_j", "violation"],
-               [_column(c, fmt) for c, fmt in zip(zip(*log), formats)], summary)
+               [_column(np.concatenate([np.arange(r.freqs.size) for r in runs]), "%d"),
+                _column([r.policy for r in runs for _ in range(r.freqs.size)], "%s"),
+                *(_column(np.concatenate([getattr(r, name) for r in runs]), fmt)
+                  for name, fmt in (("freqs", "%g"), ("frame_ms", "%.8g"),
+                                    ("energies", "%.8g"), ("violations", "%d")))],
+               summary)
     for policy in policies:
         r = results[policy]
         print(f"{policy}: energy={r.total_energy:.6g} J violations={r.fps_violations}")

@@ -10,9 +10,9 @@ of delta_t ~= h' a from a stream of (feature vector, observed delta) pairs:
 * a normalized-LMS autoregressive baseline that predicts frame time from
   past frame times only.
 
-A direct ridge solver is included as the reference the recursive forms
-must reproduce, plus the per-update arithmetic operation counts of the
-two RLS forms.
+The tests hold the direct ridge solve the recursive forms must reproduce
+and the per-update operation counts of the two RLS forms
+(tests/scenarios.py).
 
 Each algorithm is one step (rls_step, dcd_step, arlms_step) on bare
 state, and rls_init and dcd_rls_init check the settings and return the
@@ -206,38 +206,3 @@ def arlms_step(w: np.ndarray, hist: np.ndarray, frame_time: float):
     pred = float(w.dot(hist)) + 0.0
     err = frame_time - pred
     return w + ARLMS_STEP_SIZE * err * hist / (ARLMS_EPS + float(hist.dot(hist))), pred
-
-
-def batch_ridge_solve(h_rows, targets, mu: float, a_init) -> np.ndarray:
-    """Direct minimizer of (a - a_init)' (mu I) (a - a_init) + sum (d - h'a)^2.
-
-    Solves (mu I + H'H) a = mu a_init + H'd.  This is the closed form the
-    recursive updates must match at lambda = 1, so it serves as the test
-    reference for them.
-    """
-    H = np.asarray(h_rows, dtype=float)
-    d = np.asarray(targets, dtype=float)
-    if H.ndim != 2 or H.shape[0] == 0:
-        raise ValueError("need a non-empty matrix of feature rows")
-    if d.shape != (H.shape[0],):
-        raise ValueError("targets must align with feature rows")
-    if not (math.isfinite(mu) and mu > 0):
-        raise ValueError(f"mu must be finite and > 0, got {mu}")
-    a0 = np.asarray(a_init, dtype=float)
-    m = H.shape[1]
-    if a0.shape != (m,):
-        raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
-    A = mu * np.eye(m) + H.T @ H
-    b = mu * a0 + H.T @ d
-    return np.linalg.solve(A, b)
-
-
-def op_count(m: int, algo: str) -> int:
-    """Arithmetic operations per update: 2M^2 + 8M + 2 for rls, 17M for dcd_rls."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if algo == "rls":
-        return 2 * m * m + 8 * m + 2
-    if algo == "dcd_rls":
-        return 17 * m
-    raise ValueError(f"unknown algorithm {algo!r}")

@@ -8,31 +8,31 @@ a frequency, the workload realizes a frame time (with a common,
 per-interval noise draw shared by all policies at a given seed), and the
 interval's energy comes from a parametric power model.
 
-The workload's frame time at every table level and its counters come
-from one evaluation of its maps, trace.workload_columns, which rejects
-the workloads that characterize rejects.
+simulate evaluates the workload's maps once (trace.workload_columns,
+which rejects the workloads that characterize rejects), checks the frame
+times at every level and the counters for being finite once, and lets
+each policy only choose levels.  PolicyResult holds a run by column.
 
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
 
 An rls interval makes one estimator step (estimator.rls_step, whose BLAS
-reductions set the rounding) and asks the model one what-if question per
-table level.  The step checks nothing, so simulate rejects non-finite
-counters and frame times once, before its loop.  In a steady interval,
-at the same clock and complexity as the last, the feature row is all
-zeros, and at lambda = 1 the step then returns the state at once, as the
-full update would leave it bit for bit; most intervals of a steady
-workload are such intervals.  Those questions and the cheapest-feasible
-choice among their answers run on Python floats (_rls_choice), which
-round each operation as numpy's elementwise operations do, so the choice
-equals the oracle's matrix rule (_cheapest_feasible) bit for bit.
+reductions set the rounding) and asks model.candidate_delta one what-if
+question per table level; neither checks anything.  In a steady
+interval, at the same clock and complexity as the last, the feature row
+is all zeros, and at lambda = 1 the step then returns the state at once,
+as the full update would leave it bit for bit.  The questions and the
+cheapest-feasible choice among their answers run on Python floats
+(_rls_choice), which round each operation as numpy's elementwise
+operations do, so the choice equals the oracle's matrix rule
+(_cheapest_feasible) bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,41 +40,32 @@ from . import model
 from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import rls_init, rls_step
 from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
-from .trace import (FrequencyTable, WorkloadSpec, oracle_frame_times,
-                    workload_columns)
+from .trace import FrequencyTable, WorkloadSpec, frame_times, workload_columns
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyResult:
+    """A run by column, one entry per interval: chosen MHz, realized frame
+    time (ms), energy (J), and whether the frame time missed the budget."""
     policy: str
-    freq_schedule: list[float] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
-    fps_violations: int = 0
-    per_interval_log: list[tuple] = field(default_factory=list)
-    # rows: (k, policy, f_mhz, t_frame_ms, energy_j, violation)
+    freqs: np.ndarray
+    frame_ms: np.ndarray
+    energies: np.ndarray
+    violations: np.ndarray
+
+    @property
+    def fps_violations(self) -> int:
+        return int(np.count_nonzero(self.violations))
 
     @property
     def total_energy(self) -> float:
-        return sum(self.energies)
+        return sum(self.energies.tolist())
 
 
-def interval_energy(pm: PowerModel, f, active_ms, period_ms: float):
-    """Joules for intervals with active_ms of rendering at f MHz.
-
-    f and active_ms broadcast against each other; active time beyond the
-    period is capped at it.
-    """
-    f = np.asarray(f, dtype=float)
-    active_ms = np.asarray(active_ms, dtype=float)
-    if (f <= 0).any() or (active_ms < 0).any() or period_ms <= 0:
-        raise ValueError("need f > 0, active_ms >= 0, period_ms > 0")
-    return _interval_energy(pm.active_power(f), np.minimum(active_ms, period_ms),
-                            period_ms, pm.p_idle)
-
-
-def _interval_energy(power, active_ms, period_ms: float, p_idle: float):
-    """interval_energy from the active power (W) and an active time already
-    capped at the period, unchecked; on arrays or on Python floats."""
+def interval_energy(power, active_ms, period_ms: float, p_idle: float):
+    """Joules for intervals with active_ms of rendering at active power
+    (W) and p_idle for the rest of the period; active_ms is already capped
+    at the period.  On arrays or on Python floats."""
     return (power * active_ms + p_idle * (period_ms - active_ms)) / 1000.0
 
 
@@ -89,7 +80,7 @@ def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorCon
     """
     frame_ms = np.maximum(frame_ms, 0.0)
     active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period)
-    energy = _interval_energy(power, active, cfg.period, pm.p_idle)
+    energy = interval_energy(power, active, cfg.period, pm.p_idle)
     feasible = frame_ms <= cfg.frame_budget_ms
     cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
     return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
@@ -108,7 +99,7 @@ def _cheapest_level(frame_ms: list, power: list, cfg: GovernorConfig,
         # the budget is positive, so clamping t at 0 first decides nothing
         if t <= budget:
             active = min(n_frames * max(t, 0.0), period)
-            energy = _interval_energy(p, active, period, pm.p_idle)
+            energy = interval_energy(p, active, period, pm.p_idle)
             if energy < least:
                 level, least = i, energy
     return level
@@ -119,7 +110,7 @@ def _rls_choice(a0: float, a1: float, t: float, f: float, levels, power: list,
     """Level of the rls policy's choice from frequency coefficients a0, a1,
     the last frame time t ms at f MHz, the table levels and their active
     power, all on Python floats."""
-    return _cheapest_level([t + model._candidate_delta(a0, a1, t, f, g) for g in levels],
+    return _cheapest_level([t + model.candidate_delta(a0, a1, t, f, g) for g in levels],
                            power, cfg, pm)
 
 
@@ -136,46 +127,26 @@ def ondemand_policy_step(utilization: float, current_f: float,
     return current_f
 
 
-def _policy_result(policy: str, freqs: np.ndarray, frame_ms: np.ndarray,
+def _policy_result(policy: str, levels: np.ndarray, frame_ms: np.ndarray, chosen,
                    cfg: GovernorConfig, pm: PowerModel) -> PolicyResult:
-    """Energies and frame-rate violations of a run, from its chosen frequencies
-    and realized frame times."""
-    energies = interval_energy(pm, freqs, cfg.frames_per_interval * frame_ms,
-                               cfg.period).tolist()
-    violations = (frame_ms > cfg.frame_budget_ms).tolist()
-    f, t = freqs.tolist(), frame_ms.tolist()
-    return PolicyResult(policy, f, energies, sum(violations),
-                        list(zip(range(len(f)), [policy] * len(f), f, t, energies,
-                                 violations)))
-
-
-def oracle_policy(spec: WorkloadSpec, table: FrequencyTable, cfg: GovernorConfig,
-                  pm: PowerModel, noise) -> PolicyResult:
-    """Per-interval exhaustive optimum with perfect knowledge.
-
-    Requires the analytic workload; a parsed hardware trace cannot answer
-    what-if frequencies.  noise is the per-interval multiplicative factor
-    array, so the oracle judges the same realized frame times as the
-    policies it is compared with.
-    """
-    if not isinstance(spec, WorkloadSpec):
-        raise ValueError("oracle policy requires an analytic workload")
-    noise = np.asarray(noise)[:, None]
-    frame_ms = oracle_frame_times(spec, spec.complexity_schedule, table) * noise
-    freqs = np.asarray(table.freqs_mhz)
-    level = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)
-    return _policy_result("oracle", freqs[level],
-                          frame_ms[np.arange(len(level)), level], cfg, pm)
+    """The run's columns from the table level chosen in each interval and
+    the (intervals, levels) frame times."""
+    chosen = np.asarray(chosen, dtype=np.intp)
+    freqs, realized = levels[chosen], frame_ms[np.arange(chosen.size), chosen]
+    active = np.minimum(cfg.frames_per_interval * realized, cfg.period)
+    energies = interval_energy(pm.active_power(freqs), active, cfg.period, pm.p_idle)
+    return PolicyResult(policy, freqs, realized, energies, realized > cfg.frame_budget_ms)
 
 
 def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
              cfg: GovernorConfig, pm: PowerModel, seed: int = 0) -> PolicyResult:
     """Closed-loop run of one policy over the workload's schedule.
 
-    Each interval the policy picks a frequency, the workload realizes a
-    frame time there (noise drawn once per interval from the seed, shared
-    across policies), and the estimator behind the rls policy learns from
-    the realized sample.  Deterministic for a given (policy, spec, seed).
+    The workload's maps are evaluated once, into the (intervals, levels)
+    grid of frame times with noise drawn once per interval from the seed,
+    shared across policies.  Each policy only chooses a level per
+    interval, and the estimator behind the rls policy learns from each
+    realized sample.  Deterministic for a given (policy, spec, seed).
     Energy never feeds back into a decision, so it is computed after the
     loop.
     """
@@ -188,27 +159,28 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         noise = np.maximum(1.0 + rng.normal(0.0, spec.noise_sigma, size=n), 0.0)
     else:
         noise = np.ones(n)
+    columns = workload_columns(spec, schedule)
+    freqs = np.asarray(table.freqs_mhz)
+    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 noise is nan
+        frame_ms = frame_times(spec, columns[:, None, :], freqs) * noise[:, None]
+    if not (np.isfinite(columns).all() and np.isfinite(frame_ms).all()):
+        raise ValueError("non-finite counters or frame times")
 
     if policy == "oracle":
-        return oracle_policy(spec, table, cfg, pm, noise)
-    if n == 0:
-        return PolicyResult(policy=policy)
-
-    frame_ms = oracle_frame_times(spec, schedule, table) * noise[:, None]
+        chosen = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)
+        return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
     # each interval realizes one level's frame time; indexing a memoryview
-    # reads it as a Python float without a Python copy of the whole table
+    # reads it as a Python float without a Python copy of the whole grid
     realizable = memoryview(frame_ms)
+    chosen = []
     if policy == "ondemand":
-        n_frames = cfg.frames_per_interval
-        freqs, realized = [], []
         f = table.max
         for k in range(n):
-            t_real = realizable[k, table.index(f)]
-            freqs.append(f)
-            realized.append(t_real)
-            f = ondemand_policy_step(min(n_frames * t_real, cfg.period) / cfg.period, f,
-                                     table, cfg)
-        return _policy_result(policy, np.array(freqs), np.array(realized), cfg, pm)
+            chosen.append(table.index(f))
+            t_real = realizable[k, chosen[-1]]
+            f = ondemand_policy_step(min(cfg.frames_per_interval * t_real, cfg.period)
+                                     / cfg.period, f, table, cfg)
+        return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
 
     # rls: learn from each realized sample, then choose the next frequency
     a, P = rls_init(2 + len(spec.indep_counters))
@@ -216,20 +188,15 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     # values, and with them the estimator units and each interval's counter
     # deltas in those units, are known upfront; only the two frequency
     # entries of a feature row depend on the choices
-    x = workload_columns(spec, schedule)[:, 2 + len(spec.dep_counters):]
-    if not (np.isfinite(x).all() and np.isfinite(frame_ms).all()):
-        raise ValueError("non-finite counters or frame times in the rls run")
+    x = columns[:, 2 + len(spec.dep_counters):]
     h = np.empty((n, 2 + x.shape[1]))
     h[1:, 2:] = (x[1:] - x[:-1]) / estimator_units(x)[1:, 2:]
     levels = table.freqs_mhz
-    power = pm.active_power(np.asarray(levels)).tolist()
-
-    chosen, realized = [], []
+    power = pm.active_power(freqs).tolist()
     level = len(levels) - 1
     for k in range(n):
         chosen.append(level)
         f, t_real = levels[level], realizable[k, level]
-        realized.append(t_real)
         if k > 0:
             # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]
             dt, df = _frequency_terms(t_prev, f_prev, f)
@@ -239,4 +206,4 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         if k + 1 >= cfg.warmup_intervals:
             a0, a1 = a[:2].tolist()
             level = _rls_choice(a0, a1, t_real, f, levels, power, cfg, pm)
-    return _policy_result(policy, np.asarray(levels)[chosen], np.array(realized), cfg, pm)
+    return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)

@@ -2,9 +2,10 @@
 
 Everything here reads estimator coefficients without mutating them: the
 what-if delta for a candidate frequency and the numerical derivative of
-frame time with respect to frequency.  Coefficients come as rows, one
-(M,) vector or a replay's (n, M) coefficient history, and every function
-broadcasts over them.
+frame time with respect to frequency.  The delta takes the two frequency
+coefficients, as Python floats or as arrays it broadcasts over; the
+derivative takes coefficient rows, one (M,) vector or a replay's (n, M)
+coefficient history.
 
 Units: estimator coefficients see the frequency delta in GHz (see
 features.estimator_units), candidate frequencies arrive in MHz, and
@@ -19,24 +20,15 @@ from .features import MHZ_PER_GHZ
 from .trace import FrequencyTable
 
 
-def candidate_delta(a, prev_frame_time, f_k, f_new):
+def candidate_delta(a0, a1, prev_frame_time, f_k, f_new):
     """Predicted frame-time change (ms) if the clock moved from f_k to f_new.
 
-    Only the two frequency terms a[..., 0] and a[..., 1] contribute: the
-    online counters are frequency independent by construction, so their
-    deltas for a pure frequency change are zero.
-    """
-    if np.minimum(f_k, f_new).min() <= 0:
-        raise ValueError("frequencies must be > 0")
-    a = np.asarray(a, dtype=float)
-    return _candidate_delta(a[..., 0], a[..., 1], prev_frame_time, f_k, f_new)
-
-
-def _candidate_delta(a0, a1, prev_frame_time, f_k, f_new):
-    """candidate_delta from the two frequency coefficients, unchecked.
-
-    The same expression runs on arrays and on Python floats, which round
-    each operation alike, so a single row costs no numpy calls.
+    Only the two frequency coefficients a0 and a1 contribute: the online
+    counters are frequency independent by construction, so their deltas
+    for a pure frequency change are zero.  The same expression runs on
+    arrays and on Python floats, which round each operation alike, so a
+    single row costs no numpy calls.  Nothing is checked: the frequencies
+    are table levels, which FrequencyTable keeps positive.
     """
     return a0 * prev_frame_time * (f_k / f_new - 1.0) + a1 * (f_new - f_k) / MHZ_PER_GHZ
 
@@ -68,9 +60,9 @@ def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
     neighbor pair, so the secant toward the single neighbor is used.
     Returns (dtf_df, one_sided) arrays, one entry per coefficient row.
     """
+    a = np.asarray(a, dtype=float)
     prev_t, f_k, _ = np.broadcast_arrays(np.asarray(prev_frame_time, dtype=float),
-                                         np.asarray(f_k, dtype=float),
-                                         np.asarray(a, dtype=float)[..., 0])
+                                         np.asarray(f_k, dtype=float), a[..., 0])
     freqs = np.asarray(table.freqs_mhz)
     top_level = freqs.size - 1
     level = np.searchsorted(freqs, f_k)
@@ -78,8 +70,8 @@ def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
         raise ValueError("f_k must be frequency table entries")
     lower = freqs[np.maximum(level - 1, 0)]
     upper = freqs[np.minimum(level + 1, top_level)]
-    d_lo = candidate_delta(a, prev_t, f_k, lower)
-    d_hi = candidate_delta(a, prev_t, f_k, upper)
+    d_lo = candidate_delta(a[..., 0], a[..., 1], prev_t, f_k, lower)
+    d_hi = candidate_delta(a[..., 0], a[..., 1], prev_t, f_k, upper)
 
     bottom, top = level == 0, level == top_level
     inner = ~(bottom | top)

@@ -14,8 +14,9 @@ unscalable portion:
 where C is the frame complexity.  Counters are either frequency dependent
 (they track busy cycles and grow with f) or frequency independent (they
 depend on the workload only).  workload_columns is the one evaluation of
-the workload's maps; generated traces, the oracle frame-time grid, the
-governor's counters and the sensitivity reference all derive from it.
+the workload's maps; generated traces, the governor's frame-time grid
+and counters, and the sensitivity reference all derive from it, the
+frame times through frame_times.
 """
 
 from __future__ import annotations
@@ -278,7 +279,7 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
     complexity, and every other form of the analytic workload is this
     array broadcast against frequencies f (MHz):
 
-        frame time            s * ref_freq / f + u      (_frame_times)
+        frame time            s * ref_freq / f + u      (frame_times)
         d(frame time)/df      -s * ref_freq / (f * f)
         dep counter           base * (f / ref_freq)
         indep counter         base
@@ -307,18 +308,14 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
     return values[at]
 
 
-def _frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
+def frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
     """Noiseless frame time s * ref_freq / f + u in ms, from workload_columns
-    rows broadcast against f.  A value too large for a float is inf without
-    a numpy warning: Trace validation and the rls run reject it."""
+    rows broadcast against f: columns[:, None, :] against the table levels
+    gives the (complexities, levels) grid.  A value too large for a float
+    is inf without a numpy warning: Trace validation and governor.simulate
+    reject it."""
     with np.errstate(over="ignore"):
         return columns[..., 0] * spec.ref_freq / f + columns[..., 1]
-
-
-def oracle_frame_times(spec: WorkloadSpec, complexities, table: FrequencyTable) -> np.ndarray:
-    """Noiseless frame time for each complexity (rows) at each table level (columns)."""
-    columns = workload_columns(spec, complexities)
-    return _frame_times(spec, columns[:, None, :], np.asarray(table.freqs_mhz))
 
 
 FPS_CAP = 3  # most frames counted in one interval
@@ -334,7 +331,7 @@ def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Tra
     """
     f = np.asarray(f, dtype=float)
     columns = workload_columns(spec, c)
-    t = _frame_times(spec, columns, f)
+    t = frame_times(spec, columns, f)
     with np.errstate(over="ignore", divide="ignore"):
         if spec.noise_sigma > 0:
             t *= 1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.size)

@@ -10,7 +10,9 @@ The estimators written out in full are here too, as the references the
 estimator, replay and governor tests check the package's steps against:
 reference_rls, the covariance-form update, reference_dcd, the DCD-RLS
 update with its coordinate ladder, and reference_arlms, the AR baseline
-with its warm-up.  So is the analytic workload at one (complexity,
+with its warm-up; batch_ridge_solve, the closed form the RLS forms must
+reproduce at lambda = 1, and op_count, the paper's per-update operation
+counts of the two RLS forms.  So is the analytic workload at one (complexity,
 frequency) point, on Python floats, which the trace, governor and
 acceptance tests compare the package's columns with:
 reference_frame_time, reference_derivative and reference_counters.
@@ -85,6 +87,41 @@ def reference_arlms(frame_times):
         warm = len(history) == ARLMS_ORDER
         predictions.append(float(w @ np.array(history)) if warm else 0.0)
     return predictions
+
+
+def batch_ridge_solve(h_rows, targets, mu: float, a_init) -> np.ndarray:
+    """Direct minimizer of (a - a_init)' (mu I) (a - a_init) + sum (d - h'a)^2.
+
+    Solves (mu I + H'H) a = mu a_init + H'd.  This is the closed form the
+    recursive updates must match at lambda = 1, so it serves as the test
+    reference for them.
+    """
+    H = np.asarray(h_rows, dtype=float)
+    d = np.asarray(targets, dtype=float)
+    if H.ndim != 2 or H.shape[0] == 0:
+        raise ValueError("need a non-empty matrix of feature rows")
+    if d.shape != (H.shape[0],):
+        raise ValueError("targets must align with feature rows")
+    if not (math.isfinite(mu) and mu > 0):
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+    a0 = np.asarray(a_init, dtype=float)
+    m = H.shape[1]
+    if a0.shape != (m,):
+        raise ValueError(f"a_init has shape {a0.shape}, expected ({m},)")
+    A = mu * np.eye(m) + H.T @ H
+    b = mu * a0 + H.T @ d
+    return np.linalg.solve(A, b)
+
+
+def op_count(m: int, algo: str) -> int:
+    """Arithmetic operations per update: 2M^2 + 8M + 2 for rls, 17M for dcd_rls."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if algo == "rls":
+        return 2 * m * m + 8 * m + 2
+    if algo == "dcd_rls":
+        return 17 * m
+    raise ValueError(f"unknown algorithm {algo!r}")
 
 
 def reference_frame_time(spec, c, f):

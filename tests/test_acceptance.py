@@ -12,15 +12,15 @@ import pytest
 
 from frametime import cli, model
 from frametime.config import GovernorConfig, PowerModel
-from frametime.estimator import (batch_ridge_solve, dcd_rls_init, dcd_step, op_count,
-                                 rls_init, rls_step)
+from frametime.estimator import dcd_rls_init, dcd_step, rls_init, rls_step
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
                                 pearson_prune, select_features)
 from frametime.governor import simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
-from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, heavy_runs, light_runs,
-                       reference_derivative, reference_frame_time, sensitivity_run, shipped)
+from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, batch_ridge_solve, heavy_runs,
+                       light_runs, op_count, reference_derivative, reference_frame_time,
+                       sensitivity_run, shipped)
 
 SWEEP_TABLE = shipped("characterization").freq_table
 
@@ -150,7 +150,7 @@ def _candidate_apes(runtime_replay, jump):
             if not 0 <= i < len(SWEEP_TABLE):  # off the ladder; never wrap around
                 continue
             f_new = SWEEP_TABLE.freqs_mhz[i]
-            pred = t[r.k - 1] + model.candidate_delta(st, t[r.k - 1], r.f_k, f_new)
+            pred = t[r.k - 1] + model.candidate_delta(st[0], st[1], t[r.k - 1], r.f_k, f_new)
             truth = reference_frame_time(spec, c, f_new)
             apes.append(abs(pred - truth) / truth * 100.0)
     return apes

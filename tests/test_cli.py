@@ -501,10 +501,11 @@ class TestGovern:
          "points = 1:1e308, 32:1e308, 64:1e308", "row 1: fields must be finite"),
         (["characterize", "--mode", "runtime"], "slope = 50\nintercept = 500",
          "slope = 50\nintercept = 1e308", "row 1: fields must be finite"),
-        (["govern"], "points = 1:0.925, 32:7.2, 64:20.0",
-         "points = 1:1e308, 32:1e308, 64:1e308",
-         "non-finite counters or frame times in the rls run"),
-    ], ids=["characterize-frame-time", "characterize-dep-counter", "govern-frame-time"])
+        *((["govern", "--policy", policy], "points = 1:0.925, 32:7.2, 64:20.0",
+           "points = 1:1e308, 32:1e308, 64:1e308", "non-finite counters or frame times")
+          for policy in ("all", "rls", "oracle", "ondemand")),
+    ], ids=["characterize-frame-time", "characterize-dep-counter", "govern-frame-time",
+            "govern-rls-frame-time", "govern-oracle-frame-time", "govern-ondemand-frame-time"])
     def test_overflow_is_one_error_line(self, config_file, tmp_path, capsys, command, old,
                                         new, message):
         # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to inf

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from frametime.cli import CliError, run_replay
-from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, arlms_step,
-                                 batch_ridge_solve, dcd_rls_init, dcd_step, op_count,
-                                 rls_init, rls_step)
+from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, arlms_step, dcd_rls_init,
+                                 dcd_step, rls_init, rls_step)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
                                 estimator_units)
 from frametime.trace import FrequencyTable, Trace
-from scenarios import reference_dcd, reference_rls
+from scenarios import batch_ridge_solve, op_count, reference_dcd, reference_rls
 
 # mu values whose P = I/mu, or its doubling in (P + P')/2, is not finite,
 # or which make P zero so that the estimator never learns

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from frametime.config import GovernorConfig, PowerModel
 from frametime.estimator import rls_init
 from frametime.features import differential_features, estimator_units
-from frametime.governor import (PolicyResult, _cheapest_feasible, _cheapest_level,
-                                _rls_choice, interval_energy, ondemand_policy_step,
-                                oracle_policy, simulate)
-from frametime.trace import AffineMap, WorkloadSpec
+from frametime.governor import (_cheapest_feasible, _cheapest_level, _rls_choice,
+                                interval_energy, ondemand_policy_step, simulate)
+from frametime.trace import AffineMap, CounterModel, WorkloadSpec
 from scenarios import (heavy_runs, light_runs, reference_counters, reference_frame_time,
                        reference_rls, shipped)
 
@@ -30,25 +29,23 @@ def rls_choice(a0, a1, frame_time, freq, table=TABLE, cfg=CFG, pm=PM):
                               levels, power, cfg, pm)]
 
 
+def energy(f, active_ms, period_ms=50.0, pm=PM):
+    """interval_energy at f MHz under the power model pm."""
+    return interval_energy(pm.active_power(f), active_ms, period_ms, pm.p_idle)
+
+
 class TestIntervalEnergy:
     def test_fully_idle(self):
-        assert interval_energy(PM, 400.0, 0.0, 50.0) == pytest.approx(0.2 * 50.0 / 1000.0)
+        assert energy(400.0, 0.0) == pytest.approx(0.2 * 50.0 / 1000.0)
 
     def test_fully_active(self):
+        # the idle floor is irrelevant when active fills the period
         want = (0.5 + 8.0 * 0.4 ** 3) * 50.0 / 1000.0
-        assert interval_energy(PM, 400.0, 50.0, 50.0) == pytest.approx(want)
-        # idle floor is irrelevant when active fills the period
-        assert interval_energy(PM, 400.0, 80.0, 50.0) == pytest.approx(want)
+        assert energy(400.0, 50.0) == pytest.approx(want)
 
     def test_monotone_in_frequency(self):
-        energies = [interval_energy(PM, f, 30.0, 50.0) for f in TABLE]
+        energies = [energy(f, 30.0) for f in TABLE]
         assert all(b > a for a, b in zip(energies, energies[1:]))
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            interval_energy(PM, 400.0, -1.0, 50.0)
-        with pytest.raises(ValueError):
-            interval_energy(PM, 0.0, 1.0, 50.0)
 
 
 class TestRlsPolicyStep:
@@ -106,22 +103,22 @@ class TestOraclePolicy:
     def test_light_workload_constant_min_frequency(self):
         spec = WorkloadSpec((5.0,) * 30, AffineMap(0.0, 1.0), AffineMap(0.0, 3.0),
                             200.0, noise_sigma=0.0)
-        result = oracle_policy(spec, TABLE, CFG, PM, np.ones(30))
-        assert set(result.freq_schedule) == {TABLE.min}
+        result = simulate("oracle", spec, TABLE, CFG, PM)
+        assert set(result.freqs.tolist()) == {TABLE.min}
         assert result.fps_violations == 0
 
     @pytest.mark.parametrize("case", ["ones", "noisy_two_level"])
     def test_matches_brute_force_enumeration(self, case):
         if case == "ones":
-            spec = heavy_runs(12)["heavy_square_a"]
+            spec = replace(heavy_runs(12)["heavy_square_a"], noise_sigma=0.0)
             noise = np.ones(12)
         else:
             # two complexities; the seed leaves two intervals infeasible at
             # every level, so the top-level fallback is taken
-            spec = replace(heavy_runs(24)["heavy_square_b"],
+            spec = replace(heavy_runs(24)["heavy_square_b"], noise_sigma=0.25,
                            complexity_schedule=(37.0, 56.0) * 12)
             noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
-        result = oracle_policy(spec, TABLE, CFG, PM, noise)
+        result = simulate("oracle", spec, TABLE, CFG, PM, seed=4)
         budget = CFG.frame_budget_ms
         fallbacks = 0
         for k, c in enumerate(spec.complexity_schedule):
@@ -130,18 +127,14 @@ class TestOraclePolicy:
             feasible_found = False
             for f in TABLE:
                 t = reference_frame_time(spec, c, f) * noise[k]
-                e = interval_energy(PM, f, min(3 * t, CFG.period), CFG.period)
+                e = energy(f, min(3 * t, CFG.period), CFG.period)
                 if t <= budget and (best_e is None or e < best_e):
                     best_f, best_e, feasible_found = f, e, True
             if not feasible_found:
                 best_f = TABLE.max
                 fallbacks += 1
-            assert result.freq_schedule[k] == best_f
+            assert result.freqs[k] == best_f
         assert fallbacks == (0 if case == "ones" else 2)
-
-    def test_requires_analytic_workload(self):
-        with pytest.raises(ValueError):
-            oracle_policy("not a workload", TABLE, CFG, PM, np.ones(1))
 
     def test_oracle_never_beaten(self):
         for name, spec in heavy_runs(60).items():
@@ -151,20 +144,57 @@ class TestOraclePolicy:
             assert res["oracle"].total_energy <= res["ondemand"].total_energy
 
 
-class TestSimulate:
-    def test_empty_schedule(self):
-        spec = WorkloadSpec((), AffineMap(0.0, 1.0), AffineMap(0.0, 1.0), 200.0)
-        result = simulate("rls", spec, TABLE, CFG, PM, seed=0)
-        assert result.freq_schedule == []
-        assert result.total_energy == 0.0
+@st.composite
+def affine_runs(draw):
+    """A small affine workload with one indep counter, a schedule of 0 to
+    30 intervals over four complexities, its noise level, and a seed."""
+    coef = lambda hi: st.floats(0.0, hi, allow_subnormal=False)
+    spec = WorkloadSpec(
+        draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), max_size=30)),
+        AffineMap(draw(coef(0.5)), draw(coef(5.0))), AffineMap(draw(coef(0.1)), draw(coef(2.0))),
+        200.0, indep_counters=(CounterModel("units", "indep",
+                                            AffineMap(draw(coef(10.0)), draw(coef(100.0)))),),
+        noise_sigma=draw(coef(0.1)))
+    return spec, draw(st.integers(0, 2 ** 32 - 1))
 
+
+EMPTY_RUN = WorkloadSpec((), AffineMap(0.0, 1.0), AffineMap(0.0, 1.0), 200.0)
+
+
+class TestPolicyResultColumns:
+    @settings(max_examples=25, deadline=None)
+    @given(affine_runs())
+    @example((EMPTY_RUN, 0))
+    def test_columns_agree(self, run):
+        spec, seed = run
+        schedule = spec.complexity_schedule
+        n = len(schedule)
+        noise = np.maximum(1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=n),
+                           0.0)
+        for policy in ("rls", "oracle", "ondemand"):
+            r = simulate(policy, spec, TABLE, CFG, PM, seed=seed)
+            assert all(c.shape == (n,) for c in (r.freqs, r.frame_ms, r.energies, r.violations))
+            assert set(r.freqs.tolist()) <= set(TABLE.freqs_mhz)
+            # the noisy grid at the chosen level
+            assert r.frame_ms.tolist() == [reference_frame_time(spec, c, f) * z for c, f, z
+                                           in zip(schedule, r.freqs.tolist(), noise.tolist())]
+            active = np.minimum(CFG.frames_per_interval * r.frame_ms, CFG.period)
+            want = interval_energy(PM.active_power(r.freqs), active, CFG.period, PM.p_idle)
+            assert r.energies.tobytes() == want.tobytes()
+            assert r.violations.tolist() == (r.frame_ms > CFG.frame_budget_ms).tolist()
+            assert r.fps_violations == sum(r.violations.tolist())
+            assert r.total_energy == sum(r.energies.tolist())
+            if not schedule:
+                assert r.total_energy == 0.0
+
+
+class TestSimulate:
     def test_deterministic_per_seed(self):
         spec = light_runs(80)["light_square"]
         a = simulate("rls", spec, TABLE, CFG, PM, seed=5)
         b = simulate("rls", spec, TABLE, CFG, PM, seed=5)
-        assert a.freq_schedule == b.freq_schedule
-        assert a.energies == b.energies
-        assert a.per_interval_log == b.per_interval_log
+        for name in ("freqs", "frame_ms", "energies", "violations"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_energy_decomposition_exact(self):
         spec = heavy_runs(50)["heavy_steady"]
@@ -176,17 +206,17 @@ class TestSimulate:
         spec = heavy_runs(40)["heavy_square_b"]
         result = simulate("rls", spec, TABLE, CFG, PM, seed=2)
         budget = CFG.frame_budget_ms
-        want = sum(1 for row in result.per_interval_log if row[3] > budget)
+        want = sum(1 for t in result.frame_ms.tolist() if t > budget)
         assert result.fps_violations == want
-        for row in result.per_interval_log:
-            assert row[5] == (row[3] > budget)
+        for t, violation in zip(result.frame_ms.tolist(), result.violations.tolist()):
+            assert violation == (t > budget)
 
     def test_rls_and_oracle_agree_on_light_load(self):
         spec = light_runs(200)["light_square"]
         rls = simulate("rls", spec, TABLE, CFG, PM, seed=4)
         oracle = simulate("oracle", spec, TABLE, CFG, PM, seed=4)
         warm = CFG.warmup_intervals
-        agree = sum(1 for a, b in zip(rls.freq_schedule[warm:], oracle.freq_schedule[warm:])
+        agree = sum(1 for a, b in zip(rls.freqs[warm:].tolist(), oracle.freqs[warm:].tolist())
                     if a == b)
         assert agree / (200 - warm) > 0.95
 
@@ -221,10 +251,10 @@ class TestSimulate:
                 a, P = reference_rls(a, P, h / units[k], t_real - realized[-2], 1.0)
             f = (table.max if k + 1 < cfg.warmup_intervals
                  else rls_choice(a[0], a[1], t_real, f, table, cfg, pm))
-        assert result.freq_schedule == freqs
-        want = interval_energy(pm, freqs, cfg.frames_per_interval * np.array(realized),
-                               cfg.period)
-        assert result.energies == want.tolist()
+        assert result.freqs.tolist() == freqs
+        active = np.minimum(cfg.frames_per_interval * np.array(realized), cfg.period)
+        want = interval_energy(pm.active_power(np.array(freqs)), active, cfg.period, pm.p_idle)
+        assert result.energies.tolist() == want.tolist()
         assert len(set(freqs)) > 2  # the schedule is not one clock
 
     @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
@@ -237,12 +267,16 @@ class TestSimulate:
         with pytest.raises(ValueError, match=message):
             simulate(policy, spec, TABLE, CFG, PM, seed=0)
 
-    def test_rls_rejects_non_finite_frame_times(self):
-        # scalable_ms * ref_freq overflows to inf at every level
-        spec = WorkloadSpec((5.0,) * 20, AffineMap(0.0, 1e308), AffineMap(0.0, 1.0),
-                            200.0, noise_sigma=0.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            simulate("rls", spec, TABLE, CFG, PM, seed=0)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
+    def test_rejects_non_finite_frame_times(self, policy):
+        # scalable_ms * ref_freq overflows to inf at every level; at sigma 1
+        # some noise factors clip to 0, and inf * 0 is nan
+        for sigma in (0.0, 1.0):
+            spec = WorkloadSpec((5.0,) * 20, AffineMap(0.0, 1e308), AffineMap(0.0, 1.0),
+                                200.0, noise_sigma=sigma)
+            with pytest.raises(ValueError, match="non-finite"):
+                simulate(policy, spec, TABLE, CFG, PM, seed=0)
 
     def test_unknown_policy(self):
         spec = light_runs(10)["light_square"]

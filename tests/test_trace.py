@@ -12,9 +12,8 @@ from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
                              CounterModel, FieldValueError, FrequencyTable, HashNoiseMap,
                              PiecewiseLinearMap, Trace, TraceParseError,
                              UnknownFrequencyError, WorkloadSpec,
-                             generate_characterization, generate_runtime,
-                             oracle_frame_times, parse_trace, serialize_trace,
-                             workload_columns)
+                             frame_times, generate_characterization, generate_runtime,
+                             parse_trace, serialize_trace, workload_columns)
 from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
 from scenarios import reference_counters, reference_derivative, reference_frame_time
@@ -227,8 +226,8 @@ class TestParse:
 
 
 def frame_times_at(spec, c, freqs):
-    """oracle_frame_times at one complexity, over a table of freqs."""
-    return oracle_frame_times(spec, [c], FrequencyTable(tuple(freqs)))[0]
+    """frame_times at one complexity, over a table of freqs."""
+    return frame_times(spec, workload_columns(spec, [c])[0], np.asarray(freqs, dtype=float))
 
 
 class TestOracleFrameTime:
@@ -265,7 +264,8 @@ class TestOracleFrameTime:
 
     def test_grid_equals_reference_bitwise(self, char_workload, sweep_table):
         schedule = char_workload.complexity_schedule[::7]
-        grid = oracle_frame_times(char_workload, schedule, sweep_table)
+        grid = frame_times(char_workload, workload_columns(char_workload, schedule)[:, None, :],
+                           np.asarray(sweep_table.freqs_mhz))
         assert grid.tolist() == [[reference_frame_time(char_workload, c, f)
                                    for f in sweep_table] for c in schedule]
 

@@ -84,6 +84,14 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
     # the frame budget, where the governor configs (sigma 0.01) rarely go
     steps.append(("govern-runtime", ["govern", *char, "--policy", "all",
                                      "--out", "govern-runtime.csv", *seeded]))
+    # one policy a run: each of simulate's choosers alone, and the output
+    # without normalized_energy lines
+    for policy in ("rls", "oracle", "ondemand"):
+        steps.append((f"govern-heavy-{policy}", ["govern", "--config",
+                                                 "configs/governor_heavy.ini",
+                                                 "--policy", policy,
+                                                 "--out", f"govern-heavy-{policy}.csv",
+                                                 *seeded]))
     return steps
 
 
