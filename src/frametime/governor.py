@@ -17,21 +17,28 @@ The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
 
-An rls interval makes one estimator step (estimator.rls_step, whose BLAS
-reductions set the rounding) and asks model.candidate_delta one what-if
-question per table level; neither checks anything.  In a steady
-interval, at the same clock and complexity as the last, the feature row
-is all zeros, and at lambda = 1 the step then returns the state at once,
-as the full update would leave it bit for bit.  The questions and the
-cheapest-feasible choice among their answers run on Python floats
-(_rls_choice), which round each operation as numpy's elementwise
-operations do, so the choice equals the oracle's matrix rule
-(_cheapest_feasible) bit for bit.
+The rls and ondemand policies choose one held run at a time
+(_held_runs): a stretch of consecutive intervals at one clock level,
+which ends after the first interval whose choice leaves the level and,
+for rls, just before the next interval whose independent counters move,
+which the counter columns give upfront.  At the start of a run the rls
+policy makes its one estimator step (estimator.rls_step, whose BLAS
+reductions set the rounding), then asks model.candidate_delta about
+every interval of the run against every table level in one array call
+and chooses by the oracle's matrix rule (_cheapest_feasible); ondemand's
+threshold rule is one np.where over the run's utilizations.  A run
+longer than RUN_WINDOW intervals is asked one window at a time.  A held
+run gives, bit for bit, what one interval at a time gives, for three
+reasons.  Inside a run every feature row after the first is all zeros
+(the clock term t (f/f - 1) is +0.0, the clock step 0, and no counter
+moves), and at lambda = 1 rls_step returns its state unchanged on such a
+row.  candidate_delta rounds alike on arrays and on Python floats.  And
+_cheapest_feasible gives each row the choice of the one-row rule.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,13 @@ from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import rls_init, rls_step
 from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
 from .trace import FrequencyTable, WorkloadSpec, frame_times, workload_columns
+
+# Intervals of one held run asked at once.  Up to about this many rows a
+# question costs little more than one row does (numpy's per-call cost
+# dominates), and the cap keeps a run that departs early from paying for
+# the intervals after it: without it, a choice that flips every few
+# intervals on a long steady stretch costs time quadratic in the stretch.
+RUN_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -86,45 +100,27 @@ def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorCon
     return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
 
 
-def _cheapest_level(frame_ms: list, power: list, cfg: GovernorConfig,
-                    pm: PowerModel) -> int:
-    """_cheapest_feasible for one row of Python floats.
+def _held_runs(n: int, level: int, moves: list, answer) -> np.ndarray:
+    """Table level of each of n intervals, chosen one held run at a time.
 
-    A level count this small costs less on floats than in numpy calls.
-    The first level of strictly least energy wins, as argmin picks.
+    A held run is a stretch of intervals at one level; the first starts at
+    interval 0 at `level`.  answer(s, stop, level, last) gives, for each
+    interval s..stop-1 held at `level`, the level it chooses for the next
+    interval; `last` is the level of interval s - 1.  stop is the first
+    entry of `moves` (sorted, n last) after s, or s + RUN_WINDOW if that
+    comes first.  A run ends after the first interval whose choice leaves
+    the level, and is asked again from stop if it holds that far.
     """
-    n_frames, period, budget = cfg.frames_per_interval, cfg.period, cfg.frame_budget_ms
-    level, least = len(power) - 1, math.inf
-    for i, (t, p) in enumerate(zip(frame_ms, power)):
-        # the budget is positive, so clamping t at 0 first decides nothing
-        if t <= budget:
-            active = min(n_frames * max(t, 0.0), period)
-            energy = interval_energy(p, active, period, pm.p_idle)
-            if energy < least:
-                level, least = i, energy
-    return level
-
-
-def _rls_choice(a0: float, a1: float, t: float, f: float, levels, power: list,
-                cfg: GovernorConfig, pm: PowerModel) -> int:
-    """Level of the rls policy's choice from frequency coefficients a0, a1,
-    the last frame time t ms at f MHz, the table levels and their active
-    power, all on Python floats."""
-    return _cheapest_level([t + model.candidate_delta(a0, a1, t, f, g) for g in levels],
-                           power, cfg, pm)
-
-
-def ondemand_policy_step(utilization: float, current_f: float,
-                         table: FrequencyTable, cfg: GovernorConfig) -> float:
-    """Utilization-threshold rule: saturate to max, step down, or hold."""
-    if not 0 <= utilization <= 1:
-        raise ValueError("utilization must be in [0, 1]")
-    if utilization > cfg.up_threshold:
-        return table.max
-    if utilization < cfg.down_threshold:
-        i = table.index(current_f)
-        return table.freqs_mhz[max(i - 1, 0)]
-    return current_f
+    chosen = np.empty(n, dtype=np.intp)
+    s, last = 0, level
+    while s < n:
+        stop = min(moves[bisect.bisect_right(moves, s)], s + RUN_WINDOW)
+        choices = answer(s, stop, level, last)
+        leave = np.flatnonzero(choices != level)
+        end = s + int(leave[0]) + 1 if leave.size else stop
+        chosen[s:end] = level
+        s, last, level = end, level, int(choices[end - 1 - s])
+    return chosen
 
 
 def _policy_result(policy: str, levels: np.ndarray, frame_ms: np.ndarray, chosen,
@@ -169,20 +165,18 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     if policy == "oracle":
         chosen = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)
         return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
-    # each interval realizes one level's frame time; indexing a memoryview
-    # reads it as a Python float without a Python copy of the whole grid
-    realizable = memoryview(frame_ms)
-    chosen = []
+    levels, top = table.freqs_mhz, len(table) - 1
     if policy == "ondemand":
-        f = table.max
-        for k in range(n):
-            chosen.append(table.index(f))
-            t_real = realizable[k, chosen[-1]]
-            f = ondemand_policy_step(min(cfg.frames_per_interval * t_real, cfg.period)
-                                     / cfg.period, f, table, cfg)
-        return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
+        # saturate to the top level, step one level down, or hold
+        def answer(s, stop, level, last):
+            busy = np.minimum(cfg.frames_per_interval * frame_ms[s:stop, level],
+                              cfg.period) / cfg.period
+            return np.where(busy > cfg.up_threshold, top,
+                            np.where(busy < cfg.down_threshold, max(level - 1, 0), level))
 
-    # rls: learn from each realized sample, then choose the next frequency
+        return _policy_result(policy, freqs, frame_ms, _held_runs(n, top, [n], answer), cfg, pm)
+
+    # rls: learn from each realized sample, then choose the next level
     a, P = rls_init(2 + len(spec.indep_counters))
     # independent counters depend on the complexity only, so the whole run's
     # values, and with them the estimator units and each interval's counter
@@ -191,19 +185,23 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     x = columns[:, 2 + len(spec.dep_counters):]
     h = np.empty((n, 2 + x.shape[1]))
     h[1:, 2:] = (x[1:] - x[:-1]) / estimator_units(x)[1:, 2:]
-    levels = table.freqs_mhz
-    power = pm.active_power(freqs).tolist()
-    level = len(levels) - 1
-    for k in range(n):
-        chosen.append(level)
-        f, t_real = levels[level], realizable[k, level]
-        if k > 0:
+    moves = (np.flatnonzero(h[1:, 2:].any(axis=1)) + 1).tolist() + [n]
+    power = pm.active_power(freqs)
+    warm = cfg.warmup_intervals - 1   # the first interval whose choice counts
+
+    def answer(s, stop, level, last):
+        nonlocal a, P
+        f, t = levels[level], frame_ms[s:stop, level, None]
+        if s > 0:
             # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]
-            dt, df = _frequency_terms(t_prev, f_prev, f)
-            h[k, 0], h[k, 1] = dt, df / MHZ_PER_GHZ
-            a, P, _ = rls_step(a, P, h[k], t_real - t_prev)
-        t_prev, f_prev = t_real, f
-        if k + 1 >= cfg.warmup_intervals:
-            a0, a1 = a[:2].tolist()
-            level = _rls_choice(a0, a1, t_real, f, levels, power, cfg, pm)
-    return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
+            t_prev = frame_ms[s - 1, last]
+            dt, df = _frequency_terms(t_prev, levels[last], f)
+            h[s, 0], h[s, 1] = dt, df / MHZ_PER_GHZ
+            a, P, _ = rls_step(a, P, h[s], t[0, 0] - t_prev)
+        a0, a1 = a[:2].tolist()
+        choices = _cheapest_feasible(t + model.candidate_delta(a0, a1, t, f, freqs),
+                                     power, cfg, pm)
+        choices[:max(warm - s, 0)] = level
+        return choices
+
+    return _policy_result(policy, freqs, frame_ms, _held_runs(n, top, moves, answer), cfg, pm)

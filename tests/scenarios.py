@@ -10,7 +10,10 @@ The estimators written out in full are here too, as the references the
 estimator, replay and governor tests check the package's steps against:
 reference_rls, the covariance-form update, reference_dcd, the DCD-RLS
 update with its coordinate ladder, and reference_arlms, the AR baseline
-with its warm-up; batch_ridge_solve, the closed form the RLS forms must
+with its warm-up; the governor's closed loops one interval at a time,
+reference_rls_policy (with reference_rls_choice) and reference_ondemand,
+the one-row choice rule reference_cheapest_level and the noise draw
+reference_noise; batch_ridge_solve, the closed form the RLS forms must
 reproduce at lambda = 1, and op_count, the paper's per-update operation
 counts of the two RLS forms.  So is the analytic workload at one (complexity,
 frequency) point, on Python floats, which the trace, governor and
@@ -26,7 +29,8 @@ import numpy as np
 
 from frametime.config import load_config, parse_schedule
 from frametime.estimator import (ARLMS_EPS, ARLMS_ORDER, ARLMS_STEP_SIZE,
-                                 DCD_STEP_AMPLITUDE)
+                                 DCD_STEP_AMPLITUDE, rls_init)
+from frametime.features import MHZ_PER_GHZ, differential_features, estimator_units
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
 from frametime.workloads import random_walk_freqs
 
@@ -45,6 +49,85 @@ def reference_rls(a, P, h, d, lam):
     P = (P - np.outer(G, Ph)) / lam
     P = (P + P.T) / 2.0
     return a + G * err, P
+
+
+def reference_noise(spec, seed):
+    """The per-interval noise factors a governor run at this seed draws,
+    max(1 + N(0, noise_sigma), 0), as Python floats."""
+    n = len(spec.complexity_schedule)
+    return np.maximum(1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=n),
+                      0.0).tolist()
+
+
+def reference_cheapest_level(frame_ms, power, cfg, pm):
+    """The governor's choice for one row of predicted frame times (ms), one
+    level at a time on Python floats: among the levels within the frame
+    budget, the first of least interval energy at its active power (W),
+    else the top level."""
+    level, least = len(power) - 1, math.inf
+    for i, (t, p) in enumerate(zip(frame_ms, power)):
+        if t <= cfg.frame_budget_ms:
+            active = min(cfg.frames_per_interval * max(t, 0.0), cfg.period)
+            energy = (p * active + pm.p_idle * (cfg.period - active)) / 1000.0
+            if energy < least:
+                level, least = i, energy
+    return level
+
+
+def reference_rls_choice(a0, a1, t, f, table, cfg, pm):
+    """The level the rls policy chooses after a frame time of t ms at f MHz,
+    from its frequency coefficients a0, a1: reference_cheapest_level on the
+    what-if frame time t + a0 t (f/g - 1) + a1 (g - f)/1000 at each level g."""
+    levels = table.freqs_mhz
+    predicted = [t + (a0 * t * (f / g - 1.0) + a1 * (g - f) / MHZ_PER_GHZ) for g in levels]
+    return reference_cheapest_level(predicted, pm.active_power(np.asarray(levels)).tolist(),
+                                    cfg, pm)
+
+
+def reference_rls_policy(spec, table, cfg, pm, seed):
+    """The rls policy's closed loop, one interval at a time: from the top
+    level, each interval realizes its frame time, then (from the second)
+    makes a full reference_rls update on its differential feature row in
+    estimator units, then (from interval warmup_intervals - 1) chooses the
+    next level by reference_rls_choice.  Returns the frequencies and the
+    realized frame times, as lists."""
+    schedule = spec.complexity_schedule
+    n_dep, n_indep = len(spec.dep_counters), len(spec.indep_counters)
+    x = np.array([reference_counters(spec, c, table.max)[n_dep:] for c in schedule])
+    x = x.reshape(len(schedule), n_indep)
+    units = estimator_units(x)
+    (a, P), f, freqs, realized = rls_init(n_indep + 2), table.max, [], []
+    for k, (c, z) in enumerate(zip(schedule, reference_noise(spec, seed))):
+        t = reference_frame_time(spec, c, f) * z
+        freqs.append(f)
+        realized.append(t)
+        if k > 0:
+            h = differential_features(realized[-2], freqs[-2], f, x[k] - x[k - 1])
+            a, P = reference_rls(a, P, h / units[k], t - realized[-2], 1.0)
+        if k + 1 >= cfg.warmup_intervals:
+            f = table.freqs_mhz[reference_rls_choice(float(a[0]), float(a[1]), t, f,
+                                                     table, cfg, pm)]
+    return freqs, realized
+
+
+def reference_ondemand(spec, table, cfg, seed):
+    """The ondemand policy's closed loop, one interval at a time: from the
+    top level, an interval whose utilization min(frames * t, period) /
+    period is above up_threshold moves to the top level, one below
+    down_threshold one level down (the bottom level stays), any other
+    holds.  Returns the frequencies and the realized frame times, as lists."""
+    levels = table.freqs_mhz
+    level, freqs, realized = len(levels) - 1, [], []
+    for c, z in zip(spec.complexity_schedule, reference_noise(spec, seed)):
+        t = reference_frame_time(spec, c, levels[level]) * z
+        freqs.append(levels[level])
+        realized.append(t)
+        busy = min(cfg.frames_per_interval * t, cfg.period) / cfg.period
+        if busy > cfg.up_threshold:
+            level = len(levels) - 1
+        elif busy < cfg.down_threshold:
+            level = max(level - 1, 0)
+    return freqs, realized
 
 
 def reference_dcd(a, R, beta, h, d, lam, nu, mb):

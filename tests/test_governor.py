@@ -6,27 +6,33 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frametime.config import GovernorConfig, PowerModel
-from frametime.estimator import rls_init
-from frametime.features import differential_features, estimator_units
-from frametime.governor import (_cheapest_feasible, _cheapest_level, _rls_choice,
-                                interval_energy, ondemand_policy_step, simulate)
+from frametime.governor import RUN_WINDOW, _cheapest_feasible, interval_energy, simulate
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
-from scenarios import (heavy_runs, light_runs, reference_counters, reference_frame_time,
-                       reference_rls, shipped)
+from scenarios import (heavy_runs, light_runs, reference_cheapest_level, reference_frame_time,
+                       reference_noise, reference_ondemand, reference_rls_choice,
+                       reference_rls_policy, shipped)
 
 
+HEAVY = shipped("governor_heavy").workload
 TABLE = shipped("governor_heavy").freq_table
 CFG = GovernorConfig()
 PM = PowerModel()
 
 
-def rls_choice(a0, a1, frame_time, freq, table=TABLE, cfg=CFG, pm=PM):
+def rls_choice(a0, a1, frame_time, freq):
     """The rls policy's frequency from frequency coefficients a0, a1 and the
-    last frame time at freq."""
-    levels = table.freqs_mhz
-    power = pm.active_power(np.asarray(levels)).tolist()
-    return levels[_rls_choice(float(a0), float(a1), float(frame_time), float(freq),
-                              levels, power, cfg, pm)]
+    last frame time at freq, by the one-interval reference."""
+    return TABLE.freqs_mhz[reference_rls_choice(a0, a1, frame_time, freq, TABLE, CFG, PM)]
+
+
+def reference_columns(freqs, frame_ms, cfg, pm):
+    """A reference loop's frequencies and realized frame times as the four
+    PolicyResult columns, energy and violations computed as simulate's."""
+    freqs, frame_ms = np.array(freqs, dtype=float), np.array(frame_ms, dtype=float)
+    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period)
+    return {"freqs": freqs, "frame_ms": frame_ms,
+            "energies": interval_energy(pm.active_power(freqs), active, cfg.period, pm.p_idle),
+            "violations": frame_ms > cfg.frame_budget_ms}
 
 
 def energy(f, active_ms, period_ms=50.0, pm=PM):
@@ -75,28 +81,40 @@ class TestRlsPolicyStep:
         # a frame time on the budget is feasible, levels at zero frame time
         # tie in energy, and a row above the budget everywhere takes the
         # top-level fallback
-        frame_ms = np.array(rows)
         power = PM.active_power(np.asarray(TABLE.freqs_mhz))
-        matrix = _cheapest_feasible(frame_ms, power, CFG, PM)
-        assert ([_cheapest_level(row, power.tolist(), CFG, PM) for row in rows]
+        matrix = _cheapest_feasible(np.array(rows), power, CFG, PM)
+        assert ([reference_cheapest_level(row, power.tolist(), CFG, PM) for row in rows]
                 == matrix.tolist())
+
+
+def ondemand_freqs(schedule, cfg=CFG):
+    """simulate("ondemand")'s frequencies on a noiseless workload whose frame
+    time is c * 200 / f ms, so that its utilization under the default config
+    is min(12 c / f, 1): c = 1 steps down at any level, c = 20 holds from
+    311 MHz up, and c = 40 saturates at any level."""
+    spec = WorkloadSpec(tuple(schedule), AffineMap(1.0, 0.0), AffineMap(0.0, 0.0), 200.0,
+                        noise_sigma=0.0)
+    return simulate("ondemand", spec, TABLE, cfg, PM).freqs.tolist()
 
 
 class TestOndemand:
     def test_saturation(self):
-        assert ondemand_policy_step(1.0, 311.0, TABLE, CFG) == TABLE.max
-        assert ondemand_policy_step(0.81, 311.0, TABLE, CFG) == TABLE.max
+        # from 400 MHz back to the top in one step, and held there
+        assert ondemand_freqs([1.0] * 3 + [40.0] * 3) == [511.0, 489.0, 444.0, 400.0, 511.0, 511.0]
 
     def test_step_down(self):
-        assert ondemand_policy_step(0.1, 355.0, TABLE, CFG) == 311.0
-        assert ondemand_policy_step(0.1, TABLE.min, TABLE, CFG) == TABLE.min
+        assert ondemand_freqs([1.0] * 4) == [511.0, 489.0, 444.0, 400.0]
+
+    def test_clamp_at_bottom(self):
+        assert ondemand_freqs([1.0] * 11) == list(TABLE.freqs_mhz[::-1]) + [200.0] * 2
 
     def test_hold_band(self):
-        assert ondemand_policy_step(0.5, 355.0, TABLE, CFG) == 355.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            ondemand_policy_step(1.2, 355.0, TABLE, CFG)
+        assert ondemand_freqs([1.0] * 2 + [20.0] * 5) == [511.0, 489.0] + [444.0] * 5
+        # both thresholds belong to the band: c = 25 at 400 MHz is 0.75 exactly
+        held = [511.0, 489.0, 444.0] + [400.0] * 3
+        for up, down in [(0.75, 0.3), (0.9, 0.75)]:
+            cfg = replace(CFG, up_threshold=up, down_threshold=down)
+            assert ondemand_freqs([1.0] * 3 + [25.0] * 3, cfg) == held
 
 
 class TestOraclePolicy:
@@ -169,15 +187,14 @@ class TestPolicyResultColumns:
         spec, seed = run
         schedule = spec.complexity_schedule
         n = len(schedule)
-        noise = np.maximum(1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=n),
-                           0.0)
+        noise = reference_noise(spec, seed)
         for policy in ("rls", "oracle", "ondemand"):
             r = simulate(policy, spec, TABLE, CFG, PM, seed=seed)
             assert all(c.shape == (n,) for c in (r.freqs, r.frame_ms, r.energies, r.violations))
             assert set(r.freqs.tolist()) <= set(TABLE.freqs_mhz)
             # the noisy grid at the chosen level
             assert r.frame_ms.tolist() == [reference_frame_time(spec, c, f) * z for c, f, z
-                                           in zip(schedule, r.freqs.tolist(), noise.tolist())]
+                                           in zip(schedule, r.freqs.tolist(), noise)]
             active = np.minimum(CFG.frames_per_interval * r.frame_ms, CFG.period)
             want = interval_energy(PM.active_power(r.freqs), active, CFG.period, PM.p_idle)
             assert r.energies.tobytes() == want.tobytes()
@@ -186,6 +203,52 @@ class TestPolicyResultColumns:
             assert r.total_energy == sum(r.energies.tolist())
             if not schedule:
                 assert r.total_energy == 0.0
+
+
+@st.composite
+def governed_runs(draw):
+    """An affine workload with one indep counter, its seed and a governor
+    config.  The schedule is a few held complexities, each held for up to
+    RUN_WINDOW + 30 intervals, or a ramp whose counters move every
+    interval; noise up to sigma 0.3 makes the choices flip often."""
+    coef = lambda lo, hi: st.floats(lo, hi, allow_subnormal=False)
+    if draw(st.booleans()):
+        holds = draw(st.lists(st.tuples(st.sampled_from([10.0, 20.0, 30.0, 40.0]),
+                                        st.integers(1, RUN_WINDOW + 30)), max_size=4))
+        schedule = tuple(c for c, hold in holds for _ in range(hold))
+    else:
+        schedule = tuple(10.0 + 0.25 * k for k in range(draw(st.integers(1, 120))))
+    spec = WorkloadSpec(
+        schedule, AffineMap(draw(coef(0.0, 0.5)), draw(coef(0.0, 5.0))),
+        AffineMap(draw(coef(0.0, 0.1)), draw(coef(0.0, 2.0))), 200.0,
+        indep_counters=(CounterModel("units", "indep",
+                                     AffineMap(draw(coef(0.1, 10.0)), draw(coef(0.0, 100.0)))),),
+        noise_sigma=draw(coef(0.0, 0.3)))
+    down = draw(coef(0.01, 0.9))
+    cfg = GovernorConfig(fps_target=draw(st.sampled_from([30.0, 60.0, 90.0])),
+                         up_threshold=draw(coef(down + 0.01, 1.0)), down_threshold=down,
+                         warmup_intervals=draw(st.sampled_from([-3, 0, 1, 10,
+                                                                len(schedule) + 1])))
+    return spec, draw(st.integers(0, 2 ** 32 - 1)), cfg
+
+
+
+class TestHeldRuns:
+    @settings(max_examples=80, deadline=None)
+    @given(governed_runs())
+    @example((EMPTY_RUN, 0, CFG))
+    # a counter move at interval 9, the first whose choice counts
+    @example((replace(HEAVY, complexity_schedule=(32.0,) * 9 + (42.0,) * 9), 1, CFG))
+    # the first run leaves the top level on interval 9, just before a move
+    @example((replace(HEAVY, complexity_schedule=(32.0,) * 10 + (42.0,) * 10), 1, CFG))
+    def test_equals_one_interval_at_a_time(self, run):
+        spec, seed, cfg = run
+        for policy, (freqs, frame_ms) in [
+                ("rls", reference_rls_policy(spec, TABLE, cfg, PM, seed)),
+                ("ondemand", reference_ondemand(spec, TABLE, cfg, seed))]:
+            result = simulate(policy, spec, TABLE, cfg, PM, seed=seed)
+            for name, want in reference_columns(freqs, frame_ms, cfg, PM).items():
+                assert getattr(result, name).tobytes() == want.tobytes(), (policy, name)
 
 
 class TestSimulate:
@@ -231,31 +294,24 @@ class TestSimulate:
             spec = replace(spec, noise_sigma=sigma)
         cfg, pm, seed = bundle.governor, bundle.power_model, 1
         result = simulate("rls", spec, table, cfg, pm, seed=seed)
-
-        schedule = spec.complexity_schedule
-        noise = np.maximum(1.0 + np.random.default_rng(seed).normal(
-            0.0, spec.noise_sigma, size=len(schedule)), 0.0)
-        n_dep = len(spec.dep_counters)
-        x = np.array([reference_counters(spec, c, table.max)[n_dep:] for c in schedule])
-        units = estimator_units(x)
-        # the updates run through the full reference formula, which has
+        # the reference's updates run through the full formula, which has
         # no shortcut for zero rows, so a wrong skip in the package's
         # update shows here
-        (a, P), f, freqs, realized = rls_init(x.shape[1] + 2), table.max, [], []
-        for k, c in enumerate(schedule):
-            t_real = reference_frame_time(spec, c, f) * noise[k]
-            freqs.append(f)
-            realized.append(t_real)
-            if k > 0:
-                h = differential_features(realized[-2], freqs[-2], f, x[k] - x[k - 1])
-                a, P = reference_rls(a, P, h / units[k], t_real - realized[-2], 1.0)
-            f = (table.max if k + 1 < cfg.warmup_intervals
-                 else rls_choice(a[0], a[1], t_real, f, table, cfg, pm))
+        freqs, realized = reference_rls_policy(spec, table, cfg, pm, seed)
         assert result.freqs.tolist() == freqs
-        active = np.minimum(cfg.frames_per_interval * np.array(realized), cfg.period)
-        want = interval_energy(pm.active_power(np.array(freqs)), active, cfg.period, pm.p_idle)
-        assert result.energies.tolist() == want.tolist()
+        want = reference_columns(freqs, realized, cfg, pm)
+        assert result.energies.tolist() == want["energies"].tolist()
         assert len(set(freqs)) > 2  # the schedule is not one clock
+
+    def test_counter_move_at_unchanged_clock_asks_again(self):
+        # interval 2 moves the counters at the 278 MHz that interval 1 chose;
+        # the estimator step on that counter-only row moves the choice for
+        # interval 3 to 244 MHz, where the held state would keep 278 MHz
+        spec = replace(HEAVY, noise_sigma=0.0, complexity_schedule=(30.0, 32.0, 30.0, 42.0))
+        cfg = replace(CFG, warmup_intervals=0)
+        freqs = simulate("rls", spec, TABLE, cfg, PM).freqs.tolist()
+        assert freqs == reference_rls_policy(spec, TABLE, cfg, PM, 0)[0]
+        assert freqs == [511.0, 278.0, 278.0, 244.0]
 
     @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
     def test_rejects_what_generation_rejects(self, policy):
