@@ -260,8 +260,13 @@ def _parse_counter(name: str, section) -> CounterModel:
 
 def load_config(path) -> ConfigBundle:
     """Read a config file into a validated bundle of simulation inputs."""
-    cp = configparser.ConfigParser()
-    read = cp.read(str(path))
+    # no interpolation: a % in a value is literal, and a number check rejects it
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(str(path))
+    except configparser.Error as exc:
+        # its messages span lines; the error is reported on one
+        raise ConfigError(f"bad config {path}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 

@@ -218,12 +218,25 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
 # Exact L1 path and its cross-validation
 
 def _standardize(h: np.ndarray, y: np.ndarray):
-    # a constant column centers to exact zeros even where its mean rounds
-    x_mean = np.where(np.ptp(h, axis=0) == 0, h[0], h.mean(axis=0))
-    x_std = h.std(axis=0)
-    x_std = np.where(x_std == 0, 1.0, x_std)
+    """(X, yc, x_mean, x_std, y_mean): the columns of h centred and scaled
+    by their population std (1 where that is 0), and y centred.
+
+    One pass with numpy's own mean and std arithmetic, sum / n and
+    sqrt(sum(c * c) / n) with c = h - mean, so x_std is h.std(axis=0) bit
+    for bit.  A constant column is then centred on its first value, so it
+    is exact zeros even where its mean rounds off that value.
+    """
+    n = h.shape[0]
+    x_mean = h.sum(axis=0) / n
+    X = h - x_mean
+    x_std = np.sqrt((X * X).sum(axis=0) / n)
+    const = (h == h[0]).all(axis=0)
+    x_mean[const] = h[0, const]
+    X[:, const] = h[:, const] - x_mean[const]
+    x_std[x_std == 0] = 1.0
+    X /= x_std
     y_mean = y.mean()
-    return (h - x_mean) / x_std, y - y_mean, x_mean, x_std, y_mean
+    return X, y - y_mean, x_mean, x_std, y_mean
 
 
 def _raises_rank(R: np.ndarray, active: list[int], j: int) -> bool:
@@ -265,41 +278,42 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     lams, knots = [lam], [a.copy()]
     active: list[int] = []
     dropped = None
-    while lam > lam_min:
-        d = np.zeros(m)  # coefficient change per unit decrease of lam
-        if active:
-            d[active] = np.linalg.solve(gram[np.ix_(active, active)], signs[active])
-        w = gram @ d     # correlation change per unit decrease of lam
-        step, join, leave = lam - lam_min, None, None
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # np.where computes the quotients it masks out too, and those may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lam > lam_min:
+            d = np.zeros(m)  # coefficient change per unit decrease of lam
+            if active:
+                d[active] = np.linalg.solve(gram[active][:, active], signs[active])
+            w = gram @ d     # correlation change per unit decrease of lam
+            step, join, leave = lam - lam_min, None, None
             up = np.where(w < 1, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
             down = np.where(w > -1, np.maximum(lam + c, 0.0) / (1.0 + w), np.inf)
             hit = np.where(d != 0, -a / d, np.inf)
-        if dropped is not None:
-            # it left with |c| = lam and may only come back with the other sign
-            (up if signs[dropped] > 0 else down)[dropped] = np.inf
-        gamma = np.minimum(up, down)
-        for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
-            if gamma[j] >= step:
-                break
-            if _raises_rank(R, active, j):
-                step, join = gamma[j], j
-                break
-        for j in active:
-            if 0 < hit[j] < step:
-                step, join, leave = hit[j], None, j
-        a += step * d
-        lam = lam - step if join is not None or leave is not None else lam_min
-        c = xy - gram @ a
-        dropped = leave
-        if join is not None:
-            active.append(join)
-            signs[join] = 1.0 if up[join] <= down[join] else -1.0
-        if leave is not None:
-            active.remove(leave)
-            a[leave] = 0.0
-        lams.append(lam)
-        knots.append(a.copy())
+            if dropped is not None:
+                # it left with |c| = lam and may only come back with the other sign
+                (up if signs[dropped] > 0 else down)[dropped] = np.inf
+            gamma = np.minimum(up, down)
+            for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
+                if gamma[j] >= step:
+                    break
+                if _raises_rank(R, active, j):
+                    step, join = gamma[j], j
+                    break
+            for j in active:
+                if 0 < hit[j] < step:
+                    step, join, leave = hit[j], None, j
+            a += step * d
+            lam = lam - step if join is not None or leave is not None else lam_min
+            c = xy - gram @ a
+            dropped = leave
+            if join is not None:
+                active.append(join)
+                signs[join] = 1.0 if up[join] <= down[join] else -1.0
+            if leave is not None:
+                active.remove(leave)
+                a[leave] = 0.0
+            lams.append(lam)
+            knots.append(a.copy())
     return np.array(lams), np.array(knots)
 
 
@@ -309,6 +323,11 @@ def default_eta_grid(dataset: RegressionDataset) -> np.ndarray:
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     X, yc, _, _, _ = _standardize(dataset.h, dataset.targets)
+    return _eta_grid(X, yc)
+
+
+def _eta_grid(X: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """default_eta_grid from the standardized data."""
     eta_max = 2.0 * float(np.max(np.abs(X.T @ yc)))
     if eta_max == 0:
         eta_max = 1.0
@@ -321,31 +340,34 @@ def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
     Rows are serially correlated, so folds are contiguous blocks rather
     than shuffled rows; the result is deterministic.  Inputs are
     standardized per fit (the penalty applies to standardized
-    coefficients; coefs come back in the original feature units).  Each
+    coefficients; coefs come back in the original feature units); the
+    full data is standardized once, for the grid and its own fit.  Each
     fold and the full data take one exact path, read at every penalty.
     """
     n = len(dataset)
     if n < CV_FOLDS:
         raise ValueError(f"dataset has {n} rows, fewer than {CV_FOLDS} folds")
-    etas = default_eta_grid(dataset)
+    full = _standardize(dataset.h, dataset.targets)
+    etas = _eta_grid(full[0], full[1])
 
-    def fit(h, y):
-        X, yc, x_mean, x_std, y_mean = _standardize(h, y)
+    def fit(X, yc, x_mean, x_std, y_mean):
         lams, knots = _lasso_path(X, yc, etas[-1] / 2.0)
         a = np.column_stack([np.interp(etas / 2.0, lams[::-1], col[::-1]) for col in knots.T])
         coefs = a / x_std
         return coefs, y_mean - coefs @ x_mean
+
+    coefs_path, _ = fit(*full)
+    del full    # so that no fold's standardized copy sits beside it
 
     bounds = np.linspace(0, n, CV_FOLDS + 1, dtype=int)
     fold_mse = np.empty((etas.size, CV_FOLDS))
     for k in range(CV_FOLDS):
         test = np.zeros(n, dtype=bool)
         test[bounds[k]:bounds[k + 1]] = True
-        coefs, intercepts = fit(dataset.h[~test], dataset.targets[~test])
+        coefs, intercepts = fit(*_standardize(dataset.h[~test], dataset.targets[~test]))
         err = dataset.targets[test, None] - (dataset.h[test] @ coefs.T + intercepts)
         fold_mse[:, k] = np.mean(err * err, axis=0)
 
-    coefs_path, _ = fit(dataset.h, dataset.targets)
     return LassoPath(
         etas=etas,
         coefs=coefs_path,

@@ -85,9 +85,6 @@ class FrequencyTable:
     def max(self) -> float:
         return self.freqs_mhz[-1]
 
-    def index(self, f: float) -> int:
-        return self.freqs_mhz.index(float(f))
-
 
 DEFAULT_FREQ_TABLE = FrequencyTable(DEFAULT_FREQS_MHZ)
 
@@ -381,7 +378,8 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 # Trace file format
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
-_BLOCK_ROWS = 256  # rows per numpy call when parsing, per value table when serializing
+_BLOCK_ROWS = 256        # rows per numpy call when parsing
+_SERIALIZE_ROWS = 512    # rows per value table when serializing; more grow the heap's peak
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -391,29 +389,26 @@ def serialize_trace(trace: Trace) -> str:
     The first line is a comment recording the frequency table so the file
     is self-describing; then the header row, then one row per interval.
     Each value is the repr of a Python float or int, which parses back to
-    the same number; the columns go through tolist() because the repr of
+    the same number; the values go through tolist() because the repr of
     a numpy scalar reads np.float64(...).  Frequency, frame count and
-    counter columns hold few distinct values, so each block of _BLOCK_ROWS
-    rows formats each distinct value of a column once, keyed by its bit
-    pattern so that -0.0 stays apart from 0.0; the block bounds the size
-    of those tables.
+    counter columns hold few distinct values, so each block of
+    _SERIALIZE_ROWS rows formats each distinct value of a column once:
+    np.unique on the column's bit patterns, so that -0.0 stays apart from
+    0.0, gives the values and each cell's index into their strings.  The
+    block bounds the size of those tables and of the cell array.
     """
     lines = [f"{_TABLE_COMMENT} " + ",".join(repr(f) for f in trace.freq_table)]
     lines.append(",".join(_FIXED_COLUMNS + trace.counter_names))
     columns = [trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
                *trace.counters.T]
-    for start in range(0, len(trace), _BLOCK_ROWS):
-        cells = []
-        for column in columns:
-            block = column[start:start + _BLOCK_ROWS]
-            keys = block.view(np.int64).tolist()
-            values = dict(zip(keys, block.tolist()))
-            if len(values) == len(keys):    # no repeats: the values are in row order
-                cells.append(map(repr, values.values()))
-                continue
-            strs = dict(zip(values, map(repr, values.values())))
-            cells.append(map(strs.__getitem__, keys))
-        lines.extend(map(",".join, zip(*cells)))
+    for start in range(0, len(trace), _SERIALIZE_ROWS):
+        cells = np.empty((min(_SERIALIZE_ROWS, len(trace) - start), len(columns)), object)
+        for j, column in enumerate(columns):
+            block = column[start:start + _SERIALIZE_ROWS]
+            keys, at = np.unique(block.view(np.int64), return_inverse=True)
+            strs = np.array(list(map(repr, keys.view(block.dtype).tolist())), object)
+            cells[:, j] = strs[at]
+        lines.append("\n".join(map(",".join, cells.tolist())))
     return "\n".join(lines) + "\n"
 
 

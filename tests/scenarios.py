@@ -19,6 +19,11 @@ counts of the two RLS forms.  So is the analytic workload at one (complexity,
 frequency) point, on Python floats, which the trace, governor and
 acceptance tests compare the package's columns with:
 reference_frame_time, reference_derivative and reference_counters.
+Two more references keep earlier forms of package code whose output must
+not change: reference_serialize, the trace serializer with one dict of
+formatted values per block column, and reference_standardize, the
+column standardization of the lasso fits written with numpy's mean, std
+and ptp.
 """
 
 import math
@@ -205,6 +210,36 @@ def op_count(m: int, algo: str) -> int:
     if algo == "dcd_rls":
         return 17 * m
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def reference_serialize(trace):
+    """The trace log format, one dict of reprs per column of each block of
+    256 rows, keyed by bit pattern so that -0.0 stays apart from 0.0."""
+    lines = ["# freq_table_mhz = " + ",".join(repr(f) for f in trace.freq_table),
+             ",".join(("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
+                      + trace.counter_names)]
+    columns = [trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
+               *trace.counters.T]
+    for start in range(0, len(trace), 256):
+        cells = []
+        for column in columns:
+            block = column[start:start + 256]
+            keys = block.view(np.int64).tolist()
+            strs = {key: repr(value) for key, value in zip(keys, block.tolist())}
+            cells.append([strs[key] for key in keys])
+        lines.extend(",".join(row) for row in zip(*cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_standardize(h, y):
+    """(X, yc, x_mean, x_std, y_mean) of the lasso fits: a constant column
+    (zero range) is centred on its first value, any other on its mean; the
+    columns are divided by their population std, or by 1 where it is 0."""
+    x_mean = np.where(np.ptp(h, axis=0) == 0, h[0], h.mean(axis=0))
+    x_std = h.std(axis=0)
+    x_std = np.where(x_std == 0, 1.0, x_std)
+    y_mean = y.mean()
+    return (h - x_mean) / x_std, y - y_mean, x_mean, x_std, y_mean
 
 
 def reference_frame_time(spec, c, f):

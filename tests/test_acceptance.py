@@ -146,7 +146,7 @@ def _candidate_apes(runtime_replay, jump):
     apes = []
     for r, st, c in _same_complexity_rows(spec, result.rows, states, 500):
         for direction in (+1, -1):
-            i = SWEEP_TABLE.index(r.f_k) + direction * jump
+            i = SWEEP_TABLE.freqs_mhz.index(r.f_k) + direction * jump
             if not 0 <= i < len(SWEEP_TABLE):  # off the ladder; never wrap around
                 continue
             f_new = SWEEP_TABLE.freqs_mhz[i]

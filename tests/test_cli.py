@@ -281,6 +281,25 @@ class TestCharacterize:
                      "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("old, new", [
+        ("[frequency_table]\n", ""),
+        ("[power_model]", "[governor]"),
+        ("fps_target = 60", "fps_target = 60\nfps_target = 30"),
+        ("period_ms = 50", "period_ms = 50\nno equals sign"),
+        ("slope = 0.02", "slope = 5%"),
+        ("slope = 0.02", "slope = %(intercept)s"),
+    ], ids=["no_section_header", "duplicate_section", "duplicate_option", "no_equals",
+            "percent_sign", "interpolation"])
+    def test_malformed_config_exit2(self, config_file, tmp_path, capsys, old, new):
+        assert CONFIG_TEXT.count(old) == 1
+        config_file.write_text(config_file.read_text().replace(old, new))
+        out = tmp_path / "sweep.csv"
+        code = main(["characterize", "--config", str(config_file), "--out", str(out)])
+        assert code == EXIT_INPUT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("old, new, named", [
         ("complexities = 1:16", "complexities = 1,nan,3", "complexities"),
         ("complexities = 1:16", "complexities = 1:nan", "complexities"),

@@ -14,6 +14,7 @@ from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDat
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
                              WorkloadSpec, generate_runtime)
+from scenarios import reference_standardize
 
 
 def make_trace(frame_times, freqs, counters, table=None):
@@ -154,6 +155,44 @@ class TestDifferentialFeatures:
         assert rows.shape == (11, 5)
         for i in range(11):
             assert np.array_equal(rows[i], differential_features(t[i], f[i], f[i + 1], dx[i]))
+
+
+@st.composite
+def standardize_inputs(draw):
+    """(h, y): columns that spread at one magnitude from 1e-300 to 1e300,
+    that hold one value, or that mix 0.0 with -0.0; n from 1 up."""
+    n = draw(st.integers(1, 30))
+    rows = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["spread", "constant", "zeros"]))
+        if kind == "spread":
+            scale = 10.0 ** draw(st.integers(-300, 300))
+            columns.append([v * scale for v in draw(rows)])
+        elif kind == "constant":
+            columns.append([draw(st.floats(-1e300, 1e300))] * n)
+        else:
+            columns.append(draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=n,
+                                         max_size=n)))
+    h = np.ascontiguousarray(np.array(columns).T)
+    return (np.asfortranarray(h) if draw(st.booleans()) else h), np.array(draw(rows))
+
+
+class TestStandardize:
+    @settings(max_examples=200, deadline=None)
+    @given(standardize_inputs())
+    @example((np.full((3, 1), 0.1), np.zeros(3)))      # the mean, 0.10000000000000002
+    @example((np.array([[0.0, -0.0], [-0.0, -0.0], [0.0, -0.0]]), np.ones(3)))
+    @example((np.array([[1e300, 1e-300, 5.0]]), np.array([2.0])))
+    @example((np.array([[1e300, -1e-300], [-1e300, 1e-300], [1e300, 3e-300]]),
+              np.array([1e300, -1e300, 0.5])))
+    def test_equals_reference_bitwise(self, case):
+        h, y = case
+        with np.errstate(all="ignore"):
+            got, want = _standardize(h, y), reference_standardize(h, y)
+        for g, w in zip(got, want):
+            assert np.shape(g) == np.shape(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestLassoFit:

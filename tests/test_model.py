@@ -186,7 +186,7 @@ class TestFrequencySensitivity:
         table, a, prev_t, f_k = case
         dtf, one_sided = frequency_sensitivity(a, prev_t, f_k, table)
         for row, t, f, got, side in zip(a, prev_t.tolist(), f_k.tolist(), dtf, one_sided):
-            i = table.index(f)
+            i = table.freqs_mhz.index(f)
             lower = table.freqs_mhz[i - 1] if i > 0 else None  # no wrap to the top
             upper = table.freqs_mhz[i + 1] if i + 1 < len(table) else None
             if lower is None or upper is None:

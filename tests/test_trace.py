@@ -16,7 +16,8 @@ from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
                              parse_trace, serialize_trace, workload_columns)
 from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
-from scenarios import reference_counters, reference_derivative, reference_frame_time
+from scenarios import (reference_counters, reference_derivative, reference_frame_time,
+                       reference_serialize)
 
 SPELLINGS = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}", "{:+.6E}\t"]
 # line breaks to str.splitlines, and not to a text-mode file
@@ -198,7 +199,7 @@ class TestParse:
             from_file = outcome(fh)
         assert outcome(text) == from_file
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 600, 2600])
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
     def test_serialization_is_repr_per_cell(self, n, seed, k):
@@ -217,6 +218,24 @@ class TestParse:
         lines += [",".join(map(repr, row)) for row in zip(*columns)]
         # compared line by line, so that a mismatch names its line
         assert serialize_trace(trace).split("\n") == lines + [""]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 2200) | st.sampled_from([511, 512, 513, 1024, 1025]),
+           seed=st.integers(0, 2**32 - 1), k=st.integers(0, 3),
+           pool=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4))
+    @example(n=1025, seed=0, k=1, pool=[])
+    def test_serialization_equals_reference(self, n, seed, k, pool):
+        # cells drawn from a few values, 0.0 and -0.0 among them, so that
+        # values repeat within and across blocks
+        rng = np.random.default_rng(seed)
+        pool = np.array(pool + [0.0, -0.0])
+        trace = Trace(np.arange(1, n + 1) * 0.05, rng.choice(pool, size=n),
+                      rng.integers(0, 4, size=n), rng.choice(DEFAULT_FREQS_MHZ, size=n),
+                      rng.choice(pool, size=(n, k)), tuple(f"c{j}" for j in range(k)),
+                      FrequencyTable(DEFAULT_FREQS_MHZ))
+        text = serialize_trace(trace)
+        assert text.encode() == reference_serialize(trace).encode()
+        assert parse_trace(text) == trace
 
     def test_embedded_table_used(self):
         rng = np.random.default_rng(3)
