@@ -89,6 +89,13 @@ class MetricsReport:
     excluded_terms: int            # zero-actual points dropped from APE
 
 
+def _ape(actual, predicted):
+    """Absolute percentage error of each prediction, nan where the actual is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(actual != 0, np.abs(actual - predicted) / np.abs(actual) * 100.0,
+                        np.nan)
+
+
 def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport:
     """Accuracy summary of a prediction series against its reference.
 
@@ -104,8 +111,7 @@ def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport
 
     nonzero = actual != 0
     excluded = int(np.count_nonzero(~nonzero))
-    ape = np.full(actual.size, np.inf)
-    ape[nonzero] = np.abs(actual[nonzero] - predicted[nonzero]) / np.abs(actual[nonzero]) * 100.0
+    ape = _ape(actual, predicted)
 
     finite_ape = ape[nonzero]
     mape = float(finite_ape.mean()) if finite_ape.size else float("inf")
@@ -131,7 +137,8 @@ def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport
         nrmse = 0.0 if rmse == 0 else float("inf")
 
     # zero padding sums each window in order, equal to slice means bitwise;
-    # a running cumsum would let one inf term make every later mean nan
+    # a running cumsum would let one inf term make every later mean nan.
+    # A window holding a zero actual's nan term does not settle.
     padded = np.concatenate([np.zeros(CONVERGENCE_WINDOW - 1), ape])
     rolling = (sliding_window_view(padded, CONVERGENCE_WINDOW).sum(axis=1)
                / np.minimum(np.arange(1, ape.size + 1), CONVERGENCE_WINDOW))
@@ -146,25 +153,26 @@ def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport
 # ---------------------------------------------------------------------------
 # Replay driver
 
-ROW_FIELDS = ("k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df", "one_sided")
+ROW_FIELDS = ("k", "f_k", "t_base", "t_actual", "t_pred", "abs_pct_err", "dtf_df",
+              "one_sided")
 
 
 @dataclass(frozen=True)
 class ReplayResult:
     rows: np.recarray             # a record per prediction, fields ROW_FIELDS; nan
-                                  # abs_pct_err at t_actual 0, nan dtf_df for AR
+                                  # abs_pct_err at t_actual 0, nan t_base and dtf_df
+                                  # for AR
     report: MetricsReport
     coefs: np.ndarray | None      # (rows, M) coefficients each row was predicted
                                   # with; None for the AR baseline
 
 
-def _replay_result(trace: Trace, k, predicted, dtf, one_sided, coefs) -> ReplayResult:
+def _replay_result(trace: Trace, k, t_base, predicted, dtf, one_sided,
+                   coefs) -> ReplayResult:
     """Rows for the intervals k predicted as `predicted`, and their metrics."""
     actual = trace.frame_times[k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ape = np.where(actual != 0, np.abs(actual - predicted) / actual * 100.0, np.nan)
-    rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf, one_sided],
-                             names=ROW_FIELDS)
+    rows = np.rec.fromarrays([k, trace.freqs[k], t_base, actual, predicted,
+                              _ape(actual, predicted), dtf, one_sided], names=ROW_FIELDS)
     report = compute_metrics(actual, predicted, period_ms=trace.period)
     return ReplayResult(rows, report, coefs)
 
@@ -199,11 +207,13 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
             a, *carry, deltas[i] = step(a, *carry, h[i], target)
     deltas[~moves & ~np.isfinite(coefs).all(axis=1)] = np.nan
 
-    t = trace.frame_times
-    predicted = np.maximum(t[:-1] + deltas, 0.0)
-    dtf, one_sided = model.frequency_sensitivity(coefs, t[:-1], trace.freqs[1:],
+    # row k's anchor: its prediction, derivative and what-ifs start from it
+    t_base = trace.frame_times[:-1]
+    predicted = np.maximum(t_base + deltas, 0.0)
+    dtf, one_sided = model.frequency_sensitivity(coefs, t_base, trace.freqs[1:],
                                                  trace.freq_table)
-    return _replay_result(trace, np.arange(1, len(trace)), predicted, dtf, one_sided, coefs)
+    return _replay_result(trace, np.arange(1, len(trace)), t_base, predicted, dtf,
+                          one_sided, coefs)
 
 
 def _replay_arlms(trace: Trace):
@@ -218,8 +228,9 @@ def _replay_arlms(trace: Trace):
     w = np.zeros(order)
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
         w, predicted[i] = estimator.arlms_step(w, hist, t_k)
-    return _replay_result(trace, k, predicted, np.full(k.size, np.nan),
-                          np.zeros(k.size, dtype=bool), None)
+    blank = np.full(k.size, np.nan)
+    return _replay_result(trace, k, blank, predicted, blank, np.zeros(k.size, dtype=bool),
+                          None)
 
 
 def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> ReplayResult:
@@ -376,11 +387,12 @@ def cmd_sensitivity(args) -> int:
               file=sys.stderr)
         jumps = max_span
 
-    level, valid, delta = _what_if(trace, result.coefs, jumps)
+    rows, n = result.rows, len(result.rows)
+    level, valid, delta = model.what_if(result.coefs, rows.t_base, rows.f_k,
+                                        trace.freq_table, jumps)
     header = ["k", "f_k", "dtf_df", "one_sided"]
     for j in range(1, jumps + 1):
         header += [f"delta_up{j}", f"delta_down{j}"]
-    rows, n = result.rows, len(result.rows)
     _write_csv(args.out, header,
                [_column(rows.k, "%d"), _column(rows.f_k, "%g"), _column(rows.dtf_df, "%.8g"),
                 _column(rows.one_sided, "%d"),
@@ -391,25 +403,6 @@ def cmd_sensitivity(args) -> int:
     if bundle is not None:
         _sensitivity_summary(trace, bundle, result, level, valid, delta)
     return 0
-
-
-def _what_if(trace, coefs, jumps):
-    """Predicted frame-time deltas for every row and candidate table level.
-
-    Returns (level, valid, delta), each (rows, jumps, 2): jump j up, then
-    down.  A candidate beyond the table edge is not valid; its level is
-    clipped to the edge, so its delta is only a placeholder.
-    """
-    freqs = np.asarray(trace.freq_table.freqs_mhz)
-    t = trace.frame_times
-    f_k = trace.freqs[1:]
-    steps = np.arange(1, jumps + 1)[:, None] * np.array([1, -1])
-    target = np.searchsorted(freqs, f_k)[:, None, None] + steps
-    valid = (target >= 0) & (target < freqs.size)
-    level = np.clip(target, 0, freqs.size - 1)
-    delta = model.candidate_delta(coefs[:, None, None, 0], coefs[:, None, None, 1],
-                                  t[:-1, None, None], f_k[:, None, None], freqs[level])
-    return level, valid, delta
 
 
 def _sample_complexities(trace, bundle):
@@ -461,9 +454,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     truth = frame_times(spec, columns[:, None, None, :],
                         np.asarray(trace.freq_table.freqs_mhz)[level])
     scored = valid & steady[:, None, None] & (truth > 0)
-    pred = trace.frame_times[:-1, None, None] + delta
-    ape = np.zeros(delta.shape)
-    ape[scored] = np.abs(pred[scored] - truth[scored]) / truth[scored] * 100.0
+    ape = _ape(truth, result.rows.t_base[:, None, None] + delta)
     for j in range(level.shape[1]):
         apes = ape[:, j][scored[:, j]]
         if apes.size:

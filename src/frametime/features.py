@@ -317,25 +317,10 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     return np.array(lams), np.array(knots)
 
 
-def default_eta_grid(dataset: RegressionDataset) -> np.ndarray:
-    """Descending log grid of ETA_GRID_POINTS penalties from the smallest
-    all-zero penalty down to ETA_GRID_RATIO times it."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    X, yc, _, _, _ = _standardize(dataset.h, dataset.targets)
-    return _eta_grid(X, yc)
-
-
-def _eta_grid(X: np.ndarray, yc: np.ndarray) -> np.ndarray:
-    """default_eta_grid from the standardized data."""
-    eta_max = 2.0 * float(np.max(np.abs(X.T @ yc)))
-    if eta_max == 0:
-        eta_max = 1.0
-    return np.geomspace(eta_max, eta_max * ETA_GRID_RATIO, ETA_GRID_POINTS)
-
-
 def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
-    """Held-out MSE along default_eta_grid with CV_FOLDS contiguous time blocks.
+    """Held-out MSE with CV_FOLDS contiguous time blocks along a descending
+    log grid of ETA_GRID_POINTS penalties (LassoPath.etas), from the smallest
+    all-zero penalty of the standardized data down to ETA_GRID_RATIO times it.
 
     Rows are serially correlated, so folds are contiguous blocks rather
     than shuffled rows; the result is deterministic.  Inputs are
@@ -348,7 +333,8 @@ def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
     if n < CV_FOLDS:
         raise ValueError(f"dataset has {n} rows, fewer than {CV_FOLDS} folds")
     full = _standardize(dataset.h, dataset.targets)
-    etas = _eta_grid(full[0], full[1])
+    eta_max = 2.0 * float(np.max(np.abs(full[0].T @ full[1]))) or 1.0
+    etas = np.geomspace(eta_max, eta_max * ETA_GRID_RATIO, ETA_GRID_POINTS)
 
     def fit(X, yc, x_mean, x_std, y_mean):
         lams, knots = _lasso_path(X, yc, etas[-1] / 2.0)

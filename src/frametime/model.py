@@ -1,11 +1,13 @@
 """Frame-time what-if deltas and frequency sensitivity.
 
 Everything here reads estimator coefficients without mutating them: the
-what-if delta for a candidate frequency and the numerical derivative of
-frame time with respect to frequency.  The delta takes the two frequency
-coefficients, as Python floats or as arrays it broadcasts over; the
-derivative takes coefficient rows, one (M,) vector or a replay's (n, M)
-coefficient history.
+what-if delta for a candidate frequency, the what-if at the table levels
+around each row's clock (the one map from a clock to its neighbouring
+levels), and the numerical derivative of frame time with respect to
+frequency, read off the one-level what-if.  The delta takes the two
+frequency coefficients, as Python floats or as arrays it broadcasts over;
+the derivative takes coefficient rows, one (M,) vector or a replay's
+(n, M) coefficient history.
 
 Units: estimator coefficients see the frequency delta in GHz (see
 features.estimator_units), candidate frequencies arrive in MHz, and
@@ -51,6 +53,32 @@ def three_point_derivative(t_lo, t_mid, t_hi, df1, df2):
     return float(out) if out.ndim == 0 else out
 
 
+def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
+    """Predicted frame-time deltas from each row's clock to the table levels
+    1..jumps above and below it.
+
+    Row i moves from f_k[i], with frame time base[i], under coefficients
+    a[i], or a itself if it is one (M,) row.  Returns (level, valid, delta),
+    each (rows, jumps, 2): jump j up, then down.  A candidate beyond the
+    table edge is not valid; its level is held at the edge, so its delta
+    is only a placeholder.
+    """
+    a = np.asarray(a, dtype=float)
+    f_k = np.asarray(f_k, dtype=float)
+    freqs = np.asarray(table.freqs_mhz)
+    top_level = freqs.size - 1
+    at = np.searchsorted(freqs, f_k)
+    if np.any(freqs[np.minimum(at, top_level)] != f_k):
+        raise ValueError("f_k must be frequency table entries")
+    # computed as (jumps, 2, rows), so numpy's loops run along the rows
+    target = np.add.outer(np.arange(1, jumps + 1)[:, None] * np.array([1, -1]), at)
+    level = np.minimum(np.maximum(target, 0), top_level)
+    delta = candidate_delta(a[..., 0], a[..., 1], np.asarray(base, dtype=float), f_k,
+                            freqs[level])
+    rows_first = (*range(2, target.ndim), 0, 1)
+    return tuple(x.transpose(rows_first) for x in (level, level == target, delta))
+
+
 def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
     """d(frame time)/d(frequency) at each row's f_k, in ms per MHz.
 
@@ -58,22 +86,17 @@ def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
     frame times one table level down, at f_k, and one level up, which
     handles uneven level spacing.  At the table edges there is no
     neighbor pair, so the secant toward the single neighbor is used.
-    Returns (dtf_df, one_sided) arrays, one entry per coefficient row.
+    Both read what_if's one-level answer.  Returns (dtf_df, one_sided)
+    arrays, one entry per coefficient row.
     """
     a = np.asarray(a, dtype=float)
     prev_t, f_k, _ = np.broadcast_arrays(np.asarray(prev_frame_time, dtype=float),
                                          np.asarray(f_k, dtype=float), a[..., 0])
+    level, valid, delta = what_if(a, prev_t, f_k, table, 1)
+    d_hi, d_lo = delta[..., 0, 0], delta[..., 0, 1]
     freqs = np.asarray(table.freqs_mhz)
-    top_level = freqs.size - 1
-    level = np.searchsorted(freqs, f_k)
-    if np.any(freqs[np.minimum(level, top_level)] != f_k):
-        raise ValueError("f_k must be frequency table entries")
-    lower = freqs[np.maximum(level - 1, 0)]
-    upper = freqs[np.minimum(level + 1, top_level)]
-    d_lo = candidate_delta(a[..., 0], a[..., 1], prev_t, f_k, lower)
-    d_hi = candidate_delta(a[..., 0], a[..., 1], prev_t, f_k, upper)
-
-    bottom, top = level == 0, level == top_level
+    upper, lower = freqs[level[..., 0, 0]], freqs[level[..., 0, 1]]
+    top, bottom = ~valid[..., 0, 0], ~valid[..., 0, 1]
     inner = ~(bottom | top)
     dtf = np.empty(f_k.shape)
     dtf[bottom] = d_hi[bottom] / (upper - f_k)[bottom]

@@ -19,6 +19,7 @@ from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  rls_init)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
+from frametime.model import candidate_delta, three_point_derivative
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
                              generate_runtime, parse_trace, serialize_trace)
 from scenarios import (reference_arlms, reference_dcd, reference_rls, sensitivity_run,
@@ -438,6 +439,39 @@ class TestSensitivity:
             f_k = float(cells[1])
             one_sided = cells[3] == "1"
             assert one_sided == (f_k in (TABLE.min, TABLE.max))
+
+    def test_deltas_and_derivative_share_the_replay_anchor(self, tmp_path, capsys):
+        # every what-if and the derivative start from the replay's t_base, at f_k
+        trace_path, _ = write_runtime_trace(tmp_path)
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((2, 3)), spec_path)
+        out = tmp_path / "sens.csv"
+        code = main(["sensitivity", "--trace", str(trace_path), "--spec", str(spec_path),
+                     "--out", str(out), "--jumps", "2"])
+        assert code == 0
+        result = run_replay(parse_trace(trace_path.read_text()), FeatureSpec((2, 3)), "rls")
+        levels = TABLE.freqs_mhz
+        lines = out.read_text().splitlines()[1:]
+        assert len(lines) == len(result.rows)
+        interior = 0
+        for line, a, t, f in zip(lines, result.coefs.tolist(), result.rows.t_base.tolist(),
+                                 result.rows.f_k.tolist()):
+            cells = line.split(",")
+            at = levels.index(f)
+            deltas = {}
+            for j in (1, 2):
+                for step, cell in zip((j, -j), cells[2 + 2 * j:4 + 2 * j]):
+                    if 0 <= at + step < len(levels):
+                        deltas[step] = candidate_delta(a[0], a[1], t, f, levels[at + step])
+                        assert cell == "%.8g" % deltas[step]
+                    else:
+                        assert cell == ""
+            if 1 in deltas and -1 in deltas:
+                interior += 1
+                want = three_point_derivative(t + deltas[-1], t, t + deltas[1],
+                                              f - levels[at - 1], levels[at + 1] - f)
+                assert cells[2] == "%.8g" % want
+        assert interior > len(lines) // 2
 
     @pytest.mark.parametrize("jumps", ["0", "-2"])
     def test_jumps_below_one_exit2(self, tmp_path, capsys, jumps):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDataset,
                                 ZeroFrequencyVarianceError, _lasso_path, _raises_rank,
                                 _standardize, build_dataset, cross_validated_path,
-                                default_eta_grid, differential_features,
+                                differential_features,
                                 load_feature_spec, pearson_prune,
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
@@ -208,7 +208,7 @@ class TestLassoFit:
     def test_huge_eta_all_zero(self):
         rng = np.random.default_rng(1)
         ds, _ = synthetic_dataset(rng, n=100, noise=0.05)
-        grid = default_eta_grid(ds)
+        grid = cross_validated_path(ds).etas
         assert np.count_nonzero(lasso_at(ds, grid[0] * 1.01)) == 0
 
     def test_support_recovery_against_subset_regression(self):
@@ -229,7 +229,7 @@ class TestLassoFit:
         assert best == (0, 2)
 
         # moderate penalty zeroes the inactive features
-        grid = default_eta_grid(ds)
+        grid = cross_validated_path(ds).etas
         coefs = lasso_at(ds, grid[12])
         assert set(np.flatnonzero(coefs)) == {0, 2}
 

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frametime.features import differential_features, estimator_units
-from frametime.model import candidate_delta, frequency_sensitivity, three_point_derivative
+from frametime.model import (candidate_delta, frequency_sensitivity, three_point_derivative,
+                             what_if)
 from frametime.trace import FrequencyTable
 
 
@@ -199,6 +200,26 @@ class TestFrequencySensitivity:
                                               f - lower, upper - f)
             assert side == (lower is None or upper is None)
             assert got == want
+
+
+class TestWhatIf:
+    @settings(max_examples=100, deadline=None)
+    @given(sensitivity_rows(), st.integers(1, 10))
+    def test_every_jump_matches_scalar_delta(self, case, jumps):
+        table, a, base, f_k = case
+        level, valid, delta = what_if(a, base, f_k, table, jumps)
+        assert level.shape == valid.shape == delta.shape == (len(a), jumps, 2)
+        levels = table.freqs_mhz
+        for i, (row, t, f) in enumerate(zip(a.tolist(), base.tolist(), f_k.tolist())):
+            at = levels.index(f)
+            for j in range(jumps):
+                for side, step in enumerate((j + 1, -j - 1)):
+                    on_table = 0 <= at + step < len(levels)
+                    assert valid[i, j, side] == on_table
+                    if on_table:
+                        assert level[i, j, side] == at + step
+                        want = candidate_delta(row[0], row[1], t, f, levels[at + step])
+                        assert np.float64(want).tobytes() == delta[i, j, side].tobytes()
 
 
 class TestSensitivityTrend:

@@ -1,6 +1,6 @@
 """Run the CLI walkthrough once per seed and keep everything it prints and writes.
 
-    python tools/walkthrough.py --out OUT [--seeds 1 7 42] [--repo CHECKOUT]
+    python tools/walkthrough.py --out OUT [--seeds 1 7 42 9173] [--repo CHECKOUT]
                                 [--against DIR]
 
 For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
@@ -10,7 +10,8 @@ CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.
 The wall time of each command, and their total per seed, go to stdout
 only, so the files under OUT stay comparable between runs.  A
 refactor that must leave the walkthrough unchanged is checked by running
-this on the parent checkout, then on the change with --against:
+this on the parent checkout, then on the change with --against, at the
+default seeds 1, 7, 42 and 9173:
 
     python tools/walkthrough.py --repo ../parent --out /tmp/before
     python tools/walkthrough.py --out /tmp/after --against /tmp/before
@@ -35,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-DEFAULT_SEEDS = (1, 7, 42)
+DEFAULT_SEEDS = (1, 7, 42, 9173)
 
 
 def commands(seed: int) -> list[tuple[str, list[str]]]:
