@@ -470,13 +470,9 @@ def cmd_govern(args) -> int:
     if not args.config:
         raise CliError(EXIT_INPUT, "--config is required")
     bundle = _load_bundle(args.config)
-    policies = list(POLICIES) if args.policy == "all" else [args.policy]
-    results = {}
-    for policy in policies:
-        results[policy] = governor.simulate(policy, bundle.workload, bundle.freq_table,
-                                            bundle.governor, bundle.power_model,
-                                            seed=args.seed)
-    runs = [results[policy] for policy in policies]
+    policies = POLICIES if args.policy == "all" else (args.policy,)
+    runs = [governor.simulate(policy, bundle.workload, bundle.freq_table, bundle.governor,
+                              bundle.power_model, seed=args.seed) for policy in policies]
     summary = [f"summary,{r.policy},,,{r.total_energy:.8g},{r.fps_violations}" for r in runs]
     _write_csv(args.out, ["k", "policy", "f_mhz", "t_frame_ms", "energy_j", "violation"],
                [_column(np.concatenate([np.arange(r.freqs.size) for r in runs]), "%d"),
@@ -485,14 +481,13 @@ def cmd_govern(args) -> int:
                   for name, fmt in (("freqs", "%g"), ("frame_ms", "%.8g"),
                                     ("energies", "%.8g"), ("violations", "%d")))],
                summary)
-    for policy in policies:
-        r = results[policy]
-        print(f"{policy}: energy={r.total_energy:.6g} J violations={r.fps_violations}")
+    for r in runs:
+        print(f"{r.policy}: energy={r.total_energy:.6g} J violations={r.fps_violations}")
     if args.policy == "all":
-        base = results["oracle"].total_energy
+        base = runs[POLICIES.index("oracle")].total_energy
         if base > 0:
-            for policy in policies:
-                print(f"{policy}: normalized_energy={results[policy].total_energy / base:.4f}")
+            for r in runs:
+                print(f"{r.policy}: normalized_energy={r.total_energy / base:.4f}")
     return 0
 
 

@@ -209,6 +209,13 @@ def _integer(section, key: str, default: int, where: str) -> int:
         raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
 
 
+def _set(cp, name: str, keys) -> dict:
+    """Keyword arguments of the (field, key, parse) keys [name] sets; others keep defaults."""
+    section = cp[name] if name in cp else {}
+    return {field: parse(section, key, None, f"[{name}]") for field, key, parse in keys
+            if key in section}
+
+
 def _parse_points(text: str, where: str):
     pts = []
     for chunk in text.split(","):
@@ -302,7 +309,7 @@ def load_config(path) -> ConfigBundle:
             ref_freq=_number(w, "ref_freq_mhz", table.min, "[workload]"),
             dep_counters=tuple(dep),
             indep_counters=tuple(indep),
-            noise_sigma=_number(w, "noise_sigma", 0.03, "[workload]"),
+            **_set(cp, "workload", [("noise_sigma", "noise_sigma", _number)]),
         )
 
         if "characterization" in cp:
@@ -312,21 +319,14 @@ def load_config(path) -> ConfigBundle:
         else:
             complexities, repeats = (), 1
 
-        g = cp["governor"] if "governor" in cp else {}
-        governor = GovernorConfig(
-            fps_target=_number(g, "fps_target", 60.0, "[governor]"),
-            period=_number(g, "period_ms", 50.0, "[governor]"),
-            up_threshold=_number(g, "up_threshold", 0.8, "[governor]"),
-            down_threshold=_number(g, "down_threshold", 0.3, "[governor]"),
-            warmup_intervals=_integer(g, "warmup_intervals", 10, "[governor]"),
-        )
-
-        p = cp["power_model"] if "power_model" in cp else {}
-        power = PowerModel(
-            p_static=_number(p, "p_static_w", 0.5, "[power_model]"),
-            p_dyn_coeff=_number(p, "p_dyn_w_per_ghz3", 8.0, "[power_model]"),
-            p_idle=_number(p, "p_idle_w", 0.2, "[power_model]"),
-        )
+        governor = GovernorConfig(**_set(cp, "governor", [
+            ("fps_target", "fps_target", _number), ("period", "period_ms", _number),
+            ("up_threshold", "up_threshold", _number),
+            ("down_threshold", "down_threshold", _number),
+            ("warmup_intervals", "warmup_intervals", _integer)]))
+        power = PowerModel(**_set(cp, "power_model", [
+            ("p_static", "p_static_w", _number), ("p_dyn_coeff", "p_dyn_w_per_ghz3", _number),
+            ("p_idle", "p_idle_w", _number)]))
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -4,8 +4,8 @@ The online model always carries two frequency terms, the scalable-time
 term (the previous frame time times the relative clock step) and the
 frequency delta, plus the deltas of a chosen subset of
 frequency-independent counters.  differential_features is the one
-builder of these rows, in raw units; the online estimators see them in
-estimator units, divided by estimator_units.
+builder of these rows, in raw units; the online estimators, in replay
+and in the governor's rls policy, see them divided by estimator_units.
 
 Selection runs in two stages on a characterization trace: counters
 correlated with the GPU frequency are pruned by Pearson correlation, then
@@ -107,11 +107,13 @@ class LassoPath:
             raise ValueError("std errors must be >= 0")
 
 
-def frequency_correlations(trace: Trace) -> np.ndarray:
-    """Pearson r of each counter against the GPU frequency.
+def pearson_prune(trace: Trace) -> list[int]:
+    """Indices of counters whose Pearson r against the GPU frequency is
+    below PEARSON_THRESHOLD in magnitude.
 
-    Constant counters get r = nan rather than a divide error or the
-    rounding residue of centring them.
+    Counters tracking the clock get pruned; constant counters carry no
+    signal at all and are disqualified too: their r is nan rather than a
+    divide error or the rounding residue of centring them.
     """
     freqs = trace.freqs
     if len(trace) < 2 or np.ptp(freqs) == 0:
@@ -120,22 +122,14 @@ def frequency_correlations(trace: Trace) -> np.ndarray:
     fc = freqs - freqs.mean()
     fnorm = float(np.sqrt(fc @ fc))
     counters = trace.counters
-    out = np.empty(counters.shape[1])
+    kept = []
     for j in range(counters.shape[1]):
         xc = counters[:, j] - counters[:, j].mean()
         xnorm = float(np.sqrt(xc @ xc))
-        out[j] = np.nan if np.ptp(counters[:, j]) == 0 else float(fc @ xc) / (fnorm * xnorm)
-    return out
-
-
-def pearson_prune(trace: Trace) -> list[int]:
-    """Indices of counters with |r against frequency| below PEARSON_THRESHOLD.
-
-    Counters tracking the clock get pruned; constant counters carry no
-    signal at all and are disqualified too.
-    """
-    corr = frequency_correlations(trace)
-    return [j for j, r in enumerate(corr) if np.isfinite(r) and abs(r) < PEARSON_THRESHOLD]
+        r = np.nan if np.ptp(counters[:, j]) == 0 else float(fc @ xc) / (fnorm * xnorm)
+        if np.isfinite(r) and abs(r) < PEARSON_THRESHOLD:
+            kept.append(j)
+    return kept
 
 
 def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
@@ -148,15 +142,10 @@ def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
     """
     dx = np.asarray(dx, dtype=float)
     h = np.empty(dx.shape[:-1] + (2 + dx.shape[-1],))
-    h[..., 0], h[..., 1] = _frequency_terms(t_prev, f_prev, f_cur)
+    h[..., 0] = t_prev * (f_prev / f_cur - 1.0)
+    h[..., 1] = f_cur - f_prev
     h[..., 2:] = dx
     return h
-
-
-def _frequency_terms(t_prev, f_prev, f_cur):
-    """The scalable-time term and the clock step of a raw feature row, on
-    arrays or on Python floats."""
-    return t_prev * (f_prev / f_cur - 1.0), f_cur - f_prev
 
 
 def counter_scales(counters) -> np.ndarray:

@@ -4,13 +4,13 @@ Three policies run the same closed loop against the analytic workload:
 a model-predictive policy driven by the adaptive frame-time estimator, a
 clairvoyant per-interval optimum, and a utilization-threshold governor in
 the style of the Linux ondemand default.  Each interval the policy picks
-a frequency, the workload realizes a frame time (with a common,
-per-interval noise draw shared by all policies at a given seed), and the
-interval's energy comes from a parametric power model.
+a frequency, the workload realizes a frame time, and the interval's
+energy comes from a parametric power model.
 
 simulate evaluates the workload's maps once (trace.workload_columns,
-which rejects the workloads that characterize rejects), checks the frame
-times at every level and the counters for being finite once, and lets
+which rejects the workloads that characterize rejects), realizes the
+frame times at every level by trace.realized_frame_times, as generated
+traces do, checks them and the counters for being finite once, and lets
 each policy only choose levels.  PolicyResult holds a run by column.
 
 The power model is a simulation stand-in, not measured hardware: static
@@ -23,17 +23,19 @@ which ends after the first interval whose choice leaves the level and,
 for rls, just before the next interval whose independent counters move,
 which the counter columns give upfront.  At the start of a run the rls
 policy makes its one estimator step (estimator.rls_step, whose BLAS
-reductions set the rounding), then asks model.candidate_delta about
-every interval of the run against every table level in one array call
-and chooses by the oracle's matrix rule (_cheapest_feasible); ondemand's
-threshold rule is one np.where over the run's utilizations.  A run
-longer than RUN_WINDOW intervals is asked one window at a time.  A held
-run gives, bit for bit, what one interval at a time gives, for three
-reasons.  Inside a run every feature row after the first is all zeros
-(the clock term t (f/f - 1) is +0.0, the clock step 0, and no counter
-moves), and at lambda = 1 rls_step returns its state unchanged on such a
-row.  candidate_delta rounds alike on arrays and on Python floats.  And
-_cheapest_feasible gives each row the choice of the one-row rule.
+reductions set the rounding) on replay's feature row, the
+features.differential_features row divided by estimator_units, then asks
+model.candidate_delta about every interval of the run against every
+table level in one array call and chooses by the oracle's matrix rule
+(_cheapest_feasible); ondemand's threshold rule is one np.where over the
+run's utilizations.  A run longer than RUN_WINDOW intervals is asked one
+window at a time.  A held run gives, bit for bit, what one interval at a
+time gives, for three reasons.  Inside a run every feature row after the
+first is all zeros (the clock term t (f/f - 1) is +0.0, the clock step
+0, and no counter moves), and at lambda = 1 rls_step returns its state
+unchanged on such a row.  candidate_delta rounds alike on arrays and on
+Python floats.  And _cheapest_feasible gives each row the choice of the
+one-row rule.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import numpy as np
 from . import model
 from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import rls_init, rls_step
-from .features import MHZ_PER_GHZ, _frequency_terms, estimator_units
-from .trace import FrequencyTable, WorkloadSpec, frame_times, workload_columns
+from .features import differential_features, estimator_units
+from .trace import FrequencyTable, WorkloadSpec, realized_frame_times, workload_columns
 
 # Intervals of one held run asked at once.  Up to about this many rows a
 # question costs little more than one row does (numpy's per-call cost
@@ -139,7 +141,7 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     """Closed-loop run of one policy over the workload's schedule.
 
     The workload's maps are evaluated once, into the (intervals, levels)
-    grid of frame times with noise drawn once per interval from the seed,
+    grid of frame times realized at the seed (trace.realized_frame_times),
     shared across policies.  Each policy only chooses a level per
     interval, and the estimator behind the rls policy learns from each
     realized sample.  Deterministic for a given (policy, spec, seed).
@@ -150,15 +152,9 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
     schedule = spec.complexity_schedule
     n = len(schedule)
-    rng = np.random.default_rng(seed)
-    if spec.noise_sigma > 0:
-        noise = np.maximum(1.0 + rng.normal(0.0, spec.noise_sigma, size=n), 0.0)
-    else:
-        noise = np.ones(n)
     columns = workload_columns(spec, schedule)
     freqs = np.asarray(table.freqs_mhz)
-    with np.errstate(over="ignore", invalid="ignore"):   # inf * 0 noise is nan
-        frame_ms = frame_times(spec, columns[:, None, :], freqs) * noise[:, None]
+    frame_ms = realized_frame_times(spec, columns[:, None, :], freqs, seed)
     if not (np.isfinite(columns).all() and np.isfinite(frame_ms).all()):
         raise ValueError("non-finite counters or frame times")
 
@@ -179,13 +175,11 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
     # rls: learn from each realized sample, then choose the next level
     a, P = rls_init(2 + len(spec.indep_counters))
     # independent counters depend on the complexity only, so the whole run's
-    # values, and with them the estimator units and each interval's counter
-    # deltas in those units, are known upfront; only the two frequency
-    # entries of a feature row depend on the choices
+    # values, and with them each interval's counter deltas and estimator
+    # units, are known upfront; only the frequency terms depend on the choices
     x = columns[:, 2 + len(spec.dep_counters):]
-    h = np.empty((n, 2 + x.shape[1]))
-    h[1:, 2:] = (x[1:] - x[:-1]) / estimator_units(x)[1:, 2:]
-    moves = (np.flatnonzero(h[1:, 2:].any(axis=1)) + 1).tolist() + [n]
+    dx, units = x[1:] - x[:-1], estimator_units(x)
+    moves = (np.flatnonzero(dx.any(axis=1)) + 1).tolist() + [n]
     power = pm.active_power(freqs)
     warm = cfg.warmup_intervals - 1   # the first interval whose choice counts
 
@@ -193,11 +187,9 @@ def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
         nonlocal a, P
         f, t = levels[level], frame_ms[s:stop, level, None]
         if s > 0:
-            # differential_features, in estimator units [1, MHZ_PER_GHZ, ...]
             t_prev = frame_ms[s - 1, last]
-            dt, df = _frequency_terms(t_prev, levels[last], f)
-            h[s, 0], h[s, 1] = dt, df / MHZ_PER_GHZ
-            a, P, _ = rls_step(a, P, h[s], t[0, 0] - t_prev)
+            h = differential_features(t_prev, levels[last], f, dx[s - 1]) / units[s]
+            a, P, _ = rls_step(a, P, h, t[0, 0] - t_prev)
         a0, a1 = a[:2].tolist()
         choices = _cheapest_feasible(t + model.candidate_delta(a0, a1, t, f, freqs),
                                      power, cfg, pm)

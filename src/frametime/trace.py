@@ -16,7 +16,8 @@ where C is the frame complexity.  Counters are either frequency dependent
 depend on the workload only).  workload_columns is the one evaluation of
 the workload's maps; generated traces, the governor's frame-time grid
 and counters, and the sensitivity reference all derive from it, the
-frame times through frame_times.
+frame times through frame_times, noisy ones through
+realized_frame_times.
 """
 
 from __future__ import annotations
@@ -315,24 +316,38 @@ def frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
         return columns[..., 0] * spec.ref_freq / f + columns[..., 1]
 
 
+def realized_frame_times(spec: WorkloadSpec, columns: np.ndarray, f, seed: int) -> np.ndarray:
+    """frame_times times each interval's noise factor max(1 + N(0, noise_sigma), 0).
+
+    Interval k is row k of columns; its factor multiplies all of that
+    row's frame times, the governor's levels alike.  The factors are one
+    block of default_rng(seed), the same numbers as one scalar draw per
+    interval in order.  This is the only frame-time noise, so generated
+    traces and governor runs realize the same frame times.  An inf frame
+    time whose factor is 0 is nan, rejected like the inf.
+    """
+    t = frame_times(spec, columns, f)
+    if spec.noise_sigma > 0:
+        z = np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            t *= np.maximum(1.0 + z, 0.0).reshape((-1,) + (1,) * (t.ndim - 1))
+    return t
+
+
 FPS_CAP = 3  # most frames counted in one interval
 
 
 def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Trace:
     """Trace of the analytic workload at per-interval complexities c and frequencies f.
 
-    Columns of workload_columns broadcast against f, with the noise drawn
-    as one block of the seeded stream: the same numbers as one scalar draw
-    per interval in order.  Overflowing values become inf, which the
-    Trace's finite check rejects, naming the row.
+    Columns of workload_columns broadcast against f, the frame times those
+    of realized_frame_times.  Overflowing values become inf or nan, which
+    the Trace's finite check rejects, naming the row.
     """
     f = np.asarray(f, dtype=float)
     columns = workload_columns(spec, c)
-    t = frame_times(spec, columns, f)
+    t = realized_frame_times(spec, columns, f, seed)
     with np.errstate(over="ignore", divide="ignore"):
-        if spec.noise_sigma > 0:
-            t *= 1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.size)
-        t = np.where(t < 0.0, 0.0, t)
         counts = np.where(t > 0, np.minimum(FPS_CAP, DEFAULT_PERIOD_MS // t), FPS_CAP)
         counters = columns[:, 2:]
         counters[:, :len(spec.dep_counters)] *= (f / spec.ref_freq)[:, None]

@@ -14,7 +14,8 @@ import frametime
 
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
-from frametime.config import ConfigError, load_config, parse_schedule
+from frametime.config import (ConfigError, GovernorConfig, PowerModel, load_config,
+                              parse_schedule)
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  rls_init)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
@@ -78,6 +79,15 @@ p_static_w = 0.5
 p_dyn_w_per_ghz3 = 8.0
 p_idle_w = 0.2
 """
+
+
+# one interval whose frame time overflows to inf, at noise so wide that
+# its factor clips to 0 at seed 4
+CLIPPED_OVERFLOW = (
+    "noise_sigma = 0.003\ncomplexity_schedule = square:20:40:25:100\n\n"
+    "[scalable_ms]\nkind = piecewise\npoints = 1:0.925, 32:7.2, 64:20.0",
+    "noise_sigma = 10\ncomplexity_schedule = constant:37:1\n\n"
+    "[scalable_ms]\nkind = piecewise\npoints = 1:1e308, 32:1e308, 64:1e308")
 
 
 @pytest.fixture
@@ -169,6 +179,12 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.ini")
+
+    def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "workload.ini"
+        path.write_text(CONFIG_TEXT.split("[governor]")[0])   # [power_model] follows it
+        bundle = load_config(path)
+        assert (bundle.governor, bundle.power_model) == (GovernorConfig(), PowerModel())
 
 
 class TestMetrics:
@@ -289,8 +305,16 @@ class TestCharacterize:
         ("period_ms = 50", "period_ms = 50\nno equals sign"),
         ("slope = 0.02", "slope = 5%"),
         ("slope = 0.02", "slope = %(intercept)s"),
+        ("[workload]\n", ""),
+        ("[scalable_ms]\n", ""),
+        ("kind = piecewise", "kind = cubic"),
+        ("points = 1:0.925, 32:7.2, 64:20.0\n", ""),
+        ("kind = dep", "kind = loud"),
+        ("ref_freq_mhz = 200", "ref_freq_mhz = 0"),
     ], ids=["no_section_header", "duplicate_section", "duplicate_option", "no_equals",
-            "percent_sign", "interpolation"])
+            "percent_sign", "interpolation", "no_workload_section", "no_scalable_section",
+            "unknown_map_kind", "piecewise_without_points", "unknown_counter_kind",
+            "zero_ref_freq"])
     def test_malformed_config_exit2(self, config_file, tmp_path, capsys, old, new):
         assert CONFIG_TEXT.count(old) == 1
         config_file.write_text(config_file.read_text().replace(old, new))
@@ -421,6 +445,32 @@ class TestReplay:
         code = main(["replay", "--trace", str(trace_path), "--spec", str(spec_path),
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_MISMATCH
+
+    @pytest.mark.parametrize("text, named", [
+        ("# freq_table_mhz = 200,511\n\n", "missing header line"),
+        ("time,frame_time_ms,frame_count\n0.05,16.0,3\n", "header has 3 columns"),
+    ], ids=["no_header_line", "three_column_header"])
+    def test_malformed_trace_exit2(self, tmp_path, capsys, text, named):
+        trace_path = tmp_path / "trace.csv"
+        trace_path.write_text(text)
+        self._assert_one_error_line(["--trace", str(trace_path), "--algo", "arlms"],
+                                    tmp_path, capsys, named)
+
+    def test_spec_names_unlike_indices_exit2(self, tmp_path, capsys):
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        spec_path = tmp_path / "features.spec"
+        spec_path.write_text("counter_indices = 2,3\ncounter_names = geometry\n")
+        self._assert_one_error_line(["--trace", str(trace_path), "--spec", str(spec_path)],
+                                    tmp_path, capsys, "counter_names must align with indices")
+
+    @staticmethod
+    def _assert_one_error_line(args, tmp_path, capsys, named):
+        out = tmp_path / "r.csv"
+        code = main(["replay", *args, "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INPUT
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+        assert not out.exists()
 
 
 class TestSensitivity:
@@ -557,11 +607,17 @@ class TestGovern:
         *((["govern", "--policy", policy], "points = 1:0.925, 32:7.2, 64:20.0",
            "points = 1:1e308, 32:1e308, 64:1e308", "non-finite counters or frame times")
           for policy in ("all", "rls", "oracle", "ondemand")),
+        *((command, *CLIPPED_OVERFLOW, message) for command, message in [
+            (["characterize", "--mode", "runtime", "--seed", "4"], "row 1: fields must be finite"),
+            (["govern", "--seed", "4"], "non-finite counters or frame times")]),
     ], ids=["characterize-frame-time", "characterize-dep-counter", "govern-frame-time",
-            "govern-rls-frame-time", "govern-oracle-frame-time", "govern-ondemand-frame-time"])
+            "govern-rls-frame-time", "govern-oracle-frame-time", "govern-ondemand-frame-time",
+            "characterize-clipped-noise", "govern-clipped-noise"])
     def test_overflow_is_one_error_line(self, config_file, tmp_path, capsys, command, old,
                                         new, message):
-        # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to inf
+        # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to
+        # inf; in the clipped-noise cases the one interval's noise factor at
+        # seed 4 clips to 0, and inf times 0 is nan
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main([*command, "--config", str(config_file), "--out", str(tmp_path / "o.csv")])
         assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")

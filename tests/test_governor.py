@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from frametime.config import GovernorConfig, PowerModel
+from frametime.config import POLICIES, GovernorConfig, PowerModel
 from frametime.governor import RUN_WINDOW, _cheapest_feasible, interval_energy, simulate
-from frametime.trace import AffineMap, CounterModel, WorkloadSpec
+from frametime.trace import AffineMap, CounterModel, WorkloadSpec, generate_runtime
 from scenarios import (heavy_runs, light_runs, reference_cheapest_level, reference_frame_time,
                        reference_noise, reference_ondemand, reference_rls_choice,
                        reference_rls_policy, shipped)
@@ -163,16 +163,18 @@ class TestOraclePolicy:
 
 
 @st.composite
-def affine_runs(draw):
-    """A small affine workload with one indep counter, a schedule of 0 to
-    30 intervals over four complexities, its noise level, and a seed."""
+def affine_runs(draw, max_sigma=0.1, min_size=0):
+    """A small affine workload with one indep counter, a schedule of
+    min_size to 30 intervals over four complexities, its noise level up to
+    max_sigma, and a seed."""
     coef = lambda hi: st.floats(0.0, hi, allow_subnormal=False)
     spec = WorkloadSpec(
-        draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), max_size=30)),
+        draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), min_size=min_size,
+                      max_size=30)),
         AffineMap(draw(coef(0.5)), draw(coef(5.0))), AffineMap(draw(coef(0.1)), draw(coef(2.0))),
         200.0, indep_counters=(CounterModel("units", "indep",
                                             AffineMap(draw(coef(10.0)), draw(coef(100.0)))),),
-        noise_sigma=draw(coef(0.1)))
+        noise_sigma=draw(coef(max_sigma)))
     return spec, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -203,6 +205,22 @@ class TestPolicyResultColumns:
             assert r.total_energy == sum(r.energies.tolist())
             if not schedule:
                 assert r.total_energy == 0.0
+
+
+class TestRealizedFrameTimes:
+    @settings(max_examples=50, deadline=None)
+    @given(affine_runs(max_sigma=3.0, min_size=1))
+    # a zero frame time: interval 4's factor at seed 0 is below 0 before
+    # it clips, and the frame time must come out 0.0, not -0.0
+    @example((WorkloadSpec((10.0,) * 8, AffineMap(0.0, 0.0), AffineMap(0.0, 0.0), 200.0,
+                           noise_sigma=3.0), 0))
+    def test_simulate_realizes_what_generation_writes(self, run):
+        # at sigma 3 about a third of the noise factors clip to 0
+        spec, seed = run
+        for policy in POLICIES:
+            r = simulate(policy, spec, TABLE, CFG, PM, seed=seed)
+            trace = generate_runtime(spec, TABLE, r.freqs, seed)
+            assert trace.frame_times.tobytes() == r.frame_ms.tobytes(), policy
 
 
 @st.composite

@@ -54,6 +54,10 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
                                     "--out", "features-one-se.spec", "--rule", "one_se"]),
         ("characterize-runtime", ["characterize", *char, "--out", "runtime.csv",
                                   "--mode", "runtime", *seeded]),
+        # generation on a governor workload: the frame times govern realizes
+        ("characterize-runtime-heavy", ["characterize", "--config",
+                                        "configs/governor_heavy.ini", "--out",
+                                        "runtime-heavy.csv", "--mode", "runtime", *seeded]),
     ]
     for algo in ("rls", "dcd", "arlms"):
         steps.append((f"replay-{algo}", ["replay", "--trace", "runtime.csv",
