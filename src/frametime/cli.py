@@ -18,11 +18,15 @@ config and trace alone, select-features adds features, replay and
 sensitivity add estimator and model, and only govern runs governor.  The
 layers past trace are lazy modules (_layer); main imports a command's
 layers, from its parser defaults, before the command runs.
+
+The parser is built once per process, on the first main call, and main
+finds the command's function by name when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.util
 import sys
 from dataclasses import dataclass
@@ -108,11 +112,13 @@ def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.ndim != 1 or actual.size == 0:
         raise ValueError("need equal-length non-empty series")
+    return _metrics(actual, predicted, _ape(actual, predicted), period_ms)
 
+
+def _metrics(actual, predicted, ape, period_ms: float) -> MetricsReport:
+    """compute_metrics on checked float series and their _ape, unchecked."""
     nonzero = actual != 0
     excluded = int(np.count_nonzero(~nonzero))
-    ape = _ape(actual, predicted)
-
     finite_ape = ape[nonzero]
     mape = float(finite_ape.mean()) if finite_ape.size else float("inf")
     # np.median bit for bit, without the numpy.ma import of its nan check:
@@ -171,9 +177,10 @@ def _replay_result(trace: Trace, k, t_base, predicted, dtf, one_sided,
                    coefs) -> ReplayResult:
     """Rows for the intervals k predicted as `predicted`, and their metrics."""
     actual = trace.frame_times[k]
-    rows = np.rec.fromarrays([k, trace.freqs[k], t_base, actual, predicted,
-                              _ape(actual, predicted), dtf, one_sided], names=ROW_FIELDS)
-    report = compute_metrics(actual, predicted, period_ms=trace.period)
+    ape = _ape(actual, predicted)
+    rows = np.rec.fromarrays([k, trace.freqs[k], t_base, actual, predicted, ape, dtf,
+                              one_sided], names=ROW_FIELDS)
+    report = _metrics(actual, predicted, ape, trace.period)
     return ReplayResult(rows, report, coefs)
 
 
@@ -494,7 +501,9 @@ def cmd_govern(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(prog="frametime", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -506,14 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep: full factorial; runtime: workload schedule "
                         "under a random-walk frequency")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_characterize, layers=())
+    p.set_defaults(layers=())
 
     p = sub.add_parser("select-features", help="prune and select online features")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rule", choices=("min_mse", "one_se"), default="min_mse")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_select_features, layers=("features",))
+    p.set_defaults(layers=("features",))
 
     p = sub.add_parser("replay", help="stream a trace through an online estimator")
     p.add_argument("--trace", required=True)
@@ -521,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("rls", "dcd", "arlms"), default="rls")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_replay, layers=("features", "estimator", "model"))
+    p.set_defaults(layers=("features", "estimator", "model"))
 
     p = sub.add_parser("sensitivity", help="frequency what-if deltas and derivatives")
     p.add_argument("--trace", required=True)
@@ -529,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jumps", type=int, default=1)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_sensitivity, layers=("features", "estimator", "model"))
+    p.set_defaults(layers=("features", "estimator", "model"))
 
     p = sub.add_parser("govern", help="closed-loop DVFS policy simulation")
     p.add_argument("--config")
@@ -537,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=POLICIES + ("all",), default="all")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_govern, layers=("governor",))
+    p.set_defaults(layers=("governor",))
     return parser
 
 
@@ -548,8 +557,11 @@ def main(argv=None) -> int:
     # holes under the data that raise a long process's peak resident size
     for name in args.layers:
         importlib.import_module(f"{__package__}.{name}")
+    # found by name on each call, so a function rebound in the module since
+    # the parser was built, as by code that wraps it in place, is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

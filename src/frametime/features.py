@@ -113,7 +113,8 @@ def pearson_prune(trace: Trace) -> list[int]:
 
     Counters tracking the clock get pruned; constant counters carry no
     signal at all and are disqualified too: their r is nan rather than a
-    divide error or the rounding residue of centring them.
+    divide error or the rounding residue of centring them, and so is the r
+    of a counter whose centred values square to zero.
     """
     freqs = trace.freqs
     if len(trace) < 2 or np.ptp(freqs) == 0:
@@ -125,8 +126,10 @@ def pearson_prune(trace: Trace) -> list[int]:
     kept = []
     for j in range(counters.shape[1]):
         xc = counters[:, j] - counters[:, j].mean()
-        xnorm = float(np.sqrt(xc @ xc))
-        r = np.nan if np.ptp(counters[:, j]) == 0 else float(fc @ xc) / (fnorm * xnorm)
+        denom = fnorm * float(np.sqrt(xc @ xc))
+        # a column that is not constant may still centre to values whose
+        # squares underflow: no measurable variance, so no r either
+        r = np.nan if np.ptp(counters[:, j]) == 0 or denom == 0 else float(fc @ xc) / denom
         if np.isfinite(r) and abs(r) < PEARSON_THRESHOLD:
             kept.append(j)
     return kept

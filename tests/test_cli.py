@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import frametime
 
+from frametime import cli
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
                            EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
 from frametime.config import (ConfigError, GovernorConfig, PowerModel, load_config,
@@ -23,8 +25,8 @@ from frametime.features import (FeatureSpec, build_dataset, estimator_units,
 from frametime.model import candidate_delta, three_point_derivative
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
                              generate_runtime, parse_trace, serialize_trace)
-from scenarios import (reference_arlms, reference_dcd, reference_rls, sensitivity_run,
-                       shipped)
+from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_rls,
+                       sensitivity_run, shipped)
 
 TABLE = shipped("characterization").freq_table
 
@@ -402,6 +404,24 @@ class TestSelectFeatures:
                      "--out", str(tmp_path / "s.spec")])
         assert code == EXIT_INPUT
 
+    def test_counter_centring_to_underflow_is_not_kept(self, tmp_path):
+        # not constant, but its centred values square to 0.0: r's
+        # denominator is zero, which disqualifies it like a constant counter
+        spec, freqs = sensitivity_run(40, seed=1)
+        trace = generate_runtime(spec, TABLE, freqs, seed=1)
+        tiny = np.where(np.arange(40) % 2, 5e-324, 0.0)
+        trace = replace(trace, counters=np.column_stack([trace.counters, tiny]),
+                        counter_names=(*trace.counter_names, "tiny"))
+        path = tmp_path / "tiny.csv"
+        path.write_text(serialize_trace(trace))
+        spec_path = tmp_path / "s.spec"
+        code = main(["select-features", "--trace", str(path), "--out", str(spec_path)])
+        assert code == 0
+        from frametime.features import load_feature_spec
+        selected = load_feature_spec(spec_path)
+        assert len(trace.counter_names) - 1 not in selected.indep_counter_indices
+        assert "tiny" not in selected.counter_names
+
 
 class TestReplay:
     def test_rls_replay_outputs(self, tmp_path, capsys):
@@ -738,6 +758,71 @@ class TestFullPipeline:
         # the runtime trace matches the config schedule, so the analytic
         # reference summary is available
         assert "candidate_mape" in printed
+
+
+def _readme_walkthrough():
+    """The six commands of README's CLI walkthrough, on the shipped configs."""
+    sel = ["--config", str(CONFIG_DIR / "selection.ini")]
+    char = ["--config", str(CONFIG_DIR / "characterization.ini")]
+    return [
+        ["characterize", *sel, "--out", "sweep.csv"],
+        ["select-features", "--trace", "sweep.csv", *sel, "--out", "features.spec",
+         "--rule", "min_mse"],
+        ["characterize", *char, "--out", "runtime.csv", "--mode", "runtime"],
+        ["replay", "--trace", "runtime.csv", "--spec", "features.spec", *char,
+         "--algo", "rls", "--out", "replay.csv"],
+        ["sensitivity", "--trace", "runtime.csv", "--spec", "features.spec", *char,
+         "--out", "sens.csv", "--jumps", "3"],
+        ["govern", "--config", str(CONFIG_DIR / "governor_heavy.ini"), "--policy", "all",
+         "--out", "govern.csv"],
+    ]
+
+
+class TestParserReuse:
+    def _run(self, workdir, monkeypatch, capsys, cold):
+        """Exit code, stdout and stderr of each call, and every file written."""
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        calls = [*_readme_walkthrough(),
+                 ["govern", "--policy", "fastest", "--out", "g.csv"],       # argparse
+                 ["govern", "--trace", "runtime.csv", "--out", "g.csv"]]    # CliError
+        seen = []
+        for argv in calls:
+            if cold:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            seen.append((code, *capsys.readouterr()))
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        return seen, files
+
+    def test_warm_parser_changes_nothing(self, tmp_path, monkeypatch, capsys):
+        cold = self._run(tmp_path / "cold", monkeypatch, capsys, cold=True)
+        warm = self._run(tmp_path / "warm", monkeypatch, capsys, cold=False)
+        assert [code for code, _, _ in cold[0]] == [0] * 6 + [("exit", 2), EXIT_UNSUPPORTED]
+        assert warm == cold
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_command_is_looked_up_when_main_runs(self, config_file, tmp_path,
+                                                 monkeypatch):
+        argv = ["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")]
+        assert main(argv) == 0
+        called = []
+
+        def fake(args):
+            called.append(args.command)
+            return 17
+
+        monkeypatch.setattr(cli, "cmd_govern", fake)
+        assert main(argv) == 17
+        assert called == ["govern"]
+        monkeypatch.undo()
+        (tmp_path / "g.csv").unlink()
+        assert main(argv) == 0
+        assert called == ["govern"]
+        assert (tmp_path / "g.csv").exists()
 
 
 FOOTPRINT_SCRIPT = """
