@@ -9,15 +9,9 @@ Commands
   govern           closed-loop DVFS policy simulation
 
 Exit codes: 0 success, 2 input error, 3 degenerate data, 4 spec/trace
-mismatch, 5 unsupported combination.  Every command is deterministic
-given its flags (characterize and govern take --seed); all output tables
-are comma separated with a header row.
-
-A process executes only the layers its command uses: characterize needs
-config and trace alone, select-features adds features, replay and
-sensitivity add estimator and model, and only govern runs governor.  The
-layers past trace are lazy modules (_layer); main imports a command's
-layers, from its parser defaults, before the command runs.
+mismatch.  Every command is deterministic given its flags (characterize
+and govern take --seed); all output tables are comma separated with a
+header row.
 
 The parser is built once per process, on the first main call, and main
 finds the command's function by name when the command runs.
@@ -35,9 +29,9 @@ from itertools import chain, islice
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import POLICIES, ConfigBundle, ConfigError, load_config
-from .trace import (Trace, generate_characterization, generate_runtime,
-                    parse_trace, serialize_trace)
+from .config import POLICIES, ConfigBundle, load_config
+from .trace import (DEFAULT_PERIOD_MS, Trace, frame_times, generate_characterization,
+                    generate_runtime, parse_trace, serialize_trace, workload_columns)
 
 
 def _layer(name: str):
@@ -67,7 +61,6 @@ governor = _layer("governor")
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_MISMATCH = 4
-EXIT_UNSUPPORTED = 5
 
 DEFAULT_SEED = 42
 CONVERGENCE_WINDOW = 5
@@ -100,7 +93,7 @@ def _ape(actual, predicted):
                         np.nan)
 
 
-def compute_metrics(actual, predicted, period_ms: float = 50.0) -> MetricsReport:
+def compute_metrics(actual, predicted, period_ms: float = DEFAULT_PERIOD_MS) -> MetricsReport:
     """Accuracy summary of a prediction series against its reference.
 
     APE terms with a zero actual value are excluded and counted.  The
@@ -269,15 +262,8 @@ def _load_trace(path, bundle: ConfigBundle | None):
         raise CliError(EXIT_INPUT, f"cannot read trace {path}: {exc}") from exc
 
 
-def _load_bundle(path) -> ConfigBundle:
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        raise CliError(EXIT_INPUT, str(exc)) from exc
-
-
 def cmd_characterize(args) -> int:
-    bundle = _load_bundle(args.config)
+    bundle = load_config(args.config)
     if args.mode == "sweep":
         if not bundle.characterization_complexities:
             raise CliError(EXIT_INPUT, "config has no [characterization] section")
@@ -299,7 +285,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_select_features(args) -> int:
-    bundle = _load_bundle(args.config) if args.config else None
+    bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
     try:
         kept = features.pearson_prune(trace)
@@ -362,7 +348,7 @@ def _load_spec(path) -> features.FeatureSpec:
 
 
 def cmd_replay(args) -> int:
-    bundle = _load_bundle(args.config) if args.config else None
+    bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
     fspec = _load_spec(args.spec) if args.spec else None
     result = run_replay(trace, fspec, args.algo)
@@ -382,7 +368,7 @@ def cmd_replay(args) -> int:
 def cmd_sensitivity(args) -> int:
     if args.jumps < 1:
         raise CliError(EXIT_INPUT, f"--jumps must be >= 1, got {args.jumps}")
-    bundle = _load_bundle(args.config) if args.config else None
+    bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
     fspec = _load_spec(args.spec)
     result = run_replay(trace, fspec, "rls")
@@ -438,8 +424,6 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     change from the previous interval, mirroring a repeated-frame
     measurement; the derivative also skips one-sided rows.
     """
-    from .trace import frame_times, workload_columns
-
     c = _sample_complexities(trace, bundle)
     if c is None:
         print("trace does not match the config workload; no reference summary")
@@ -470,13 +454,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
 
 
 def cmd_govern(args) -> int:
-    if args.trace:
-        raise CliError(EXIT_UNSUPPORTED,
-                       "closed-loop simulation needs an analytic workload config; "
-                       "a parsed trace cannot answer what-if frequencies")
-    if not args.config:
-        raise CliError(EXIT_INPUT, "--config is required")
-    bundle = _load_bundle(args.config)
+    bundle = load_config(args.config)
     policies = POLICIES if args.policy == "all" else (args.policy,)
     runs = [governor.simulate(policy, bundle.workload, bundle.freq_table, bundle.governor,
                               bundle.power_model, seed=args.seed) for policy in policies]
@@ -515,14 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep: full factorial; runtime: workload schedule "
                         "under a random-walk frequency")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(layers=())
 
     p = sub.add_parser("select-features", help="prune and select online features")
     p.add_argument("--trace", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rule", choices=("min_mse", "one_se"), default="min_mse")
     p.add_argument("--config")
-    p.set_defaults(layers=("features",))
 
     p = sub.add_parser("replay", help="stream a trace through an online estimator")
     p.add_argument("--trace", required=True)
@@ -530,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("rls", "dcd", "arlms"), default="rls")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.set_defaults(layers=("features", "estimator", "model"))
 
     p = sub.add_parser("sensitivity", help="frequency what-if deltas and derivatives")
     p.add_argument("--trace", required=True)
@@ -538,25 +513,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--jumps", type=int, default=1)
     p.add_argument("--config")
-    p.set_defaults(layers=("features", "estimator", "model"))
 
     p = sub.add_parser("govern", help="closed-loop DVFS policy simulation")
-    p.add_argument("--config")
-    p.add_argument("--trace")
+    p.add_argument("--config", required=True)
     p.add_argument("--policy", choices=POLICIES + ("all",), default="all")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(layers=("governor",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # a layer compiled before the command allocates its data frees the
-    # compiler's temporary memory for that data; compiled midway, it leaves
-    # holes under the data that raise a long process's peak resident size
-    for name in args.layers:
-        importlib.import_module(f"{__package__}.{name}")
     # found by name on each call, so a function rebound in the module since
     # the parser was built, as by code that wraps it in place, is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]

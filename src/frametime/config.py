@@ -250,19 +250,20 @@ def _parse_response(section, where: str, kind_key: str = "kind"):
     raise ConfigError(f"{where}: unknown map kind {kind!r}")
 
 
-def _parse_counter(name: str, section) -> CounterModel:
+def _parse_counter(name: str, section) -> tuple[str, CounterModel]:
+    """The counter's kind, "dep" or "indep" (a noise counter is indep), and model."""
     kind = section.get("kind", "indep").strip().lower()
     if kind == "noise":
         where = f"counter {name}"
         response = HashNoiseMap(amplitude=_number(section, "amplitude", 1.0, where),
                                 salt=_number(section, "salt", 0.0, where))
-        return CounterModel(name=name, kind="indep", response=response)
+        return "indep", CounterModel(name=name, response=response)
     if kind not in ("dep", "indep"):
         raise ConfigError(f"counter {name}: unknown kind {kind!r}")
     # the counter's map shape comes from its `response` key (default affine)
-    return CounterModel(name=name, kind=kind,
-                        response=_parse_response(section, f"counter {name}",
-                                                 kind_key="response"))
+    return kind, CounterModel(name=name,
+                              response=_parse_response(section, f"counter {name}",
+                                                       kind_key="response"))
 
 
 def load_config(path) -> ConfigBundle:
@@ -299,8 +300,8 @@ def load_config(path) -> ConfigBundle:
         dep, indep = [], []
         for section in cp.sections():
             if section.startswith("counter."):
-                cm = _parse_counter(section[len("counter."):], cp[section])
-                (dep if cm.kind == "dep" else indep).append(cm)
+                kind, cm = _parse_counter(section[len("counter."):], cp[section])
+                (dep if kind == "dep" else indep).append(cm)
 
         workload = WorkloadSpec(
             complexity_schedule=parse_schedule(w.get("complexity_schedule", "")),

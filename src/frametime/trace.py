@@ -67,8 +67,8 @@ class FrequencyTable:
         object.__setattr__(self, "freqs_mhz", freqs)
         if len(freqs) < 2:
             raise ValueError("frequency table needs at least two entries")
-        if any(f <= 0 for f in freqs):
-            raise ValueError("frequencies must be positive")
+        if not all(0 < f < math.inf for f in freqs):
+            raise ValueError("frequencies must be finite and positive")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
 
@@ -226,18 +226,14 @@ class HashNoiseMap:
 class CounterModel:
     """Analytic response of one hardware counter.
 
-    kind "dep": value = response(c) * f / ref_freq, strictly increasing in f
-    for response(c) > 0 (busy-cycle style counters).
-    kind "indep": value = response(c), constant in f.
+    Its kind is the WorkloadSpec tuple that holds it.  In dep_counters:
+    value = response(c) * f / ref_freq, strictly increasing in f for
+    response(c) > 0 (busy-cycle style counters).  In indep_counters:
+    value = response(c), constant in f.
     """
 
     name: str
-    kind: str  # "dep" | "indep"
     response: AffineMap | PiecewiseLinearMap | HashNoiseMap
-
-    def __post_init__(self):
-        if self.kind not in ("dep", "indep"):
-            raise ValueError(f"unknown counter kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,6 @@ class WorkloadSpec:
             raise ValueError(f"ref_freq must be finite and > 0, got {self.ref_freq}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if any(cm.kind != "dep" for cm in self.dep_counters):
-            raise ValueError("dep_counters must have kind 'dep'")
-        if any(cm.kind != "indep" for cm in self.indep_counters):
-            raise ValueError("indep_counters must have kind 'indep'")
 
     @property
     def counter_names(self) -> tuple[str, ...]:
@@ -458,7 +450,7 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
         if not stripped:
             continue
         if stripped.startswith("#"):
-            if stripped.replace(" ", "").startswith("#freq_table_mhz="):
+            if stripped.replace(" ", "").startswith(_TABLE_COMMENT.replace(" ", "")):
                 payload = stripped.split("=", 1)[1]
                 embedded_table = FrequencyTable(
                     tuple(float(v) for v in payload.split(",") if v.strip()))

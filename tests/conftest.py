@@ -33,8 +33,8 @@ def simple_workload():
         scalable_ms=AffineMap(0.2, 1.0),
         unscalable_ms=AffineMap(0.05, 0.5),
         ref_freq=200.0,
-        dep_counters=(CounterModel("busy", "dep", AffineMap(10.0, 100.0)),),
-        indep_counters=(CounterModel("units", "indep", AffineMap(5.0, 20.0)),),
+        dep_counters=(CounterModel("busy", AffineMap(10.0, 100.0)),),
+        indep_counters=(CounterModel("units", AffineMap(5.0, 20.0)),),
         noise_sigma=0.0,
     )
 

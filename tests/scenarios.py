@@ -317,7 +317,7 @@ STEP_CHANGE = WorkloadSpec(
     scalable_ms=AffineMap(0.28, 1.0),
     unscalable_ms=AffineMap(0.01, 0.5),
     ref_freq=200.0,
-    dep_counters=(CounterModel("render_busy_kcycles", "dep", AffineMap(30.0, 300.0)),),
-    indep_counters=(CounterModel("workload_units", "indep", AffineMap(8.0, 50.0)),),
+    dep_counters=(CounterModel("render_busy_kcycles", AffineMap(30.0, 300.0)),),
+    indep_counters=(CounterModel("workload_units", AffineMap(8.0, 50.0)),),
     noise_sigma=0.0,
 )

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import frametime
 
 from frametime import cli
-from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH,
-                           EXIT_UNSUPPORTED, compute_metrics, main, run_replay)
+from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH, compute_metrics,
+                           main, run_replay)
 from frametime.config import (ConfigError, GovernorConfig, PowerModel, load_config,
                               parse_schedule)
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
@@ -110,8 +110,8 @@ class TestConfig:
         assert bundle.workload.scalable_ms(32.0) == pytest.approx(7.2)
         # the `kind = noise` and `response = piecewise` counter forms
         indep = bundle.workload.indep_counters
-        assert CounterModel("probe_jitter_a", "indep", HashNoiseMap(200.0, salt=3.0)) in indep
-        assert CounterModel("geometry_batches", "indep", PiecewiseLinearMap(
+        assert CounterModel("probe_jitter_a", HashNoiseMap(200.0, salt=3.0)) in indep
+        assert CounterModel("geometry_batches", PiecewiseLinearMap(
             ((1.0, 12.0), (32.0, 48.0), (64.0, 180.0)))) in indep
         assert bundle.governor.fps_target == 60.0
         assert bundle.power_model.p_dyn_coeff == 8.0
@@ -586,6 +586,7 @@ class TestGovern:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("old, new, named", [
         ("square:20:40:25:100", "constant:nan:20", "constant:nan:20"),
         ("noise_sigma = 0.003", "noise_sigma = nan", "noise_sigma"),
@@ -597,8 +598,11 @@ class TestGovern:
         ("noise_sigma = 0.003", "noise_sigma = abc", "[workload]: noise_sigma must be a number"),
         ("square:20:40:25:100", "constant:x:20",
          "bad schedule expression 'constant:x:20': values must be numbers"),
+        ("489, 511", "489, inf", "frequencies must be finite and positive"),
+        ("444, 489", "444, nan", "frequencies must be finite and positive"),
     ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
-            "warmup_intervals", "fps_target_text", "noise_sigma_text", "schedule_text"])
+            "warmup_intervals", "fps_target_text", "noise_sigma_text", "schedule_text",
+            "freqs_inf", "freqs_nan"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
@@ -642,11 +646,14 @@ class TestGovern:
         code = main([*command, "--config", str(config_file), "--out", str(tmp_path / "o.csv")])
         assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
 
-    def test_trace_input_unsupported_exit5(self, tmp_path):
-        trace_path, _ = write_runtime_trace(tmp_path, n=40)
-        code = main(["govern", "--trace", str(trace_path), "--policy", "oracle",
-                     "--out", str(tmp_path / "g.csv")])
-        assert code == EXIT_UNSUPPORTED
+    def test_trace_flag_unknown_exit2(self, config_file, tmp_path, capsys):
+        # govern simulates an analytic workload config; it takes no trace
+        with pytest.raises(SystemExit) as raised:
+            main(["govern", "--config", str(config_file), "--trace", "runtime.csv",
+                  "--policy", "oracle", "--out", str(tmp_path / "g.csv")])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --trace runtime.csv" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestRunReplayApi:
@@ -785,7 +792,7 @@ class TestParserReuse:
         monkeypatch.chdir(workdir)
         calls = [*_readme_walkthrough(),
                  ["govern", "--policy", "fastest", "--out", "g.csv"],       # argparse
-                 ["govern", "--trace", "runtime.csv", "--out", "g.csv"]]    # CliError
+                 ["replay", "--trace", "runtime.csv", "--out", "r.csv"]]    # CliError
         seen = []
         for argv in calls:
             if cold:
@@ -801,7 +808,7 @@ class TestParserReuse:
     def test_warm_parser_changes_nothing(self, tmp_path, monkeypatch, capsys):
         cold = self._run(tmp_path / "cold", monkeypatch, capsys, cold=True)
         warm = self._run(tmp_path / "warm", monkeypatch, capsys, cold=False)
-        assert [code for code, _, _ in cold[0]] == [0] * 6 + [("exit", 2), EXIT_UNSUPPORTED]
+        assert [code for code, _, _ in cold[0]] == [0] * 6 + [("exit", 2), EXIT_INPUT]
         assert warm == cold
         assert cli.build_parser() is cli.build_parser()
 
@@ -848,6 +855,7 @@ class TestModuleFootprint:
         commands = [
             ["characterize", *cfg, "--out", "sweep.csv"],
             ["select-features", "--trace", "sweep.csv", *cfg, "--out", "features.spec"],
+            ["replay", "--trace", "sweep.csv", *cfg, "--algo", "arlms", "--out", "arlms.csv"],
             ["replay", "--trace", "sweep.csv", *spec, *cfg, "--out", "replay.csv"],
             ["sensitivity", "--trace", "sweep.csv", *spec, *cfg, "--out", "sens.csv"],
             ["govern", *cfg, "--out", "govern.csv"],
@@ -865,6 +873,7 @@ class TestModuleFootprint:
         assert seen["layers"] == [
             ["cli", "config", "trace"],                                  # characterize
             ["cli", "config", "features", "trace"],                      # select-features
+            ["cli", "config", "estimator", "features", "trace"],         # replay arlms
             online,                                                      # replay
             online,                                                      # sensitivity
             ["cli", "config", "estimator", "features", "governor", "model", "trace"],

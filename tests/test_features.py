@@ -98,7 +98,7 @@ class TestBuildDataset:
         # with no unscalable part, target equals h0 exactly (Eq-style identity)
         spec = WorkloadSpec((5.0,) * 12, AffineMap(0.5, 1.0), AffineMap(0.0, 0.0),
                             200.0, indep_counters=(
-                                CounterModel("u", "indep", AffineMap(1.0, 0.0)),),
+                                CounterModel("u", AffineMap(1.0, 0.0)),),
                             noise_sigma=0.0)
         freqs = [200.0, 400.0, 600.0, 200.0, 600.0, 400.0] * 2
         trace = generate_runtime(spec, small_table, freqs, seed=0)

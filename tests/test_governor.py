@@ -172,7 +172,7 @@ def affine_runs(draw, max_sigma=0.1, min_size=0):
         draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), min_size=min_size,
                       max_size=30)),
         AffineMap(draw(coef(0.5)), draw(coef(5.0))), AffineMap(draw(coef(0.1)), draw(coef(2.0))),
-        200.0, indep_counters=(CounterModel("units", "indep",
+        200.0, indep_counters=(CounterModel("units",
                                             AffineMap(draw(coef(10.0)), draw(coef(100.0)))),),
         noise_sigma=draw(coef(max_sigma)))
     return spec, draw(st.integers(0, 2 ** 32 - 1))
@@ -239,7 +239,7 @@ def governed_runs(draw):
     spec = WorkloadSpec(
         schedule, AffineMap(draw(coef(0.0, 0.5)), draw(coef(0.0, 5.0))),
         AffineMap(draw(coef(0.0, 0.1)), draw(coef(0.0, 2.0))), 200.0,
-        indep_counters=(CounterModel("units", "indep",
+        indep_counters=(CounterModel("units",
                                      AffineMap(draw(coef(0.1, 10.0)), draw(coef(0.0, 100.0)))),),
         noise_sigma=draw(coef(0.0, 0.3)))
     down = draw(coef(0.01, 0.9))

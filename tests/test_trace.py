@@ -243,6 +243,13 @@ class TestParse:
         parsed = parse_trace(serialize_trace(trace))
         assert parsed.freq_table == trace.freq_table
 
+    @pytest.mark.parametrize("comment", ["# freq_table_mhz = 200.0,400.0,inf",
+                                         "#freq_table_mhz=200.0, nan, 400.0"])
+    def test_embedded_table_must_be_finite(self, comment):
+        text = comment + "\ntime,frame_time_ms,frame_count,gpu_freq_mhz\n0.05,8.0,3,200.0\n"
+        with pytest.raises(ValueError, match="frequencies must be finite and positive"):
+            parse_trace(text)
+
 
 def frame_times_at(spec, c, freqs):
     """frame_times at one complexity, over a table of freqs."""
@@ -373,11 +380,8 @@ class TestWorkloadColumns:
                                  min_size=1, max_size=30))
     @example(maps=[AffineMap(0.0, 1.0)] * 3, n_dep=1, complexities=[])
     def test_rows_equal_map_values_bitwise(self, maps, n_dep, complexities):
-        counters = [CounterModel(f"c{j}", "dep" if j < n_dep else "indep", m)
-                    for j, m in enumerate(maps[2:])]
-        spec = WorkloadSpec((), maps[0], maps[1], 200.0,
-                            tuple(cm for cm in counters if cm.kind == "dep"),
-                            tuple(cm for cm in counters if cm.kind == "indep"))
+        counters = tuple(CounterModel(f"c{j}", m) for j, m in enumerate(maps[2:]))
+        spec = WorkloadSpec((), maps[0], maps[1], 200.0, counters[:n_dep], counters[n_dep:])
         want = columns_by_loop(spec, complexities)
         if isinstance(want, str):
             with pytest.raises(ValueError) as raised:
@@ -415,8 +419,8 @@ class TestWorkloadColumns:
         # every fault holds at C=2 and at C=1 only the listed one or none,
         # so the message shows both the complexity and the check order
         spec = WorkloadSpec((), scalable, AffineMap(0.0, 1.0), 200.0,
-                            (CounterModel("busy", "dep", dep),),
-                            (CounterModel("units", "indep", indep),))
+                            (CounterModel("busy", dep),),
+                            (CounterModel("units", indep),))
         complexities = [9.0, 2.0, 5.0, 2.0]
         assert columns_by_loop(spec, complexities) == message
         with pytest.raises(ValueError) as raised:
