@@ -31,7 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import POLICIES, ConfigBundle, load_config
 from .trace import (DEFAULT_PERIOD_MS, Trace, frame_times, generate_characterization,
-                    generate_runtime, parse_trace, serialize_trace, workload_columns)
+                    generate_runtime, parse_trace, serialize_trace, sweep_complexities,
+                    workload_columns)
 
 
 def _layer(name: str):
@@ -254,12 +255,8 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> R
 # Commands
 
 def _load_trace(path, bundle: ConfigBundle | None):
-    table = bundle.freq_table if bundle else None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_trace(fh, freq_table=table)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read trace {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        return parse_trace(fh, freq_table=bundle.freq_table if bundle else None)
 
 
 def cmd_characterize(args) -> int:
@@ -340,17 +337,10 @@ def _write_csv(path, header, columns, tail=()) -> None:
         fh.write("".join(line + "\n" for line in tail))
 
 
-def _load_spec(path) -> features.FeatureSpec:
-    try:
-        return features.load_feature_spec(path)
-    except OSError as exc:
-        raise CliError(EXIT_INPUT, f"cannot read feature spec {path}: {exc}") from exc
-
-
 def cmd_replay(args) -> int:
     bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
-    fspec = _load_spec(args.spec) if args.spec else None
+    fspec = features.load_feature_spec(args.spec) if args.spec else None
     result = run_replay(trace, fspec, args.algo)
     rows = result.rows
     _write_csv(args.out, ["k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df"],
@@ -370,7 +360,7 @@ def cmd_sensitivity(args) -> int:
         raise CliError(EXIT_INPUT, f"--jumps must be >= 1, got {args.jumps}")
     bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
-    fspec = _load_spec(args.spec)
+    fspec = features.load_feature_spec(args.spec)
     result = run_replay(trace, fspec, "rls")
 
     max_span = len(trace.freq_table) - 1
@@ -389,8 +379,8 @@ def cmd_sensitivity(args) -> int:
     _write_csv(args.out, header,
                [_column(rows.k, "%d"), _column(rows.f_k, "%g"), _column(rows.dtf_df, "%.8g"),
                 _column(rows.one_sided, "%d"),
-                *(_column(d, "%.8g", ~ok) for d, ok in zip(delta.reshape(n, -1).T,
-                                                            valid.reshape(n, -1).T))])
+                *(_column(d, "%.8g", ~ok) for d, ok in zip(delta.reshape(-1, n),
+                                                            valid.reshape(-1, n)))])
     print(f"wrote {n} sensitivity rows to {args.out}")
 
     if bundle is not None:
@@ -401,16 +391,18 @@ def cmd_sensitivity(args) -> int:
 def _sample_complexities(trace, bundle):
     """Per-sample complexity when the trace shape matches the config.
 
-    Sweep traces are recognized by the factorial row count, runtime traces
-    by matching the workload's own schedule length.  Returns None when the
-    trace cannot be tied back to the analytic workload.
+    Sweep traces are recognized by the row count of the config's sweep,
+    runtime traces by matching the workload's own schedule length.  Returns
+    None when the trace cannot be tied back to the analytic workload.
     """
-    complexities = sorted(bundle.characterization_complexities)
-    repeats = bundle.characterization_repeats
-    if complexities and len(trace) == len(bundle.freq_table) * len(complexities) * repeats:
-        per_freq = len(complexities) * repeats
-        return np.array(complexities, dtype=float)[(np.arange(len(trace)) % per_freq)
-                                                   // repeats]
+    try:
+        c = sweep_complexities(bundle.characterization_complexities,
+                               bundle.characterization_repeats, len(bundle.freq_table))
+    except ValueError:
+        pass    # the config defines no sweep
+    else:
+        if len(trace) == c.size:
+            return c
     schedule = bundle.workload.complexity_schedule
     if schedule and len(trace) == len(schedule):
         return np.array(schedule, dtype=float)
@@ -442,12 +434,12 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
         rep = compute_metrics(ref, est)
         print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
 
-    truth = frame_times(spec, columns[:, None, None, :],
-                        np.asarray(trace.freq_table.freqs_mhz)[level])
-    scored = valid & steady[:, None, None] & (truth > 0)
-    ape = _ape(truth, result.rows.t_base[:, None, None] + delta)
-    for j in range(level.shape[1]):
-        apes = ape[:, j][scored[:, j]]
+    truth = frame_times(spec, columns, np.asarray(trace.freq_table.freqs_mhz)[level])
+    scored = valid & steady & (truth > 0)
+    ape = _ape(truth, result.rows.t_base + delta)
+    for j in range(len(level)):
+        # each row's terms, up then down, in row order
+        apes = ape[j].T[scored[j].T]
         if apes.size:
             print(f"jump={j + 1} candidate_mape={float(np.mean(apes)):.3f}% "
                   f"({apes.size} predictions)")

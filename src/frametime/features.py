@@ -87,7 +87,8 @@ class RegressionDataset:
 
 @dataclass(frozen=True)
 class LassoPath:
-    """Per-penalty results of the cross-validated L1 path."""
+    """Per-penalty results of the cross-validated L1 path, each array one
+    entry per eta, as cross_validated_path builds them."""
 
     etas: np.ndarray          # descending penalty grid
     coefs: np.ndarray         # (len(etas), M), original units
@@ -95,16 +96,6 @@ class LassoPath:
     cv_stderr: np.ndarray
     nonzero_counts: np.ndarray
     feature_spec: FeatureSpec  # candidate set the columns refer to
-
-    def __post_init__(self):
-        n = self.etas.shape[0]
-        if n == 0:
-            raise ValueError("empty path")
-        for arr in (self.coefs, self.cv_mean_mse, self.cv_stderr, self.nonzero_counts):
-            if arr.shape[0] != n:
-                raise ValueError("path arrays must align with the eta grid")
-        if np.any(self.cv_stderr < 0):
-            raise ValueError("std errors must be >= 0")
 
 
 def pearson_prune(trace: Trace) -> list[int]:
@@ -396,6 +387,8 @@ def save_feature_spec(spec: FeatureSpec, path) -> None:
 
 
 def load_feature_spec(path) -> FeatureSpec:
+    """The FeatureSpec in a save_feature_spec file; a bad value raises a
+    ValueError naming the file."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -405,6 +398,13 @@ def load_feature_spec(path) -> FeatureSpec:
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
     raw = fields.get("counter_indices", "")
-    indices = tuple(int(v) for v in raw.split(",") if v.strip() != "")
+    try:
+        indices = tuple(int(v) for v in raw.split(",") if v.strip() != "")
+    except ValueError:
+        raise ValueError(f"feature spec {path}: counter_indices must be integers, "
+                         f"got {raw!r}") from None
     names = tuple(v.strip() for v in fields.get("counter_names", "").split(",") if v.strip())
-    return FeatureSpec(indep_counter_indices=indices, counter_names=names)
+    try:
+        return FeatureSpec(indep_counter_indices=indices, counter_names=names)
+    except ValueError as exc:
+        raise ValueError(f"feature spec {path}: {exc}") from None

@@ -59,9 +59,9 @@ def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
 
     Row i moves from f_k[i], with frame time base[i], under coefficients
     a[i], or a itself if it is one (M,) row.  Returns (level, valid, delta),
-    each (rows, jumps, 2): jump j up, then down.  A candidate beyond the
-    table edge is not valid; its level is held at the edge, so its delta
-    is only a placeholder.
+    each (jumps, 2, rows): jump j + 1 up at [j, 0], down at [j, 1].  A
+    candidate beyond the table edge is not valid; its level is held at the
+    edge, so its delta is only a placeholder.
     """
     a = np.asarray(a, dtype=float)
     f_k = np.asarray(f_k, dtype=float)
@@ -70,13 +70,11 @@ def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
     at = np.searchsorted(freqs, f_k)
     if np.any(freqs[np.minimum(at, top_level)] != f_k):
         raise ValueError("f_k must be frequency table entries")
-    # computed as (jumps, 2, rows), so numpy's loops run along the rows
     target = np.add.outer(np.arange(1, jumps + 1)[:, None] * np.array([1, -1]), at)
     level = np.minimum(np.maximum(target, 0), top_level)
     delta = candidate_delta(a[..., 0], a[..., 1], np.asarray(base, dtype=float), f_k,
                             freqs[level])
-    rows_first = (*range(2, target.ndim), 0, 1)
-    return tuple(x.transpose(rows_first) for x in (level, level == target, delta))
+    return level, level == target, delta
 
 
 def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
@@ -93,10 +91,9 @@ def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
     prev_t, f_k, _ = np.broadcast_arrays(np.asarray(prev_frame_time, dtype=float),
                                          np.asarray(f_k, dtype=float), a[..., 0])
     level, valid, delta = what_if(a, prev_t, f_k, table, 1)
-    d_hi, d_lo = delta[..., 0, 0], delta[..., 0, 1]
-    freqs = np.asarray(table.freqs_mhz)
-    upper, lower = freqs[level[..., 0, 0]], freqs[level[..., 0, 1]]
-    top, bottom = ~valid[..., 0, 0], ~valid[..., 0, 1]
+    d_hi, d_lo = delta[0]
+    upper, lower = np.asarray(table.freqs_mhz)[level[0]]
+    top, bottom = ~valid[0]
     inner = ~(bottom | top)
     dtf = np.empty(f_k.shape)
     dtf[bottom] = d_hi[bottom] / (upper - f_k)[bottom]

@@ -347,23 +347,27 @@ def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Tra
     return Trace(timestamps, t, counts, f, counters, spec.counter_names, table)
 
 
-def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
-                              complexities, repeats: int, seed: int) -> Trace:
-    """Full factorial frequency x complexity x repeats sweep.
+def sweep_complexities(complexities, repeats: int, levels: int) -> np.ndarray:
+    """Per-row complexity of a characterization sweep over `levels` frequencies.
 
     Sweep order is one frequency at a time, complexities ascending within
-    it, each configuration repeated `repeats` times back to back.  Sample
-    count is len(table) * len(complexities) * repeats and the result is
-    reproducible for a given seed.
+    it, each configuration repeated `repeats` times back to back, so the
+    sweep has levels * len(complexities) * repeats rows.
     """
     complexities = sorted(float(c) for c in complexities)
     if not complexities:
         raise ValueError("complexity list must not be empty")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    per_freq = np.repeat(complexities, repeats)
-    return _generate(spec, table, np.tile(per_freq, len(table)),
-                     np.repeat(table.freqs_mhz, per_freq.size), seed)
+    return np.tile(np.repeat(complexities, repeats), levels)
+
+
+def generate_characterization(spec: WorkloadSpec, table: FrequencyTable,
+                              complexities, repeats: int, seed: int) -> Trace:
+    """Full factorial frequency x complexity x repeats sweep, its rows in
+    sweep_complexities order; reproducible for a given seed."""
+    c = sweep_complexities(complexities, repeats, len(table))
+    return _generate(spec, table, c, np.repeat(table.freqs_mhz, c.size // len(table)), seed)
 
 
 def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int) -> Trace:
@@ -436,7 +440,8 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     error naming the row; rows are never silently skipped.
 
     The frequency table is taken from the freq_table argument when given,
-    else from the file's own table comment, else DEFAULT_FREQ_TABLE.
+    else from the file's own table comment, else DEFAULT_FREQ_TABLE; the
+    comment is read only when it is used.
     """
     if isinstance(text, str):
         text = io.StringIO(text, newline=None)
@@ -450,10 +455,14 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
         if not stripped:
             continue
         if stripped.startswith("#"):
-            if stripped.replace(" ", "").startswith(_TABLE_COMMENT.replace(" ", "")):
+            if freq_table is None and stripped.replace(" ", "").startswith(
+                    _TABLE_COMMENT.replace(" ", "")):
                 payload = stripped.split("=", 1)[1]
-                embedded_table = FrequencyTable(
-                    tuple(float(v) for v in payload.split(",") if v.strip()))
+                try:
+                    embedded_table = FrequencyTable(
+                        tuple(float(v) for v in payload.split(",") if v.strip()))
+                except ValueError as exc:
+                    raise TraceParseError(0, f"table comment {stripped!r}: {exc}") from None
             continue
         if header is None:
             header = [c.strip() for c in stripped.split(",")]

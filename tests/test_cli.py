@@ -483,6 +483,47 @@ class TestReplay:
         self._assert_one_error_line(["--trace", str(trace_path), "--spec", str(spec_path)],
                                     tmp_path, capsys, "counter_names must align with indices")
 
+    def test_spec_index_not_an_integer_exit2(self, tmp_path, capsys):
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        spec_path = tmp_path / "features.spec"
+        spec_path.write_text("counter_indices = 2,x\n")
+        self._assert_one_error_line(["--trace", str(trace_path), "--spec", str(spec_path)],
+                                    tmp_path, capsys,
+                                    f"feature spec {spec_path}: counter_indices")
+
+    def test_missing_spec_exit2(self, tmp_path, capsys):
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        spec_path = tmp_path / "gone.spec"
+        self._assert_one_error_line(["--trace", str(trace_path), "--spec", str(spec_path)],
+                                    tmp_path, capsys, str(spec_path))
+
+    @staticmethod
+    def _with_table_comment(tmp_path, entries):
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        _, *rest = trace_path.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad-comment.csv"
+        bad.write_text(f"# freq_table_mhz = {entries}\n" + "".join(rest))
+        return trace_path, bad
+
+    @pytest.mark.parametrize("entries", ["200.0,abc", "200.0,inf"])
+    def test_bad_table_comment_named_exit2(self, tmp_path, capsys, entries):
+        _, bad = self._with_table_comment(tmp_path, entries)
+        self._assert_one_error_line(["--trace", str(bad), "--algo", "arlms"], tmp_path, capsys,
+                                    f"table comment '# freq_table_mhz = {entries}'")
+
+    @pytest.mark.parametrize("entries", ["200.0,abc", "200.0,inf"])
+    def test_config_table_skips_bad_table_comment(self, tmp_path, capsys, entries):
+        good, bad = self._with_table_comment(tmp_path, entries)
+        outs = []
+        for trace_path in (good, bad):
+            outs.append(tmp_path / f"{trace_path.stem}-r.csv")
+            code = main(["replay", "--trace", str(trace_path), "--algo", "arlms",
+                         "--config", str(CONFIG_DIR / "characterization.ini"),
+                         "--out", str(outs[-1])])
+            assert code == 0
+        assert capsys.readouterr().err == ""
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     @staticmethod
     def _assert_one_error_line(args, tmp_path, capsys, named):
         out = tmp_path / "r.csv"

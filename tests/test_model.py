@@ -208,18 +208,18 @@ class TestWhatIf:
     def test_every_jump_matches_scalar_delta(self, case, jumps):
         table, a, base, f_k = case
         level, valid, delta = what_if(a, base, f_k, table, jumps)
-        assert level.shape == valid.shape == delta.shape == (len(a), jumps, 2)
+        assert level.shape == valid.shape == delta.shape == (jumps, 2, len(a))
         levels = table.freqs_mhz
         for i, (row, t, f) in enumerate(zip(a.tolist(), base.tolist(), f_k.tolist())):
             at = levels.index(f)
             for j in range(jumps):
                 for side, step in enumerate((j + 1, -j - 1)):
                     on_table = 0 <= at + step < len(levels)
-                    assert valid[i, j, side] == on_table
+                    assert valid[j, side, i] == on_table
                     if on_table:
-                        assert level[i, j, side] == at + step
+                        assert level[j, side, i] == at + step
                         want = candidate_delta(row[0], row[1], t, f, levels[at + step])
-                        assert np.float64(want).tobytes() == delta[i, j, side].tobytes()
+                        assert np.float64(want).tobytes() == delta[j, side, i].tobytes()
 
 
 class TestSensitivityTrend:

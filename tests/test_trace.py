@@ -250,6 +250,16 @@ class TestParse:
         with pytest.raises(ValueError, match="frequencies must be finite and positive"):
             parse_trace(text)
 
+    @pytest.mark.parametrize("entries", ["200.0,abc", "200.0,inf", "400.0,200.0"])
+    def test_embedded_table_read_only_when_used(self, entries):
+        comment = f"# freq_table_mhz = {entries}"
+        text = comment + "\ntime,frame_time_ms,frame_count,gpu_freq_mhz\n0.05,8.0,3,200.0\n"
+        with pytest.raises(TraceParseError) as info:
+            parse_trace(text)
+        assert str(info.value).startswith(f"row 0: table comment '{comment}': ")
+        table = FrequencyTable(DEFAULT_FREQS_MHZ)
+        assert parse_trace(text, table).freq_table == table
+
 
 def frame_times_at(spec, c, freqs):
     """frame_times at one complexity, over a table of freqs."""

@@ -1,7 +1,7 @@
 """Run the CLI walkthrough once per seed and keep everything it prints and writes.
 
     python tools/walkthrough.py --out OUT [--seeds 1 7 42 9173] [--repo CHECKOUT]
-                                [--against DIR]
+                                [--against DIR] [--golden DIR]
 
 For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
 file the commands write, and for each command NN-name.stdout, .stderr and
@@ -20,6 +20,18 @@ default seeds 1, 7, 42 and 9173:
 every command has run, and prints each path that differs, is missing
 from OUT or is extra in OUT.
 
+--golden DIR writes DIR/seed-N.json for each seed: each command's exit
+code and stdout lines, the text lines of each file the commands wrote
+that is not a CSV, and for each CSV its comment lines, header, row count
+and, per column, the count, sum, sum of k * x_k over the 1-based row k,
+min and max of its numeric cells, with a digest of the cells that are not
+numbers.  tests/test_golden.py runs the same commands in-process and
+compares them with tests/golden/seed-1.json, the numbers within
+GOLDEN_RTOL relative.  A change that moves a printed figure regenerates
+that file, and says which lines moved:
+
+    python tools/walkthrough.py --out /tmp/run --seeds 1 --golden tests/golden
+
 Standard library only.  Exit status 0 once every command has run, whatever
 their own exit codes were, or 1 if --against found a path that is not the
 same in both trees.
@@ -29,6 +41,9 @@ from __future__ import annotations
 
 import argparse
 import filecmp
+import hashlib
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -37,6 +52,8 @@ import time
 from pathlib import Path
 
 DEFAULT_SEEDS = (1, 7, 42, 9173)
+GOLDEN_RTOL = 1e-9
+_RECORD_SUFFIXES = (".stdout", ".stderr", ".exit")
 
 
 def commands(seed: int) -> list[tuple[str, list[str]]]:
@@ -100,13 +117,16 @@ def commands(seed: int) -> list[tuple[str, list[str]]]:
     return steps
 
 
-def run_seed(repo: Path, out: Path, seed: int) -> None:
+def run_seed(repo: Path, out: Path, seed: int) -> list[tuple[str, int, str]]:
+    """Run the walkthrough in OUT/seed-N; return (name, exit code, stdout)
+    of each command."""
     workdir = out / f"seed-{seed}"
     if workdir.exists():
         shutil.rmtree(workdir)
     shutil.copytree(repo / "configs", workdir / "configs")
     env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED="0")
     total = 0.0
+    runs = []
     for i, (name, args) in enumerate(commands(seed), start=1):
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "frametime", *args], cwd=workdir,
@@ -118,7 +138,78 @@ def run_seed(repo: Path, out: Path, seed: int) -> None:
         stem.with_suffix(".stderr").write_bytes(done.stderr)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
         print(f"seed {seed}: {name} exit {done.returncode} {seconds:.3f} s")
+        runs.append((name, done.returncode, done.stdout.decode("utf-8")))
     print(f"seed {seed}: total {total:.3f} s")
+    return runs
+
+
+def _csv_summary(lines: list[str]) -> dict:
+    """Comment lines, header, row count, per-column numeric statistics and
+    a digest of the other cells of one CSV file's lines."""
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    stats, other = [], hashlib.sha256()
+    for j in range(len(header)):
+        numbers = []
+        for k, row in enumerate(rows, start=1):
+            cell = row[j] if j < len(row) else ""
+            try:
+                numbers.append((k, float(cell)))
+            except ValueError:
+                other.update(f"{k},{j}:{cell}\n".encode("utf-8"))
+        xs = [x for _, x in numbers]
+        stats.append([len(xs), math.fsum(xs), math.fsum(k * x for k, x in numbers),
+                      min(xs, default=None), max(xs, default=None)])
+    return {"comments": comments, "header": header, "rows": len(rows), "stats": stats,
+            "other_cells": other.hexdigest()}
+
+
+def summarize(workdir: Path, seed: int, runs) -> dict:
+    """The golden summary of one seed's walkthrough: runs is (name, exit
+    code, stdout) per command, and every file in workdir but its
+    subdirectories and the per-command records is one the commands wrote."""
+    files = {}
+    for path in sorted(workdir.iterdir()):
+        if path.is_file() and path.suffix not in _RECORD_SUFFIXES:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            files[path.name] = _csv_summary(lines) if path.suffix == ".csv" else lines
+    return {"seed": seed,
+            "commands": [{"name": name, "exit": code, "stdout": stdout.splitlines()}
+                         for name, code, stdout in runs],
+            "files": files}
+
+
+def compare_summaries(actual: dict, golden: dict) -> list[str]:
+    """One line per place where actual departs from golden: anything but
+    a statistic differs, or a statistic is off by more than GOLDEN_RTOL
+    relative (equal infinities and two nans agree)."""
+    def close(a, b):
+        if a is None or b is None:
+            return a is b
+        return a == b or (math.isnan(a) and math.isnan(b)) or math.isclose(
+            a, b, rel_tol=GOLDEN_RTOL)
+
+    lines = []
+    if [c["name"] for c in actual["commands"]] != [c["name"] for c in golden["commands"]]:
+        return ["the command list differs"]
+    for mine, theirs in zip(actual["commands"], golden["commands"]):
+        for key in ("exit", "stdout"):
+            if mine[key] != theirs[key]:
+                lines.append(f"{mine['name']}: {key} {mine[key]!r} != {theirs[key]!r}")
+    for name in sorted(set(actual["files"]) | set(golden["files"])):
+        mine, theirs = actual["files"].get(name), golden["files"].get(name)
+        if mine is None or theirs is None:
+            lines.append(f"{name}: {'missing' if mine is None else 'extra'}")
+        elif isinstance(theirs, list):
+            if mine != theirs:
+                lines.append(f"{name}: lines differ")
+        else:
+            lines += [f"{name}: {key} differs" for key in
+                      ("comments", "header", "rows", "other_cells") if mine[key] != theirs[key]]
+            for column, a, b in zip(theirs["header"], mine["stats"], theirs["stats"]):
+                if not all(map(close, a, b)):
+                    lines.append(f"{name}: column {column} {a} != {b}")
+    return lines
 
 
 def compare_trees(out: Path, against: Path) -> list[str]:
@@ -144,6 +235,8 @@ def main(argv=None) -> int:
                         help="checkout to run (default: the one holding this script)")
     parser.add_argument("--against", type=Path,
                         help="an earlier OUT to compare this run's OUT with, file by file")
+    parser.add_argument("--golden", type=Path,
+                        help="directory to write each seed's golden summary to")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if not (repo / "src" / "frametime").is_dir():
@@ -152,7 +245,12 @@ def main(argv=None) -> int:
         parser.error(f"{args.against} is not a directory")
     args.out.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
-        run_seed(repo, args.out.resolve(), seed)
+        runs = run_seed(repo, args.out.resolve(), seed)
+        if args.golden is not None:
+            args.golden.mkdir(parents=True, exist_ok=True)
+            summary = summarize(args.out.resolve() / f"seed-{seed}", seed, runs)
+            (args.golden / f"seed-{seed}.json").write_text(
+                json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     if args.against is None:
         return 0
     lines = compare_trees(args.out.resolve(), args.against.resolve())
