@@ -395,12 +395,9 @@ def _sample_complexities(trace, bundle):
     runtime traces by matching the workload's own schedule length.  Returns
     None when the trace cannot be tied back to the analytic workload.
     """
-    try:
+    if bundle.characterization_complexities:
         c = sweep_complexities(bundle.characterization_complexities,
                                bundle.characterization_repeats, len(bundle.freq_table))
-    except ValueError:
-        pass    # the config defines no sweep
-    else:
         if len(trace) == c.size:
             return c
     schedule = bundle.workload.complexity_schedule
@@ -448,8 +445,9 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
 def cmd_govern(args) -> int:
     bundle = load_config(args.config)
     policies = POLICIES if args.policy == "all" else (args.policy,)
-    runs = [governor.simulate(policy, bundle.workload, bundle.freq_table, bundle.governor,
-                              bundle.power_model, seed=args.seed) for policy in policies]
+    world = governor.realize(bundle.workload, bundle.freq_table, seed=args.seed)
+    runs = [governor.simulate(policy, world, bundle.governor, bundle.power_model)
+            for policy in policies]
     summary = [f"summary,{r.policy},,,{r.total_energy:.8g},{r.fps_violations}" for r in runs]
     _write_csv(args.out, ["k", "policy", "f_mhz", "t_frame_ms", "energy_j", "violation"],
                [_column(np.concatenate([np.arange(r.freqs.size) for r in runs]), "%d"),

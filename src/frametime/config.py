@@ -315,8 +315,15 @@ def load_config(path) -> ConfigBundle:
 
         if "characterization" in cp:
             ch = cp["characterization"]
-            complexities = parse_complexities(ch.get("complexities", "1:64"))
+            raw = ch.get("complexities", "1:64")
+            complexities = parse_complexities(raw)
+            if not complexities:
+                raise ConfigError(f"[characterization]: complexities must not be empty, "
+                                  f"got {raw!r}")
             repeats = _integer(ch, "repeats", 10, "[characterization]")
+            if repeats < 1:
+                raise ConfigError(f"[characterization]: repeats must be at least 1, "
+                                  f"got {repeats}")
         else:
             complexities, repeats = (), 1
 

@@ -18,9 +18,9 @@ Each algorithm is one step (rls_step, dcd_step, arlms_step) on bare
 state, and rls_init and dcd_rls_init check the settings and return the
 state an RLS form starts from.  A step checks nothing: the data reach it
 already checked where they enter the program.  RegressionDataset rejects
-a non-finite feature or target, governor.simulate rejects non-finite
-counters and frame times before its loop, and Trace validation rejects
-a negative or non-finite frame time.  Each step returns the prediction
+a non-finite feature or target, governor.realize rejects non-finite
+counters and frame times before any policy runs, and Trace validation
+rejects a negative or non-finite frame time.  Each step returns the prediction
 it made before updating, so a replay computes it once.  Inside a step
 only the BLAS reductions (h'a, P h, h'P h) stay in numpy: their
 summation order sets the rounding that the outputs depend on.  They are

@@ -7,11 +7,13 @@ the style of the Linux ondemand default.  Each interval the policy picks
 a frequency, the workload realizes a frame time, and the interval's
 energy comes from a parametric power model.
 
-simulate evaluates the workload's maps once (trace.workload_columns,
+realize evaluates the workload's maps once (trace.workload_columns,
 which rejects the workloads that characterize rejects), realizes the
 frame times at every level by trace.realized_frame_times, as generated
-traces do, checks them and the counters for being finite once, and lets
-each policy only choose levels.  PolicyResult holds a run by column.
+traces do, checks them and the counters for being finite once, and
+returns them read-only as a Realization.  simulate runs one policy on a
+Realization and only chooses levels, so every policy of a govern run
+shares one grid.  PolicyResult holds a run by column.
 
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,27 +139,41 @@ def _policy_result(policy: str, levels: np.ndarray, frame_ms: np.ndarray, chosen
     return PolicyResult(policy, freqs, realized, energies, realized > cfg.frame_budget_ms)
 
 
-def simulate(policy: str, spec: WorkloadSpec, table: FrequencyTable,
-             cfg: GovernorConfig, pm: PowerModel, seed: int = 0) -> PolicyResult:
-    """Closed-loop run of one policy over the workload's schedule.
+class Realization(NamedTuple):
+    """A workload realized at one seed: its spec and table, the
+    workload_columns of its schedule, one row per interval, and the
+    (intervals, levels) frame times realized at the table's levels.  Both
+    arrays are finite and read-only."""
+    spec: WorkloadSpec
+    table: FrequencyTable
+    columns: np.ndarray
+    frame_ms: np.ndarray
 
-    The workload's maps are evaluated once, into the (intervals, levels)
-    grid of frame times realized at the seed (trace.realized_frame_times),
-    shared across policies.  Each policy only chooses a level per
-    interval, and the estimator behind the rls policy learns from each
-    realized sample.  Deterministic for a given (policy, spec, seed).
-    Energy never feeds back into a decision, so it is computed after the
-    loop.
-    """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
-    schedule = spec.complexity_schedule
-    n = len(schedule)
-    columns = workload_columns(spec, schedule)
-    freqs = np.asarray(table.freqs_mhz)
-    frame_ms = realized_frame_times(spec, columns[:, None, :], freqs, seed)
+
+def realize(spec: WorkloadSpec, table: FrequencyTable, seed: int = 0) -> Realization:
+    """The workload's schedule realized at every table level at the seed, for
+    every policy to share.  Raises ValueError on a workload that generation
+    rejects or a counter or frame time that is not finite."""
+    columns = workload_columns(spec, spec.complexity_schedule)
+    frame_ms = realized_frame_times(spec, columns[:, None, :], np.asarray(table.freqs_mhz),
+                                    seed)
     if not (np.isfinite(columns).all() and np.isfinite(frame_ms).all()):
         raise ValueError("non-finite counters or frame times")
+    columns.flags.writeable = frame_ms.flags.writeable = False
+    return Realization(spec, table, columns, frame_ms)
+
+
+def simulate(policy: str, world: Realization, cfg: GovernorConfig,
+             pm: PowerModel) -> PolicyResult:
+    """Closed-loop run of one policy that chooses a level per interval on
+    world's frame-time grid; the estimator behind the rls policy learns from
+    each realized sample.  Energy never feeds back into a decision, so it is
+    computed after the loop."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+    spec, table, columns, frame_ms = world
+    n = len(frame_ms)
+    freqs = np.asarray(table.freqs_mhz)
 
     if policy == "oracle":
         chosen = _cheapest_feasible(frame_ms, pm.active_power(freqs), cfg, pm)

@@ -302,7 +302,7 @@ def frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
     """Noiseless frame time s * ref_freq / f + u in ms, from workload_columns
     rows broadcast against f: columns[:, None, :] against the table levels
     gives the (complexities, levels) grid.  A value too large for a float
-    is inf without a numpy warning: Trace validation and governor.simulate
+    is inf without a numpy warning: Trace validation and governor.realize
     reject it."""
     with np.errstate(over="ignore"):
         return columns[..., 0] * spec.ref_freq / f + columns[..., 1]

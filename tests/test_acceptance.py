@@ -15,7 +15,7 @@ from frametime.config import GovernorConfig, PowerModel
 from frametime.estimator import dcd_rls_init, dcd_step, rls_init, rls_step
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
                                 pearson_prune, select_features)
-from frametime.governor import simulate
+from frametime.governor import realize, simulate
 from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
 from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, batch_ridge_solve, heavy_runs,
@@ -242,8 +242,8 @@ def test_criterion_10_governor_dominance_and_savings():
     ratios = {}
     totals = {"rls": 0.0, "oracle": 0.0, "ondemand": 0.0}
     for name, spec in heavy_runs(600).items():
-        res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=9)
-               for p in ("oracle", "rls", "ondemand")}
+        world = realize(spec, SWEEP_TABLE, seed=9)
+        res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
         eo, er, ed = (res[p].total_energy for p in ("oracle", "rls", "ondemand"))
         dominance &= eo <= er <= ed
         ratios[name] = (er / eo, ed / eo)
@@ -252,13 +252,13 @@ def test_criterion_10_governor_dominance_and_savings():
     # dominance must also hold on other seeds and on the light runs
     for seed in (10, 11):
         for spec in heavy_runs(300).values():
-            res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=seed)
-                   for p in ("oracle", "rls", "ondemand")}
+            world = realize(spec, SWEEP_TABLE, seed=seed)
+            res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
             dominance &= (res["oracle"].total_energy <= res["rls"].total_energy
                           <= res["ondemand"].total_energy)
     for spec in light_runs(300).values():
-        res = {p: simulate(p, spec, SWEEP_TABLE, cfg, pm, seed=9)
-               for p in ("oracle", "rls", "ondemand")}
+        world = realize(spec, SWEEP_TABLE, seed=9)
+        res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
         dominance &= res["oracle"].total_energy <= res["rls"].total_energy
 
     rls_ok = all(r[0] <= 1.10 for r in ratios.values())

@@ -16,15 +16,16 @@ import frametime
 from frametime import cli
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH, compute_metrics,
                            main, run_replay)
-from frametime.config import (ConfigError, GovernorConfig, PowerModel, load_config,
-                              parse_schedule)
+from frametime.config import (POLICIES, ConfigError, GovernorConfig, PowerModel,
+                              load_config, parse_schedule)
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  rls_init)
 from frametime.features import (FeatureSpec, build_dataset, estimator_units,
                                 save_feature_spec)
 from frametime.model import candidate_delta, three_point_derivative
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
-                             generate_runtime, parse_trace, serialize_trace)
+                             generate_runtime, parse_trace, realized_frame_times,
+                             serialize_trace)
 from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_rls,
                        sensitivity_run, shipped)
 
@@ -187,6 +188,27 @@ class TestConfig:
         path.write_text(CONFIG_TEXT.split("[governor]")[0])   # [power_model] follows it
         bundle = load_config(path)
         assert (bundle.governor, bundle.power_model) == (GovernorConfig(), PowerModel())
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("complexities = 1:64", "complexities = 5:1",
+         "[characterization]: complexities must not be empty, got '5:1'"),
+        ("complexities = 1:64", "complexities = ,",
+         "[characterization]: complexities must not be empty, got ','"),
+        ("repeats = 4", "repeats = 0", "[characterization]: repeats must be at least 1, got 0"),
+        ("repeats = 4", "repeats = -3", "[characterization]: repeats must be at least 1, got -3"),
+    ], ids=["empty_range", "empty_list", "zero_repeats", "negative_repeats"])
+    def test_empty_sweep_rejected_by_every_command(self, tmp_path, capsys, old, new, named):
+        # a [characterization] section that defines no sweep fails where the
+        # file loads, so govern, which never sweeps, rejects it like characterize
+        text = (CONFIG_DIR / "selection.ini").read_text()
+        assert text.count(old) == 1
+        config = tmp_path / "selection.ini"
+        config.write_text(text.replace(old, new))
+        for command in (["characterize"], ["govern", "--policy", "all"]):
+            out = tmp_path / "out.csv"
+            code = main([*command, "--config", str(config), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {named}\n"), command
+            assert not out.exists()
 
 
 class TestMetrics:
@@ -686,6 +708,38 @@ class TestGovern:
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main([*command, "--config", str(config_file), "--out", str(tmp_path / "o.csv")])
         assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", ["governor_heavy", "governor_light"])
+    def test_policy_all_rows_equal_single_policy_rows(self, tmp_path, capsys, name):
+        # every policy of one run shares one realization, and each policy's
+        # rows and line are those of a run of that policy alone
+        def govern(policy):
+            out = tmp_path / f"{policy}.csv"
+            code = main(["govern", "--config", str(CONFIG_DIR / f"{name}.ini"),
+                         "--policy", policy, "--out", str(out), "--seed", "1"])
+            assert code == 0
+            return out.read_bytes().splitlines(), capsys.readouterr().out.splitlines()
+
+        rows, printed = govern("all")
+        for policy in POLICIES:
+            own_rows, own_printed = govern(policy)
+            assert own_rows == rows[:1] + [r for r in rows[1:]
+                                           if r.split(b",")[1] == policy.encode()]
+            assert own_printed == [ln for ln in printed
+                                   if ln.startswith(f"{policy}: energy=")]
+
+    def test_policy_all_realizes_once(self, tmp_path, monkeypatch):
+        realized = []
+
+        def counting(*args, **kwargs):
+            realized.append(args[-1])
+            return realized_frame_times(*args, **kwargs)
+
+        monkeypatch.setattr("frametime.governor.realized_frame_times", counting)
+        code = main(["govern", "--config", str(CONFIG_DIR / "governor_heavy.ini"),
+                     "--policy", "all", "--out", str(tmp_path / "g.csv"), "--seed", "1"])
+        assert code == 0
+        assert realized == [1]
 
     def test_trace_flag_unknown_exit2(self, config_file, tmp_path, capsys):
         # govern simulates an analytic workload config; it takes no trace

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frametime.config import POLICIES, GovernorConfig, PowerModel
-from frametime.governor import RUN_WINDOW, _cheapest_feasible, interval_energy, simulate
+from frametime.governor import (RUN_WINDOW, _cheapest_feasible, interval_energy, realize,
+                                simulate)
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec, generate_runtime
 from scenarios import (heavy_runs, light_runs, reference_cheapest_level, reference_frame_time,
                        reference_noise, reference_ondemand, reference_rls_choice,
@@ -94,7 +95,7 @@ def ondemand_freqs(schedule, cfg=CFG):
     311 MHz up, and c = 40 saturates at any level."""
     spec = WorkloadSpec(tuple(schedule), AffineMap(1.0, 0.0), AffineMap(0.0, 0.0), 200.0,
                         noise_sigma=0.0)
-    return simulate("ondemand", spec, TABLE, cfg, PM).freqs.tolist()
+    return simulate("ondemand", realize(spec, TABLE), cfg, PM).freqs.tolist()
 
 
 class TestOndemand:
@@ -121,7 +122,7 @@ class TestOraclePolicy:
     def test_light_workload_constant_min_frequency(self):
         spec = WorkloadSpec((5.0,) * 30, AffineMap(0.0, 1.0), AffineMap(0.0, 3.0),
                             200.0, noise_sigma=0.0)
-        result = simulate("oracle", spec, TABLE, CFG, PM)
+        result = simulate("oracle", realize(spec, TABLE), CFG, PM)
         assert set(result.freqs.tolist()) == {TABLE.min}
         assert result.fps_violations == 0
 
@@ -136,7 +137,7 @@ class TestOraclePolicy:
             spec = replace(heavy_runs(24)["heavy_square_b"], noise_sigma=0.25,
                            complexity_schedule=(37.0, 56.0) * 12)
             noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
-        result = simulate("oracle", spec, TABLE, CFG, PM, seed=4)
+        result = simulate("oracle", realize(spec, TABLE, seed=4), CFG, PM)
         budget = CFG.frame_budget_ms
         fallbacks = 0
         for k, c in enumerate(spec.complexity_schedule):
@@ -156,8 +157,8 @@ class TestOraclePolicy:
 
     def test_oracle_never_beaten(self):
         for name, spec in heavy_runs(60).items():
-            res = {p: simulate(p, spec, TABLE, CFG, PM, seed=3)
-                   for p in ("oracle", "rls", "ondemand")}
+            world = realize(spec, TABLE, seed=3)
+            res = {p: simulate(p, world, CFG, PM) for p in ("oracle", "rls", "ondemand")}
             assert res["oracle"].total_energy <= res["rls"].total_energy
             assert res["oracle"].total_energy <= res["ondemand"].total_energy
 
@@ -190,8 +191,9 @@ class TestPolicyResultColumns:
         schedule = spec.complexity_schedule
         n = len(schedule)
         noise = reference_noise(spec, seed)
+        world = realize(spec, TABLE, seed=seed)
         for policy in ("rls", "oracle", "ondemand"):
-            r = simulate(policy, spec, TABLE, CFG, PM, seed=seed)
+            r = simulate(policy, world, CFG, PM)
             assert all(c.shape == (n,) for c in (r.freqs, r.frame_ms, r.energies, r.violations))
             assert set(r.freqs.tolist()) <= set(TABLE.freqs_mhz)
             # the noisy grid at the chosen level
@@ -217,8 +219,9 @@ class TestRealizedFrameTimes:
     def test_simulate_realizes_what_generation_writes(self, run):
         # at sigma 3 about a third of the noise factors clip to 0
         spec, seed = run
+        world = realize(spec, TABLE, seed=seed)
         for policy in POLICIES:
-            r = simulate(policy, spec, TABLE, CFG, PM, seed=seed)
+            r = simulate(policy, world, CFG, PM)
             trace = generate_runtime(spec, TABLE, r.freqs, seed)
             assert trace.frame_times.tobytes() == r.frame_ms.tobytes(), policy
 
@@ -261,10 +264,11 @@ class TestHeldRuns:
     @example((replace(HEAVY, complexity_schedule=(32.0,) * 10 + (42.0,) * 10), 1, CFG))
     def test_equals_one_interval_at_a_time(self, run):
         spec, seed, cfg = run
+        world = realize(spec, TABLE, seed=seed)
         for policy, (freqs, frame_ms) in [
                 ("rls", reference_rls_policy(spec, TABLE, cfg, PM, seed)),
                 ("ondemand", reference_ondemand(spec, TABLE, cfg, seed))]:
-            result = simulate(policy, spec, TABLE, cfg, PM, seed=seed)
+            result = simulate(policy, world, cfg, PM)
             for name, want in reference_columns(freqs, frame_ms, cfg, PM).items():
                 assert getattr(result, name).tobytes() == want.tobytes(), (policy, name)
 
@@ -272,20 +276,20 @@ class TestHeldRuns:
 class TestSimulate:
     def test_deterministic_per_seed(self):
         spec = light_runs(80)["light_square"]
-        a = simulate("rls", spec, TABLE, CFG, PM, seed=5)
-        b = simulate("rls", spec, TABLE, CFG, PM, seed=5)
+        a = simulate("rls", realize(spec, TABLE, seed=5), CFG, PM)
+        b = simulate("rls", realize(spec, TABLE, seed=5), CFG, PM)
         for name in ("freqs", "frame_ms", "energies", "violations"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_energy_decomposition_exact(self):
         spec = heavy_runs(50)["heavy_steady"]
-        result = simulate("ondemand", spec, TABLE, CFG, PM, seed=1)
+        result = simulate("ondemand", realize(spec, TABLE, seed=1), CFG, PM)
         assert result.total_energy == sum(result.energies)
         assert len(result.energies) == 50
 
     def test_violation_accounting_uses_realized_time(self):
         spec = heavy_runs(40)["heavy_square_b"]
-        result = simulate("rls", spec, TABLE, CFG, PM, seed=2)
+        result = simulate("rls", realize(spec, TABLE, seed=2), CFG, PM)
         budget = CFG.frame_budget_ms
         want = sum(1 for t in result.frame_ms.tolist() if t > budget)
         assert result.fps_violations == want
@@ -294,8 +298,9 @@ class TestSimulate:
 
     def test_rls_and_oracle_agree_on_light_load(self):
         spec = light_runs(200)["light_square"]
-        rls = simulate("rls", spec, TABLE, CFG, PM, seed=4)
-        oracle = simulate("oracle", spec, TABLE, CFG, PM, seed=4)
+        world = realize(spec, TABLE, seed=4)
+        rls = simulate("rls", world, CFG, PM)
+        oracle = simulate("oracle", world, CFG, PM)
         warm = CFG.warmup_intervals
         agree = sum(1 for a, b in zip(rls.freqs[warm:].tolist(), oracle.freqs[warm:].tolist())
                     if a == b)
@@ -311,7 +316,7 @@ class TestSimulate:
         if sigma is not None:
             spec = replace(spec, noise_sigma=sigma)
         cfg, pm, seed = bundle.governor, bundle.power_model, 1
-        result = simulate("rls", spec, table, cfg, pm, seed=seed)
+        result = simulate("rls", realize(spec, table, seed=seed), cfg, pm)
         # the reference's updates run through the full formula, which has
         # no shortcut for zero rows, so a wrong skip in the package's
         # update shows here
@@ -327,7 +332,7 @@ class TestSimulate:
         # interval 3 to 244 MHz, where the held state would keep 278 MHz
         spec = replace(HEAVY, noise_sigma=0.0, complexity_schedule=(30.0, 32.0, 30.0, 42.0))
         cfg = replace(CFG, warmup_intervals=0)
-        freqs = simulate("rls", spec, TABLE, cfg, PM).freqs.tolist()
+        freqs = simulate("rls", realize(spec, TABLE), cfg, PM).freqs.tolist()
         assert freqs == reference_rls_policy(spec, TABLE, cfg, PM, 0)[0]
         assert freqs == [511.0, 278.0, 278.0, 244.0]
 
@@ -339,7 +344,7 @@ class TestSimulate:
         spec = replace(heavy, dep_counters=(counter,))
         message = "dep counter render_busy_kcycles base must be > 0 at C=32.0"
         with pytest.raises(ValueError, match=message):
-            simulate(policy, spec, TABLE, CFG, PM, seed=0)
+            simulate(policy, realize(spec, TABLE, seed=0), CFG, PM)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
@@ -350,12 +355,23 @@ class TestSimulate:
             spec = WorkloadSpec((5.0,) * 20, AffineMap(0.0, 1e308), AffineMap(0.0, 1.0),
                                 200.0, noise_sigma=sigma)
             with pytest.raises(ValueError, match="non-finite"):
-                simulate(policy, spec, TABLE, CFG, PM, seed=0)
+                simulate(policy, realize(spec, TABLE, seed=0), CFG, PM)
 
     def test_unknown_policy(self):
         spec = light_runs(10)["light_square"]
         with pytest.raises(ValueError):
-            simulate("racing", spec, TABLE, CFG, PM, seed=0)
+            simulate("racing", realize(spec, TABLE, seed=0), CFG, PM)
+
+
+class TestRealize:
+    def test_arrays_are_read_only(self):
+        world = realize(HEAVY, TABLE, seed=1)
+        assert world.frame_ms.shape == (len(HEAVY.complexity_schedule), len(TABLE))
+        for name in ("columns", "frame_ms"):
+            array = getattr(world, name)
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestConfigValidation:
