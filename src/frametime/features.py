@@ -15,6 +15,7 @@ counters among the survivors.  The chosen set is frozen for online use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ SCALE_FLOOR = 1.0
 
 
 class ZeroFrequencyVarianceError(ValueError):
-    """The trace holds a single frequency, correlation with it is undefined."""
+    """The trace holds fewer than two rows or a single frequency, so
+    correlation with the frequency is undefined."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,10 @@ def pearson_prune(trace: Trace) -> list[int]:
     of a counter whose centred values square to zero.
     """
     freqs = trace.freqs
-    if len(trace) < 2 or np.ptp(freqs) == 0:
+    if len(trace) < 2:
+        raise ZeroFrequencyVarianceError(
+            f"trace has {len(trace)} rows; correlation with frequency needs at least two")
+    if np.ptp(freqs) == 0:
         raise ZeroFrequencyVarianceError(
             "trace spans a single frequency, correlation with frequency is undefined")
     fc = freqs - freqs.mean()
@@ -245,6 +250,14 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     constant columns never join, and the active set stops growing at
     rank(X).  The rank tests read the triangular factor of X = QR, taken
     once per path, in place of the tall column blocks of X.
+
+    The products with the Gram matrix, the solve, the QR and the SVDs are
+    numpy calls.  Each knot's bookkeeping, a few entries per column, is
+    on Python floats, whose operations round as numpy's elementwise ones
+    do: each step to a joining column (up, down and their minimum gamma),
+    each active column's step to zero (hit), and the signs.  A
+    conditional expression computes no quotient it does not use, so none
+    divides by zero, and the minimum picks a nan as np.minimum does.
     """
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
@@ -255,48 +268,51 @@ def _lasso_path(X: np.ndarray, y: np.ndarray, lam_min: float):
     R = np.linalg.qr(X, mode="r")
     m = X.shape[1]
     a = np.zeros(m)
-    signs = np.zeros(m)
-    c = xy
-    lam = float(np.max(np.abs(c)))
+    signs = [0.0] * m
+    c = xy.tolist()     # correlations with the residual
+    lam = float(np.max(np.abs(xy)))
     lams, knots = [lam], [a.copy()]
     active: list[int] = []
     dropped = None
-    # np.where computes the quotients it masks out too, and those may divide by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while lam > lam_min:
-            d = np.zeros(m)  # coefficient change per unit decrease of lam
-            if active:
-                d[active] = np.linalg.solve(gram[active][:, active], signs[active])
-            w = gram @ d     # correlation change per unit decrease of lam
-            step, join, leave = lam - lam_min, None, None
-            up = np.where(w < 1, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
-            down = np.where(w > -1, np.maximum(lam + c, 0.0) / (1.0 + w), np.inf)
-            hit = np.where(d != 0, -a / d, np.inf)
-            if dropped is not None:
-                # it left with |c| = lam and may only come back with the other sign
-                (up if signs[dropped] > 0 else down)[dropped] = np.inf
-            gamma = np.minimum(up, down)
-            for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
-                if gamma[j] >= step:
-                    break
-                if _raises_rank(R, active, j):
-                    step, join = gamma[j], j
-                    break
-            for j in active:
-                if 0 < hit[j] < step:
-                    step, join, leave = hit[j], None, j
-            a += step * d
-            lam = lam - step if join is not None or leave is not None else lam_min
-            c = xy - gram @ a
-            dropped = leave
-            if join is not None:
-                active.append(join)
-                signs[join] = 1.0 if up[join] <= down[join] else -1.0
-            if leave is not None:
-                active.remove(leave)
-                a[leave] = 0.0
-            lams.append(lam)
-            knots.append(a.copy())
+    inf = math.inf
+    while lam > lam_min:
+        d = np.zeros(m)  # coefficient change per unit decrease of lam
+        if active:
+            d[active] = np.linalg.solve(gram[active][:, active], [signs[j] for j in active])
+        w = (gram @ d).tolist()     # correlation change per unit decrease of lam
+        step, join, leave = lam - lam_min, None, None
+        inactive = [j for j in range(m) if j not in active]
+        up = {j: max(lam - c[j], 0.0) / (1.0 - w[j]) if w[j] < 1 else inf for j in inactive}
+        down = {j: max(lam + c[j], 0.0) / (1.0 + w[j]) if w[j] > -1 else inf
+                for j in inactive}
+        if dropped is not None:
+            # it left with |c| = lam and may only come back with the other sign
+            (up if signs[dropped] > 0 else down)[dropped] = inf
+        gamma = {j: up[j] if up[j] <= down[j] or up[j] != up[j] else down[j]
+                 for j in inactive}
+        for j in sorted(inactive, key=gamma.__getitem__):
+            if gamma[j] >= step:
+                break
+            if _raises_rank(R, active, j):
+                step, join = gamma[j], j
+                break
+        d_list, a_list = d.tolist(), a.tolist()
+        for j in active:
+            hit = -a_list[j] / d_list[j] if d_list[j] != 0 else inf
+            if 0 < hit < step:
+                step, join, leave = hit, None, j
+        a += step * d
+        lam = lam - step if join is not None or leave is not None else lam_min
+        c = (xy - gram @ a).tolist()
+        dropped = leave
+        if join is not None:
+            active.append(join)
+            signs[join] = 1.0 if up[join] <= down[join] else -1.0
+        if leave is not None:
+            active.remove(leave)
+            a[leave] = 0.0
+        lams.append(lam)
+        knots.append(a.copy())
     return np.array(lams), np.array(knots)
 
 
@@ -311,6 +327,8 @@ def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
     coefficients; coefs come back in the original feature units); the
     full data is standardized once, for the grid and its own fit.  Each
     fold and the full data take one exact path, read at every penalty.
+    A fold trains on a copy of the rows before and after its test block,
+    two slices joined, and tests on the block itself, a slice.
     """
     n = len(dataset)
     if n < CV_FOLDS:
@@ -328,13 +346,15 @@ def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
     coefs_path, _ = fit(*full)
     del full    # so that no fold's standardized copy sits beside it
 
-    bounds = np.linspace(0, n, CV_FOLDS + 1, dtype=int)
+    # C order whatever the dataset's layout, so that neither the fold copies'
+    # layout nor the rounding of their column sums depends on it
+    h, y = np.ascontiguousarray(dataset.h), dataset.targets
+    bounds = np.linspace(0, n, CV_FOLDS + 1, dtype=int).tolist()
     fold_mse = np.empty((etas.size, CV_FOLDS))
-    for k in range(CV_FOLDS):
-        test = np.zeros(n, dtype=bool)
-        test[bounds[k]:bounds[k + 1]] = True
-        coefs, intercepts = fit(*_standardize(dataset.h[~test], dataset.targets[~test]))
-        err = dataset.targets[test, None] - (dataset.h[test] @ coefs.T + intercepts)
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        train = _standardize(np.concatenate((h[:lo], h[hi:])), np.concatenate((y[:lo], y[hi:])))
+        coefs, intercepts = fit(*train)
+        err = y[lo:hi, None] - (h[lo:hi] @ coefs.T + intercepts)
         fold_mse[:, k] = np.mean(err * err, axis=0)
 
     return LassoPath(

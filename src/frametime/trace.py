@@ -390,7 +390,6 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
 _BLOCK_ROWS = 256        # rows per numpy call when parsing
-_SERIALIZE_ROWS = 512    # rows per value table when serializing; more grow the heap's peak
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -401,25 +400,28 @@ def serialize_trace(trace: Trace) -> str:
     is self-describing; then the header row, then one row per interval.
     Each value is the repr of a Python float or int, which parses back to
     the same number; the values go through tolist() because the repr of
-    a numpy scalar reads np.float64(...).  Frequency, frame count and
-    counter columns hold few distinct values, so each block of
-    _SERIALIZE_ROWS rows formats each distinct value of a column once:
-    np.unique on the column's bit patterns, so that -0.0 stays apart from
-    0.0, gives the values and each cell's index into their strings.  The
-    block bounds the size of those tables and of the cell array.
+    a numpy scalar reads np.float64(...).  Each column is formatted in one
+    pass: np.unique on its bit patterns, so that -0.0 stays apart from
+    0.0, finds its distinct values.  A column of all-distinct values
+    (timestamps, frame times) has each cell formatted in turn; any other
+    (frequency, frame count, counters) formats each distinct value once
+    and takes each cell's string from that table.  All columns' cells are
+    held at once, then the rows' lines: the transient memory peaks at about
+    six times the text's size, 1.4 MB for the 0.25 MB of a 2,400-row trace
+    with six counters.
     """
     lines = [f"{_TABLE_COMMENT} " + ",".join(repr(f) for f in trace.freq_table)]
     lines.append(",".join(_FIXED_COLUMNS + trace.counter_names))
-    columns = [trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
-               *trace.counters.T]
-    for start in range(0, len(trace), _SERIALIZE_ROWS):
-        cells = np.empty((min(_SERIALIZE_ROWS, len(trace) - start), len(columns)), object)
-        for j, column in enumerate(columns):
-            block = column[start:start + _SERIALIZE_ROWS]
-            keys, at = np.unique(block.view(np.int64), return_inverse=True)
-            strs = np.array(list(map(repr, keys.view(block.dtype).tolist())), object)
-            cells[:, j] = strs[at]
-        lines.append("\n".join(map(",".join, cells.tolist())))
+    cells = []
+    for column in (trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
+                   *trace.counters.T):
+        keys, at = np.unique(column.view(np.int64), return_inverse=True)
+        if keys.size == column.size:
+            cells.append(list(map(repr, column.tolist())))
+        else:
+            strs = np.array(list(map(repr, keys.view(column.dtype).tolist())), object)
+            cells.append(strs[at].tolist())
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -445,12 +447,10 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     """
     if isinstance(text, str):
         text = io.StringIO(text, newline=None)
-    lines = [line.rstrip("\n") for line in text]
-
     header = None
     embedded_table = None
     rows = []
-    for line in lines:
+    for line in text:
         stripped = line.strip()
         if not stripped:
             continue

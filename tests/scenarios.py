@@ -19,11 +19,12 @@ counts of the two RLS forms.  So is the analytic workload at one (complexity,
 frequency) point, on Python floats, which the trace, governor and
 acceptance tests compare the package's columns with:
 reference_frame_time, reference_derivative and reference_counters.
-Two more references keep earlier forms of package code whose output must
+Four more references keep earlier forms of package code whose output must
 not change: reference_serialize, the trace serializer with one dict of
-formatted values per block column, and reference_standardize, the
-column standardization of the lasso fits written with numpy's mean, std
-and ptp.
+formatted values per block column; reference_standardize, the column
+standardization of the lasso fits written with numpy's mean, std and ptp;
+reference_lasso_path, the knot loop with its bookkeeping on numpy arrays;
+and reference_cv_path, the cross-validation with boolean-mask folds.
 """
 
 import math
@@ -35,7 +36,9 @@ import numpy as np
 from frametime.config import load_config, parse_schedule
 from frametime.estimator import (ARLMS_EPS, ARLMS_ORDER, ARLMS_STEP_SIZE,
                                  DCD_STEP_AMPLITUDE, rls_init)
-from frametime.features import MHZ_PER_GHZ, differential_features, estimator_units
+from frametime.features import (CV_FOLDS, ETA_GRID_POINTS, ETA_GRID_RATIO, MHZ_PER_GHZ,
+                                _lasso_path, _raises_rank, _standardize,
+                                differential_features, estimator_units)
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
 from frametime.workloads import random_walk_freqs
 
@@ -240,6 +243,93 @@ def reference_standardize(h, y):
     x_std = np.where(x_std == 0, 1.0, x_std)
     y_mean = y.mean()
     return (h - x_mean) / x_std, y - y_mean, x_mean, x_std, y_mean
+
+
+def reference_lasso_path(X, y, lam_min):
+    """The lasso path's knots (lams, coefs) with every per-knot quantity a
+    numpy array: up, down, hit and gamma by np.where, np.maximum and
+    np.minimum over all columns, under np.errstate for the quotients
+    np.where masks out.  features._lasso_path must return the same bytes."""
+    if X.shape[0] == 0:
+        raise ValueError("empty dataset")
+    if lam_min < 0:
+        raise ValueError("eta must be >= 0")
+    gram = X.T @ X
+    xy = X.T @ y
+    R = np.linalg.qr(X, mode="r")
+    m = X.shape[1]
+    a = np.zeros(m)
+    signs = np.zeros(m)
+    c = xy
+    lam = float(np.max(np.abs(c)))
+    lams, knots = [lam], [a.copy()]
+    active: list[int] = []
+    dropped = None
+    # np.where computes the quotients it masks out too, and those may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lam > lam_min:
+            d = np.zeros(m)  # coefficient change per unit decrease of lam
+            if active:
+                d[active] = np.linalg.solve(gram[active][:, active], signs[active])
+            w = gram @ d     # correlation change per unit decrease of lam
+            step, join, leave = lam - lam_min, None, None
+            up = np.where(w < 1, np.maximum(lam - c, 0.0) / (1.0 - w), np.inf)
+            down = np.where(w > -1, np.maximum(lam + c, 0.0) / (1.0 + w), np.inf)
+            hit = np.where(d != 0, -a / d, np.inf)
+            if dropped is not None:
+                # it left with |c| = lam and may only come back with the other sign
+                (up if signs[dropped] > 0 else down)[dropped] = np.inf
+            gamma = np.minimum(up, down)
+            for j in sorted(set(range(m)) - set(active), key=gamma.__getitem__):
+                if gamma[j] >= step:
+                    break
+                if _raises_rank(R, active, j):
+                    step, join = gamma[j], j
+                    break
+            for j in active:
+                if 0 < hit[j] < step:
+                    step, join, leave = hit[j], None, j
+            a += step * d
+            lam = lam - step if join is not None or leave is not None else lam_min
+            c = xy - gram @ a
+            dropped = leave
+            if join is not None:
+                active.append(join)
+                signs[join] = 1.0 if up[join] <= down[join] else -1.0
+            if leave is not None:
+                active.remove(leave)
+                a[leave] = 0.0
+            lams.append(lam)
+            knots.append(a.copy())
+    return np.array(lams), np.array(knots)
+
+
+def reference_cv_path(dataset):
+    """(etas, coefs, cv_mean_mse, cv_stderr) of features.cross_validated_path
+    with each fold's training and test rows picked by boolean masks, from
+    the module's own _standardize and _lasso_path."""
+    h, y, n = dataset.h, dataset.targets, len(dataset)
+
+    def fit(X, yc, x_mean, x_std, y_mean):
+        lams, knots = _lasso_path(X, yc, etas[-1] / 2.0)
+        a = np.column_stack([np.interp(etas / 2.0, lams[::-1], col[::-1]) for col in knots.T])
+        coefs = a / x_std
+        return coefs, y_mean - coefs @ x_mean
+
+    full = _standardize(h, y)
+    eta_max = 2.0 * float(np.max(np.abs(full[0].T @ full[1]))) or 1.0
+    etas = np.geomspace(eta_max, eta_max * ETA_GRID_RATIO, ETA_GRID_POINTS)
+    coefs, _ = fit(*full)
+    bounds = np.linspace(0, n, CV_FOLDS + 1, dtype=int)
+    fold_mse = np.empty((etas.size, CV_FOLDS))
+    for k in range(CV_FOLDS):
+        test = np.zeros(n, dtype=bool)
+        test[bounds[k]:bounds[k + 1]] = True
+        fold_coefs, intercepts = fit(*_standardize(h[~test], y[~test]))
+        err = y[test, None] - (h[test] @ fold_coefs.T + intercepts)
+        fold_mse[:, k] = np.mean(err * err, axis=0)
+    return (etas, coefs, fold_mse.mean(axis=1),
+            fold_mse.std(axis=1, ddof=1) / np.sqrt(CV_FOLDS))
 
 
 def reference_frame_time(spec, c, f):

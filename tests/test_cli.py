@@ -410,6 +410,19 @@ class TestSelectFeatures:
                      "--out", str(tmp_path / "s.spec")])
         assert code == EXIT_DEGENERATE
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_exit3(self, tmp_path, capsys, rows):
+        spec, _ = sensitivity_run(1, seed=1)
+        trace = generate_runtime(spec, TABLE, [400.0], seed=1)
+        path = tmp_path / "tiny.csv"
+        path.write_text("".join(serialize_trace(trace).splitlines(True)[:2 + rows]))
+        code = main(["select-features", "--trace", str(path),
+                     "--out", str(tmp_path / "s.spec")])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert f"trace has {rows} rows; correlation with frequency needs at least two" in err
+        assert "single frequency" not in err
+
     def test_trace_shorter_than_folds_exit3(self, tmp_path, capsys):
         spec, _ = sensitivity_run(8, seed=1)
         trace = generate_runtime(spec, TABLE, [200.0, 400.0] * 4, seed=1)

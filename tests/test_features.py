@@ -14,7 +14,7 @@ from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDat
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
                              WorkloadSpec, generate_runtime)
-from scenarios import reference_standardize
+from scenarios import reference_cv_path, reference_lasso_path, reference_standardize
 
 
 def make_trace(frame_times, freqs, counters, table=None):
@@ -40,6 +40,28 @@ def lasso_at(ds, eta):
     _, knots = _lasso_path(X, yc, eta / 2.0)
     return knots[-1] / x_std
 
+
+def lasso_case(case, seed, n, p):
+    """Standardized (X, y) of a random sparse model with noise: "plain" has
+    n + p + 1 rows and p columns, "duplicate" and "constant" add a copy of
+    the last column or a constant one, "wide" has n rows and n + 1 + p
+    columns."""
+    rng = np.random.default_rng(seed)
+    if case == "wide":      # more features than rows
+        p = n + 1 + p
+    else:
+        n += p + 1
+    h = rng.normal(size=(n, p))
+    if case == "duplicate":
+        h = np.column_stack([h, h[:, -1]])
+    if case == "constant":
+        h = np.column_stack([h, np.full(n, 3.7)])
+    beta = rng.normal(size=h.shape[1]) * (rng.random(h.shape[1]) < 0.5)
+    X, y, _, _, _ = _standardize(h, h @ beta + rng.normal(size=n))
+    return X, y
+
+
+LASSO_CASES = ["plain", "duplicate", "constant", "wide"]
 
 # KKT residuals are checked relative to max |X'y|, the largest lam of the path
 KKT_RTOL = 1e-9
@@ -233,24 +255,12 @@ class TestLassoFit:
         coefs = lasso_at(ds, grid[12])
         assert set(np.flatnonzero(coefs)) == {0, 2}
 
-    @pytest.mark.parametrize("case", ["plain", "duplicate", "constant", "wide"])
+    @pytest.mark.parametrize("case", LASSO_CASES)
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), p=st.integers(1, 7))
     @example(seed=5597396, n=3, p=1)    # centring leaves a rounding-level third direction
     def test_kkt_at_every_grid_eta(self, case, seed, n, p):
-        rng = np.random.default_rng(seed)
-        if case == "wide":      # more features than rows
-            p = n + 1 + p
-        else:
-            n += p + 1
-        h = rng.normal(size=(n, p))
-        if case == "duplicate":
-            h = np.column_stack([h, h[:, -1]])
-        if case == "constant":
-            h = np.column_stack([h, np.full(n, 3.7)])
-        beta = rng.normal(size=h.shape[1]) * (rng.random(h.shape[1]) < 0.5)
-        X, y, _, _, _ = _standardize(h, h @ beta + rng.normal(size=n))
-
+        X, y = lasso_case(case, seed, n, p)
         lam_max = float(np.max(np.abs(X.T @ y)))
         lams = lam_max * np.append(np.geomspace(1.5, 1e-4, 25), 0.0)
         knot_lams, knots = _lasso_path(X, y, 0.0)
@@ -266,6 +276,26 @@ class TestLassoFit:
                 assert a[-1] == 0 or a[-2] == 0
             if case == "constant":
                 assert a[-1] == 0
+
+    @pytest.mark.parametrize("case", LASSO_CASES)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), p=st.integers(1, 7),
+           stop=st.sampled_from([0.0, 0.01]), overflow=st.booleans())
+    @example(seed=117, n=16, p=4, stop=0.0, overflow=False)  # plain: a coefficient leaves
+    # X'X and X'y overflow, so steps are inf or nan.  Plain: a gamma is
+    # the minimum of a number and a nan, which numpy makes nan, and with
+    # seed 39 an up quotient is nan; duplicate and constant: so is a gamma
+    @example(seed=28, n=3, p=4, stop=0.0, overflow=True)
+    @example(seed=39, n=5, p=1, stop=0.0, overflow=True)
+    def test_path_equals_reference_bitwise(self, case, seed, n, p, stop, overflow):
+        X, y = lasso_case(case, seed, n, p)
+        if overflow:
+            X, y = X * 1e150, y * 1e300
+        with np.errstate(all="ignore"):
+            lam_min = stop * float(np.max(np.abs(X.T @ y))) if stop else 0.0
+            got, want = _lasso_path(X, y, lam_min), reference_lasso_path(X, y, lam_min)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), p=st.integers(1, 3))
@@ -332,6 +362,16 @@ class TestCrossValidation:
         path = cross_validated_path(ds)
         assert np.all(np.isfinite(path.cv_mean_mse))
         assert np.max(path.nonzero_counts) <= np.linalg.matrix_rank(ds.h - ds.h.mean(0))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_fold_slices_equal_mask_folds_bitwise(self, order):
+        # 103 rows: the ten folds are not all of one size
+        ds, _ = synthetic_dataset(np.random.default_rng(11), n=103, noise=0.3)
+        ds = replace(ds, h=np.asarray(ds.h, order=order))
+        path = cross_validated_path(ds)
+        got = (path.etas, path.coefs, path.cv_mean_mse, path.cv_stderr)
+        for g, w in zip(got, reference_cv_path(ds)):
+            assert g.tobytes() == w.tobytes()
 
     def test_too_few_rows(self):
         rng = np.random.default_rng(9)

@@ -1,7 +1,7 @@
 """Run the CLI walkthrough once per seed and keep everything it prints and writes.
 
     python tools/walkthrough.py --out OUT [--seeds 1 7 42 9173] [--repo CHECKOUT]
-                                [--against DIR] [--golden DIR]
+                                [--against DIR [--rtol R]] [--golden DIR]
 
 For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
 file the commands write, and for each command NN-name.stdout, .stderr and
@@ -18,7 +18,14 @@ default seeds 1, 7, 42 and 9173:
 
 --against DIR compares OUT with DIR file by file, byte for byte, once
 every command has run, and prints each path that differs, is missing
-from OUT or is extra in OUT.
+from OUT or is extra in OUT.  With --rtol R, a CSV file's cells that
+parse as numbers in both trees need only agree within R relative, and
+its other lines and cells, like every other file, byte for byte.  Each
+CSV file whose bytes differ gets a line with its largest relative
+deviation and its number of cells over R, marked "within" when it holds
+none of those and no other difference, which makes it the same:
+
+    python tools/walkthrough.py --out /tmp/after --against /tmp/before --rtol 1e-9
 
 --golden DIR writes DIR/seed-N.json for each seed: each command's exit
 code and stdout lines, the text lines of each file the commands wrote
@@ -212,17 +219,64 @@ def compare_summaries(actual: dict, golden: dict) -> list[str]:
     return lines
 
 
-def compare_trees(out: Path, against: Path) -> list[str]:
-    """One line per file that differs between the trees, is missing from
-    out or is extra in out, by path relative to the tree roots."""
+def relative_deviation(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude: 0 for equal values and
+    for two nans, inf when only one side is a nan or an infinity."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def compare_csv(mine: str, theirs: str, rtol: float) -> tuple[float, int, bool]:
+    """(largest relative deviation, cells over rtol, whether anything else
+    differs) between two CSV texts: the cells that parse as numbers on
+    both sides are compared by value, other cells and comment lines as
+    text, and a different line or cell count differs."""
+    lines, other_lines = mine.splitlines(), theirs.splitlines()
+    worst, over, other = 0.0, 0, len(lines) != len(other_lines)
+    for a, b in zip(lines, other_lines):
+        cells, other_cells = a.split(","), b.split(",")
+        if a.startswith("#") or b.startswith("#") or len(cells) != len(other_cells):
+            other = other or a != b
+            continue
+        for x, y in zip(cells, other_cells):
+            if x == y:
+                continue
+            try:
+                deviation = relative_deviation(float(x), float(y))
+            except ValueError:
+                other = True
+                continue
+            worst = max(worst, deviation)
+            over += deviation > rtol
+    return worst, over, other
+
+
+def compare_trees(out: Path, against: Path, rtol: float | None = None) -> list[tuple[str, bool]]:
+    """(line, same) per path that is missing from out, extra in out or
+    differs between the trees, by path relative to the tree roots.  With
+    rtol, a CSV file whose bytes differ is compared by compare_csv and is
+    the same when only its numbers moved, none by more than rtol."""
     def files(root: Path) -> set[Path]:
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
     mine, theirs = files(out), files(against)
-    lines = [f"missing: {p}" for p in sorted(theirs - mine)]
-    lines += [f"extra: {p}" for p in sorted(mine - theirs)]
-    lines += [f"differs: {p}" for p in sorted(mine & theirs)
-              if not filecmp.cmp(out / p, against / p, shallow=False)]
+    lines = [(f"missing: {p}", False) for p in sorted(theirs - mine)]
+    lines += [(f"extra: {p}", False) for p in sorted(mine - theirs)]
+    for p in sorted(mine & theirs):
+        if filecmp.cmp(out / p, against / p, shallow=False):
+            continue
+        if rtol is None or p.suffix != ".csv":
+            lines.append((f"differs: {p}", False))
+            continue
+        worst, over, other = compare_csv((out / p).read_text(encoding="utf-8"),
+                                         (against / p).read_text(encoding="utf-8"), rtol)
+        same = not (over or other)
+        lines.append((f"{'within' if same else 'differs'}: {p}: largest relative deviation "
+                      f"{worst:.3g}, {over} cells over {rtol:g}"
+                      + (", and other cells or lines differ" if other else ""), same))
     return lines
 
 
@@ -235,6 +289,8 @@ def main(argv=None) -> int:
                         help="checkout to run (default: the one holding this script)")
     parser.add_argument("--against", type=Path,
                         help="an earlier OUT to compare this run's OUT with, file by file")
+    parser.add_argument("--rtol", type=float,
+                        help="with --against, let CSV numbers differ by this much, relative")
     parser.add_argument("--golden", type=Path,
                         help="directory to write each seed's golden summary to")
     args = parser.parse_args(argv)
@@ -243,6 +299,8 @@ def main(argv=None) -> int:
         parser.error(f"{repo} has no src/frametime")
     if args.against is not None and not args.against.is_dir():
         parser.error(f"{args.against} is not a directory")
+    if args.rtol is not None and not (args.against is not None and args.rtol >= 0):
+        parser.error("--rtol needs --against and a value >= 0")
     args.out.mkdir(parents=True, exist_ok=True)
     for seed in args.seeds:
         runs = run_seed(repo, args.out.resolve(), seed)
@@ -253,11 +311,12 @@ def main(argv=None) -> int:
                 json.dumps(summary, indent=1) + "\n", encoding="utf-8")
     if args.against is None:
         return 0
-    lines = compare_trees(args.out.resolve(), args.against.resolve())
-    for line in lines:
+    lines = compare_trees(args.out.resolve(), args.against.resolve(), args.rtol)
+    for line, _ in lines:
         print(line)
-    print(f"against {args.against}: {len(lines)} paths not the same")
-    return 1 if lines else 0
+    differing = sum(not same for _, same in lines)
+    print(f"against {args.against}: {differing} paths not the same")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
