@@ -9,9 +9,11 @@ Commands
   govern           closed-loop DVFS policy simulation
 
 Exit codes: 0 success, 2 input error, 3 degenerate data, 4 spec/trace
-mismatch.  Every command is deterministic given its flags (characterize
-and govern take --seed); all output tables are comma separated with a
-header row.
+mismatch.  main alone maps an error to its code: DegenerateDataError is
+3 and SpecMismatchError 4, each raised by the layer that needs the
+data, and any other ValueError or OSError is 2.  Every command is
+deterministic given its flags (characterize and govern take --seed);
+all output tables are comma separated with a header row.
 
 The parser is built once per process, on the first main call, and main
 finds the command's function by name when the command runs.
@@ -30,9 +32,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import POLICIES, ConfigBundle, load_config
-from .trace import (DEFAULT_PERIOD_MS, Trace, frame_times, generate_characterization,
-                    generate_runtime, parse_trace, serialize_trace, sweep_complexities,
-                    workload_columns)
+from .trace import (DEFAULT_PERIOD_MS, DegenerateDataError, SpecMismatchError, Trace,
+                    frame_times, generate_characterization, generate_runtime, parse_trace,
+                    serialize_trace, sweep_complexities, workload_columns)
 
 
 def _layer(name: str):
@@ -67,12 +69,6 @@ DEFAULT_SEED = 42
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_THRESHOLD = 10.0  # percent APE
 CSV_BLOCK_ROWS = 256
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +175,6 @@ def _replay_result(trace: Trace, k, t_base, predicted, dtf, one_sided,
 
 
 def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
-    if len(trace) < 2:
-        raise CliError(EXIT_DEGENERATE, "trace too short to form differential rows")
-    n_counters = len(trace.counter_names)
-    if any(i >= n_counters for i in fspec.indep_counter_indices):
-        raise CliError(EXIT_MISMATCH,
-                       f"feature spec indexes counters beyond the trace's {n_counters}")
     dataset = features.build_dataset(trace, fspec)
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
     # the dataset holds finite entries only, and units >= 1 keep them
@@ -224,7 +214,7 @@ def _replay_arlms(trace: Trace):
     # only a full history makes a prediction
     k = np.arange(order, len(trace))
     if not k.size:
-        raise CliError(EXIT_DEGENERATE, "trace too short for the AR baseline")
+        raise DegenerateDataError("trace too short for the AR baseline")
     predicted = np.empty(k.size)
     w = np.zeros(order)
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
@@ -244,11 +234,11 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> R
     """
     if algo in ("rls", "dcd"):
         if fspec is None:
-            raise CliError(EXIT_INPUT, f"--spec is required for --algo {algo}")
+            raise ValueError(f"--spec is required for --algo {algo}")
         return _replay_adaptive(trace, fspec, algo)
     if algo == "arlms":
         return _replay_arlms(trace)
-    raise CliError(EXIT_INPUT, f"unknown algo {algo!r}")
+    raise ValueError(f"unknown algo {algo!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +253,7 @@ def cmd_characterize(args) -> int:
     bundle = load_config(args.config)
     if args.mode == "sweep":
         if not bundle.characterization_complexities:
-            raise CliError(EXIT_INPUT, "config has no [characterization] section")
+            raise ValueError("config has no [characterization] section")
         trace = generate_characterization(bundle.workload, bundle.freq_table,
                                           bundle.characterization_complexities,
                                           bundle.characterization_repeats, args.seed)
@@ -272,7 +262,7 @@ def cmd_characterize(args) -> int:
         from .workloads import random_walk_freqs
         schedule = bundle.workload.complexity_schedule
         if not schedule:
-            raise CliError(EXIT_INPUT, "config workload has no complexity_schedule")
+            raise ValueError("config workload has no complexity_schedule")
         freqs = random_walk_freqs(bundle.freq_table, len(schedule), args.seed)
         trace = generate_runtime(bundle.workload, bundle.freq_table, freqs, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -284,19 +274,11 @@ def cmd_characterize(args) -> int:
 def cmd_select_features(args) -> int:
     bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
-    try:
-        kept = features.pearson_prune(trace)
-    except features.ZeroFrequencyVarianceError as exc:
-        raise CliError(EXIT_DEGENERATE, str(exc)) from exc
-
+    kept = features.pearson_prune(trace)
     candidate = features.FeatureSpec(
         indep_counter_indices=tuple(kept),
         counter_names=tuple(trace.counter_names[i] for i in kept))
-    dataset = features.build_dataset(trace, candidate)
-    if len(dataset) < features.CV_FOLDS:
-        raise CliError(EXIT_DEGENERATE, f"trace too short: {len(dataset)} rows, "
-                                        f"fewer than {features.CV_FOLDS} folds")
-    path = features.cross_validated_path(dataset)
+    path = features.cross_validated_path(features.build_dataset(trace, candidate))
     print("eta,cv_mean_mse,cv_stderr,nonzero_features")
     for i in range(path.etas.size):
         print(f"{path.etas[i]:.6g},{path.cv_mean_mse[i]:.6g},"
@@ -357,7 +339,7 @@ def cmd_replay(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     if args.jumps < 1:
-        raise CliError(EXIT_INPUT, f"--jumps must be >= 1, got {args.jumps}")
+        raise ValueError(f"--jumps must be >= 1, got {args.jumps}")
     bundle = load_config(args.config) if args.config else None
     trace = _load_trace(args.trace, bundle)
     fspec = features.load_feature_spec(args.spec)
@@ -519,12 +501,11 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, DegenerateDataError):
+            return EXIT_DEGENERATE
+        return EXIT_MISMATCH if isinstance(exc, SpecMismatchError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

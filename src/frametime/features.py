@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import Trace
+from .trace import DegenerateDataError, SpecMismatchError, Trace
 
 PEARSON_THRESHOLD = 0.1  # |r| against the clock at or above which a counter is pruned
 CV_FOLDS = 10
@@ -33,11 +33,6 @@ RANK_RTOL = 1e-10
 MHZ_PER_GHZ = 1000.0
 SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
 SCALE_FLOOR = 1.0
-
-
-class ZeroFrequencyVarianceError(ValueError):
-    """The trace holds fewer than two rows or a single frequency, so
-    correlation with the frequency is undefined."""
 
 
 @dataclass(frozen=True)
@@ -107,14 +102,15 @@ def pearson_prune(trace: Trace) -> list[int]:
     Counters tracking the clock get pruned; constant counters carry no
     signal at all and are disqualified too: their r is nan rather than a
     divide error or the rounding residue of centring them, and so is the r
-    of a counter whose centred values square to zero.
+    of a counter whose centred values square to zero.  A trace of fewer
+    than two rows or of a single frequency raises DegenerateDataError.
     """
     freqs = trace.freqs
     if len(trace) < 2:
-        raise ZeroFrequencyVarianceError(
+        raise DegenerateDataError(
             f"trace has {len(trace)} rows; correlation with frequency needs at least two")
     if np.ptp(freqs) == 0:
-        raise ZeroFrequencyVarianceError(
+        raise DegenerateDataError(
             "trace spans a single frequency, correlation with frequency is undefined")
     fc = freqs - freqs.mean()
     fnorm = float(np.sqrt(fc @ fc))
@@ -182,13 +178,22 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
     raw units here (MHz, counts); online use divides them by
     estimator_units.
+
+    A trace of fewer than two rows raises DegenerateDataError; a spec
+    index beyond the trace's counters, or a spec name that is not the
+    trace's at that index, raises SpecMismatchError.
     """
     if len(trace) < 2:
-        raise ValueError("need at least two samples")
-    n_counters = len(trace.counter_names)
-    bad = [i for i in spec.indep_counter_indices if i >= n_counters]
+        raise DegenerateDataError("trace too short to form differential rows")
+    names = trace.counter_names
+    bad = [i for i in spec.indep_counter_indices if i >= len(names)]
     if bad:
-        raise ValueError(f"counter indices {bad} out of range for {n_counters} counters")
+        raise SpecMismatchError(f"feature spec indexes counters {bad} beyond the trace's "
+                                f"{len(names)}")
+    for i, name in zip(spec.indep_counter_indices, spec.counter_names):
+        if names[i] != name:
+            raise SpecMismatchError(f"feature spec names counter {i} {name!r}, "
+                                    f"the trace names it {names[i]!r}")
 
     t = trace.frame_times
     f = trace.freqs
@@ -328,11 +333,12 @@ def cross_validated_path(dataset: RegressionDataset) -> LassoPath:
     full data is standardized once, for the grid and its own fit.  Each
     fold and the full data take one exact path, read at every penalty.
     A fold trains on a copy of the rows before and after its test block,
-    two slices joined, and tests on the block itself, a slice.
+    two slices joined, and tests on the block itself, a slice.  A dataset
+    of fewer than CV_FOLDS rows raises DegenerateDataError.
     """
     n = len(dataset)
     if n < CV_FOLDS:
-        raise ValueError(f"dataset has {n} rows, fewer than {CV_FOLDS} folds")
+        raise DegenerateDataError(f"dataset has {n} rows, fewer than {CV_FOLDS} folds")
     full = _standardize(dataset.h, dataset.targets)
     eta_max = 2.0 * float(np.max(np.abs(full[0].T @ full[1]))) or 1.0
     etas = np.geomspace(eta_max, eta_max * ETA_GRID_RATIO, ETA_GRID_POINTS)

@@ -501,6 +501,20 @@ class TestReplay:
                      "--out", str(tmp_path / "r.csv")])
         assert code == EXIT_MISMATCH
 
+    @pytest.mark.parametrize("command", ["replay", "sensitivity"])
+    def test_spec_naming_other_counters_exit4(self, tmp_path, capsys, command):
+        # counters 2,3 of the trace are geometry_batches,shader_slots
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((2, 3), ("probe_jitter_a", "render_busy_kcycles")),
+                          spec_path)
+        code = main([command, "--trace", str(trace_path), "--spec", str(spec_path),
+                     "--out", str(tmp_path / "r.csv")])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_MISMATCH, "error: feature spec names counter 2 'probe_jitter_a', "
+                           "the trace names it 'geometry_batches'\n")
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("text, named", [
         ("# freq_table_mhz = 200,511\n\n", "missing header line"),
         ("time,frame_time_ms,frame_count\n0.05,16.0,3\n", "header has 3 columns"),

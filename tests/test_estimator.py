@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from frametime.cli import CliError, run_replay
+from frametime.cli import run_replay
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, arlms_step, dcd_rls_init,
                                  dcd_step, rls_init, rls_step)
 from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
                                 estimator_units)
-from frametime.trace import FrequencyTable, Trace
+from frametime.trace import DegenerateDataError, FrequencyTable, Trace
 from scenarios import batch_ridge_solve, op_count, reference_dcd, reference_rls
 
 # mu values whose P = I/mu, or its doubling in (P + P')/2, is not finite,
@@ -213,7 +213,7 @@ class TestArLms:
     def test_no_prediction_before_history_full(self):
         # replay predicts interval k only from the ARLMS_ORDER frame times
         # before it; the first prediction comes from the zero start weights
-        with pytest.raises(CliError, match="too short for the AR baseline"):
+        with pytest.raises(DegenerateDataError, match="too short for the AR baseline"):
             run_replay(one_clock_trace([5.0] * ARLMS_ORDER), None, "arlms")
         rows = run_replay(one_clock_trace([5.0] * (ARLMS_ORDER + 2)), None, "arlms").rows
         assert rows.k.tolist() == [ARLMS_ORDER, ARLMS_ORDER + 1]

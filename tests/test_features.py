@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDataset,
-                                ZeroFrequencyVarianceError, _lasso_path, _raises_rank,
+                                _lasso_path, _raises_rank,
                                 _standardize, build_dataset, cross_validated_path,
                                 differential_features,
                                 load_feature_spec, pearson_prune,
                                 save_feature_spec, select_features)
-from frametime.trace import (AffineMap, CounterModel, FrequencyTable, Trace,
-                             WorkloadSpec, generate_runtime)
+from frametime.trace import (AffineMap, CounterModel, DegenerateDataError, FrequencyTable,
+                             Trace, WorkloadSpec, generate_runtime)
 from scenarios import reference_cv_path, reference_lasso_path, reference_standardize
 
 
@@ -86,7 +86,7 @@ class TestPearsonPrune:
     def test_single_frequency_errors(self):
         table = FrequencyTable((200.0, 400.0))
         trace = make_trace(np.ones(6), [200.0] * 6, np.arange(6.0)[:, None], table)
-        with pytest.raises(ZeroFrequencyVarianceError):
+        with pytest.raises(DegenerateDataError):
             pearson_prune(trace)
 
     def test_oracle_indep_counter_kept(self, char_workload, sweep_table):

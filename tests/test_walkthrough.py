@@ -65,3 +65,25 @@ def test_relative_deviation():
     assert walkthrough.relative_deviation(nan, 1.0) == inf
     assert walkthrough.relative_deviation(-1.0, 1.0) == 2.0
     assert walkthrough.relative_deviation(0.0, 1e-300) == 1.0
+
+
+def test_stdout_numbers_compare_within_rtol_past_a_percent(tmp_path):
+    line = "rows=2399 mape={}% median_ape=3.412% convergence_ms=inf excluded=0\n"
+    trees = {}
+    for name, mape in [("before", "4.699"), ("after", repr(4.699 * (1 + 1e-12))),
+                       ("far", "4.7"), ("unit", "4.699")]:
+        trees[name] = make_tree(tmp_path / name, TABLE)
+        text = line.format(mape)
+        if name == "unit":
+            text = text.replace("4.699%", "4.699 %")
+        (trees[name] / "seed-1" / "06-replay-rls.stdout").write_text(text, encoding="utf-8")
+    before, after = trees["before"], trees["after"]
+    assert not_same(walkthrough.compare_trees(after, before)) == [
+        "differs: seed-1/06-replay-rls.stdout"]
+    [(within, same)] = walkthrough.compare_trees(after, before, rtol=1e-9)
+    assert same and within.startswith("within: seed-1/06-replay-rls.stdout: ")
+    assert not_same(walkthrough.compare_trees(trees["far"], before, rtol=1e-9)) == [
+        "differs: seed-1/06-replay-rls.stdout: largest relative deviation 0.000213, "
+        "1 cells over 1e-09"]
+    [(line, same)] = walkthrough.compare_trees(trees["unit"], before, rtol=1.0)
+    assert not same and line.endswith("and other cells or lines differ")

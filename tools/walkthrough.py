@@ -18,12 +18,14 @@ default seeds 1, 7, 42 and 9173:
 
 --against DIR compares OUT with DIR file by file, byte for byte, once
 every command has run, and prints each path that differs, is missing
-from OUT or is extra in OUT.  With --rtol R, a CSV file's cells that
-parse as numbers in both trees need only agree within R relative, and
-its other lines and cells, like every other file, byte for byte.  Each
-CSV file whose bytes differ gets a line with its largest relative
-deviation and its number of cells over R, marked "within" when it holds
-none of those and no other difference, which makes it the same:
+from OUT or is extra in OUT.  With --rtol R, the numbers in a CSV file's
+cells and in a command's stdout, split there at commas, equals signs
+and spaces and read past a trailing %, need only agree within R
+relative when they parse as numbers in both trees; their other text,
+like every other file, compares byte for byte.  Each such file whose
+bytes differ gets a line with its largest relative deviation and its
+number of numbers over R, marked "within" when it holds none of those
+and no other difference, which makes it the same:
 
     python tools/walkthrough.py --out /tmp/after --against /tmp/before --rtol 1e-9
 
@@ -52,6 +54,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -61,6 +64,10 @@ from pathlib import Path
 DEFAULT_SEEDS = (1, 7, 42, 9173)
 GOLDEN_RTOL = 1e-9
 _RECORD_SUFFIXES = (".stdout", ".stderr", ".exit")
+# how --rtol splits each line of a file into tokens, by the file's suffix:
+# a stdout line's separators are kept as tokens of their own
+_TOKENIZERS = {".csv": lambda line: line.split(","),
+               ".stdout": re.compile(r"([,= ])").split}
 
 
 def commands(seed: int) -> list[tuple[str, list[str]]]:
@@ -229,21 +236,24 @@ def relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare_csv(mine: str, theirs: str, rtol: float) -> tuple[float, int, bool]:
-    """(largest relative deviation, cells over rtol, whether anything else
-    differs) between two CSV texts: the cells that parse as numbers on
-    both sides are compared by value, other cells and comment lines as
-    text, and a different line or cell count differs."""
+def compare_text(mine: str, theirs: str, rtol: float, split) -> tuple[float, int, bool]:
+    """(largest relative deviation, tokens over rtol, whether anything else
+    differs) between two texts whose lines split breaks into tokens: the
+    tokens that parse as numbers on both sides, past a % that ends both,
+    are compared by value, other tokens and comment lines as text, and a
+    different line or token count differs."""
     lines, other_lines = mine.splitlines(), theirs.splitlines()
     worst, over, other = 0.0, 0, len(lines) != len(other_lines)
     for a, b in zip(lines, other_lines):
-        cells, other_cells = a.split(","), b.split(",")
+        cells, other_cells = split(a), split(b)
         if a.startswith("#") or b.startswith("#") or len(cells) != len(other_cells):
             other = other or a != b
             continue
         for x, y in zip(cells, other_cells):
             if x == y:
                 continue
+            if x.endswith("%") and y.endswith("%"):
+                x, y = x[:-1], y[:-1]
             try:
                 deviation = relative_deviation(float(x), float(y))
             except ValueError:
@@ -257,8 +267,9 @@ def compare_csv(mine: str, theirs: str, rtol: float) -> tuple[float, int, bool]:
 def compare_trees(out: Path, against: Path, rtol: float | None = None) -> list[tuple[str, bool]]:
     """(line, same) per path that is missing from out, extra in out or
     differs between the trees, by path relative to the tree roots.  With
-    rtol, a CSV file whose bytes differ is compared by compare_csv and is
-    the same when only its numbers moved, none by more than rtol."""
+    rtol, a CSV or stdout file whose bytes differ is compared by
+    compare_text and is the same when only its numbers moved, none by
+    more than rtol."""
     def files(root: Path) -> set[Path]:
         return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
@@ -268,11 +279,12 @@ def compare_trees(out: Path, against: Path, rtol: float | None = None) -> list[t
     for p in sorted(mine & theirs):
         if filecmp.cmp(out / p, against / p, shallow=False):
             continue
-        if rtol is None or p.suffix != ".csv":
+        if rtol is None or p.suffix not in _TOKENIZERS:
             lines.append((f"differs: {p}", False))
             continue
-        worst, over, other = compare_csv((out / p).read_text(encoding="utf-8"),
-                                         (against / p).read_text(encoding="utf-8"), rtol)
+        worst, over, other = compare_text((out / p).read_text(encoding="utf-8"),
+                                          (against / p).read_text(encoding="utf-8"), rtol,
+                                          _TOKENIZERS[p.suffix])
         same = not (over or other)
         lines.append((f"{'within' if same else 'differs'}: {p}: largest relative deviation "
                       f"{worst:.3g}, {over} cells over {rtol:g}"
@@ -290,7 +302,8 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path,
                         help="an earlier OUT to compare this run's OUT with, file by file")
     parser.add_argument("--rtol", type=float,
-                        help="with --against, let CSV numbers differ by this much, relative")
+                        help="with --against, let CSV and stdout numbers differ by this "
+                             "much, relative")
     parser.add_argument("--golden", type=Path,
                         help="directory to write each seed's golden summary to")
     args = parser.parse_args(argv)
