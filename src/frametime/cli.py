@@ -26,7 +26,7 @@ import functools
 import importlib.util
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,7 +68,6 @@ EXIT_MISMATCH = 4
 DEFAULT_SEED = 42
 CONVERGENCE_WINDOW = 5
 CONVERGENCE_THRESHOLD = 10.0  # percent APE
-CSV_BLOCK_ROWS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +206,7 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
                           one_sided, coefs)
 
 
-def _replay_arlms(trace: Trace):
+def _replay_arlms(trace: Trace, fspec: features.FeatureSpec | None):
     order = estimator.ARLMS_ORDER
     t = trace.frame_times
     # interval k is predicted from the `order` frame times before it, and
@@ -215,6 +214,8 @@ def _replay_arlms(trace: Trace):
     k = np.arange(order, len(trace))
     if not k.size:
         raise DegenerateDataError("trace too short for the AR baseline")
+    if fspec is not None:
+        features.check_spec(trace, fspec)
     predicted = np.empty(k.size)
     w = np.zeros(order)
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
@@ -230,14 +231,15 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> R
     The adaptive algorithms predict each interval with the coefficients
     held before consuming it, so rows are honest one-step-ahead errors;
     those coefficients come back as ReplayResult.coefs.  The AR baseline
-    emits rows only once its history is full.
+    emits rows only once its history is full, and ignores a given spec
+    once features.check_spec finds that it fits the trace.
     """
     if algo in ("rls", "dcd"):
         if fspec is None:
             raise ValueError(f"--spec is required for --algo {algo}")
         return _replay_adaptive(trace, fspec, algo)
     if algo == "arlms":
-        return _replay_arlms(trace)
+        return _replay_arlms(trace, fspec)
     raise ValueError(f"unknown algo {algo!r}")
 
 
@@ -294,7 +296,7 @@ def _column(values, conversion: str, blank=None) -> tuple[str, list]:
     """One CSV column as (printf conversion, cells).
 
     Cells where the boolean array blank is set come out empty; such a
-    column is formatted here, any other one with its block of rows.
+    column is formatted here, any other one with the whole table.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -305,17 +307,12 @@ def _column(values, conversion: str, blank=None) -> tuple[str, list]:
 
 def _write_csv(path, header, columns, tail=()) -> None:
     """Write a header row, the rows of equal-length _column columns, then
-    the ready-made lines of tail.
-
-    Each block of CSV_BLOCK_ROWS rows is one printf-style format, so the
-    formatted text never holds more than a block.
-    """
+    the ready-made lines of tail; the rows are one printf-style format."""
     row = ",".join(conversion for conversion, _ in columns) + "\n"
-    rows = zip(*(cells for _, cells in columns))
+    cells = tuple(chain.from_iterable(zip(*(cells for _, cells in columns))))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        while block := tuple(chain.from_iterable(islice(rows, CSV_BLOCK_ROWS))):
-            fh.write((row * (len(block) // len(columns))) % block)
+        fh.write((row * (len(cells) // len(columns))) % cells)
         fh.write("".join(line + "\n" for line in tail))
 
 

@@ -171,20 +171,9 @@ def estimator_units(counters) -> np.ndarray:
     return units
 
 
-def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
-    """Differential rows from every consecutive sample pair.
-
-    Row k-1 holds h built from samples (k-1, k) and the target
-    t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
-    raw units here (MHz, counts); online use divides them by
-    estimator_units.
-
-    A trace of fewer than two rows raises DegenerateDataError; a spec
-    index beyond the trace's counters, or a spec name that is not the
-    trace's at that index, raises SpecMismatchError.
-    """
-    if len(trace) < 2:
-        raise DegenerateDataError("trace too short to form differential rows")
+def check_spec(trace: Trace, spec: FeatureSpec) -> None:
+    """Raise SpecMismatchError for a spec index beyond the trace's
+    counters, or a spec name that is not the trace's at that index."""
     names = trace.counter_names
     bad = [i for i in spec.indep_counter_indices if i >= len(names)]
     if bad:
@@ -194,6 +183,22 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
         if names[i] != name:
             raise SpecMismatchError(f"feature spec names counter {i} {name!r}, "
                                     f"the trace names it {names[i]!r}")
+
+
+def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
+    """Differential rows from every consecutive sample pair.
+
+    Row k-1 holds h built from samples (k-1, k) and the target
+    t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
+    raw units here (MHz, counts); online use divides them by
+    estimator_units.
+
+    A trace of fewer than two rows raises DegenerateDataError, then a spec
+    that does not fit the trace raises check_spec's SpecMismatchError.
+    """
+    if len(trace) < 2:
+        raise DegenerateDataError("trace too short to form differential rows")
+    check_spec(trace, spec)
 
     t = trace.frame_times
     f = trace.freqs

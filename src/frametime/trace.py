@@ -398,7 +398,6 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 # Trace file format
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
-_BLOCK_ROWS = 256        # rows per numpy call when parsing
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -490,31 +489,25 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     table = freq_table or embedded_table or DEFAULT_FREQ_TABLE
 
     ncol = len(names)
-    # numpy's C reader converts each block of rows into one record per row.
-    # On ASCII text without the separators \x1c-\x1f it reads each cell as
+    # numpy's C reader converts the whole body into one record per row.  On
+    # ASCII text without the separators \x1c-\x1f it reads each cell as
     # float() or int() would, and it rejects every row with the wrong field
     # count and every cell they reject, as well as a few they accept, such
     # as 1_0.  Elsewhere it may differ: it takes those separators for white
     # space, and its integer reader takes other letters for digits.  Such a
-    # block, or a rejected one, leaves the whole body to the row loop, which
-    # names the first bad row.  Blocks keep the reader's buffers and the
-    # joined text small, which bounds the parse's peak memory.
-    record = np.dtype([("t", float), ("ft", float), ("n", np.int64), ("f", float),
-                       ("c", float, (len(counter_names),))])
-    data = np.empty(len(rows), record)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = rows[start:start + _BLOCK_ROWS]
-        chars = "".join(block)
-        if not chars.isascii() or any(c in chars for c in "\x1c\x1d\x1e\x1f"):
-            break
+    # body, a rejected one or an empty one, on which numpy warns, goes to
+    # the row loop, which names the first bad row.
+    chars = "".join(rows)
+    if rows and chars.isascii() and not any(c in chars for c in "\x1c\x1d\x1e\x1f"):
+        record = np.dtype([("t", float), ("ft", float), ("n", np.int64), ("f", float),
+                           ("c", float, (len(counter_names),))])
         try:
-            data[start:start + len(block)] = np.loadtxt(block, dtype=record, delimiter=",",
-                                                        comments=None, ndmin=1)
+            data = np.loadtxt(rows, dtype=record, delimiter=",", comments=None, ndmin=1)
         except (ValueError, OverflowError):
-            break
-    else:
-        return Trace(data["t"], data["ft"], data["n"], data["f"], data["c"],
-                     counter_names, table)
+            pass
+        else:
+            return Trace(data["t"], data["ft"], data["n"], data["f"], data["c"],
+                         counter_names, table)
 
     values, counts = [], []
     for i, raw in enumerate(rows, start=1):

@@ -58,9 +58,8 @@ def expected_exit(command: str, rows: int, n_clocks: int, spec: str) -> int:
     if command == "select-features":
         thin = rows < 2 or n_clocks == 1 or rows - 1 < CV_FOLDS
         return EXIT_DEGENERATE if thin else 0
-    if command == "replay-arlms":
-        return EXIT_DEGENERATE if rows <= ARLMS_ORDER else 0
-    if rows < 2:
+    shortest = ARLMS_ORDER + 1 if command == "replay-arlms" else 2
+    if rows < shortest:
         return EXIT_DEGENERATE
     return 0 if spec == "in_range" else EXIT_MISMATCH
 
@@ -68,8 +67,6 @@ def expected_exit(command: str, rows: int, n_clocks: int, spec: str) -> int:
 def argv(command: str, trace: str, spec: str) -> list[str]:
     if command == "select-features":
         return ["select-features", "--trace", trace, "--out", "selected.spec"]
-    if command == "replay-arlms":
-        return ["replay", "--trace", trace, "--algo", "arlms", "--out", "out.csv"]
     spec_args = ["--spec", f"{spec}.spec", "--out", "out.csv"]
     if command == "sensitivity":
         return ["sensitivity", "--trace", trace, *spec_args]
@@ -84,6 +81,9 @@ def argv(command: str, trace: str, spec: str) -> list[str]:
 @example(rows=2, n_clocks=2, spec="misnamed", command="sensitivity")
 @example(rows=2, n_clocks=1, spec="in_range", command="replay-dcd")
 @example(rows=ARLMS_ORDER, n_clocks=2, spec="in_range", command="replay-arlms")
+@example(rows=ARLMS_ORDER, n_clocks=2, spec="misnamed", command="replay-arlms")
+@example(rows=ARLMS_ORDER + 1, n_clocks=1, spec="out_of_range", command="replay-arlms")
+@example(rows=MAX_ROWS, n_clocks=2, spec="misnamed", command="replay-arlms")
 @example(rows=CV_FOLDS, n_clocks=2, spec="in_range", command="select-features")
 @example(rows=CV_FOLDS + 1, n_clocks=2, spec="in_range", command="select-features")
 @example(rows=MAX_ROWS, n_clocks=1, spec="in_range", command="select-features")

@@ -131,7 +131,7 @@ class TestParse:
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(0, 3))
-    @example(seed=1, n=600, k=2)  # three conversion blocks
+    @example(seed=1, n=600, k=2)  # a long body, in one reader call or the row loop
     def test_columns_equal_per_field_conversion(self, seed, n, k):
         # the parsed body against float() and int() per field, over the
         # spellings a log may use; 1_000 counts send a body to the row loop
@@ -140,7 +140,7 @@ class TestParse:
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), k=st.integers(0, 3))
-    @example(seed=1, n=600, k=2)  # three reader blocks
+    @example(seed=1, n=600, k=2)  # a long body in one reader call
     def test_reader_equals_per_field_conversion(self, seed, n, k):
         # padded, signed and exponent cells stay in numpy's C reader: the
         # row loop, whose float conversion fails here, never runs
@@ -148,6 +148,14 @@ class TestParse:
         with mock.patch("frametime.trace._parse_float", side_effect=AssertionError):
             trace = parse_trace("\n".join(lines))
         assert_per_field_columns(trace, lines, k)
+
+    def test_body_read_in_one_reader_call(self, small_table):
+        rows = [f"{(i + 1) * 0.05!r}, 8.2, 3, 400, 120" for i in range(600)]
+        text = "time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n" + "\n".join(rows)
+        with mock.patch("frametime.trace.np.loadtxt", wraps=np.loadtxt) as spy:
+            trace = parse_trace(text, freq_table=small_table)
+        assert spy.call_count == 1
+        assert len(trace) == 600
 
     @pytest.mark.parametrize("spelling", ["1_0", "\uff11\uff10"])  # 10 in full-width digits
     def test_python_only_spellings_fall_back(self, small_table, spelling):
