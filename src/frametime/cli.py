@@ -25,8 +25,8 @@ import argparse
 import functools
 import importlib.util
 import sys
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,8 +73,7 @@ CONVERGENCE_THRESHOLD = 10.0  # percent APE
 # ---------------------------------------------------------------------------
 # Metrics
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     mape: float                    # percent
     median_ape: float              # percent
     nrmse: float                   # percent of the actual range
@@ -152,8 +151,7 @@ ROW_FIELDS = ("k", "f_k", "t_base", "t_actual", "t_pred", "abs_pct_err", "dtf_df
               "one_sided")
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     rows: np.recarray             # a record per prediction, fields ROW_FIELDS; nan
                                   # abs_pct_err at t_actual 0, nan t_base and dtf_df
                                   # for AR
@@ -178,7 +176,7 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
     counters = trace.counters[:, list(fspec.indep_counter_indices)]
     # the dataset holds finite entries only, and units >= 1 keep them
     # finite, so the steps, which check nothing, may take its rows
-    h = dataset.h / features.estimator_units(counters)[1:]
+    h = dataset.h / estimator.estimator_units(counters)[1:]
     if algo == "rls":
         init, step = estimator.rls_init, estimator.rls_step
     else:

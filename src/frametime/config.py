@@ -30,6 +30,7 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +88,7 @@ class GovernorConfig:
         return max(1, round(self.period / self.frame_budget_ms))
 
 
-@dataclass(frozen=True)
-class ConfigBundle:
+class ConfigBundle(NamedTuple):
     workload: WorkloadSpec
     freq_table: FrequencyTable
     characterization_complexities: tuple[float, ...]

@@ -39,9 +39,12 @@ elementwise, and Python rounds each element as numpy does at a fraction
 of the per-call cost on M of about 4.
 
 Feature convention at this boundary: rows arrive in estimator units
-(features.estimator_units), with the frequency delta in GHz and counter
-deltas divided by per-counter scales fixed from the first observation
-window, so feature entries are O(1).  Coefficients are in those units.
+(estimator_units), with the frequency delta in GHz and counter deltas
+divided by per-counter scales fixed from the first observation window,
+so feature entries are O(1).  Coefficients are in those units.
+differential_features is the one builder of these rows, in raw units;
+replay and the governor's rls policy divide them by estimator_units,
+and the offline selection (features) fits them raw.
 """
 
 from __future__ import annotations
@@ -58,6 +61,54 @@ DCD_MB = 16                # levels of the DCD step ladder
 ARLMS_ORDER = 10           # past frame times the AR baseline predicts from
 ARLMS_STEP_SIZE = 0.5      # NLMS step, stable in (0, 2)
 ARLMS_EPS = 1e-6           # keeps the NLMS normalization finite on a zero history
+
+MHZ_PER_GHZ = 1000.0
+SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
+SCALE_FLOOR = 1.0
+
+
+def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
+    """Raw-unit feature rows [scalable-time term, f_cur - f_prev, dx...].
+
+    The scalable-time term is t_prev (ms) times the relative clock step
+    f_prev / f_cur - 1.  Takes one interval (scalars and a counter-delta
+    vector) or many (arrays of rows and a rows-by-counters delta matrix);
+    frequencies in MHz, counter deltas in counts.
+    """
+    dx = np.asarray(dx, dtype=float)
+    h = np.empty(dx.shape[:-1] + (2 + dx.shape[-1],))
+    h[..., 0] = t_prev * (f_prev / f_cur - 1.0)
+    h[..., 1] = f_cur - f_prev
+    h[..., 2:] = dx
+    return h
+
+
+def counter_scales(counters) -> np.ndarray:
+    """Per-sample counter scales: the running max of |counter|, at least SCALE_FLOOR.
+
+    Row i covers samples 0..i; after the first SCALE_WINDOW samples the
+    scales stay frozen, so later counter bursts do not change the units.
+    """
+    scales = np.maximum(np.maximum.accumulate(np.abs(np.asarray(counters, dtype=float)),
+                                              axis=0), SCALE_FLOOR)
+    scales[SCALE_WINDOW:] = scales[SCALE_WINDOW - 1:SCALE_WINDOW]
+    return scales
+
+
+def estimator_units(counters) -> np.ndarray:
+    """Per-sample divisors [1, MHZ_PER_GHZ, counter scales...] into estimator units.
+
+    Dividing a raw feature row that ends at sample i by row i feeds the
+    frequency delta in GHz and each counter delta relative to its scale,
+    keeping every entry O(1) so the tiny default ridge weight stays
+    numerically benign.
+    """
+    scales = counter_scales(counters)
+    units = np.empty((scales.shape[0], 2 + scales.shape[1]))
+    units[:, 0] = 1.0
+    units[:, 1] = MHZ_PER_GHZ
+    units[:, 2:] = scales
+    return units
 
 
 def _initial_coefs(m: int, mu: float, a_init) -> np.ndarray:

@@ -3,9 +3,9 @@
 The online model always carries two frequency terms, the scalable-time
 term (the previous frame time times the relative clock step) and the
 frequency delta, plus the deltas of a chosen subset of
-frequency-independent counters.  differential_features is the one
-builder of these rows, in raw units; the online estimators, in replay
-and in the governor's rls policy, see them divided by estimator_units.
+frequency-independent counters.  build_dataset forms these rows with
+estimator.differential_features, in raw units; the online estimators see
+them divided by estimator.estimator_units.
 
 Selection runs in two stages on a characterization trace: counters
 correlated with the GPU frequency are pruned by Pearson correlation, then
@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .estimator import differential_features
 from .trace import DegenerateDataError, SpecMismatchError, Trace
 
 PEARSON_THRESHOLD = 0.1  # |r| against the clock at or above which a counter is pruned
@@ -29,10 +31,6 @@ ETA_GRID_RATIO = 1e-4    # smallest penalty of the grid, relative to the all-zer
 # singular values below this share of the largest are rounding left by
 # centring, not rank; numpy's default cut (about 1e-15 relative) lets them in
 RANK_RTOL = 1e-10
-
-MHZ_PER_GHZ = 1000.0
-SCALE_WINDOW = 20   # leading samples whose counter magnitudes fix the scales
-SCALE_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,7 @@ class RegressionDataset:
         return self.h.shape[0]
 
 
-@dataclass(frozen=True)
-class LassoPath:
+class LassoPath(NamedTuple):
     """Per-penalty results of the cross-validated L1 path, each array one
     entry per eta, as cross_validated_path builds them."""
 
@@ -127,50 +124,6 @@ def pearson_prune(trace: Trace) -> list[int]:
     return kept
 
 
-def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
-    """Raw-unit feature rows [scalable-time term, f_cur - f_prev, dx...].
-
-    The scalable-time term is t_prev (ms) times the relative clock step
-    f_prev / f_cur - 1.  Takes one interval (scalars and a counter-delta
-    vector) or many (arrays of rows and a rows-by-counters delta matrix);
-    frequencies in MHz, counter deltas in counts.
-    """
-    dx = np.asarray(dx, dtype=float)
-    h = np.empty(dx.shape[:-1] + (2 + dx.shape[-1],))
-    h[..., 0] = t_prev * (f_prev / f_cur - 1.0)
-    h[..., 1] = f_cur - f_prev
-    h[..., 2:] = dx
-    return h
-
-
-def counter_scales(counters) -> np.ndarray:
-    """Per-sample counter scales: the running max of |counter|, at least SCALE_FLOOR.
-
-    Row i covers samples 0..i; after the first SCALE_WINDOW samples the
-    scales stay frozen, so later counter bursts do not change the units.
-    """
-    scales = np.maximum(np.maximum.accumulate(np.abs(np.asarray(counters, dtype=float)),
-                                              axis=0), SCALE_FLOOR)
-    scales[SCALE_WINDOW:] = scales[SCALE_WINDOW - 1:SCALE_WINDOW]
-    return scales
-
-
-def estimator_units(counters) -> np.ndarray:
-    """Per-sample divisors [1, MHZ_PER_GHZ, counter scales...] into estimator units.
-
-    Dividing a raw feature row that ends at sample i by row i feeds the
-    frequency delta in GHz and each counter delta relative to its scale,
-    keeping every entry O(1) so the tiny default ridge weight stays
-    numerically benign.
-    """
-    scales = counter_scales(counters)
-    units = np.empty((scales.shape[0], 2 + scales.shape[1]))
-    units[:, 0] = 1.0
-    units[:, 1] = MHZ_PER_GHZ
-    units[:, 2:] = scales
-    return units
-
-
 def check_spec(trace: Trace, spec: FeatureSpec) -> None:
     """Raise SpecMismatchError for a spec index beyond the trace's
     counters, or a spec name that is not the trace's at that index."""
@@ -191,7 +144,7 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     Row k-1 holds h built from samples (k-1, k) and the target
     t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
     raw units here (MHz, counts); online use divides them by
-    estimator_units.
+    estimator.estimator_units.
 
     A trace of fewer than two rows raises DegenerateDataError, then a spec
     that does not fit the trace raises check_spec's SpecMismatchError.

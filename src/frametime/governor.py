@@ -13,7 +13,7 @@ frame times at every level by trace.realized_frame_times, as generated
 traces do, checks them and the counters for being finite once, and
 returns them read-only as a Realization.  simulate runs one policy on a
 Realization and only chooses levels, so every policy of a govern run
-shares one grid.  PolicyResult holds a run by column.
+shares one grid.  PolicyResult, a NamedTuple, holds a run by column.
 
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
@@ -26,7 +26,7 @@ for rls, just before the next interval whose independent counters move,
 which the counter columns give upfront.  At the start of a run the rls
 policy makes its one estimator step (estimator.rls_step, whose BLAS
 reductions set the rounding) on replay's feature row, the
-features.differential_features row divided by estimator_units, then asks
+estimator.differential_features row divided by estimator_units, then asks
 model.candidate_delta about every interval of the run against every
 table level in one array call and chooses by the oracle's matrix rule
 (_cheapest_feasible); ondemand's threshold rule is one np.where over the
@@ -43,15 +43,13 @@ one-row rule.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import model
 from .config import POLICIES, GovernorConfig, PowerModel
-from .estimator import rls_init, rls_step
-from .features import differential_features, estimator_units
+from .estimator import differential_features, estimator_units, rls_init, rls_step
 from .trace import FrequencyTable, WorkloadSpec, realized_frame_times, workload_columns
 
 # Intervals of one held run asked at once.  Up to about this many rows a
@@ -62,8 +60,7 @@ from .trace import FrequencyTable, WorkloadSpec, realized_frame_times, workload_
 RUN_WINDOW = 64
 
 
-@dataclass(frozen=True)
-class PolicyResult:
+class PolicyResult(NamedTuple):
     """A run by column, one entry per interval: chosen MHz, realized frame
     time (ms), energy (J), and whether the frame time missed the budget."""
     policy: str

@@ -10,7 +10,7 @@ the derivative takes coefficient rows, one (M,) vector or a replay's
 (n, M) coefficient history.
 
 Units: estimator coefficients see the frequency delta in GHz (see
-features.estimator_units), candidate frequencies arrive in MHz, and
+estimator.estimator_units), candidate frequencies arrive in MHz, and
 derivatives are reported in ms per MHz.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import MHZ_PER_GHZ
+from .estimator import MHZ_PER_GHZ
 from .trace import FrequencyTable
 
 

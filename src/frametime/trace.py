@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,8 +177,7 @@ def _validate(trace: Trace) -> None:
 # ---------------------------------------------------------------------------
 # Complexity response maps
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """value = slope * c + intercept"""
 
     slope: float
@@ -214,8 +214,7 @@ class PiecewiseLinearMap:
         return lo[1] + frac * (hi[1] - lo[1])
 
 
-@dataclass(frozen=True)
-class HashNoiseMap:
+class HashNoiseMap(NamedTuple):
     """Deterministic pseudo-random response, uncorrelated with complexity.
 
     Produces amplitude * u(c) with u in [0, 1).  Used to model counters
@@ -231,8 +230,7 @@ class HashNoiseMap:
         return self.amplitude * (x - math.floor(x))
 
 
-@dataclass(frozen=True)
-class CounterModel:
+class CounterModel(NamedTuple):
     """Analytic response of one hardware counter.
 
     Its kind is the WorkloadSpec tuple that holds it.  In dep_counters:

@@ -2,7 +2,8 @@
 
 A workload that a file under configs/ defines is loaded from that file,
 and a test that needs a variant changes the loaded spec with
-dataclasses.replace.  Only what no config holds is written out here: the
+dataclasses.replace, or a record such as a CounterModel, a NamedTuple,
+with its _replace.  Only what no config holds is written out here: the
 light ramp governor run, the step-change workload of the convergence
 criterion, and the seeds of the acceptance sweeps.
 
@@ -35,10 +36,10 @@ import numpy as np
 
 from frametime.config import load_config, parse_schedule
 from frametime.estimator import (ARLMS_EPS, ARLMS_ORDER, ARLMS_STEP_SIZE,
-                                 DCD_STEP_AMPLITUDE, rls_init)
-from frametime.features import (CV_FOLDS, ETA_GRID_POINTS, ETA_GRID_RATIO, MHZ_PER_GHZ,
-                                _lasso_path, _raises_rank, _standardize,
-                                differential_features, estimator_units)
+                                 DCD_STEP_AMPLITUDE, MHZ_PER_GHZ, differential_features,
+                                 estimator_units, rls_init)
+from frametime.features import (CV_FOLDS, ETA_GRID_POINTS, ETA_GRID_RATIO, _lasso_path,
+                                _raises_rank, _standardize)
 from frametime.trace import AffineMap, CounterModel, WorkloadSpec
 from frametime.workloads import random_walk_freqs
 

@@ -1,9 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,8 @@ from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH, compute_m
 from frametime.config import (POLICIES, ConfigError, GovernorConfig, PowerModel,
                               load_config, parse_schedule)
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
-                                 rls_init)
-from frametime.features import (FeatureSpec, build_dataset, estimator_units,
-                                save_feature_spec)
+                                 estimator_units, rls_init)
+from frametime.features import FeatureSpec, build_dataset, save_feature_spec
 from frametime.model import candidate_delta, three_point_derivative
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
                              generate_runtime, parse_trace, realized_frame_times,
@@ -914,7 +914,7 @@ class TestParserReuse:
         monkeypatch.chdir(workdir)
         calls = [*_readme_walkthrough(),
                  ["govern", "--policy", "fastest", "--out", "g.csv"],       # argparse
-                 ["replay", "--trace", "runtime.csv", "--out", "r.csv"]]    # CliError
+                 ["replay", "--trace", "runtime.csv", "--out", "r.csv"]]    # ValueError, exit 2
         seen = []
         for argv in calls:
             if cold:
@@ -971,6 +971,18 @@ print(json.dumps({"layers": layers, "numpy_ma": numpy_ma}))
 
 
 class TestModuleFootprint:
+    @staticmethod
+    def _run(commands, workdir) -> dict:
+        """FOOTPRINT_SCRIPT's findings for commands run in one fresh process."""
+        src = str(Path(frametime.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
     def test_each_command_executes_only_its_layers(self, config_file, tmp_path):
         cfg = ["--config", str(config_file)]
         spec = ["--spec", "features.spec"]
@@ -982,22 +994,52 @@ class TestModuleFootprint:
             ["sensitivity", "--trace", "sweep.csv", *spec, *cfg, "--out", "sens.csv"],
             ["govern", *cfg, "--out", "govern.csv"],
         ]
-        src = str(Path(frametime.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=False)
-        assert done.returncode == 0, done.stderr
-        seen = json.loads(done.stdout.splitlines()[-1])
+        seen = self._run(commands, tmp_path)
 
         online = ["cli", "config", "estimator", "features", "model", "trace"]
         assert seen["layers"] == [
             ["cli", "config", "trace"],                                  # characterize
-            ["cli", "config", "features", "trace"],                      # select-features
+            ["cli", "config", "estimator", "features", "trace"],         # select-features
             ["cli", "config", "estimator", "features", "trace"],         # replay arlms
             online,                                                      # replay
             online,                                                      # sensitivity
             ["cli", "config", "estimator", "features", "governor", "model", "trace"],
         ]
         assert not any(seen["numpy_ma"])
+
+    def test_govern_alone_skips_the_offline_selection(self, config_file, tmp_path):
+        """Each line of the test above adds up the commands before it; a
+        process that only governs executes no features, the offline
+        selection layer."""
+        seen = self._run([["govern", "--config", str(config_file), "--out", "g.csv"]],
+                         tmp_path)
+        assert seen["layers"] == [["cli", "config", "estimator", "governor", "model",
+                                   "trace"]]
+
+
+LAYERS = ("cli", "config", "estimator", "features", "governor", "model", "trace",
+          "workloads")
+RECORDS = ("cli.MetricsReport", "cli.ReplayResult", "config.ConfigBundle",
+           "features.LassoPath", "governor.PolicyResult", "trace.AffineMap",
+           "trace.HashNoiseMap", "trace.CounterModel")
+
+
+class TestRecordTypes:
+    """Python builds a dataclass at import, several times the cost of a
+    NamedTuple, and every command is a fresh process: a record that only
+    holds fields is a NamedTuple, and a dataclass is kept for a type that
+    checks or normalizes its fields."""
+
+    def test_every_dataclass_checks_its_fields(self):
+        modules = [importlib.import_module(f"frametime.{name}") for name in LAYERS]
+        found = [cls for module in modules for cls in vars(module).values()
+                 if isinstance(cls, type) and cls.__module__ == module.__name__
+                 and is_dataclass(cls)]
+        assert found
+        assert [cls.__qualname__ for cls in found if "__post_init__" not in vars(cls)] == []
+
+    def test_plain_records_are_tuples(self):
+        classes = {record: getattr(importlib.import_module(f"frametime.{layer}"), name)
+                   for record in RECORDS for layer, name in [record.split(".")]}
+        assert [record for record, cls in classes.items()
+                if not issubclass(cls, tuple) or is_dataclass(cls)] == []

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from frametime.cli import run_replay
-from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, arlms_step, dcd_rls_init,
-                                 dcd_step, rls_init, rls_step)
-from frametime.features import (SCALE_WINDOW, counter_scales, differential_features,
-                                estimator_units)
+from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, SCALE_WINDOW, arlms_step,
+                                 counter_scales, dcd_rls_init, dcd_step,
+                                 differential_features, estimator_units, rls_init,
+                                 rls_step)
 from frametime.trace import DegenerateDataError, FrequencyTable, Trace
 from scenarios import batch_ridge_solve, op_count, reference_dcd, reference_rls
 
@@ -323,7 +323,7 @@ class TestOpCount:
 
 
 class TestFeatureScaler:
-    """Scaling into estimator units: features.counter_scales and estimator_units."""
+    """Scaling into estimator units: estimator.counter_scales and estimator_units."""
 
     def test_scales_fixed_after_window(self):
         counters = np.zeros((SCALE_WINDOW + 5, 2))

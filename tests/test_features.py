@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frametime.estimator import differential_features
 from frametime.features import (RANK_RTOL, FeatureSpec, LassoPath, RegressionDataset,
                                 _lasso_path, _raises_rank,
                                 _standardize, build_dataset, cross_validated_path,
-                                differential_features,
                                 load_feature_spec, pearson_prune,
                                 save_feature_spec, select_features)
 from frametime.trace import (AffineMap, CounterModel, DegenerateDataError, FrequencyTable,

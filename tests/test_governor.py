@@ -340,7 +340,7 @@ class TestSimulate:
     def test_rejects_what_generation_rejects(self, policy):
         # a dep counter base <= 0 at C=32, the lower of the two complexities
         heavy = shipped("governor_heavy").workload
-        counter = replace(heavy.dep_counters[0], response=AffineMap(20.0, -1000.0))
+        counter = heavy.dep_counters[0]._replace(response=AffineMap(20.0, -1000.0))
         spec = replace(heavy, dep_counters=(counter,))
         message = "dep counter render_busy_kcycles base must be > 0 at C=32.0"
         with pytest.raises(ValueError, match=message):

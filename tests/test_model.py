@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frametime.features import differential_features, estimator_units
+from frametime.estimator import differential_features, estimator_units
 from frametime.model import (candidate_delta, frequency_sensitivity, three_point_derivative,
                              what_if)
 from frametime.trace import FrequencyTable

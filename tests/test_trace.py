@@ -414,9 +414,9 @@ class TestWorkloadColumns:
         counted = [CountingMap(char_workload.scalable_ms),
                    CountingMap(char_workload.unscalable_ms)]
         spec = replace(char_workload, scalable_ms=counted[0], unscalable_ms=counted[1],
-                       dep_counters=tuple(replace(cm, response=CountingMap(cm.response))
+                       dep_counters=tuple(cm._replace(response=CountingMap(cm.response))
                                           for cm in char_workload.dep_counters),
-                       indep_counters=tuple(replace(cm, response=CountingMap(cm.response))
+                       indep_counters=tuple(cm._replace(response=CountingMap(cm.response))
                                             for cm in char_workload.indep_counters))
         counted += [cm.response for cm in spec.dep_counters + spec.indep_counters]
         complexities = [32.0, 4.0, 32.0, 8.0, 4.0, 4.0, 64.0]
