@@ -147,26 +147,24 @@ def _metrics(actual, predicted, ape, period_ms: float) -> MetricsReport:
 # ---------------------------------------------------------------------------
 # Replay driver
 
-ROW_FIELDS = ("k", "f_k", "t_base", "t_actual", "t_pred", "abs_pct_err", "dtf_df",
-              "one_sided")
+ROW_FIELDS = ("k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df")
 
 
 class ReplayResult(NamedTuple):
-    rows: np.recarray             # a record per prediction, fields ROW_FIELDS; nan
-                                  # abs_pct_err at t_actual 0, nan t_base and dtf_df
-                                  # for AR
+    rows: np.recarray             # a record per prediction, fields ROW_FIELDS; t_pred
+                                  # anchors dtf_df and the what-ifs; nan abs_pct_err
+                                  # at t_actual 0, nan dtf_df for AR
     report: MetricsReport
     coefs: np.ndarray | None      # (rows, M) coefficients each row was predicted
                                   # with; None for the AR baseline
 
 
-def _replay_result(trace: Trace, k, t_base, predicted, dtf, one_sided,
-                   coefs) -> ReplayResult:
+def _replay_result(trace: Trace, k, predicted, dtf, coefs) -> ReplayResult:
     """Rows for the intervals k predicted as `predicted`, and their metrics."""
     actual = trace.frame_times[k]
     ape = _ape(actual, predicted)
-    rows = np.rec.fromarrays([k, trace.freqs[k], t_base, actual, predicted, ape, dtf,
-                              one_sided], names=ROW_FIELDS)
+    rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf],
+                             names=ROW_FIELDS)
     report = _metrics(actual, predicted, ape, trace.period)
     return ReplayResult(rows, report, coefs)
 
@@ -195,13 +193,11 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
             a, *carry, deltas[i] = step(a, *carry, h[i], target)
     deltas[~moves & ~np.isfinite(coefs).all(axis=1)] = np.nan
 
-    # row k's anchor: its prediction, derivative and what-ifs start from it
-    t_base = trace.frame_times[:-1]
-    predicted = np.maximum(t_base + deltas, 0.0)
-    dtf, one_sided = model.frequency_sensitivity(coefs, t_base, trace.freqs[1:],
-                                                 trace.freq_table)
-    return _replay_result(trace, np.arange(1, len(trace)), t_base, predicted, dtf,
-                          one_sided, coefs)
+    # row k's prediction is its frame time at f_k, so the derivative and
+    # the what-ifs start from it
+    predicted = np.maximum(trace.frame_times[:-1] + deltas, 0.0)
+    dtf = model.frequency_sensitivity(coefs, predicted, trace.freqs[1:])
+    return _replay_result(trace, np.arange(1, len(trace)), predicted, dtf, coefs)
 
 
 def _replay_arlms(trace: Trace, fspec: features.FeatureSpec | None):
@@ -218,9 +214,7 @@ def _replay_arlms(trace: Trace, fspec: features.FeatureSpec | None):
     w = np.zeros(order)
     for i, (hist, t_k) in enumerate(zip(sliding_window_view(t, order), t[k].tolist())):
         w, predicted[i] = estimator.arlms_step(w, hist, t_k)
-    blank = np.full(k.size, np.nan)
-    return _replay_result(trace, k, blank, predicted, blank, np.zeros(k.size, dtype=bool),
-                          None)
+    return _replay_result(trace, k, predicted, np.full(k.size, np.nan), None)
 
 
 def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> ReplayResult:
@@ -348,14 +342,13 @@ def cmd_sensitivity(args) -> int:
         jumps = max_span
 
     rows, n = result.rows, len(result.rows)
-    level, valid, delta = model.what_if(result.coefs, rows.t_base, rows.f_k,
+    level, valid, delta = model.what_if(result.coefs, rows.t_pred, rows.f_k,
                                         trace.freq_table, jumps)
-    header = ["k", "f_k", "dtf_df", "one_sided"]
+    header = ["k", "f_k", "dtf_df"]
     for j in range(1, jumps + 1):
         header += [f"delta_up{j}", f"delta_down{j}"]
     _write_csv(args.out, header,
                [_column(rows.k, "%d"), _column(rows.f_k, "%g"), _column(rows.dtf_df, "%.8g"),
-                _column(rows.one_sided, "%d"),
                 *(_column(d, "%.8g", ~ok) for d, ok in zip(delta.reshape(-1, n),
                                                             valid.reshape(-1, n)))])
     print(f"wrote {n} sensitivity rows to {args.out}")
@@ -388,7 +381,8 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
 
     The comparisons only use rows past a warmup whose workload did not
     change from the previous interval, mirroring a repeated-frame
-    measurement; the derivative also skips one-sided rows.
+    measurement; the derivative is scored on every such row, the what-ifs
+    on those whose candidate level is on the table.
     """
     c = _sample_complexities(trace, bundle)
     if c is None:
@@ -400,17 +394,16 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     columns = workload_columns(spec, c_k)
     steady = c_k == c[:-1]
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
-    use = steady & ~result.rows.one_sided
-    if np.count_nonzero(use) >= 2:
-        f_k = result.rows.f_k[use]
-        ref = -columns[use, 0] * spec.ref_freq / (f_k * f_k)
-        est = result.rows.dtf_df[use]
-        rep = compute_metrics(ref, est)
-        print(f"derivative_nrmse={rep.nrmse:.3f}% over {ref.size} interior rows")
+    if np.count_nonzero(steady) >= 2:
+        f_k = result.rows.f_k[steady]
+        ref = -columns[steady, 0] * spec.ref_freq / (f_k * f_k)
+        rep = compute_metrics(ref, result.rows.dtf_df[steady])
+        print(f"derivative_nrmse={rep.nrmse:.3f}% derivative_mape={rep.mape:.3f}% "
+              f"over {ref.size} steady rows")
 
     truth = frame_times(spec, columns, np.asarray(trace.freq_table.freqs_mhz)[level])
     scored = valid & steady & (truth > 0)
-    ape = _ape(truth, result.rows.t_base + delta)
+    ape = _ape(truth, result.rows.t_pred + delta)
     for j in range(len(level)):
         # each row's terms, up then down, in row order
         apes = ape[j].T[scored[j].T]

@@ -3,8 +3,8 @@
 Everything here reads estimator coefficients without mutating them: the
 what-if delta for a candidate frequency, the what-if at the table levels
 around each row's clock (the one map from a clock to its neighbouring
-levels), and the numerical derivative of frame time with respect to
-frequency, read off the one-level what-if.  The delta takes the two
+levels), and the derivative of that what-if with respect to frequency
+at the row's own clock, in closed form.  The delta takes the two
 frequency coefficients, as Python floats or as arrays it broadcasts over;
 the derivative takes coefficient rows, one (M,) vector or a replay's
 (n, M) coefficient history.
@@ -35,24 +35,6 @@ def candidate_delta(a0, a1, prev_frame_time, f_k, f_new):
     return a0 * prev_frame_time * (f_k / f_new - 1.0) + a1 * (f_new - f_k) / MHZ_PER_GHZ
 
 
-def three_point_derivative(t_lo, t_mid, t_hi, df1, df2):
-    """Derivative at the middle of three points spaced df1 below, df2 above.
-
-    Differentiates the interpolating parabola, so any quadratic is
-    recovered exactly.  Equal spacing takes the central-difference form
-    directly, which the general expression reduces to algebraically.
-    Scalars give a float, arrays an elementwise array.
-    """
-    df1 = np.asarray(df1, dtype=float)
-    df2 = np.asarray(df2, dtype=float)
-    if np.any(df1 <= 0) or np.any(df2 <= 0):
-        raise ValueError("spacings must be > 0")
-    central = (t_hi - t_lo) / (2.0 * df1)
-    num = df1 * df1 * t_hi + (df2 * df2 - df1 * df1) * t_mid - df2 * df2 * t_lo
-    out = np.where(df1 == df2, central, num / (df1 * df2 * (df1 + df2)))
-    return float(out) if out.ndim == 0 else out
-
-
 def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
     """Predicted frame-time deltas from each row's clock to the table levels
     1..jumps above and below it.
@@ -77,28 +59,13 @@ def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
     return level, level == target, delta
 
 
-def frequency_sensitivity(a, prev_frame_time, f_k, table: FrequencyTable):
+def frequency_sensitivity(a, base, f_k):
     """d(frame time)/d(frequency) at each row's f_k, in ms per MHz.
 
-    Interior frequencies differentiate the parabola through the predicted
-    frame times one table level down, at f_k, and one level up, which
-    handles uneven level spacing.  At the table edges there is no
-    neighbor pair, so the secant toward the single neighbor is used.
-    Both read what_if's one-level answer.  Returns (dtf_df, one_sided)
-    arrays, one entry per coefficient row.
+    The what-if base + candidate_delta(a0, a1, base, f_k, f) is linear in
+    the two frequency coefficients, so its derivative at f = f_k is exact:
+    -a0 * base / f_k + a1 / MHZ_PER_GHZ.  a is one (M,) coefficient row or
+    (n, M) rows, which base and f_k broadcast against; the expression
+    rounds alike when a caller writes it on Python floats.
     """
-    a = np.asarray(a, dtype=float)
-    prev_t, f_k, _ = np.broadcast_arrays(np.asarray(prev_frame_time, dtype=float),
-                                         np.asarray(f_k, dtype=float), a[..., 0])
-    level, valid, delta = what_if(a, prev_t, f_k, table, 1)
-    d_hi, d_lo = delta[0]
-    upper, lower = np.asarray(table.freqs_mhz)[level[0]]
-    top, bottom = ~valid[0]
-    inner = ~(bottom | top)
-    dtf = np.empty(f_k.shape)
-    dtf[bottom] = d_hi[bottom] / (upper - f_k)[bottom]
-    dtf[top] = d_lo[top] / (lower - f_k)[top]
-    mid = prev_t[inner]
-    dtf[inner] = three_point_derivative(mid + d_lo[inner], mid, mid + d_hi[inner],
-                                        (f_k - lower)[inner], (upper - f_k)[inner])
-    return dtf, ~inner
+    return -a[..., 0] * base / f_k + a[..., 1] / MHZ_PER_GHZ

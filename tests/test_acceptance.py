@@ -16,7 +16,6 @@ from frametime.estimator import dcd_rls_init, dcd_step, rls_init, rls_step
 from frametime.features import (FeatureSpec, build_dataset, cross_validated_path,
                                 pearson_prune, select_features)
 from frametime.governor import realize, simulate
-from frametime.model import three_point_derivative
 from frametime.trace import generate_characterization, generate_runtime
 from scenarios import (SELECTION_SEED, STEP_CHANGE, SWEEP_SEED, batch_ridge_solve, heavy_runs,
                        light_runs, op_count, reference_derivative, reference_frame_time,
@@ -103,24 +102,33 @@ def test_criterion_02_exact_recovery():
     assert verdict(2, "exact-recovery", err < 1e-4, f"max err {err:.2e} in 50 updates")
 
 
-def test_criterion_03_lagrange_exactness():
+def test_criterion_03_derivative_exactness():
+    # the closed form against a central difference of the what-if it
+    # differentiates, base + candidate_delta, with step 1e-4 * f_k
     rng = np.random.default_rng(11)
-    worst_rel = 0.0
+    worst = 0.0
     for _ in range(200):
-        a2, a1, a0 = rng.normal(size=3)
-        f = float(rng.uniform(250, 480))
-        df1 = float(rng.uniform(5, 80))
-        df2 = float(rng.uniform(5, 80))
-        t = lambda x: a2 * x * x + a1 * x + a0
-        got = three_point_derivative(t(f - df1), t(f), t(f + df2), df1, df2)
-        want = 2 * a2 * f + a1
-        worst_rel = max(worst_rel, abs(got - want) / max(abs(want), 1e-12))
-    bitwise = all(
-        three_point_derivative(lo, mid, hi, d, d) == (hi - lo) / (2 * d)
-        for lo, mid, hi, d in rng.uniform(1, 40, size=(200, 4)))
-    ok = worst_rel < 1e-9 and bitwise
-    assert verdict(3, "lagrange-exactness", ok,
-                   f"quadratic rel err {worst_rel:.2e}, equal-spacing bitwise {bitwise}")
+        a = rng.normal(size=2) * [1.0, 50.0]
+        base = float(rng.uniform(1, 40))
+        f_k = float(rng.uniform(200, 520))
+        step = 1e-4 * f_k
+
+        def t(f):
+            return base + model.candidate_delta(a[0], a[1], base, f_k, f)
+
+        central = (t(f_k + step) - t(f_k - step)) / (2 * step)
+        scale = abs(a[0] * base / f_k) + abs(a[1]) / 1000.0
+        worst = max(worst, abs(model.frequency_sensitivity(a, base, f_k) - central) / scale)
+    # the purely scalable model t = s * ref / f, at its own clock
+    scalable = 0.0
+    for s, f_k in rng.uniform([1, 200], [40, 520], size=(200, 2)):
+        want = -s * 200.0 / (f_k * f_k)
+        got = model.frequency_sensitivity(np.array([1.0, 0.0]), s * 200.0 / f_k, f_k)
+        scalable = max(scalable, abs(got - want) / abs(want))
+    ok = worst < 1e-6 and scalable < 1e-12
+    assert verdict(3, "derivative-exactness", ok,
+                   f"central-difference dev {worst:.1e} of scale, "
+                   f"scalable-model rel err {scalable:.1e}")
 
 
 def test_criterion_04_replay_mape(sweep_replays):
@@ -160,8 +168,6 @@ def test_criterion_05_sensitivity_accuracy(runtime_replay):
     spec, _, result, states = runtime_replay
     ref, got = [], []
     for r, _, c in _same_complexity_rows(spec, result.rows, states, 500):
-        if r.one_sided:
-            continue
         ref.append(reference_derivative(spec, c, r.f_k))
         got.append(r.dtf_df)
     ref, got = np.array(ref), np.array(got)

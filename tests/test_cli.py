@@ -22,12 +22,12 @@ from frametime.config import (POLICIES, ConfigError, GovernorConfig, PowerModel,
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  estimator_units, rls_init)
 from frametime.features import FeatureSpec, build_dataset, save_feature_spec
-from frametime.model import candidate_delta, three_point_derivative
+from frametime.model import candidate_delta
 from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
                              generate_runtime, parse_trace, realized_frame_times,
                              serialize_trace)
-from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_rls,
-                       sensitivity_run, shipped)
+from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_derivative,
+                       reference_rls, sensitivity_run, shipped)
 
 TABLE = shipped("characterization").freq_table
 
@@ -593,15 +593,20 @@ class TestSensitivity:
                      "--out", str(out), "--jumps", "2"])
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "k,f_k,dtf_df,one_sided,delta_up1,delta_down1,delta_up2,delta_down2"
+        assert lines[0] == "k,f_k,dtf_df,delta_up1,delta_down1,delta_up2,delta_down2"
+        edges = 0
         for line in lines[1:]:
             cells = line.split(",")
             f_k = float(cells[1])
-            one_sided = cells[3] == "1"
-            assert one_sided == (f_k in (TABLE.min, TABLE.max))
+            # every row has a derivative; a what-if past the table edge is blank
+            assert math.isfinite(float(cells[2]))
+            assert (cells[3] == "") == (f_k == TABLE.max)
+            assert (cells[4] == "") == (f_k == TABLE.min)
+            edges += f_k in (TABLE.min, TABLE.max)
+        assert edges
 
     def test_deltas_and_derivative_share_the_replay_anchor(self, tmp_path, capsys):
-        # every what-if and the derivative start from the replay's t_base, at f_k
+        # every what-if and the derivative start from the replay's t_pred, at f_k
         trace_path, _ = write_runtime_trace(tmp_path)
         spec_path = tmp_path / "features.spec"
         save_feature_spec(FeatureSpec((2, 3)), spec_path)
@@ -613,25 +618,18 @@ class TestSensitivity:
         levels = TABLE.freqs_mhz
         lines = out.read_text().splitlines()[1:]
         assert len(lines) == len(result.rows)
-        interior = 0
-        for line, a, t, f in zip(lines, result.coefs.tolist(), result.rows.t_base.tolist(),
+        for line, a, t, f in zip(lines, result.coefs.tolist(), result.rows.t_pred.tolist(),
                                  result.rows.f_k.tolist()):
             cells = line.split(",")
             at = levels.index(f)
-            deltas = {}
             for j in (1, 2):
-                for step, cell in zip((j, -j), cells[2 + 2 * j:4 + 2 * j]):
+                for step, cell in zip((j, -j), cells[1 + 2 * j:3 + 2 * j]):
                     if 0 <= at + step < len(levels):
-                        deltas[step] = candidate_delta(a[0], a[1], t, f, levels[at + step])
-                        assert cell == "%.8g" % deltas[step]
+                        want = candidate_delta(a[0], a[1], t, f, levels[at + step])
+                        assert cell == "%.8g" % want
                     else:
                         assert cell == ""
-            if 1 in deltas and -1 in deltas:
-                interior += 1
-                want = three_point_derivative(t + deltas[-1], t, t + deltas[1],
-                                              f - levels[at - 1], levels[at + 1] - f)
-                assert cells[2] == "%.8g" % want
-        assert interior > len(lines) // 2
+            assert cells[2] == "%.8g" % (-a[0] * t / f + a[1] / 1000.0)
 
     @pytest.mark.parametrize("jumps", ["0", "-2"])
     def test_jumps_below_one_exit2(self, tmp_path, capsys, jumps):
@@ -834,6 +832,22 @@ class TestRunReplayApi:
         assert not np.isfinite(res.coefs[-1]).all()
         assert np.isnan(res.rows.t_pred[25:]).all()
         assert np.array_equal(res.rows.t_pred[:23], frame_times[:23])
+
+    @pytest.mark.parametrize("low, high, bound", [(0, -1, 8.0), (2, 3, 3.0)],
+                             ids=["table-edges", "levels-2-3"])
+    def test_alternating_clock_derivative(self, low, high, bound):
+        # a noiseless run whose clock swaps between two levels every
+        # interval: each row's derivative is anchored at its own clock, so
+        # past the warmup it tracks the analytic one at both levels
+        spec, _ = sensitivity_run(1200, seed=0)
+        pair = (TABLE.freqs_mhz[low], TABLE.freqs_mhz[high])
+        trace = generate_runtime(spec, TABLE, [pair[i % 2] for i in range(1200)], seed=0)
+        rows = run_replay(trace, FeatureSpec((2, 3)), "rls").rows
+        c = spec.complexity_schedule
+        apes = [abs(r.dtf_df / reference_derivative(spec, c[r.k], r.f_k) - 1.0) * 100.0
+                for r in rows[300:] if c[r.k] == c[r.k - 1]]
+        assert len(apes) > 700
+        assert float(np.mean(apes)) < bound
 
     def test_arlms_has_no_coefs(self, tmp_path):
         _, trace = write_runtime_trace(tmp_path, n=40)
