@@ -65,6 +65,10 @@ class PowerModel:
 
 @dataclass(frozen=True)
 class GovernorConfig:
+    """The [governor] section: the frame-rate target, the decision period,
+    ondemand's utilization thresholds and the rls policy's warm-up at the
+    top level."""
+
     fps_target: float = 60.0
     period: float = 50.0          # ms
     up_threshold: float = 0.8

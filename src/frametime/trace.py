@@ -17,13 +17,18 @@ depend on the workload only).  workload_columns is the one evaluation of
 the workload's maps; generated traces, the governor's frame-time grid
 and counters, and the sensitivity reference all derive from it, the
 frame times through frame_times, noisy ones through
-realized_frame_times.
+realized_frame_times.  Its noise, like the random-walk clock in
+workloads, draws from seeded_stream, a random.Random: Python promises
+that random() repeats its sequence for a seed across versions, which
+numpy does not promise for its Generator streams.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -315,21 +320,47 @@ def frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
         return columns[..., 0] * spec.ref_freq / f + columns[..., 1]
 
 
+def seeded_stream(seed: int) -> random.Random:
+    """The package's one pseudo-random source: random.Random at the seed,
+    whose random() Python promises to repeat for that seed across versions.
+    Every draw seeds its own stream, and uses random() alone.  A seed is any
+    non-negative integer, a numpy one included; a negative seed raises
+    ValueError, where Random would take the stream of its absolute value."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
+
+
+def standard_normals(stream: random.Random, n: int) -> list[float]:
+    """n draws of N(0, 1) by the Box-Muller transform (Box & Muller, Ann.
+    Math. Statist. 1958) on consecutive random() pairs (u1, u2): with
+    r = sqrt(-2 ln(1 - u1)) and theta = 2 pi u2, r cos theta and then
+    r sin theta.  An odd n drops the last sine.  The transform runs on
+    Python floats through math, so the draws do not depend on the CPU."""
+    out = []
+    for _ in range((n + 1) // 2):
+        r = math.sqrt(-2.0 * math.log(1.0 - stream.random()))
+        theta = math.tau * stream.random()
+        out += (r * math.cos(theta), r * math.sin(theta))
+    return out[:n]
+
+
 def realized_frame_times(spec: WorkloadSpec, columns: np.ndarray, f, seed: int) -> np.ndarray:
-    """frame_times times each interval's noise factor max(1 + N(0, noise_sigma), 0).
+    """frame_times times each interval's noise factor max(1 + noise_sigma z, 0).
 
     Interval k is row k of columns; its factor multiplies all of that
-    row's frame times, the governor's levels alike.  The factors are one
-    block of default_rng(seed), the same numbers as one scalar draw per
-    interval in order.  This is the only frame-time noise, so generated
+    row's frame times, the governor's levels alike.  z is the k-th of
+    standard_normals on seeded_stream(seed), so a seed is checked only
+    when noise_sigma > 0.  This is the only frame-time noise, so generated
     traces and governor runs realize the same frame times.  An inf frame
     time whose factor is 0 is nan, rejected like the inf.
     """
     t = frame_times(spec, columns, f)
     if spec.noise_sigma > 0:
-        z = np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=t.shape[0])
+        z = np.array(standard_normals(seeded_stream(seed), t.shape[0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            t *= np.maximum(1.0 + z, 0.0).reshape((-1,) + (1,) * (t.ndim - 1))
+            t *= np.maximum(1.0 + spec.noise_sigma * z, 0.0).reshape((-1,) + (1,) * (t.ndim - 1))
     return t
 
 

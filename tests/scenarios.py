@@ -29,6 +29,7 @@ and reference_cv_path, the cross-validation with boolean-mask folds.
 """
 
 import math
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,10 +63,20 @@ def reference_rls(a, P, h, d, lam):
 
 def reference_noise(spec, seed):
     """The per-interval noise factors a governor run at this seed draws,
-    max(1 + N(0, noise_sigma), 0), as Python floats."""
+    max(1 + noise_sigma z, 0), as Python floats: the z in order, two per
+    pair of random() draws (u1, u2) of random.Random(seed) by Box-Muller,
+    r cos theta then r sin theta with r = sqrt(-2 ln(1 - u1)) and
+    theta = 2 pi u2, the last sine dropped when the count is odd."""
     n = len(spec.complexity_schedule)
-    return np.maximum(1.0 + np.random.default_rng(seed).normal(0.0, spec.noise_sigma, size=n),
-                      0.0).tolist()
+    stream, z = random.Random(seed), []
+    while len(z) < n:
+        u1 = stream.random()
+        u2 = stream.random()
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        z.append(r * math.cos(2.0 * math.pi * u2))
+        if len(z) < n:
+            z.append(r * math.sin(2.0 * math.pi * u2))
+    return [max(1.0 + spec.noise_sigma * v, 0.0) for v in z]
 
 
 def reference_cheapest_level(frame_ms, power, cfg, pm):

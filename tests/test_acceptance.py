@@ -29,36 +29,20 @@ def verdict(num, slug, ok, detail):
     return ok
 
 
-@pytest.fixture(scope="module")
-def sweep_replays():
-    """Noisy and noiseless characterization sweeps with adaptive replays."""
+REPLAY_SPEC = FeatureSpec((2, 3))
+MAX_JUMP = len(SWEEP_TABLE) - 1
+CFG = GovernorConfig()
+PM = PowerModel()
+
+
+def characterization_sweep(seed, noise_sigma=None):
+    """The shipped characterization sweep generated at the seed, its noise
+    replaced by noise_sigma when one is given."""
     sweep = shipped("characterization")
-
-    def sweep_of(spec):
-        return generate_characterization(spec, sweep.freq_table,
-                                         sweep.characterization_complexities,
-                                         sweep.characterization_repeats, seed=SWEEP_SEED)
-
-    fspec = FeatureSpec((2, 3))
-    noisy = sweep_of(sweep.workload)                                  # sigma 0.03
-    clean = sweep_of(replace(sweep.workload, noise_sigma=0.0))
-    return {
-        "noisy": noisy,
-        "rls": cli.run_replay(noisy, fspec, "rls"),
-        "clean_rls": cli.run_replay(clean, fspec, "rls"),
-        "clean_dcd": cli.run_replay(clean, fspec, "dcd"),
-    }
-
-
-@pytest.fixture(scope="module")
-def runtime_replay():
-    """Random-walk frequency run used for the sensitivity criteria."""
-    spec, freqs = sensitivity_run(2400, seed=5)
-    trace = generate_runtime(spec, SWEEP_TABLE, freqs, seed=5)
-    fspec = FeatureSpec((2, 3))
-    result = cli.run_replay(trace, fspec, "rls")
-    states = result.coefs
-    return spec, trace, result, states
+    spec = sweep.workload if noise_sigma is None else replace(sweep.workload,
+                                                              noise_sigma=noise_sigma)
+    return generate_characterization(spec, sweep.freq_table, sweep.characterization_complexities,
+                                     sweep.characterization_repeats, seed=seed)
 
 
 def post_warmup_mape(rows, warmup):
@@ -66,6 +50,28 @@ def post_warmup_mape(rows, warmup):
     actual = np.array([r.t_actual for r in tail])
     predicted = np.array([r.t_pred for r in tail])
     return cli.compute_metrics(actual, predicted).mape
+
+
+def replay_mape(seed):
+    """Criterion 4's figure: MAPE (%) of the rls replay of the noisy sweep
+    at the seed, after a 100-interval warmup."""
+    return post_warmup_mape(cli.run_replay(characterization_sweep(seed), REPLAY_SPEC,
+                                           "rls").rows, 100)
+
+
+def sensitivity_replay(seed):
+    """The random-walk run of criteria 5 and 6 at the seed, replayed by rls:
+    (spec, trace, result, per-row coefficients)."""
+    spec, freqs = sensitivity_run(2400, seed=seed)
+    trace = generate_runtime(spec, SWEEP_TABLE, freqs, seed=seed)
+    result = cli.run_replay(trace, REPLAY_SPEC, "rls")
+    return spec, trace, result, result.coefs
+
+
+@pytest.fixture(scope="module")
+def runtime_replay():
+    """Random-walk frequency run used for the sensitivity criteria."""
+    return sensitivity_replay(5)
 
 
 def test_criterion_01_rls_equals_batch_ridge():
@@ -131,9 +137,9 @@ def test_criterion_03_derivative_exactness():
                    f"scalable-model rel err {scalable:.1e}")
 
 
-def test_criterion_04_replay_mape(sweep_replays):
+def test_criterion_04_replay_mape():
     start = time.time()
-    mape = post_warmup_mape(sweep_replays["rls"].rows, 100)
+    mape = replay_mape(SWEEP_SEED)
     elapsed = time.time() - start
     ok = mape < 5.0 and elapsed < 30.0
     assert verdict(4, "replay-mape", ok, f"mape {mape:.2f}% after 100-interval warmup")
@@ -164,7 +170,15 @@ def _candidate_apes(runtime_replay, jump):
     return apes
 
 
-def test_criterion_05_sensitivity_accuracy(runtime_replay):
+def candidate_mape(runtime_replay, jump):
+    """Criteria 5 and 6's what-if figure: the mean of _candidate_apes (%)."""
+    return float(np.mean(_candidate_apes(runtime_replay, jump)))
+
+
+def derivative_nrmse(runtime_replay):
+    """Criterion 5's derivative figure: the RMSE of dtf_df against the
+    analytic derivative on the post-warmup rows whose complexity did not
+    change, as a percentage of the reference's range."""
     spec, _, result, states = runtime_replay
     ref, got = [], []
     for r, _, c in _same_complexity_rows(spec, result.rows, states, 500):
@@ -172,23 +186,25 @@ def test_criterion_05_sensitivity_accuracy(runtime_replay):
         got.append(r.dtf_df)
     ref, got = np.array(ref), np.array(got)
     rmse = float(np.sqrt(np.mean((ref - got) ** 2)))
-    nrmse = rmse / float(ref.max() - ref.min()) * 100.0
-    mape1 = float(np.mean(_candidate_apes(runtime_replay, 1)))
+    return rmse / float(ref.max() - ref.min()) * 100.0
+
+
+def test_criterion_05_sensitivity_accuracy(runtime_replay):
+    nrmse = derivative_nrmse(runtime_replay)
+    mape1 = candidate_mape(runtime_replay, 1)
     ok = nrmse < 10.0 and mape1 < 6.0
     assert verdict(5, "sensitivity-accuracy", ok,
                    f"derivative nrmse {nrmse:.2f}%, one-level mape {mape1:.2f}%")
 
 
 def test_criterion_06_multi_jump_degradation(runtime_replay):
-    max_jump = len(SWEEP_TABLE) - 1
-    mape = {jump: float(np.mean(_candidate_apes(runtime_replay, jump)))
-            for jump in range(1, max_jump + 1)}
-    ok = mape[max_jump] < 12.0 and mape[max_jump] > mape[1]
+    mape = {jump: candidate_mape(runtime_replay, jump) for jump in (1, MAX_JUMP)}
+    ok = mape[MAX_JUMP] < 12.0 and mape[MAX_JUMP] > mape[1]
     assert verdict(6, "multi-jump-degradation", ok,
-                   f"mape by jump {{1: {mape[1]:.2f}, {max_jump}: {mape[max_jump]:.2f}}}%")
+                   f"mape by jump {{1: {mape[1]:.2f}, {MAX_JUMP}: {mape[MAX_JUMP]:.2f}}}%")
 
 
-def test_criterion_07_dcd_fidelity(sweep_replays):
+def test_criterion_07_dcd_fidelity():
     rng = np.random.default_rng(31)
     a_star = np.array([0.9, -0.4, 1.3, 0.2])
     a, P = rls_init(4, mu=1.0)
@@ -201,8 +217,9 @@ def test_criterion_07_dcd_fidelity(sweep_replays):
         a, P, _ = rls_step(a, P, h, target)
         b, R, beta, _ = dcd_step(b, R, beta, h, target, nu=64, mb=32)
 
-    rls_mape = post_warmup_mape(sweep_replays["clean_rls"].rows, 100)
-    dcd_mape = post_warmup_mape(sweep_replays["clean_dcd"].rows, 100)
+    clean = characterization_sweep(SWEEP_SEED, noise_sigma=0.0)
+    rls_mape = post_warmup_mape(cli.run_replay(clean, REPLAY_SPEC, "rls").rows, 100)
+    dcd_mape = post_warmup_mape(cli.run_replay(clean, REPLAY_SPEC, "dcd").rows, 100)
     ratio = dcd_mape / rls_mape
     ok = worst < 1e-3 and ratio <= 1.5
     assert verdict(7, "dcd-fidelity", ok,
@@ -240,36 +257,40 @@ def test_criterion_09_operation_counts():
                    f"rls(10)={op_count(10, 'rls')}, dcd(10)={op_count(10, 'dcd_rls')}")
 
 
+def policy_energies(spec, seed):
+    """Total energy (J) of the oracle, rls and ondemand policies, in that
+    order, on the spec realized at the seed on the sweep's table."""
+    world = realize(spec, SWEEP_TABLE, seed=seed)
+    return [simulate(p, world, CFG, PM).total_energy for p in ("oracle", "rls", "ondemand")]
+
+
+def energy_ratios(seed):
+    """Criterion 10's figures on the four heavy runs of 600 intervals at
+    the seed: per run, its rls/oracle and ondemand/oracle energy; the
+    suite's rls/ondemand energy; and whether oracle <= rls <= ondemand
+    held on every run."""
+    energies = {name: policy_energies(spec, seed) for name, spec in heavy_runs(600).items()}
+    ratios = {name: (er / eo, ed / eo) for name, (eo, er, ed) in energies.items()}
+    suite = (sum(er for _, er, _ in energies.values())
+             / sum(ed for _, _, ed in energies.values()))
+    dominance = all(eo <= er <= ed for eo, er, ed in energies.values())
+    return ratios, suite, dominance
+
+
 def test_criterion_10_governor_dominance_and_savings():
     start = time.time()
-    cfg = GovernorConfig()
-    pm = PowerModel()
-    dominance = True
-    ratios = {}
-    totals = {"rls": 0.0, "oracle": 0.0, "ondemand": 0.0}
-    for name, spec in heavy_runs(600).items():
-        world = realize(spec, SWEEP_TABLE, seed=9)
-        res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
-        eo, er, ed = (res[p].total_energy for p in ("oracle", "rls", "ondemand"))
-        dominance &= eo <= er <= ed
-        ratios[name] = (er / eo, ed / eo)
-        for p in totals:
-            totals[p] += res[p].total_energy
+    ratios, suite_ratio, dominance = energy_ratios(9)
     # dominance must also hold on other seeds and on the light runs
     for seed in (10, 11):
         for spec in heavy_runs(300).values():
-            world = realize(spec, SWEEP_TABLE, seed=seed)
-            res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
-            dominance &= (res["oracle"].total_energy <= res["rls"].total_energy
-                          <= res["ondemand"].total_energy)
+            eo, er, ed = policy_energies(spec, seed)
+            dominance &= eo <= er <= ed
     for spec in light_runs(300).values():
-        world = realize(spec, SWEEP_TABLE, seed=9)
-        res = {p: simulate(p, world, cfg, pm) for p in ("oracle", "rls", "ondemand")}
-        dominance &= res["oracle"].total_energy <= res["rls"].total_energy
+        eo, er, _ = policy_energies(spec, 9)
+        dominance &= eo <= er
 
     rls_ok = all(r[0] <= 1.10 for r in ratios.values())
     ondemand_ok = all(r[1] >= 1.25 for r in ratios.values())
-    suite_ratio = totals["rls"] / totals["ondemand"]
     elapsed = time.time() - start
     ok = dominance and rls_ok and ondemand_ok and suite_ratio <= 0.75 and elapsed < 60.0
     assert verdict(10, "governor-dominance-savings", ok,
@@ -277,18 +298,22 @@ def test_criterion_10_governor_dominance_and_savings():
                    f"suite rls/ondemand {suite_ratio:.3f}, {elapsed:.1f}s")
 
 
-def test_criterion_11_feature_selection():
+def feature_selection(seed):
+    """Criterion 11's selection on the shipped selection sweep at the seed:
+    the counters Pearson pruning kept, and the min-mse FeatureSpec."""
     sweep = shipped("selection")
     trace = generate_characterization(sweep.workload, sweep.freq_table,
                                       sweep.characterization_complexities,
-                                      sweep.characterization_repeats, seed=SELECTION_SEED)
+                                      sweep.characterization_repeats, seed=seed)
     kept = pearson_prune(trace)
-    pruned_deps = kept == [2, 3, 4, 5]  # both clock-tracking counters dropped
-
     candidate = FeatureSpec(tuple(kept), tuple(trace.counter_names[i] for i in kept))
-    dataset = build_dataset(trace, candidate)
-    path = cross_validated_path(dataset)
-    chosen = select_features(path, "min_mse")
+    path = cross_validated_path(build_dataset(trace, candidate))
+    return kept, select_features(path, "min_mse")
+
+
+def test_criterion_11_feature_selection():
+    kept, chosen = feature_selection(SELECTION_SEED)
+    pruned_deps = kept == [2, 3, 4, 5]  # both clock-tracking counters dropped
     informative = chosen.indep_counter_indices == (2, 3)
     ok = pruned_deps and informative and chosen.m == 4
     assert verdict(11, "feature-selection", ok,

@@ -27,7 +27,7 @@ from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Tra
                              generate_runtime, parse_trace, realized_frame_times,
                              serialize_trace)
 from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_derivative,
-                       reference_rls, sensitivity_run, shipped)
+                       reference_noise, reference_rls, sensitivity_run, shipped)
 
 TABLE = shipped("characterization").freq_table
 
@@ -85,7 +85,8 @@ p_idle_w = 0.2
 
 
 # one interval whose frame time overflows to inf, at noise so wide that
-# its factor clips to 0 at seed 4
+# its factor clips to 0 at CLIPPED_SEED, the first seed that draws a clip
+CLIPPED_SEED = 3
 CLIPPED_OVERFLOW = (
     "noise_sigma = 0.003\ncomplexity_schedule = square:20:40:25:100\n\n"
     "[scalable_ms]\nkind = piecewise\npoints = 1:0.925, 32:7.2, 64:20.0",
@@ -720,8 +721,9 @@ class TestGovern:
            "points = 1:1e308, 32:1e308, 64:1e308", "non-finite counters or frame times")
           for policy in ("all", "rls", "oracle", "ondemand")),
         *((command, *CLIPPED_OVERFLOW, message) for command, message in [
-            (["characterize", "--mode", "runtime", "--seed", "4"], "row 1: fields must be finite"),
-            (["govern", "--seed", "4"], "non-finite counters or frame times")]),
+            (["characterize", "--mode", "runtime", "--seed", str(CLIPPED_SEED)],
+             "row 1: fields must be finite"),
+            (["govern", "--seed", str(CLIPPED_SEED)], "non-finite counters or frame times")]),
     ], ids=["characterize-frame-time", "characterize-dep-counter", "govern-frame-time",
             "govern-rls-frame-time", "govern-oracle-frame-time", "govern-ondemand-frame-time",
             "characterize-clipped-noise", "govern-clipped-noise"])
@@ -729,10 +731,15 @@ class TestGovern:
                                         new, message):
         # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to
         # inf; in the clipped-noise cases the one interval's noise factor at
-        # seed 4 clips to 0, and inf times 0 is nan
+        # CLIPPED_SEED clips to 0, and inf times 0 is nan
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main([*command, "--config", str(config_file), "--out", str(tmp_path / "o.csv")])
         assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+
+    def test_clipped_seed_clips(self, config_file):
+        # the premise of the clipped-noise cases above, on the written-out draw
+        config_file.write_text(config_file.read_text().replace(*CLIPPED_OVERFLOW))
+        assert reference_noise(load_config(config_file).workload, CLIPPED_SEED) == [0.0]
 
     @pytest.mark.parametrize("name", ["governor_heavy", "governor_light"])
     def test_policy_all_rows_equal_single_policy_rows(self, tmp_path, capsys, name):
@@ -774,6 +781,18 @@ class TestGovern:
         assert raised.value.code == 2
         assert "unrecognized arguments: --trace runtime.csv" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", [["characterize"], ["characterize", "--mode", "runtime"],
+                                         ["govern"]], ids=["sweep", "runtime", "govern"])
+    def test_negative_seed_exit2(self, config_file, tmp_path, capsys, command):
+        # random.Random(-1) would silently draw the stream of seed 1
+        out = tmp_path / "out.csv"
+        code = main([*command, "--config", str(config_file), "--out", str(out), "--seed", "-1"])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_INPUT, "error: seed must be a non-negative integer, got -1\n")
+        assert not out.exists()
 
 
 class TestRunReplayApi:
@@ -971,7 +990,7 @@ class TestParserReuse:
 FOOTPRINT_SCRIPT = """
 import json, sys, types
 from frametime import cli
-layers, numpy_ma = [], []
+layers, numpy_ma, rng_modules = [], [], []
 for argv in json.loads(sys.argv[1]):
     if cli.main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
@@ -980,7 +999,10 @@ for argv in json.loads(sys.argv[1]):
                          if name.startswith("frametime.")
                          and type(module) is types.ModuleType))
     numpy_ma.append("numpy.ma" in sys.modules)
-print(json.dumps({"layers": layers, "numpy_ma": numpy_ma}))
+    # numpy's generators, and the OpenSSL hashing that importing them loads
+    rng_modules.append([name for name in ("numpy.random", "secrets", "_hashlib")
+                        if name in sys.modules])
+print(json.dumps({"layers": layers, "numpy_ma": numpy_ma, "rng_modules": rng_modules}))
 """
 
 
@@ -1007,6 +1029,7 @@ class TestModuleFootprint:
             ["replay", "--trace", "sweep.csv", *spec, *cfg, "--out", "replay.csv"],
             ["sensitivity", "--trace", "sweep.csv", *spec, *cfg, "--out", "sens.csv"],
             ["govern", *cfg, "--out", "govern.csv"],
+            ["characterize", *cfg, "--mode", "runtime", "--out", "runtime.csv"],
         ]
         seen = self._run(commands, tmp_path)
 
@@ -1018,8 +1041,12 @@ class TestModuleFootprint:
             online,                                                      # replay
             online,                                                      # sensitivity
             ["cli", "config", "estimator", "features", "governor", "model", "trace"],
+            ["cli", "config", "estimator", "features", "governor", "model", "trace",
+             "workloads"],                                               # runtime trace
         ]
         assert not any(seen["numpy_ma"])
+        # both seeded draws come from the standard library's random()
+        assert seen["rng_modules"] == [[]] * len(commands)
 
     def test_govern_alone_skips_the_offline_selection(self, config_file, tmp_path):
         """Each line of the test above adds up the commands before it; a
@@ -1051,6 +1078,9 @@ class TestRecordTypes:
                  and is_dataclass(cls)]
         assert found
         assert [cls.__qualname__ for cls in found if "__post_init__" not in vars(cls)] == []
+        # without its own docstring, dataclass builds one from inspect.signature
+        assert [cls.__qualname__ for cls in found
+                if cls.__doc__.startswith(f"{cls.__name__}(")] == []
 
     def test_plain_records_are_tuples(self):
         classes = {record: getattr(importlib.import_module(f"frametime.{layer}"), name)

@@ -136,7 +136,7 @@ class TestOraclePolicy:
             # every level, so the top-level fallback is taken
             spec = replace(heavy_runs(24)["heavy_square_b"], noise_sigma=0.25,
                            complexity_schedule=(37.0, 56.0) * 12)
-            noise = np.maximum(1.0 + np.random.default_rng(4).normal(0.0, 0.25, size=24), 0.0)
+            noise = reference_noise(spec, 4)
         result = simulate("oracle", realize(spec, TABLE, seed=4), CFG, PM)
         budget = CFG.frame_budget_ms
         fallbacks = 0
@@ -212,8 +212,8 @@ class TestPolicyResultColumns:
 class TestRealizedFrameTimes:
     @settings(max_examples=50, deadline=None)
     @given(affine_runs(max_sigma=3.0, min_size=1))
-    # a zero frame time: interval 4's factor at seed 0 is below 0 before
-    # it clips, and the frame time must come out 0.0, not -0.0
+    # a zero frame time: the factors of intervals 2, 5 and 7 at seed 0 are
+    # below 0 before they clip, and the frame time must come out 0.0, not -0.0
     @example((WorkloadSpec((10.0,) * 8, AffineMap(0.0, 0.0), AffineMap(0.0, 0.0), 200.0,
                            noise_sigma=3.0), 0))
     def test_simulate_realizes_what_generation_writes(self, run):
@@ -372,6 +372,13 @@ class TestRealize:
             assert not array.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+    def test_seed_checked_where_noise_is_drawn(self):
+        assert HEAVY.noise_sigma > 0
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            realize(HEAVY, TABLE, seed=-1)
+        # noiseless, nothing is drawn from the seed
+        realize(replace(HEAVY, noise_sigma=0.0), TABLE, seed=-1)
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
 import io
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -17,7 +18,7 @@ from frametime.trace import (DEFAULT_FREQS_MHZ, AffineMap, ColumnCountError,
 from frametime import trace as trace_module
 from frametime.workloads import random_walk_freqs
 from scenarios import (reference_counters, reference_derivative, reference_frame_time,
-                       reference_serialize)
+                       reference_noise, reference_serialize)
 
 SPELLINGS = ["{!r}", "{:.3e}", "{:g}", " {} ", "{:.0f}", "+{!r}", "{:+.6E}\t"]
 # line breaks to str.splitlines, and not to a text-mode file
@@ -481,9 +482,8 @@ class TestGenerate:
         assert spec.noise_sigma > 0
         freqs = random_walk_freqs(sweep_table, n, seed)
         trace = generate_runtime(spec, sweep_table, freqs, seed=seed)
-        rng = np.random.default_rng(seed)  # one scalar draw per interval, in order
-        t = [max(reference_frame_time(spec, c, f) * (1.0 + rng.normal(0.0, spec.noise_sigma)),
-                 0.0) for c, f in zip(spec.complexity_schedule, freqs)]
+        t = [reference_frame_time(spec, c, f) * z
+             for c, f, z in zip(spec.complexity_schedule, freqs, reference_noise(spec, seed))]
         assert trace.frame_times.tolist() == t
         assert trace.counters.tolist() == [list(reference_counters(spec, c, f))
                                            for c, f in zip(spec.complexity_schedule, freqs)]
@@ -492,23 +492,33 @@ class TestGenerate:
                                                for v in t]
         assert trace.timestamps.tolist() == [(k + 1) * 50.0 / 1000.0 for k in range(n)]
 
-    def test_random_walk_equals_choice_stream(self, sweep_table):
-        # the reference walk draws each step's sign with rng.choice((-1, 1))
-        def choice_walk(table, n, seed, p_step=0.35, p_jump=0.07):
-            rng = np.random.default_rng(seed)
+    def test_random_walk_equals_written_out_stream(self, sweep_table):
+        # the reference walk, one random() of random.Random(seed) at a time
+        def written_walk(table, n, seed, p_step=0.35, p_jump=0.07):
+            stream = random.Random(seed)
             i, out = len(table) - 1, []
             for _ in range(n):
-                r = rng.random()
-                if r < p_step:
-                    i = min(max(i + int(rng.choice((-1, 1))), 0), len(table) - 1)
-                elif r < p_step + p_jump:
-                    i = int(rng.integers(0, len(table)))
+                u = stream.random()
+                if u < p_step:
+                    i += 1 if stream.random() < 0.5 else -1
+                    i = min(max(i, 0), len(table) - 1)
+                elif u < p_step + p_jump:
+                    i = int(stream.random() * len(table))
                 out.append(table.freqs_mhz[i])
             return tuple(out)
 
         for seed in range(60):
-            assert random_walk_freqs(sweep_table, 400, seed) == choice_walk(sweep_table,
-                                                                             400, seed)
+            assert random_walk_freqs(sweep_table, 400, seed) == written_walk(sweep_table,
+                                                                              400, seed)
+
+    def test_numpy_integer_seed_draws_the_int_stream(self, char_workload, sweep_table):
+        # random.Random rejects a numpy integer, and a seed read from an array is one
+        n = 50
+        spec = replace(char_workload, complexity_schedule=char_workload.complexity_schedule[:n])
+        freqs = random_walk_freqs(sweep_table, n, np.int64(7))
+        assert freqs == random_walk_freqs(sweep_table, n, 7)
+        assert (generate_runtime(spec, sweep_table, freqs, np.int64(7))
+                == generate_runtime(spec, sweep_table, freqs, 7))
 
     def test_runtime_constant_and_sequence(self, simple_workload, small_table):
         n = len(simple_workload.complexity_schedule)
