@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .trace import (AffineMap, CounterModel, FrequencyTable, HashNoiseMap,
-                    PiecewiseLinearMap, WorkloadSpec)
+                    PiecewiseLinearMap, WorkloadSpec, checked_tuple)
 
 
 POLICIES = ("rls", "oracle", "ondemand")
@@ -45,43 +44,45 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PowerModel:
+class PowerModel(checked_tuple("PowerModel", "p_static p_dyn_coeff p_idle")):
     """Watts: p_static + p_dyn_coeff * (f_ghz)^3 while active, p_idle while idle."""
 
-    p_static: float = 0.5
-    p_dyn_coeff: float = 8.0     # W per GHz^3
-    p_idle: float = 0.2
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("p_static", "p_dyn_coeff", "p_idle"):
-            value = getattr(self, name)
+    def __new__(cls, p_static: float = 0.5,
+                p_dyn_coeff: float = 8.0,       # W per GHz^3
+                p_idle: float = 0.2):
+        for name, value in zip(cls._fields, (p_static, p_dyn_coeff, p_idle)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        return super().__new__(cls, p_static, p_dyn_coeff, p_idle)
 
     def active_power(self, f_mhz: float) -> float:
         return self.p_static + self.p_dyn_coeff * (f_mhz / 1000.0) ** 3
 
 
-@dataclass(frozen=True)
-class GovernorConfig:
+class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period up_threshold "
+                                   "down_threshold warmup_intervals")):
     """The [governor] section: the frame-rate target, the decision period,
     ondemand's utilization thresholds and the rls policy's warm-up at the
     top level."""
 
-    fps_target: float = 60.0
-    period: float = 50.0          # ms
-    up_threshold: float = 0.8
-    down_threshold: float = 0.3
-    warmup_intervals: int = 10    # rls policy holds max frequency this long
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.down_threshold < self.up_threshold <= 1:
+    def __new__(cls, fps_target: float = 60.0,
+                period: float = 50.0,           # ms
+                up_threshold: float = 0.8,
+                down_threshold: float = 0.3,
+                warmup_intervals: int = 10):    # rls policy holds max frequency this long
+        if not 0 < down_threshold < up_threshold <= 1:
             raise ValueError("need 0 < down_threshold < up_threshold <= 1")
-        for name in ("fps_target", "period"):
-            value = getattr(self, name)
+        for name, value in (("fps_target", fps_target), ("period", period)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if warmup_intervals < 0:
+            raise ValueError(f"warmup_intervals must be >= 0, got {warmup_intervals}")
+        return super().__new__(cls, fps_target, period, up_threshold, down_threshold,
+                               warmup_intervals)
 
     @property
     def frame_budget_ms(self) -> float:

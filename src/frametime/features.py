@@ -16,13 +16,13 @@ counters among the survivors.  The chosen set is frozen for online use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .estimator import differential_features
-from .trace import DegenerateDataError, SpecMismatchError, Trace
+from .trace import (DegenerateDataError, FrozenRecord, SpecMismatchError, Trace,
+                    checked_tuple)
 
 PEARSON_THRESHOLD = 0.1  # |r| against the clock at or above which a counter is pruned
 CV_FOLDS = 10
@@ -33,23 +33,22 @@ ETA_GRID_RATIO = 1e-4    # smallest penalty of the grid, relative to the all-zer
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
+class FeatureSpec(checked_tuple("FeatureSpec", "indep_counter_indices counter_names")):
     """Frozen online feature set: which counters join the frequency terms."""
 
-    indep_counter_indices: tuple[int, ...]
-    counter_names: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indep_counter_indices)
-        object.__setattr__(self, "indep_counter_indices", idx)
-        object.__setattr__(self, "counter_names", tuple(self.counter_names))
+    def __new__(cls, indep_counter_indices: tuple[int, ...],
+                counter_names: tuple[str, ...] = ()):
+        idx = tuple(int(i) for i in indep_counter_indices)
+        counter_names = tuple(counter_names)
         if len(set(idx)) != len(idx):
             raise ValueError("counter indices must be unique")
         if any(i < 0 for i in idx):
             raise ValueError("counter indices must be >= 0")
-        if self.counter_names and len(self.counter_names) != len(idx):
+        if counter_names and len(counter_names) != len(idx):
             raise ValueError("counter_names must align with indices")
+        return super().__new__(cls, idx, counter_names)
 
     @property
     def m(self) -> int:
@@ -57,24 +56,25 @@ class FeatureSpec:
         return 2 + len(self.indep_counter_indices)
 
 
-@dataclass(frozen=True)
-class RegressionDataset:
-    """Feature rows and frame-time-delta targets from consecutive samples."""
+class RegressionDataset(FrozenRecord):
+    """Feature rows and frame-time-delta targets from consecutive samples.
+    It holds the arrays it is given, and compares by identity."""
 
-    h: np.ndarray        # (rows, M) feature matrix
-    targets: np.ndarray  # (rows,) delta frame time, ms
-    feature_spec: FeatureSpec
+    __slots__ = ("h", "targets", "feature_spec")
 
-    def __post_init__(self):
-        if self.h.ndim != 2 or self.h.shape[1] != self.feature_spec.m:
+    def __init__(self, h: np.ndarray,        # (rows, M) feature matrix
+                 targets: np.ndarray,        # (rows,) delta frame time, ms
+                 feature_spec: FeatureSpec):
+        if h.ndim != 2 or h.shape[1] != feature_spec.m:
             raise ValueError("feature matrix width must equal the spec's M")
-        if self.targets.shape != (self.h.shape[0],):
+        if targets.shape != (h.shape[0],):
             raise ValueError("targets must align with feature rows")
-        bad = np.flatnonzero(~(np.isfinite(self.h).all(axis=1) & np.isfinite(self.targets)))
+        bad = np.flatnonzero(~(np.isfinite(h).all(axis=1) & np.isfinite(targets)))
         if bad.size:
             # row i is the step from trace row i to trace row i + 1
             raise ValueError(f"dataset entries must be finite: not so for trace row "
                              f"{bad[0] + 1}, the step from row {bad[0]}")
+        self._init(h=h, targets=targets, feature_spec=feature_spec)
 
     def __len__(self):
         return self.h.shape[0]
@@ -371,17 +371,25 @@ def save_feature_spec(spec: FeatureSpec, path) -> None:
 
 
 def load_feature_spec(path) -> FeatureSpec:
-    """The FeatureSpec in a save_feature_spec file; a bad value raises a
-    ValueError naming the file."""
+    """The FeatureSpec in a save_feature_spec file.  A ValueError naming the
+    file rejects a bad value, a line that sets neither counter_indices nor
+    counter_names, and a file without a counter_indices line; an empty
+    counter_indices, as saved for no selected counter, is valid."""
     fields = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    raw = fields.get("counter_indices", "")
+            key, equals, value = line.partition("=")
+            key = key.strip()
+            if not equals or key not in ("counter_indices", "counter_names"):
+                raise ValueError(f"feature spec {path}: expected counter_indices = or "
+                                 f"counter_names =, got {line!r}")
+            fields[key] = value.strip()
+    if "counter_indices" not in fields:
+        raise ValueError(f"feature spec {path}: no counter_indices line")
+    raw = fields["counter_indices"]
     try:
         indices = tuple(int(v) for v in raw.split(",") if v.strip() != "")
     except ValueError:

@@ -29,7 +29,7 @@ import io
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -71,21 +71,61 @@ class SpecMismatchError(ValueError):
     """A feature spec names counters the trace does not hold at its indices."""
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Ordered list of supported GPU frequencies in MHz."""
+def checked_tuple(typename: str, field_names: str) -> type:
+    """A collections.namedtuple base for a record whose subclass checks and
+    normalizes its fields in __new__.  Its _make, and so _replace, builds
+    through that __new__, where namedtuple's own would bypass it."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
-    freqs_mhz: tuple[float, ...]
 
-    def __post_init__(self):
-        freqs = tuple(float(f) for f in self.freqs_mhz)
-        object.__setattr__(self, "freqs_mhz", freqs)
+class FrozenRecord:
+    """Base of the checked records that are not tuples, because len()
+    counts their contents.  A subclass's __init__ sets each of its
+    __slots__ once through _init; assigning or deleting an attribute then
+    raises AttributeError."""
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrequencyTable(FrozenRecord):
+    """Ordered list of supported GPU frequencies in MHz.  Tables compare
+    and hash by their frequencies."""
+
+    __slots__ = ("freqs_mhz",)
+
+    def __init__(self, freqs_mhz: tuple[float, ...]):
+        freqs = tuple(float(f) for f in freqs_mhz)
         if len(freqs) < 2:
             raise ValueError("frequency table needs at least two entries")
         if not all(0 < f < math.inf for f in freqs):
             raise ValueError("frequencies must be finite and positive")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ValueError("frequencies must be strictly increasing")
+        self._init(freqs_mhz=freqs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.freqs_mhz == other.freqs_mhz
+
+    def __hash__(self):
+        return hash(self.freqs_mhz)
 
     def __len__(self):
         return len(self.freqs_mhz)
@@ -109,30 +149,33 @@ _COLUMNS = {"timestamps": float, "frame_times": float, "frame_counts": np.int64,
             "freqs": float, "counters": float}
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(FrozenRecord):
     """An ordered, validated trace of fixed-period intervals, held by column.
 
     Every column is a read-only numpy array with one entry per interval;
     counters is intervals by counters, ordered like counter_names.
     """
 
-    timestamps: np.ndarray       # seconds, strictly increasing
-    frame_times: np.ndarray      # milliseconds
-    frame_counts: np.ndarray
-    freqs: np.ndarray            # MHz
-    counters: np.ndarray         # (intervals, counters)
-    counter_names: tuple[str, ...]
-    freq_table: FrequencyTable
-    period: float = DEFAULT_PERIOD_MS  # milliseconds
+    __slots__ = ("timestamps", "frame_times", "frame_counts", "freqs", "counters",
+                 "counter_names", "freq_table", "period")
 
-    def __post_init__(self):
-        for name, dtype in _COLUMNS.items():
-            column = np.array(getattr(self, name), dtype=dtype)
+    def __init__(self,
+                 timestamps: np.ndarray,       # seconds, strictly increasing
+                 frame_times: np.ndarray,      # milliseconds
+                 frame_counts: np.ndarray,
+                 freqs: np.ndarray,            # MHz
+                 counters: np.ndarray,         # (intervals, counters)
+                 counter_names: tuple[str, ...],
+                 freq_table: FrequencyTable,
+                 period: float = DEFAULT_PERIOD_MS):  # milliseconds
+        columns = {name: np.array(values, dtype=dtype) for (name, dtype), values in
+                   zip(_COLUMNS.items(), (timestamps, frame_times, frame_counts, freqs,
+                                          counters))}
+        for column in columns.values():
             column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "counter_names", tuple(self.counter_names))
-        if self.period <= 0:
+        self._init(**columns, counter_names=tuple(counter_names), freq_table=freq_table,
+                   period=period)
+        if period <= 0:
             raise ValueError("period must be > 0")
         if any("," in name or "\n" in name for name in self.counter_names):
             raise ValueError("counter names must not contain commas or newlines")
@@ -192,19 +235,18 @@ class AffineMap(NamedTuple):
         return self.slope * c + self.intercept
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(checked_tuple("PiecewiseLinearMap", "points")):
     """Linear interpolation through (c, value) points, end slopes extended."""
 
-    points: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pts = tuple((float(c), float(v)) for c, v in self.points)
-        object.__setattr__(self, "points", pts)
+    def __new__(cls, points: tuple[tuple[float, float], ...]):
+        pts = tuple((float(c), float(v)) for c, v in points)
         if len(pts) < 2:
             raise ValueError("piecewise map needs at least two points")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
             raise ValueError("piecewise breakpoints must be strictly increasing")
+        return super().__new__(cls, pts)
 
     def __call__(self, c: float) -> float:
         pts = self.points
@@ -248,25 +290,27 @@ class CounterModel(NamedTuple):
     response: AffineMap | PiecewiseLinearMap | HashNoiseMap
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(checked_tuple("WorkloadSpec", "complexity_schedule scalable_ms "
+                                  "unscalable_ms ref_freq dep_counters indep_counters "
+                                  "noise_sigma")):
     """Parameters of the analytic workload generator."""
 
-    complexity_schedule: tuple[float, ...]
-    scalable_ms: AffineMap | PiecewiseLinearMap
-    unscalable_ms: AffineMap | PiecewiseLinearMap
-    ref_freq: float                      # MHz the scalable map refers to
-    dep_counters: tuple[CounterModel, ...] = ()
-    indep_counters: tuple[CounterModel, ...] = ()
-    noise_sigma: float = 0.03            # frame time noise, fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "complexity_schedule",
-                           tuple(map(float, self.complexity_schedule)))
-        if not (math.isfinite(self.ref_freq) and self.ref_freq > 0):
-            raise ValueError(f"ref_freq must be finite and > 0, got {self.ref_freq}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+    def __new__(cls, complexity_schedule: tuple[float, ...],
+                scalable_ms: AffineMap | PiecewiseLinearMap,
+                unscalable_ms: AffineMap | PiecewiseLinearMap,
+                ref_freq: float,                       # MHz the scalable map refers to
+                dep_counters: tuple[CounterModel, ...] = (),
+                indep_counters: tuple[CounterModel, ...] = (),
+                noise_sigma: float = 0.03):            # frame time noise, fraction
+        complexity_schedule = tuple(map(float, complexity_schedule))
+        if not (math.isfinite(ref_freq) and ref_freq > 0):
+            raise ValueError(f"ref_freq must be finite and > 0, got {ref_freq}")
+        if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+        return super().__new__(cls, complexity_schedule, scalable_ms, unscalable_ms,
+                               ref_freq, dep_counters, indep_counters, noise_sigma)
 
     @property
     def counter_names(self) -> tuple[str, ...]:

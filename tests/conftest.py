@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ def char_workload():
 @pytest.fixture(scope="session")
 def small_sweep(char_workload, sweep_table):
     """Small noiseless sweep shared by parse/feature tests."""
-    spec = replace(char_workload, noise_sigma=0.0)
+    spec = char_workload._replace(noise_sigma=0.0)
     return generate_characterization(spec, sweep_table, range(1, 9), 2, seed=11)
 
 

@@ -1,9 +1,8 @@
 """Test scenarios, derived from the shipped configs wherever one defines them.
 
 A workload that a file under configs/ defines is loaded from that file,
-and a test that needs a variant changes the loaded spec with
-dataclasses.replace, or a record such as a CounterModel, a NamedTuple,
-with its _replace.  Only what no config holds is written out here: the
+and a test that needs a variant changes the loaded spec, or a record
+such as a CounterModel, with the record's _replace.  Only what no config holds is written out here: the
 light ramp governor run, the step-change workload of the convergence
 criterion, and the seeds of the acceptance sweeps.
 
@@ -30,7 +29,6 @@ and reference_cv_path, the cross-validation with boolean-mask folds.
 
 import math
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +368,7 @@ def shipped(name: str):
 def truncated(spec: WorkloadSpec, n: int) -> WorkloadSpec:
     """spec with its complexity schedule cut to the first n intervals."""
     assert n <= len(spec.complexity_schedule)
-    return replace(spec, complexity_schedule=spec.complexity_schedule[:n])
+    return spec._replace(complexity_schedule=spec.complexity_schedule[:n])
 
 
 def sensitivity_run(n: int, seed: int) -> tuple[WorkloadSpec, tuple[float, ...]]:
@@ -378,7 +376,7 @@ def sensitivity_run(n: int, seed: int) -> tuple[WorkloadSpec, tuple[float, ...]]
     and a random-walk clock for it: (spec, per-interval frequencies).
     Generate the trace on the characterization config's table."""
     bundle = shipped("characterization")
-    spec = replace(truncated(bundle.workload, n), noise_sigma=0.0)
+    spec = truncated(bundle.workload, n)._replace(noise_sigma=0.0)
     return spec, random_walk_freqs(bundle.freq_table, n, seed)
 
 
@@ -389,7 +387,7 @@ def heavy_runs(n: int) -> dict[str, WorkloadSpec]:
     heavy = shipped("governor_heavy").workload
 
     def under(schedule):
-        return replace(heavy, complexity_schedule=parse_schedule(schedule))
+        return heavy._replace(complexity_schedule=parse_schedule(schedule))
 
     return {
         "heavy_square_a": truncated(heavy, n),
@@ -407,9 +405,9 @@ def light_runs(n: int) -> dict[str, WorkloadSpec]:
     ramp = tuple(10.0 + 20.0 * k / max(n - 1, 1) for k in range(n))
     return {
         "light_square": truncated(light, n),
-        "light_ramp": replace(light, complexity_schedule=ramp,
-                              scalable_ms=AffineMap(0.02, 0.3),
-                              unscalable_ms=AffineMap(0.06, 1.5)),
+        "light_ramp": light._replace(complexity_schedule=ramp,
+                                     scalable_ms=AffineMap(0.02, 0.3),
+                                     unscalable_ms=AffineMap(0.06, 1.5)),
     }
 
 

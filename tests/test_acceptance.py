@@ -5,7 +5,6 @@ lines; tolerances are fixed here, not tuned at runtime.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,8 +38,8 @@ def characterization_sweep(seed, noise_sigma=None):
     """The shipped characterization sweep generated at the seed, its noise
     replaced by noise_sigma when one is given."""
     sweep = shipped("characterization")
-    spec = sweep.workload if noise_sigma is None else replace(sweep.workload,
-                                                              noise_sigma=noise_sigma)
+    spec = sweep.workload if noise_sigma is None else sweep.workload._replace(
+        noise_sigma=noise_sigma)
     return generate_characterization(spec, sweep.freq_table, sweep.characterization_complexities,
                                      sweep.characterization_repeats, seed=seed)
 

@@ -4,7 +4,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import is_dataclass, replace
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +21,12 @@ from frametime.config import (POLICIES, ConfigError, GovernorConfig, PowerModel,
                               load_config, parse_schedule)
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  estimator_units, rls_init)
-from frametime.features import FeatureSpec, build_dataset, save_feature_spec
+from frametime.features import (FeatureSpec, RegressionDataset, build_dataset,
+                                save_feature_spec)
 from frametime.model import candidate_delta
-from frametime.trace import (CounterModel, HashNoiseMap, PiecewiseLinearMap, Trace,
-                             generate_runtime, parse_trace, realized_frame_times,
-                             serialize_trace)
+from frametime.trace import (AffineMap, CounterModel, FrequencyTable, HashNoiseMap,
+                             PiecewiseLinearMap, Trace, WorkloadSpec, generate_runtime,
+                             parse_trace, realized_frame_times, serialize_trace)
 from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_derivative,
                        reference_noise, reference_rls, sensitivity_run, shipped)
 
@@ -446,8 +447,9 @@ class TestSelectFeatures:
         spec, freqs = sensitivity_run(40, seed=1)
         trace = generate_runtime(spec, TABLE, freqs, seed=1)
         tiny = np.where(np.arange(40) % 2, 5e-324, 0.0)
-        trace = replace(trace, counters=np.column_stack([trace.counters, tiny]),
-                        counter_names=(*trace.counter_names, "tiny"))
+        trace = Trace(trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
+                      np.column_stack([trace.counters, tiny]),
+                      (*trace.counter_names, "tiny"), trace.freq_table, trace.period)
         path = tmp_path / "tiny.csv"
         path.write_text(serialize_trace(trace))
         spec_path = tmp_path / "s.spec"
@@ -541,6 +543,24 @@ class TestReplay:
                                     tmp_path, capsys,
                                     f"feature spec {spec_path}: counter_indices")
 
+    @pytest.mark.parametrize("command, text, args, named", [
+        ("replay", None, [], "expected counter_indices = or counter_names =, "
+                             "got '[frequency_table]'"),
+        ("replay", "", ["--algo", "dcd"], "no counter_indices line"),
+        ("sensitivity", "counter_indice = 2,3\n", [],
+         "expected counter_indices = or counter_names =, got 'counter_indice = 2,3'"),
+    ], ids=["config_file", "empty_file", "misspelt_key"])
+    def test_spec_file_without_spec_lines_exit2(self, tmp_path, capsys, command, text, args,
+                                                named):
+        trace_path, _ = write_runtime_trace(tmp_path, n=40)
+        spec_path = CONFIG_DIR / "characterization.ini"
+        if text is not None:
+            spec_path = tmp_path / "features.spec"
+            spec_path.write_text(text)
+        self._assert_one_error_line(["--trace", str(trace_path), "--spec", str(spec_path),
+                                     *args], tmp_path, capsys,
+                                    f"feature spec {spec_path}: {named}", command)
+
     def test_missing_spec_exit2(self, tmp_path, capsys):
         trace_path, _ = write_runtime_trace(tmp_path, n=40)
         spec_path = tmp_path / "gone.spec"
@@ -575,9 +595,9 @@ class TestReplay:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @staticmethod
-    def _assert_one_error_line(args, tmp_path, capsys, named):
+    def _assert_one_error_line(args, tmp_path, capsys, named, command="replay"):
         out = tmp_path / "r.csv"
-        code = main(["replay", *args, "--out", str(out)])
+        code = main([command, *args, "--out", str(out)])
         lines = capsys.readouterr().err.splitlines()
         assert code == EXIT_INPUT
         assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
@@ -698,6 +718,16 @@ class TestGovern:
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_negative_warmup_exit2(self, config_file, tmp_path, capsys):
+        config_file.write_text(config_file.read_text().replace(
+            "period_ms = 50", "period_ms = 50\nwarmup_intervals = -5"))
+        out = tmp_path / "g.csv"
+        code = main(["govern", "--config", str(config_file), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_INPUT, f"error: bad config {config_file}: "
+                        f"warmup_intervals must be >= 0, got -5\n")
+        assert not out.exists()
 
     def test_rejects_what_characterize_rejects(self, config_file, tmp_path, capsys):
         # a dep counter base <= 0 at C=20, the lower of the schedule's complexities
@@ -990,7 +1020,7 @@ class TestParserReuse:
 FOOTPRINT_SCRIPT = """
 import json, sys, types
 from frametime import cli
-layers, numpy_ma, rng_modules = [], [], []
+layers, numpy_ma, rng_modules, dataclasses = [], [], [], []
 for argv in json.loads(sys.argv[1]):
     if cli.main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
@@ -1002,7 +1032,9 @@ for argv in json.loads(sys.argv[1]):
     # numpy's generators, and the OpenSSL hashing that importing them loads
     rng_modules.append([name for name in ("numpy.random", "secrets", "_hashlib")
                         if name in sys.modules])
-print(json.dumps({"layers": layers, "numpy_ma": numpy_ma, "rng_modules": rng_modules}))
+    dataclasses.append("dataclasses" in sys.modules)
+print(json.dumps({"layers": layers, "numpy_ma": numpy_ma, "rng_modules": rng_modules,
+                  "dataclasses": dataclasses}))
 """
 
 
@@ -1047,6 +1079,8 @@ class TestModuleFootprint:
         assert not any(seen["numpy_ma"])
         # both seeded draws come from the standard library's random()
         assert seen["rng_modules"] == [[]] * len(commands)
+        # the checked records are built without generated class code
+        assert not any(seen["dataclasses"])
 
     def test_govern_alone_skips_the_offline_selection(self, config_file, tmp_path):
         """Each line of the test above adds up the commands before it; a
@@ -1068,19 +1102,67 @@ RECORDS = ("cli.MetricsReport", "cli.ReplayResult", "config.ConfigBundle",
 class TestRecordTypes:
     """Python builds a dataclass at import, several times the cost of a
     NamedTuple, and every command is a fresh process: a record that only
-    holds fields is a NamedTuple, and a dataclass is kept for a type that
-    checks or normalizes its fields."""
+    holds fields is a NamedTuple, and one that checks or normalizes its
+    fields is a namedtuple subclass that does so in __new__, or, where
+    len() counts its contents, a slotted FrozenRecord."""
 
-    def test_every_dataclass_checks_its_fields(self):
+    @staticmethod
+    def _instances() -> dict:
+        spec, table = FeatureSpec((0,)), FrequencyTable((200.0, 400.0))
+        return {
+            "FrequencyTable": table,
+            "Trace": Trace([0.05], [16.0], [3], [200.0], [[1.0]], ("c",), table),
+            "PiecewiseLinearMap": PiecewiseLinearMap(((0.0, 1.0), (1.0, 2.0))),
+            "WorkloadSpec": WorkloadSpec((1.0,), AffineMap(1.0, 0.0), AffineMap(0.0, 1.0),
+                                         200.0),
+            "PowerModel": PowerModel(),
+            "GovernorConfig": GovernorConfig(),
+            "FeatureSpec": spec,
+            "RegressionDataset": RegressionDataset(np.zeros((1, 3)), np.zeros(1), spec),
+        }
+
+    def test_no_module_defines_a_dataclass(self):
         modules = [importlib.import_module(f"frametime.{name}") for name in LAYERS]
-        found = [cls for module in modules for cls in vars(module).values()
-                 if isinstance(cls, type) and cls.__module__ == module.__name__
-                 and is_dataclass(cls)]
-        assert found
-        assert [cls.__qualname__ for cls in found if "__post_init__" not in vars(cls)] == []
-        # without its own docstring, dataclass builds one from inspect.signature
-        assert [cls.__qualname__ for cls in found
-                if cls.__doc__.startswith(f"{cls.__name__}(")] == []
+        assert [cls.__qualname__ for module in modules for cls in vars(module).values()
+                if isinstance(cls, type) and is_dataclass(cls)] == []
+
+    @pytest.mark.parametrize("record, change, message", [
+        ("PiecewiseLinearMap", {"points": ((1.0, 0.0), (0.0, 1.0))},
+         "piecewise breakpoints must be strictly increasing"),
+        ("WorkloadSpec", {"ref_freq": 0.0}, "ref_freq must be finite and > 0, got 0.0"),
+        ("PowerModel", {"p_idle": -1.0}, "p_idle must be finite and >= 0, got -1.0"),
+        ("GovernorConfig", {"period": math.inf}, "period must be finite and > 0, got inf"),
+        ("FeatureSpec", {"indep_counter_indices": (1, 1)}, "counter indices must be unique"),
+    ], ids=["PiecewiseLinearMap", "WorkloadSpec", "PowerModel", "GovernorConfig",
+            "FeatureSpec"])
+    def test_replace_checks_like_the_constructor(self, record, change, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self._instances()[record]._replace(**change)
+
+    def test_replace_normalizes_like_the_constructor(self):
+        spec = self._instances()["FeatureSpec"]._replace(
+            indep_counter_indices=[np.int64(2)], counter_names=["x"])
+        assert spec == FeatureSpec((2,), ("x",))
+        assert type(spec.indep_counter_indices[0]) is int
+        assert isinstance(spec.counter_names, tuple)
+
+    def test_fields_cannot_be_assigned(self):
+        for record in self._instances().values():
+            field = record._fields[0] if isinstance(record, tuple) else record.__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                record.extra = None
+
+    def test_equality(self):
+        records = self._instances()
+        assert FrequencyTable([200, 400]) == records["FrequencyTable"]
+        assert hash(FrequencyTable([200, 400])) == hash(records["FrequencyTable"])
+        trace = records["Trace"]
+        assert trace == Trace(*(getattr(trace, name) for name in trace.__slots__))
+        dataset = records["RegressionDataset"]
+        assert dataset == dataset
+        assert dataset != RegressionDataset(dataset.h, dataset.targets, dataset.feature_spec)
 
     def test_plain_records_are_tuples(self):
         classes = {record: getattr(importlib.import_module(f"frametime.{layer}"), name)

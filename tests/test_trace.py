@@ -1,6 +1,5 @@
 import io
 import random
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -317,7 +316,7 @@ class TestOracleFrameTime:
 
 def swept_counters(spec, table, complexities):
     """Counters of a noiseless one-repeat sweep, (levels, complexities, counters)."""
-    trace = generate_characterization(replace(spec, noise_sigma=0.0), table,
+    trace = generate_characterization(spec._replace(noise_sigma=0.0), table,
                                       complexities, 1, seed=0)
     return trace.counters.reshape(len(table), len(complexities), -1)
 
@@ -414,7 +413,7 @@ class TestWorkloadColumns:
     def test_each_map_runs_once_per_distinct_complexity(self, char_workload):
         counted = [CountingMap(char_workload.scalable_ms),
                    CountingMap(char_workload.unscalable_ms)]
-        spec = replace(char_workload, scalable_ms=counted[0], unscalable_ms=counted[1],
+        spec = char_workload._replace(scalable_ms=counted[0], unscalable_ms=counted[1],
                        dep_counters=tuple(cm._replace(response=CountingMap(cm.response))
                                           for cm in char_workload.dep_counters),
                        indep_counters=tuple(cm._replace(response=CountingMap(cm.response))
@@ -478,7 +477,7 @@ class TestGenerate:
 
     def test_runtime_equals_scalar_oracles_bitwise(self, char_workload, sweep_table):
         n, seed = 400, 3
-        spec = replace(char_workload, complexity_schedule=char_workload.complexity_schedule[:n])
+        spec = char_workload._replace(complexity_schedule=char_workload.complexity_schedule[:n])
         assert spec.noise_sigma > 0
         freqs = random_walk_freqs(sweep_table, n, seed)
         trace = generate_runtime(spec, sweep_table, freqs, seed=seed)
@@ -514,7 +513,7 @@ class TestGenerate:
     def test_numpy_integer_seed_draws_the_int_stream(self, char_workload, sweep_table):
         # random.Random rejects a numpy integer, and a seed read from an array is one
         n = 50
-        spec = replace(char_workload, complexity_schedule=char_workload.complexity_schedule[:n])
+        spec = char_workload._replace(complexity_schedule=char_workload.complexity_schedule[:n])
         freqs = random_walk_freqs(sweep_table, n, np.int64(7))
         assert freqs == random_walk_freqs(sweep_table, n, 7)
         assert (generate_runtime(spec, sweep_table, freqs, np.int64(7))

@@ -7,8 +7,9 @@ For each seed, OUT/seed-N/ receives a copy of the checkout's configs/, every
 file the commands write, and for each command NN-name.stdout, .stderr and
 .exit.  Commands run in that directory as `python -m frametime` with
 CHECKOUT/src on PYTHONPATH, so no output names the checkout's location.
-The wall time of each command, and their total per seed, go to stdout
-only, so the files under OUT stay comparable between runs.  A
+Each command's wall time and its CPU time, user plus sys of the child
+process from getrusage(RUSAGE_CHILDREN), and both totals per seed, go
+to stdout only, so the files under OUT stay comparable between runs.  A
 refactor that must leave the walkthrough unchanged is checked by running
 this on the parent checkout, then on the change with --against, at the
 default seeds 1, 7, 42 and 9173:
@@ -55,6 +56,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -139,22 +141,32 @@ def run_seed(repo: Path, out: Path, seed: int) -> list[tuple[str, int, str]]:
         shutil.rmtree(workdir)
     shutil.copytree(repo / "configs", workdir / "configs")
     env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONHASHSEED="0")
-    total = 0.0
+    total = total_cpu = 0.0
     runs = []
     for i, (name, args) in enumerate(commands(seed), start=1):
+        before = _children_cpu_s()
         start = time.perf_counter()
         done = subprocess.run([sys.executable, "-m", "frametime", *args], cwd=workdir,
                               env=env, capture_output=True, check=False)
         seconds = time.perf_counter() - start
+        cpu = _children_cpu_s() - before
         total += seconds
+        total_cpu += cpu
         stem = workdir / f"{i:02d}-{name}"
         stem.with_suffix(".stdout").write_bytes(done.stdout)
         stem.with_suffix(".stderr").write_bytes(done.stderr)
         stem.with_suffix(".exit").write_text(f"{done.returncode}\n")
-        print(f"seed {seed}: {name} exit {done.returncode} {seconds:.3f} s")
+        print(f"seed {seed}: {name} exit {done.returncode} {seconds:.3f} s wall "
+              f"{cpu:.3f} s cpu")
         runs.append((name, done.returncode, done.stdout.decode("utf-8")))
-    print(f"seed {seed}: total {total:.3f} s")
+    print(f"seed {seed}: total {total:.3f} s wall {total_cpu:.3f} s cpu")
     return runs
+
+
+def _children_cpu_s() -> float:
+    """User plus sys seconds of this process's waited-for children so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def _csv_summary(lines: list[str]) -> dict:
