@@ -88,22 +88,22 @@ def _ape(actual, predicted):
                         np.nan)
 
 
-def compute_metrics(actual, predicted, period_ms: float = DEFAULT_PERIOD_MS) -> MetricsReport:
+def compute_metrics(actual, predicted) -> MetricsReport:
     """Accuracy summary of a prediction series against its reference.
 
     APE terms with a zero actual value are excluded and counted.  The
-    convergence time is the first interval from which the trailing
-    CONVERGENCE_WINDOW-interval mean APE stays below CONVERGENCE_THRESHOLD
-    percent for the rest of the series.
+    convergence time, in ms of DEFAULT_PERIOD_MS intervals, is the first
+    interval from which the trailing CONVERGENCE_WINDOW-interval mean APE
+    stays below CONVERGENCE_THRESHOLD percent for the rest of the series.
     """
     actual = np.asarray(actual, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.ndim != 1 or actual.size == 0:
         raise ValueError("need equal-length non-empty series")
-    return _metrics(actual, predicted, _ape(actual, predicted), period_ms)
+    return _metrics(actual, predicted, _ape(actual, predicted))
 
 
-def _metrics(actual, predicted, ape, period_ms: float) -> MetricsReport:
+def _metrics(actual, predicted, ape) -> MetricsReport:
     """compute_metrics on checked float series and their _ape, unchecked."""
     nonzero = actual != 0
     excluded = int(np.count_nonzero(~nonzero))
@@ -139,7 +139,7 @@ def _metrics(actual, predicted, ape, period_ms: float) -> MetricsReport:
     # settled from one past the last interval not below the threshold
     not_below = np.flatnonzero(~(rolling < CONVERGENCE_THRESHOLD))
     settle = int(not_below[-1]) + 1 if not_below.size else 0
-    conv = settle * period_ms if settle < ape.size else float("inf")
+    conv = settle * DEFAULT_PERIOD_MS if settle < ape.size else float("inf")
     return MetricsReport(mape=mape, median_ape=median, nrmse=nrmse,
                          convergence_time_ms=conv, excluded_terms=excluded)
 
@@ -165,7 +165,7 @@ def _replay_result(trace: Trace, k, predicted, dtf, coefs) -> ReplayResult:
     ape = _ape(actual, predicted)
     rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf],
                              names=ROW_FIELDS)
-    report = _metrics(actual, predicted, ape, trace.period)
+    report = _metrics(actual, predicted, ape)
     return ReplayResult(rows, report, coefs)
 
 
@@ -239,7 +239,7 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> R
 # Commands
 
 def _load_trace(path, bundle: ConfigBundle | None):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_trace(fh, freq_table=bundle.freq_table if bundle else None)
 
 
@@ -254,10 +254,9 @@ def cmd_characterize(args) -> int:
     else:
         # runtime mode: the workload's own schedule under a wandering clock
         from .workloads import random_walk_freqs
-        schedule = bundle.workload.complexity_schedule
-        if not schedule:
-            raise ValueError("config workload has no complexity_schedule")
-        freqs = random_walk_freqs(bundle.freq_table, len(schedule), args.seed)
+        # an empty schedule draws no clock, and generate_runtime rejects it
+        n = len(bundle.workload.complexity_schedule)
+        freqs = random_walk_freqs(bundle.freq_table, n, args.seed)
         trace = generate_runtime(bundle.workload, bundle.freq_table, freqs, args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(serialize_trace(trace))
@@ -314,7 +313,7 @@ def cmd_replay(args) -> int:
     fspec = features.load_feature_spec(args.spec) if args.spec else None
     result = run_replay(trace, fspec, args.algo)
     rows = result.rows
-    _write_csv(args.out, ["k", "f_k", "t_actual", "t_pred", "abs_pct_err", "dtf_df"],
+    _write_csv(args.out, ROW_FIELDS,
                [_column(rows.k, "%d"), _column(rows.f_k, "%g"),
                 _column(rows.t_actual, "%.8g"), _column(rows.t_pred, "%.8g"),
                 _column(rows.abs_pct_err, "%.6g", np.isnan(rows.abs_pct_err)),

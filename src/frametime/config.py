@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trace import (AffineMap, CounterModel, FrequencyTable, HashNoiseMap,
-                    PiecewiseLinearMap, WorkloadSpec, checked_tuple)
+from .trace import (DEFAULT_PERIOD_MS, AffineMap, CounterModel, FrequencyTable,
+                    HashNoiseMap, PiecewiseLinearMap, WorkloadSpec, checked_tuple)
 
 
 POLICIES = ("rls", "oracle", "ondemand")
@@ -70,7 +70,7 @@ class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period up_thres
     __slots__ = ()
 
     def __new__(cls, fps_target: float = 60.0,
-                period: float = 50.0,           # ms
+                period: float = DEFAULT_PERIOD_MS,
                 up_threshold: float = 0.8,
                 down_threshold: float = 0.3,
                 warmup_intervals: int = 10):    # rls policy holds max frequency this long
@@ -272,11 +272,12 @@ def _parse_counter(name: str, section) -> tuple[str, CounterModel]:
 
 
 def load_config(path) -> ConfigBundle:
-    """Read a config file into a validated bundle of simulation inputs."""
+    """Read a config file, UTF-8 with or without a byte-order mark, into a
+    validated bundle of simulation inputs; each error names the file."""
     # no interpolation: a % in a value is literal, and a number check rejects it
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(str(path))
+        read = cp.read(str(path), encoding="utf-8-sig")
     except configparser.Error as exc:
         # its messages span lines; the error is reported on one
         raise ConfigError(f"bad config {path}: {' '.join(str(exc).split())}") from None
@@ -340,9 +341,7 @@ def load_config(path) -> ConfigBundle:
         power = PowerModel(**_set(cp, "power_model", [
             ("p_static", "p_static_w", _number), ("p_dyn_coeff", "p_dyn_w_per_ghz3", _number),
             ("p_idle", "p_idle_w", _number)]))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except ValueError as exc:
         raise ConfigError(f"bad config {path}: {exc}") from None
 
     return ConfigBundle(workload=workload, freq_table=table,

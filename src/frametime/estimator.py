@@ -29,14 +29,14 @@ same bits, except that a sum of zeros may come out -0.0 where @ gives
 +0.0.  Each prediction adds +0.0 to keep that zero positive; in P h and
 h'P h the sign of a zero reaches no output, since a zero there only ever
 meets +0.0 or a nonzero.  At lambda = 1 an RLS step on a feature row
-with no nonzero entry, a steady interval at one clock, returns a and P
-at once: the full step would give both back bit for bit (rls_step says
-why).  DCD-RLS skips only its correlation and residual updates on such a
-row, for the same reason (dcd_step says why): its ladder still works on
-the residual beta carried over.  The DCD state keeps R and beta as lists of
-Python floats, because its correlation update and coordinate ladder are
-elementwise, and Python rounds each element as numpy does at a fraction
-of the per-call cost on M of about 4.
+with no nonzero entry, a steady interval at one clock, gives a and P
+back bit for bit while a is finite (rls_step says why), so the replay
+skips such rows.  DCD-RLS skips only its correlation and residual
+updates on such a row, for the same reason (dcd_step says why): its
+ladder still works on the residual beta carried over.  The DCD state
+keeps R and beta as lists of Python floats, because its correlation
+update and coordinate ladder are elementwise, and Python rounds each
+element as numpy does at a fraction of the per-call cost on M of about 4.
 
 Feature convention at this boundary: rows arrive in estimator units
 (estimator_units), with the frequency delta in GHz and counter deltas
@@ -146,22 +146,20 @@ def rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float,
     matrix inversion is performed, and P is symmetrized after the update.
     lam is the forgetting factor, in (0, 1].
 
-    P starts at I/mu, so a reordered step would round differently; only
-    exact no-ops are skipped.  Dividing by lam == 1.0 is one.  A whole
-    step on a row with no nonzero entry at lam == 1.0 is another, and it
-    returns a and P as they came: P h and G are then +-0, so P - G (P h)'
+    P starts at I/mu, so a reordered step would round differently; the
+    step runs in full but for dividing by lam == 1.0, an exact no-op.  At
+    lam == 1.0 a row with no nonzero entry gives a and P back bit for
+    bit, so a caller may skip it: P h and G are then +-0, so P - G (P h)'
     gives back P, (P + P')/2 gives back P because P is exactly symmetric
     after every step (and 2P finite, which only a mu near the smallest
-    normal float breaks), and a + G e gives back a.  That holds because
-    neither a nor P ever holds -0.0: they start from ones (or a_init with
-    its zeros made +0.0) and from I/mu with +0.0 off the diagonal, and
-    under round-to-nearest a sum or difference that comes out exactly
-    zero is +0.0 unless both operands are -0.0.  Below lam == 1.0, P / lam
-    grows on such a row and the step runs.
+    normal float breaks), and while a is finite, so is e = d - h'a, and
+    a + G e gives back a.  That holds because neither a nor P ever holds
+    -0.0: they start from ones (or a_init with its zeros made +0.0) and
+    from I/mu with +0.0 off the diagonal, and under round-to-nearest a sum
+    or difference that comes out exactly zero is +0.0 unless both
+    operands are -0.0.  Below lam == 1.0, P / lam grows on such a row.
     """
     pred = float(h.dot(a)) + 0.0
-    if lam == 1.0 and not any(h.tolist()):
-        return a, P, pred
     Ph = P.dot(h)
     G = Ph / (float(h.dot(Ph)) + lam)
     P = P - G[:, None] * Ph

@@ -371,12 +371,13 @@ def save_feature_spec(spec: FeatureSpec, path) -> None:
 
 
 def load_feature_spec(path) -> FeatureSpec:
-    """The FeatureSpec in a save_feature_spec file.  A ValueError naming the
-    file rejects a bad value, a line that sets neither counter_indices nor
-    counter_names, and a file without a counter_indices line; an empty
+    """The FeatureSpec in a save_feature_spec file, read as UTF-8 with or
+    without a byte-order mark.  A ValueError naming the file rejects a bad
+    value, a line that sets neither counter_indices nor counter_names, a
+    key set twice, and a file without a counter_indices line; an empty
     counter_indices, as saved for no selected counter, is valid."""
     fields = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -386,6 +387,8 @@ def load_feature_spec(path) -> FeatureSpec:
             if not equals or key not in ("counter_indices", "counter_names"):
                 raise ValueError(f"feature spec {path}: expected counter_indices = or "
                                  f"counter_names =, got {line!r}")
+            if key in fields:
+                raise ValueError(f"feature spec {path}: {key} is set twice")
             fields[key] = value.strip()
     if "counter_indices" not in fields:
         raise ValueError(f"feature spec {path}: no counter_indices line")

@@ -34,10 +34,11 @@ run's utilizations.  A run longer than RUN_WINDOW intervals is asked one
 window at a time.  A held run gives, bit for bit, what one interval at a
 time gives, for three reasons.  Inside a run every feature row after the
 first is all zeros (the clock term t (f/f - 1) is +0.0, the clock step
-0, and no counter moves), and at lambda = 1 rls_step returns its state
-unchanged on such a row.  candidate_delta rounds alike on arrays and on
-Python floats.  And _cheapest_feasible gives each row the choice of the
-one-row rule.
+0, and no counter moves), and at lambda = 1 rls_step gives its state
+back bit for bit on such a row, so the step that starts each later
+window of a long run changes nothing.  candidate_delta rounds alike on
+arrays and on Python floats.  And _cheapest_feasible gives each row the
+choice of the one-row rule.
 """
 
 from __future__ import annotations

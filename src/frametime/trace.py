@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-DEFAULT_PERIOD_MS = 50.0
+DEFAULT_PERIOD_MS = 50.0   # the interval of every trace, generated or parsed
 
 # Published subset of the reference platform's frequency ladder (MHz).
 # The full ladder has nine entries; only these seven are public, so the
@@ -150,14 +150,14 @@ _COLUMNS = {"timestamps": float, "frame_times": float, "frame_counts": np.int64,
 
 
 class Trace(FrozenRecord):
-    """An ordered, validated trace of fixed-period intervals, held by column.
+    """An ordered, validated trace of DEFAULT_PERIOD_MS intervals, held by column.
 
     Every column is a read-only numpy array with one entry per interval;
     counters is intervals by counters, ordered like counter_names.
     """
 
     __slots__ = ("timestamps", "frame_times", "frame_counts", "freqs", "counters",
-                 "counter_names", "freq_table", "period")
+                 "counter_names", "freq_table")
 
     def __init__(self,
                  timestamps: np.ndarray,       # seconds, strictly increasing
@@ -166,17 +166,13 @@ class Trace(FrozenRecord):
                  freqs: np.ndarray,            # MHz
                  counters: np.ndarray,         # (intervals, counters)
                  counter_names: tuple[str, ...],
-                 freq_table: FrequencyTable,
-                 period: float = DEFAULT_PERIOD_MS):  # milliseconds
+                 freq_table: FrequencyTable):
         columns = {name: np.array(values, dtype=dtype) for (name, dtype), values in
                    zip(_COLUMNS.items(), (timestamps, frame_times, frame_counts, freqs,
                                           counters))}
         for column in columns.values():
             column.flags.writeable = False
-        self._init(**columns, counter_names=tuple(counter_names), freq_table=freq_table,
-                   period=period)
-        if period <= 0:
-            raise ValueError("period must be > 0")
+        self._init(**columns, counter_names=tuple(counter_names), freq_table=freq_table)
         if any("," in name or "\n" in name for name in self.counter_names):
             raise ValueError("counter names must not contain commas or newlines")
         _validate(self)
@@ -188,7 +184,7 @@ class Trace(FrozenRecord):
         if not isinstance(other, Trace):
             return NotImplemented
         return (self.counter_names == other.counter_names
-                and self.freq_table == other.freq_table and self.period == other.period
+                and self.freq_table == other.freq_table
                 and all(np.array_equal(getattr(self, c), getattr(other, c))
                         for c in _COLUMNS))
 
@@ -471,6 +467,7 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
 # Trace file format
 
 _FIXED_COLUMNS = ("time", "frame_time_ms", "frame_count", "gpu_freq_mhz")
+_INT64 = np.iinfo(np.int64)
 _TABLE_COMMENT = "# freq_table_mhz ="
 
 
@@ -589,10 +586,13 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
             raise ColumnCountError(i, f"expected {ncol} fields, got {len(fields)}")
         row = [_parse_float(v, i, name) for v, name in zip(fields[:2], names)]
         try:
-            counts.append(int(fields[2]))
+            count = int(fields[2])
         except ValueError:
             raise FieldValueError(i, f"non-integer frame_count field "
                                      f"{fields[2].strip()!r}") from None
+        if not _INT64.min <= count <= _INT64.max:
+            raise FieldValueError(i, f"frame_count {count} is outside the int64 range")
+        counts.append(count)
         row += [_parse_float(v, i, name) for v, name in zip(fields[3:], names[3:])]
         values.append(row)
     data = np.array(values, dtype=float).reshape(len(rows), ncol - 1)

@@ -24,9 +24,10 @@ from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
 from frametime.features import (FeatureSpec, RegressionDataset, build_dataset,
                                 save_feature_spec)
 from frametime.model import candidate_delta
-from frametime.trace import (AffineMap, CounterModel, FrequencyTable, HashNoiseMap,
-                             PiecewiseLinearMap, Trace, WorkloadSpec, generate_runtime,
-                             parse_trace, realized_frame_times, serialize_trace)
+from frametime.trace import (DEFAULT_FREQ_TABLE, AffineMap, CounterModel, FrequencyTable,
+                             HashNoiseMap, PiecewiseLinearMap, Trace, WorkloadSpec,
+                             generate_runtime, parse_trace, realized_frame_times,
+                             serialize_trace)
 from scenarios import (CONFIG_DIR, reference_arlms, reference_dcd, reference_derivative,
                        reference_noise, reference_rls, sensitivity_run, shipped)
 
@@ -191,6 +192,17 @@ class TestConfig:
         bundle = load_config(path)
         assert (bundle.governor, bundle.power_model) == (GovernorConfig(), PowerModel())
 
+    def test_absent_frequency_table_takes_the_default(self, config_file, tmp_path):
+        table = "[frequency_table]\nfreqs_mhz = 200, 244, 278, 311, 355, 400, 444, 489, 511\n"
+        assert CONFIG_TEXT.count(table) == 1
+        config_file.write_text(CONFIG_TEXT.replace(table, ""))
+        assert load_config(config_file).freq_table == DEFAULT_FREQ_TABLE
+        out = tmp_path / "sweep.csv"
+        assert main(["characterize", "--config", str(config_file), "--out", str(out)]) == 0
+        trace = parse_trace(out.read_text())
+        assert trace.freq_table == DEFAULT_FREQ_TABLE
+        assert np.unique(trace.freqs).tolist() == list(DEFAULT_FREQ_TABLE.freqs_mhz)
+
     @pytest.mark.parametrize("old, new, named", [
         ("complexities = 1:64", "complexities = 5:1",
          "[characterization]: complexities must not be empty, got '5:1'"),
@@ -209,7 +221,8 @@ class TestConfig:
         for command in (["characterize"], ["govern", "--policy", "all"]):
             out = tmp_path / "out.csv"
             code = main([*command, "--config", str(config), "--out", str(out)])
-            assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {named}\n"), command
+            assert (code, capsys.readouterr().err) == (
+                EXIT_INPUT, f"error: bad config {config}: {named}\n"), command
             assert not out.exists()
 
 
@@ -256,7 +269,7 @@ class TestMetrics:
             actual[rng.random(n) < 0.05] = 0.0
             predicted = actual * (1.0 + rng.normal(0.0, 0.2, size=n)
                                   * np.linspace(1.0, 0.0, n) ** rng.uniform(0.5, 4.0))
-            rep = compute_metrics(actual, predicted, period_ms=50.0)
+            rep = compute_metrics(actual, predicted)
             ape = np.where(actual != 0, np.abs(actual - predicted)
                            / np.where(actual != 0, actual, 1.0) * 100.0, np.inf)
             rolling = np.array([ape[max(0, k - 4):k + 1].mean() for k in range(n)])
@@ -377,6 +390,25 @@ class TestCharacterize:
     def test_bad_piecewise_map_exit2(self, config_file, tmp_path, capsys, old, new, named):
         self._assert_rejected_naming(config_file, tmp_path, capsys, old, new, named)
 
+    @pytest.mark.parametrize("mode, old, new, message", [
+        ("sweep", "[characterization]\ncomplexities = 1:16\nrepeats = 2\n", "",
+         "config has no [characterization] section"),
+        ("runtime", "complexity_schedule = square:20:40:25:100\n", "",
+         "workload has an empty complexity schedule"),
+        ("sweep", "[counter.shader_slots]", "[counter.shader,slots]",
+         "counter names must not contain commas or newlines"),
+    ], ids=["sweep_without_characterization", "runtime_without_schedule",
+            "comma_in_counter_name"])
+    def test_config_the_mode_cannot_use_exit2(self, config_file, tmp_path, capsys, mode, old,
+                                              new, message):
+        assert CONFIG_TEXT.count(old) == 1
+        config_file.write_text(CONFIG_TEXT.replace(old, new))
+        out = tmp_path / "out.csv"
+        code = main(["characterize", "--mode", mode, "--config", str(config_file),
+                     "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (EXIT_INPUT, f"error: {message}\n")
+        assert not out.exists()
+
     @staticmethod
     def _assert_rejected_naming(config_file, tmp_path, capsys, old, new, named):
         assert CONFIG_TEXT.count(old) == 1
@@ -449,7 +481,7 @@ class TestSelectFeatures:
         tiny = np.where(np.arange(40) % 2, 5e-324, 0.0)
         trace = Trace(trace.timestamps, trace.frame_times, trace.frame_counts, trace.freqs,
                       np.column_stack([trace.counters, tiny]),
-                      (*trace.counter_names, "tiny"), trace.freq_table, trace.period)
+                      (*trace.counter_names, "tiny"), trace.freq_table)
         path = tmp_path / "tiny.csv"
         path.write_text(serialize_trace(trace))
         spec_path = tmp_path / "s.spec"
@@ -521,7 +553,9 @@ class TestReplay:
     @pytest.mark.parametrize("text, named", [
         ("# freq_table_mhz = 200,511\n\n", "missing header line"),
         ("time,frame_time_ms,frame_count\n0.05,16.0,3\n", "header has 3 columns"),
-    ], ids=["no_header_line", "three_column_header"])
+        ("time,frame_time_ms,frame_count,gpu_freq_mhz\n0.05,16.0,99999999999999999999,400\n",
+         "row 1: frame_count 99999999999999999999 is outside the int64 range"),
+    ], ids=["no_header_line", "three_column_header", "frame_count_past_int64"])
     def test_malformed_trace_exit2(self, tmp_path, capsys, text, named):
         trace_path = tmp_path / "trace.csv"
         trace_path.write_text(text)
@@ -549,7 +583,13 @@ class TestReplay:
         ("replay", "", ["--algo", "dcd"], "no counter_indices line"),
         ("sensitivity", "counter_indice = 2,3\n", [],
          "expected counter_indices = or counter_names =, got 'counter_indice = 2,3'"),
-    ], ids=["config_file", "empty_file", "misspelt_key"])
+        ("replay", "counter_indices = 2,3\ncounter_indices = 2\n", [],
+         "counter_indices is set twice"),
+        ("sensitivity", "counter_indices = 2,3\ncounter_names = geometry_batches,shader_slots\n"
+                        "counter_names = geometry_batches,shader_slots\n", [],
+         "counter_names is set twice"),
+    ], ids=["config_file", "empty_file", "misspelt_key", "repeated_indices",
+            "repeated_names"])
     def test_spec_file_without_spec_lines_exit2(self, tmp_path, capsys, command, text, args,
                                                 named):
         trace_path, _ = write_runtime_trace(tmp_path, n=40)
@@ -705,13 +745,14 @@ class TestGovern:
         ("period_ms = 50", "period_ms = 50\nwarmup_intervals = nan", "warmup_intervals"),
         ("fps_target = 60", "fps_target = abc", "[governor]: fps_target must be a number"),
         ("noise_sigma = 0.003", "noise_sigma = abc", "[workload]: noise_sigma must be a number"),
+        ("noise_sigma = 0.003", "noise_sigma = -1", "noise_sigma must be finite and >= 0"),
         ("square:20:40:25:100", "constant:x:20",
          "bad schedule expression 'constant:x:20': values must be numbers"),
         ("489, 511", "489, inf", "frequencies must be finite and positive"),
         ("444, 489", "444, nan", "frequencies must be finite and positive"),
     ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
-            "warmup_intervals", "fps_target_text", "noise_sigma_text", "schedule_text",
-            "freqs_inf", "freqs_nan"])
+            "warmup_intervals", "fps_target_text", "noise_sigma_text", "negative_noise_sigma",
+            "schedule_text", "freqs_inf", "freqs_nan"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
@@ -950,6 +991,48 @@ class TestFullPipeline:
         # the runtime trace matches the config schedule, so the analytic
         # reference summary is available
         assert "candidate_mape" in printed
+
+    def test_unmatched_trace_has_no_reference_summary(self, config_file, tmp_path, capsys):
+        # 60 rows match neither the config's 288-row sweep nor its 100-row schedule
+        runtime = tmp_path / "runtime.csv"
+        assert main(["characterize", "--config", str(config_file), "--out", str(runtime),
+                     "--mode", "runtime"]) == 0
+        lines = runtime.read_text().splitlines(keepends=True)
+        runtime.write_text("".join(lines[:2 + 60]))
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((1, 2)), spec_path)
+        capsys.readouterr()
+        code = main(["sensitivity", "--trace", str(runtime), "--spec", str(spec_path),
+                     "--config", str(config_file), "--out", str(tmp_path / "sens.csv")])
+        assert (code, capsys.readouterr().out.splitlines()) == (0, [
+            f"wrote 59 sensitivity rows to {tmp_path / 'sens.csv'}",
+            "trace does not match the config workload; no reference summary"])
+
+    def test_byte_order_marks_change_no_output(self, config_file, tmp_path, capsys):
+        # a BOM-prefixed copy of each input, as Windows tools save UTF-8,
+        # reads as the original does
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((1, 2), ("geometry_batches", "shader_slots")), spec_path)
+        runs = {}
+        for bom in ("", "\ufeff"):
+            run = tmp_path / f"run{len(bom)}"
+            run.mkdir()
+            config, spec = run / "workload.ini", run / "features.spec"
+            config.write_text(bom + config_file.read_text(), encoding="utf-8")
+            spec.write_text(bom + spec_path.read_text(), encoding="utf-8")
+            code = main(["characterize", "--config", str(config), "--mode", "runtime",
+                         "--out", str(run / "generated.csv")])
+            trace = run / "runtime.csv"
+            trace.write_text(bom + (run / "generated.csv").read_text(), encoding="utf-8")
+            codes = [code]
+            for command in ("replay", "sensitivity"):
+                codes.append(main([command, "--trace", str(trace), "--spec", str(spec),
+                                   "--config", str(config), "--out", str(run / "out.csv")]))
+            printed = capsys.readouterr()
+            runs[bom] = (codes, printed.out.replace(str(run), "RUN"), printed.err,
+                         (run / "generated.csv").read_bytes(), (run / "out.csv").read_bytes())
+        assert runs["\ufeff"] == runs[""]
+        assert runs[""][0] == [0, 0, 0] and "candidate_mape" in runs[""][1]
 
 
 def _readme_walkthrough():

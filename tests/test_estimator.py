@@ -250,16 +250,17 @@ class TestUpdatesMatchReferenceForms:
     @example(lam=1.0, seed=115, m=4, n=40, nu=4, halves=False, zeros=[False, True])
     @example(lam=1.0, seed=89, m=4, n=1, nu=5, halves=False, zeros=[])
     def test_bitwise_for_forgetting_factors(self, lam, seed, m, n, nu, halves, zeros):
-        # lam == 1.0 skips the division and scaling by lam, the whole rls
-        # step on a zero row, and dcd's correlation and residual updates on
-        # one; below it they run.  Row i is all zeros, some of them -0.0,
-        # where zeros[i] holds, so zero rows come first, where P is still
-        # I/mu, as well as later.  Entries on a grid of halves tie the DCD
-        # residuals, where the first largest one must lead, and zero some
-        # entries of a row but not all.  The last three examples: a zero row
-        # after a dcd step that made all nu updates, whose carried residual
-        # then moves a at levels 7 to 11; a zero row after a step that
-        # exhausted the ladder; and a step whose last update is at level mb.
+        # lam == 1.0 skips the division and scaling by lam, and dcd's
+        # correlation and residual updates on a zero row, where a full rls
+        # step must give its state back; below it they run.  Row i is all
+        # zeros, some of them -0.0, where zeros[i] holds, so zero rows come
+        # first, where P is still I/mu, as well as later.  Entries on a grid
+        # of halves tie the DCD residuals, where the first largest one must
+        # lead, and zero some entries of a row but not all.  The last three
+        # examples: a zero row after a dcd step that made all nu updates,
+        # whose carried residual then moves a at levels 7 to 11; a zero row
+        # after a step that exhausted the ladder; and a step whose last
+        # update is at level mb.
         rng = np.random.default_rng(seed)
         if halves:
             H, D = rng.integers(-2, 3, size=(n, m)) / 2.0, rng.integers(-2, 3, size=n) / 2.0

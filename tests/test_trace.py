@@ -105,10 +105,12 @@ class TestParse:
         ("0.15, 8.2, 3, 400", ColumnCountError),            # short row
         ("0.15, 8.2, 1_0, 400, -1.0", FieldValueError),     # 1_0 parses, the counter fails
         ("0.15, -8.2, 3, 400, 120", FieldValueError),       # negative frame time
+        ("0.15, 8.2, 9223372036854775808, 400, 120", FieldValueError),   # int64 max + 1
+        ("0.15, 8.2, -9223372036854775809, 400, 120", FieldValueError),  # int64 min - 1
     ], ids=["negative_counter", "nan_frame_time", "negative_frame_count",
             "unknown_frequency", "repeated_timestamp", "earlier_timestamp",
             "float_frame_count", "short_row", "underscore_frame_count",
-            "negative_frame_time"])
+            "negative_frame_time", "frame_count_above_int64", "frame_count_below_int64"])
     def test_single_bad_row_named(self, small_table, row3, error):
         text = ("time,frame_time_ms,frame_count,gpu_freq_mhz,c1\n"
                 "0.05, 8.2, 3, 400, 120\n"
