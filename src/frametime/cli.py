@@ -239,8 +239,11 @@ def run_replay(trace: Trace, fspec: features.FeatureSpec | None, algo: str) -> R
 # Commands
 
 def _load_trace(path, bundle: ConfigBundle | None):
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_trace(fh, freq_table=bundle.freq_table if bundle else None)
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse_trace(fh, freq_table=bundle.freq_table if bundle else None)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"trace {path}: {exc}") from None
 
 
 def cmd_characterize(args) -> int:
@@ -254,7 +257,7 @@ def cmd_characterize(args) -> int:
     else:
         # runtime mode: the workload's own schedule under a wandering clock
         from .workloads import random_walk_freqs
-        # an empty schedule draws no clock, and generate_runtime rejects it
+        # an empty schedule draws no clock, and workload_columns rejects it
         n = len(bundle.workload.complexity_schedule)
         freqs = random_walk_freqs(bundle.freq_table, n, args.seed)
         trace = generate_runtime(bundle.workload, bundle.freq_table, freqs, args.seed)

@@ -40,10 +40,6 @@ from .trace import (DEFAULT_PERIOD_MS, AffineMap, CounterModel, FrequencyTable,
 POLICIES = ("rls", "oracle", "ondemand")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class PowerModel(checked_tuple("PowerModel", "p_static p_dyn_coeff p_idle")):
     """Watts: p_static + p_dyn_coeff * (f_ghz)^3 while active, p_idle while idle."""
 
@@ -105,7 +101,7 @@ class ConfigBundle(NamedTuple):
 def _count(value: float, name: str, text: str) -> int:
     """A schedule length, half period or hold, already finite: at least 1."""
     if value < 1:
-        raise ConfigError(f"bad schedule expression {text!r}: {name} must be at least 1")
+        raise ValueError(f"bad schedule expression {text!r}: {name} must be at least 1")
     return int(value)
 
 
@@ -131,13 +127,13 @@ def _stairs_levels(lo: float, hi: float, step: float, reach: int,
     if lo == hi:
         return [lo]
     if lo + step == lo:
-        raise ConfigError(f"bad schedule expression {text!r}: STEP is below LO's "
-                          f"float resolution")
+        raise ValueError(f"bad schedule expression {text!r}: STEP is below LO's "
+                         f"float resolution")
     count = max(1, math.ceil(min(reach, (hi + step / 2 - lo) / step)))
     delta = (lo + step) - lo
     levels = [lo, lo + step, *(lo + i * delta for i in range(2, count))][:count]
     if not all(map(math.isfinite, levels)):
-        raise ConfigError(f"bad schedule expression {text!r}: levels must be finite")
+        raise ValueError(f"bad schedule expression {text!r}: levels must be finite")
     return levels
 
 
@@ -151,9 +147,9 @@ def parse_schedule(text: str) -> tuple[float, ...]:
         else:
             args = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"bad schedule expression {text!r}: values must be numbers") from None
+        raise ValueError(f"bad schedule expression {text!r}: values must be numbers") from None
     if not all(map(math.isfinite, args)):
-        raise ConfigError(f"bad schedule expression {text!r}: values must be finite")
+        raise ValueError(f"bad schedule expression {text!r}: values must be finite")
     if not compact:
         return tuple(args)
     kind = kind.strip().lower()
@@ -169,12 +165,12 @@ def parse_schedule(text: str) -> tuple[float, ...]:
     if kind == "stairs" and len(args) == 5:
         lo, hi, step, hold, n = args
         if step <= 0:
-            raise ConfigError(f"bad schedule expression {text!r}: STEP must be positive")
+            raise ValueError(f"bad schedule expression {text!r}: STEP must be positive")
         if not lo <= hi:
-            raise ConfigError(f"bad schedule expression {text!r}: LO must not exceed HI")
+            raise ValueError(f"bad schedule expression {text!r}: LO must not exceed HI")
         hold, n = _count(hold, "HOLD", text), _count(n, "N", text)
         return _cycle(_stairs_levels(lo, hi, step, -(-n // hold), text), hold, n)
-    raise ConfigError(f"bad schedule expression {text!r}")
+    raise ValueError(f"bad schedule expression {text!r}")
 
 
 def parse_complexities(text: str) -> tuple[float, ...]:
@@ -187,9 +183,9 @@ def parse_complexities(text: str) -> tuple[float, ...]:
             return tuple(float(c) for c in range(lo, hi + 1))
         values = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise ConfigError(f"bad complexities {text!r}") from None
+        raise ValueError(f"bad complexities {text!r}") from None
     if not all(map(math.isfinite, values)):
-        raise ConfigError(f"bad complexities {text!r}: values must be finite")
+        raise ValueError(f"bad complexities {text!r}: values must be finite")
     return values
 
 
@@ -199,9 +195,9 @@ def _number(section, key: str, default: float, where: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
+        raise ValueError(f"{where}: {key} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ConfigError(f"{where}: {key} must be finite, got {raw!r}")
+        raise ValueError(f"{where}: {key} must be finite, got {raw!r}")
     return value
 
 
@@ -211,7 +207,7 @@ def _integer(section, key: str, default: int, where: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"{where}: {key} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{where}: {key} must be an integer, got {raw!r}") from None
 
 
 def _set(cp, name: str, keys) -> dict:
@@ -231,10 +227,10 @@ def _parse_points(text: str, where: str):
         try:
             point = (float(c), float(v))
         except ValueError:
-            raise ConfigError(f"{where}: piecewise points must be numbers, "
-                              f"got {chunk!r}") from None
+            raise ValueError(f"{where}: piecewise points must be numbers, "
+                             f"got {chunk!r}") from None
         if not all(map(math.isfinite, point)):
-            raise ConfigError(f"{where}: piecewise points must be finite, got {chunk!r}")
+            raise ValueError(f"{where}: piecewise points must be finite, got {chunk!r}")
         pts.append(point)
     return tuple(pts)
 
@@ -243,16 +239,16 @@ def _parse_response(section, where: str, kind_key: str = "kind"):
     kind = section.get(kind_key, "affine").strip().lower()
     if kind == "piecewise":
         if "points" not in section:
-            raise ConfigError(f"{where}: piecewise map needs points")
+            raise ValueError(f"{where}: piecewise map needs points")
         points = _parse_points(section["points"], where)
         try:
             return PiecewiseLinearMap(points)
         except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     if kind == "affine":
         return AffineMap(_number(section, "slope", 0.0, where),
                          _number(section, "intercept", 0.0, where))
-    raise ConfigError(f"{where}: unknown map kind {kind!r}")
+    raise ValueError(f"{where}: unknown map kind {kind!r}")
 
 
 def _parse_counter(name: str, section) -> tuple[str, CounterModel]:
@@ -264,7 +260,7 @@ def _parse_counter(name: str, section) -> tuple[str, CounterModel]:
                                 salt=_number(section, "salt", 0.0, where))
         return "indep", CounterModel(name=name, response=response)
     if kind not in ("dep", "indep"):
-        raise ConfigError(f"counter {name}: unknown kind {kind!r}")
+        raise ValueError(f"counter {name}: unknown kind {kind!r}")
     # the counter's map shape comes from its `response` key (default affine)
     return kind, CounterModel(name=name,
                               response=_parse_response(section, f"counter {name}",
@@ -278,11 +274,11 @@ def load_config(path) -> ConfigBundle:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(str(path), encoding="utf-8-sig")
-    except configparser.Error as exc:
-        # its messages span lines; the error is reported on one
-        raise ConfigError(f"bad config {path}: {' '.join(str(exc).split())}") from None
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a parser message spans lines; the error is reported on one
+        raise ValueError(f"bad config {path}: {' '.join(str(exc).split())}") from None
     if not read:
-        raise ConfigError(f"cannot read config file {path}")
+        raise ValueError(f"cannot read config file {path}")
 
     try:
         if "frequency_table" in cp:
@@ -290,18 +286,18 @@ def load_config(path) -> ConfigBundle:
             try:
                 freqs = tuple(float(v) for v in raw.split(",") if v.strip())
             except ValueError:
-                raise ConfigError(f"[frequency_table]: freqs_mhz must be numbers, "
-                                  f"got {raw!r}") from None
+                raise ValueError(f"[frequency_table]: freqs_mhz must be numbers, "
+                                 f"got {raw!r}") from None
             table = FrequencyTable(freqs)
         else:
             from .trace import DEFAULT_FREQ_TABLE
             table = DEFAULT_FREQ_TABLE
 
         if "workload" not in cp:
-            raise ConfigError("missing [workload] section")
+            raise ValueError("missing [workload] section")
         w = cp["workload"]
         if "scalable_ms" not in cp or "unscalable_ms" not in cp:
-            raise ConfigError("missing [scalable_ms] or [unscalable_ms] section")
+            raise ValueError("missing [scalable_ms] or [unscalable_ms] section")
 
         dep, indep = [], []
         for section in cp.sections():
@@ -313,7 +309,7 @@ def load_config(path) -> ConfigBundle:
             complexity_schedule=parse_schedule(w.get("complexity_schedule", "")),
             scalable_ms=_parse_response(cp["scalable_ms"], "[scalable_ms]"),
             unscalable_ms=_parse_response(cp["unscalable_ms"], "[unscalable_ms]"),
-            ref_freq=_number(w, "ref_freq_mhz", table.min, "[workload]"),
+            ref_freq=_number(w, "ref_freq_mhz", table.freqs_mhz[0], "[workload]"),
             dep_counters=tuple(dep),
             indep_counters=tuple(indep),
             **_set(cp, "workload", [("noise_sigma", "noise_sigma", _number)]),
@@ -324,12 +320,12 @@ def load_config(path) -> ConfigBundle:
             raw = ch.get("complexities", "1:64")
             complexities = parse_complexities(raw)
             if not complexities:
-                raise ConfigError(f"[characterization]: complexities must not be empty, "
-                                  f"got {raw!r}")
+                raise ValueError(f"[characterization]: complexities must not be empty, "
+                                 f"got {raw!r}")
             repeats = _integer(ch, "repeats", 10, "[characterization]")
             if repeats < 1:
-                raise ConfigError(f"[characterization]: repeats must be at least 1, "
-                                  f"got {repeats}")
+                raise ValueError(f"[characterization]: repeats must be at least 1, "
+                                 f"got {repeats}")
         else:
             complexities, repeats = (), 1
 
@@ -342,7 +338,7 @@ def load_config(path) -> ConfigBundle:
             ("p_static", "p_static_w", _number), ("p_dyn_coeff", "p_dyn_w_per_ghz3", _number),
             ("p_idle", "p_idle_w", _number)]))
     except ValueError as exc:
-        raise ConfigError(f"bad config {path}: {exc}") from None
+        raise ValueError(f"bad config {path}: {exc}") from None
 
     return ConfigBundle(workload=workload, freq_table=table,
                         characterization_complexities=complexities,

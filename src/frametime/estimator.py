@@ -83,27 +83,20 @@ def differential_features(t_prev, f_prev, f_cur, dx) -> np.ndarray:
     return h
 
 
-def counter_scales(counters) -> np.ndarray:
-    """Per-sample counter scales: the running max of |counter|, at least SCALE_FLOOR.
-
-    Row i covers samples 0..i; after the first SCALE_WINDOW samples the
-    scales stay frozen, so later counter bursts do not change the units.
-    """
-    scales = np.maximum(np.maximum.accumulate(np.abs(np.asarray(counters, dtype=float)),
-                                              axis=0), SCALE_FLOOR)
-    scales[SCALE_WINDOW:] = scales[SCALE_WINDOW - 1:SCALE_WINDOW]
-    return scales
-
-
 def estimator_units(counters) -> np.ndarray:
     """Per-sample divisors [1, MHZ_PER_GHZ, counter scales...] into estimator units.
 
     Dividing a raw feature row that ends at sample i by row i feeds the
     frequency delta in GHz and each counter delta relative to its scale,
     keeping every entry O(1) so the tiny default ridge weight stays
-    numerically benign.
+    numerically benign.  A counter's scale at sample i is the running max
+    of |counter| over samples 0..i, at least SCALE_FLOOR; after the first
+    SCALE_WINDOW samples the scales stay frozen, so later counter bursts
+    do not change the units.
     """
-    scales = counter_scales(counters)
+    scales = np.maximum(np.maximum.accumulate(np.abs(np.asarray(counters, dtype=float)),
+                                              axis=0), SCALE_FLOOR)
+    scales[SCALE_WINDOW:] = scales[SCALE_WINDOW - 1:SCALE_WINDOW]
     units = np.empty((scales.shape[0], 2 + scales.shape[1]))
     units[:, 0] = 1.0
     units[:, 1] = MHZ_PER_GHZ

@@ -42,26 +42,6 @@ DEFAULT_PERIOD_MS = 50.0   # the interval of every trace, generated or parsed
 DEFAULT_FREQS_MHZ = (200.0, 311.0, 355.0, 400.0, 444.0, 489.0, 511.0)
 
 
-class TraceParseError(ValueError):
-    """Base class for invalid trace rows.  Carries the 1-based data row."""
-
-    def __init__(self, row: int, message: str):
-        self.row = row
-        super().__init__(f"row {row}: {message}")
-
-
-class ColumnCountError(TraceParseError):
-    pass
-
-
-class FieldValueError(TraceParseError):
-    pass
-
-
-class UnknownFrequencyError(TraceParseError):
-    pass
-
-
 class DegenerateDataError(ValueError):
     """A well-formed trace holds too little to fit: too few rows, or a
     single clock where correlation with the clock is needed."""
@@ -133,14 +113,6 @@ class FrequencyTable(FrozenRecord):
     def __iter__(self):
         return iter(self.freqs_mhz)
 
-    @property
-    def min(self) -> float:
-        return self.freqs_mhz[0]
-
-    @property
-    def max(self) -> float:
-        return self.freqs_mhz[-1]
-
 
 DEFAULT_FREQ_TABLE = FrequencyTable(DEFAULT_FREQS_MHZ)
 
@@ -175,6 +147,8 @@ class Trace(FrozenRecord):
         self._init(**columns, counter_names=tuple(counter_names), freq_table=freq_table)
         if any("," in name or "\n" in name for name in self.counter_names):
             raise ValueError("counter names must not contain commas or newlines")
+        if not all(name.strip() for name in self.counter_names):
+            raise ValueError("counter names must not be blank")
         _validate(self)
 
     def __len__(self):
@@ -192,8 +166,8 @@ class Trace(FrozenRecord):
 def _validate(trace: Trace) -> None:
     """Check column shapes, then every row, for parsed and built traces alike.
 
-    Raises the TraceParseError of the first bad row, numbered from 1; within
-    a row, a foreign frequency is reported before the other faults.
+    Raises a ValueError naming the first bad row, numbered from 1; within a
+    row, a foreign frequency is reported before the other faults.
     """
     n, k = trace.timestamps.size, len(trace.counter_names)
     shapes = [getattr(trace, name).shape for name in _COLUMNS]
@@ -201,21 +175,20 @@ def _validate(trace: Trace) -> None:
         raise ValueError(f"columns must hold {n} rows and {k} counters, got shapes {shapes}")
     ts, ft, x = trace.timestamps, trace.frame_times, trace.counters
     checks = (
-        (UnknownFrequencyError, ~np.isin(trace.freqs, trace.freq_table.freqs_mhz),
-         "frequency {f} MHz not in table"),
-        (FieldValueError, ~(np.isfinite(ts) & np.isfinite(ft) & np.isfinite(x).all(axis=1)),
+        (~np.isin(trace.freqs, trace.freq_table.freqs_mhz), "frequency {f} MHz not in table"),
+        (~(np.isfinite(ts) & np.isfinite(ft) & np.isfinite(x).all(axis=1)),
          "fields must be finite"),
-        (FieldValueError, ft < 0, "frame_time must be >= 0"),
-        (FieldValueError, trace.frame_counts < 0, "frame_count must be >= 0"),
-        (FieldValueError, (x < 0).any(axis=1), "counters must be >= 0"),
-        (FieldValueError, np.concatenate(([False], ts[1:] <= ts[:-1])),
+        (ft < 0, "frame_time must be >= 0"),
+        (trace.frame_counts < 0, "frame_count must be >= 0"),
+        ((x < 0).any(axis=1), "counters must be >= 0"),
+        (np.concatenate(([False], ts[1:] <= ts[:-1])),
          "timestamp {t} s is not after the previous row's"),
     )
-    firsts = [(int(np.argmax(bad)), i) for i, (_, bad, _) in enumerate(checks) if bad.any()]
+    firsts = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if bad.any()]
     if firsts:
         row, i = min(firsts)
-        error, _, message = checks[i]
-        raise error(row + 1, message.format(f=trace.freqs[row], t=ts[row]))
+        message = checks[i][1].format(f=trace.freqs[row], t=ts[row])
+        raise ValueError(f"row {row + 1}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +299,17 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
         dep counter           base * (f / ref_freq)
         indep counter         base
 
-    Raises ValueError at the lowest complexity with a negative frame-time
-    component, a dep counter base <= 0 (it must grow strictly with f) or a
-    negative indep counter, checked in that order.
+    Raises ValueError on no complexities, as of an empty schedule, then at
+    the lowest complexity with a negative frame-time component, a dep
+    counter base <= 0 (it must grow strictly with f) or a negative indep
+    counter, checked in that order.
     """
+    complexities = np.asarray(complexities, dtype=float)
+    if not complexities.size:
+        raise ValueError("workload has an empty complexity schedule")
     counters = spec.dep_counters + spec.indep_counters
     maps = (spec.scalable_ms, spec.unscalable_ms, *(cm.response for cm in counters))
-    distinct, at = np.unique(np.asarray(complexities, dtype=float), return_inverse=True)
+    distinct, at = np.unique(complexities, return_inverse=True)
     cs = distinct.tolist()
     values = np.array([[m(c) for m in maps] for c in cs], dtype=float)
     values = values.reshape(len(cs), len(maps))
@@ -452,8 +429,6 @@ def generate_runtime(spec: WorkloadSpec, table: FrequencyTable, freqs, seed: int
     """Trace following the spec's own complexity schedule at freqs, a
     per-interval frequency sequence of the same length as the schedule."""
     schedule = spec.complexity_schedule
-    if not schedule:
-        raise ValueError("workload has an empty complexity schedule")
     freq_seq = np.asarray(freqs, dtype=float)
     if freq_seq.shape != (len(schedule),):
         raise ValueError("frequency sequence length must match the schedule")
@@ -509,7 +484,7 @@ def _parse_float(raw: str, row: int, column: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise FieldValueError(row, f"non-numeric {column} field {raw.strip()!r}") from None
+        raise ValueError(f"row {row}: non-numeric {column} field {raw.strip()!r}") from None
 
 
 def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
@@ -542,7 +517,7 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
                     embedded_table = FrequencyTable(
                         tuple(float(v) for v in payload.split(",") if v.strip()))
                 except ValueError as exc:
-                    raise TraceParseError(0, f"table comment {stripped!r}: {exc}") from None
+                    raise ValueError(f"row 0: table comment {stripped!r}: {exc}") from None
             continue
         if header is None:
             header = [c.strip() for c in stripped.split(",")]
@@ -550,10 +525,10 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
             rows.append(stripped)
 
     if header is None:
-        raise TraceParseError(0, "missing header line")
+        raise ValueError("row 0: missing header line")
     if len(header) < len(_FIXED_COLUMNS):
-        raise TraceParseError(0, f"header has {len(header)} columns, expected at least "
-                                 f"{len(_FIXED_COLUMNS)}")
+        raise ValueError(f"row 0: header has {len(header)} columns, expected at least "
+                         f"{len(_FIXED_COLUMNS)}")
     counter_names = tuple(header[len(_FIXED_COLUMNS):])
     names = _FIXED_COLUMNS + counter_names
     table = freq_table or embedded_table or DEFAULT_FREQ_TABLE
@@ -583,15 +558,15 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
     for i, raw in enumerate(rows, start=1):
         fields = raw.split(",")
         if len(fields) != ncol:
-            raise ColumnCountError(i, f"expected {ncol} fields, got {len(fields)}")
+            raise ValueError(f"row {i}: expected {ncol} fields, got {len(fields)}")
         row = [_parse_float(v, i, name) for v, name in zip(fields[:2], names)]
         try:
             count = int(fields[2])
         except ValueError:
-            raise FieldValueError(i, f"non-integer frame_count field "
-                                     f"{fields[2].strip()!r}") from None
+            raise ValueError(f"row {i}: non-integer frame_count field "
+                             f"{fields[2].strip()!r}") from None
         if not _INT64.min <= count <= _INT64.max:
-            raise FieldValueError(i, f"frame_count {count} is outside the int64 range")
+            raise ValueError(f"row {i}: frame_count {count} is outside the int64 range")
         counts.append(count)
         row += [_parse_float(v, i, name) for v, name in zip(fields[3:], names[3:])]
         values.append(row)

@@ -111,10 +111,10 @@ def reference_rls_policy(spec, table, cfg, pm, seed):
     realized frame times, as lists."""
     schedule = spec.complexity_schedule
     n_dep, n_indep = len(spec.dep_counters), len(spec.indep_counters)
-    x = np.array([reference_counters(spec, c, table.max)[n_dep:] for c in schedule])
+    x = np.array([reference_counters(spec, c, table.freqs_mhz[-1])[n_dep:] for c in schedule])
     x = x.reshape(len(schedule), n_indep)
     units = estimator_units(x)
-    (a, P), f, freqs, realized = rls_init(n_indep + 2), table.max, [], []
+    (a, P), f, freqs, realized = rls_init(n_indep + 2), table.freqs_mhz[-1], [], []
     for k, (c, z) in enumerate(zip(schedule, reference_noise(spec, seed))):
         t = reference_frame_time(spec, c, f) * z
         freqs.append(f)

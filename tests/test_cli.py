@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import is_dataclass
@@ -17,8 +18,7 @@ import frametime
 from frametime import cli
 from frametime.cli import (EXIT_DEGENERATE, EXIT_INPUT, EXIT_MISMATCH, compute_metrics,
                            main, run_replay)
-from frametime.config import (POLICIES, ConfigError, GovernorConfig, PowerModel,
-                              load_config, parse_schedule)
+from frametime.config import POLICIES, GovernorConfig, PowerModel, load_config, parse_schedule
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, dcd_rls_init,
                                  estimator_units, rls_init)
 from frametime.features import (FeatureSpec, RegressionDataset, build_dataset,
@@ -126,7 +126,7 @@ class TestConfig:
         assert parse_schedule("square:1:2:2:6") == (1.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         assert parse_schedule("stairs:2:6:2:2:8") == (2.0, 2.0, 4.0, 4.0, 6.0, 6.0, 2.0, 2.0)
         assert parse_schedule("3, 1, 2") == (3.0, 1.0, 2.0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=r"^bad schedule expression 'sawtooth:1:2'$"):
             parse_schedule("sawtooth:1:2")
 
     @settings(max_examples=100, deadline=None)
@@ -179,12 +179,13 @@ class TestConfig:
         "constant:nan:20", "ramp:0:inf:20", "1,nan,2",             # non-finite
     ])
     def test_bad_schedule_rejected(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match=f"^bad schedule expression {re.escape(repr(text))}"):
             parse_schedule(text)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.ini")
+        path = tmp_path / "absent.ini"
+        with pytest.raises(ValueError, match=f"^cannot read config file {re.escape(str(path))}$"):
+            load_config(path)
 
     def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "workload.ini"
@@ -332,10 +333,11 @@ class TestCharacterize:
         assert len(trace) == 100  # workload schedule length
         assert np.unique(trace.freqs).size > 1
 
-    def test_unreadable_config_exit2(self, tmp_path):
-        code = main(["characterize", "--config", str(tmp_path / "nope.ini"),
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == EXIT_INPUT
+    def test_unreadable_config_exit2(self, tmp_path, capsys):
+        path = tmp_path / "nope.ini"
+        code = main(["characterize", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_INPUT, f"error: cannot read config file {path}\n")
 
     @pytest.mark.parametrize("old, new", [
         ("[frequency_table]\n", ""),
@@ -472,6 +474,20 @@ class TestSelectFeatures:
         code = main(["select-features", "--trace", str(tmp_path / "gone.csv"),
                      "--out", str(tmp_path / "s.spec")])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_counter_name_exit2(self, tmp_path, capsys, name):
+        # the spec it would write could not be read back by replay
+        trace_path, trace = write_runtime_trace(tmp_path, n=60)
+        comment, header, *rows = trace_path.read_text().splitlines(keepends=True)
+        columns = header.split(",")
+        columns[5] = name
+        trace_path.write_text(comment + ",".join(columns) + "".join(rows))
+        out = tmp_path / "s.spec"
+        code = main(["select-features", "--trace", str(trace_path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            EXIT_INPUT, "error: counter names must not be blank\n")
+        assert not out.exists()
 
     def test_counter_centring_to_underflow_is_not_kept(self, tmp_path):
         # not constant, but its centred values square to 0.0: r's
@@ -661,9 +677,9 @@ class TestSensitivity:
             f_k = float(cells[1])
             # every row has a derivative; a what-if past the table edge is blank
             assert math.isfinite(float(cells[2]))
-            assert (cells[3] == "") == (f_k == TABLE.max)
-            assert (cells[4] == "") == (f_k == TABLE.min)
-            edges += f_k in (TABLE.min, TABLE.max)
+            assert (cells[3] == "") == (f_k == TABLE.freqs_mhz[-1])
+            assert (cells[4] == "") == (f_k == TABLE.freqs_mhz[0])
+            edges += f_k in (TABLE.freqs_mhz[0], TABLE.freqs_mhz[-1])
         assert edges
 
     def test_deltas_and_derivative_share_the_replay_anchor(self, tmp_path, capsys):
@@ -705,13 +721,16 @@ class TestSensitivity:
         assert not out.exists()
 
     def test_jump_clipping_warns(self, tmp_path, capsys):
+        # the table has 9 levels, so a jump spans at most 8
         trace_path, _ = write_runtime_trace(tmp_path, n=60)
         spec_path = tmp_path / "features.spec"
         save_feature_spec(FeatureSpec((2, 3)), spec_path)
+        out = tmp_path / "s.csv"
         code = main(["sensitivity", "--trace", str(trace_path), "--spec", str(spec_path),
-                     "--out", str(tmp_path / "s.csv"), "--jumps", "50"])
-        assert code == 0
-        assert "clipped" in capsys.readouterr().err
+                     "--out", str(out), "--jumps", "20"])
+        assert (code, capsys.readouterr().err) == (
+            0, "warning: --jumps 20 exceeds the table span, clipped to 8\n")
+        assert out.read_text().splitlines()[0].endswith(",delta_up8,delta_down8")
 
 
 class TestGovern:
@@ -735,7 +754,6 @@ class TestGovern:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("old, new, named", [
         ("square:20:40:25:100", "constant:nan:20", "constant:nan:20"),
         ("noise_sigma = 0.003", "noise_sigma = nan", "noise_sigma"),
@@ -782,7 +800,18 @@ class TestGovern:
         want = "error: dep counter render_busy_kcycles base must be > 0 at C=20.0\n"
         assert errors == [(EXIT_INPUT, want)] * 2
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_empty_schedule_exit2(self, config_file, tmp_path, capsys):
+        # one check for both commands; govern used to run no interval and exit 0
+        old = "complexity_schedule = square:20:40:25:100\n"
+        assert CONFIG_TEXT.count(old) == 1
+        config_file.write_text(CONFIG_TEXT.replace(old, ""))
+        out = tmp_path / "out.csv"
+        for command in (["characterize", "--mode", "runtime"], ["govern"]):
+            code = main([*command, "--config", str(config_file), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_INPUT, "error: workload has an empty complexity schedule\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, old, new, message", [
         (["characterize", "--mode", "runtime"], "points = 1:0.925, 32:7.2, 64:20.0",
          "points = 1:1e308, 32:1e308, 64:1e308", "row 1: fields must be finite"),
@@ -883,7 +912,7 @@ class TestRunReplayApi:
         # rows with no excitation come first, where the state is fresh, and
         # last; rls skips them and dcd carries its residual through them.
         spec, freqs = sensitivity_run(80, seed=2)
-        freqs = (TABLE.max,) * 8 + freqs[8:-8] + (TABLE.min,) * 8
+        freqs = (TABLE.freqs_mhz[-1],) * 8 + freqs[8:-8] + (TABLE.freqs_mhz[0],) * 8
         trace = generate_runtime(spec, TABLE, freqs, seed=2)
         fspec = FeatureSpec((2, 3))
         res = run_replay(trace, fspec, algo)
@@ -954,7 +983,6 @@ class TestRunReplayApi:
         assert res.report == compute_metrics(trace.frame_times[k], want)
 
     @pytest.mark.parametrize("algo", ["rls", "dcd"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_features_rejected(self, algo):
         # t_prev * (f_prev / f_cur - 1) overflows for a huge frame time and a
         # falling clock, although every trace field is finite; the estimator
@@ -1033,6 +1061,26 @@ class TestFullPipeline:
                          (run / "generated.csv").read_bytes(), (run / "out.csv").read_bytes())
         assert runs["\ufeff"] == runs[""]
         assert runs[""][0] == [0, 0, 0] and "candidate_mape" in runs[""][1]
+
+    @pytest.mark.parametrize("bad, named", [("config", "bad config"), ("trace", "trace"),
+                                            ("spec", "feature spec")],
+                             ids=["config", "trace", "spec"])
+    def test_input_not_utf8_named_exit2(self, config_file, tmp_path, capsys, bad, named):
+        # each input in turn starts with a byte that UTF-8 never uses; the
+        # command reads the config, then the trace, then the spec
+        trace_path, _ = write_runtime_trace(tmp_path, n=60)
+        spec_path = tmp_path / "features.spec"
+        save_feature_spec(FeatureSpec((2, 3)), spec_path)
+        path = {"config": config_file, "trace": trace_path, "spec": spec_path}[bad]
+        path.write_bytes(b"\xff" + path.read_bytes())
+        out = tmp_path / "out.csv"
+        code = main(["replay", "--trace", str(trace_path), "--spec", str(spec_path),
+                     "--config", str(config_file), "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INPUT
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {named} {path}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
 
 
 def _readme_walkthrough():

@@ -8,9 +8,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from frametime.cli import run_replay
 from frametime.estimator import (ARLMS_ORDER, DEFAULT_LAMBDA, SCALE_WINDOW, arlms_step,
-                                 counter_scales, dcd_rls_init, dcd_step,
-                                 differential_features, estimator_units, rls_init,
-                                 rls_step)
+                                 dcd_rls_init, dcd_step, differential_features,
+                                 estimator_units, rls_init, rls_step)
 from frametime.trace import DegenerateDataError, FrequencyTable, Trace
 from scenarios import batch_ridge_solve, op_count, reference_dcd, reference_rls
 
@@ -324,13 +323,13 @@ class TestOpCount:
 
 
 class TestFeatureScaler:
-    """Scaling into estimator units: estimator.counter_scales and estimator_units."""
+    """Scaling into estimator units: estimator.estimator_units."""
 
     def test_scales_fixed_after_window(self):
         counters = np.zeros((SCALE_WINDOW + 5, 2))
         counters[:3] = [[10.0, 1.0], [20.0, 2.0], [5.0, 8.0]]
         counters[SCALE_WINDOW:] = 1000.0
-        scales = counter_scales(counters)
+        scales = estimator_units(counters)[:, 2:]
         assert np.array_equal(scales[:3], [[10.0, 1.0], [20.0, 2.0], [20.0, 8.0]])
         assert np.array_equal(scales[SCALE_WINDOW - 1], [20.0, 8.0])
         assert np.all(scales[SCALE_WINDOW:] == scales[SCALE_WINDOW - 1])
@@ -346,6 +345,6 @@ class TestFeatureScaler:
         assert h / units[0] == pytest.approx([h[0], 0.044, 0.1, -0.1])
 
     def test_floor_prevents_divide_by_zero(self):
-        assert np.array_equal(counter_scales([[0.0], [0.5]]), [[1.0], [1.0]])
+        assert np.array_equal(estimator_units([[0.0], [0.5]])[:, 2:], [[1.0], [1.0]])
         h = differential_features(0.0, 400.0, 400.0, [3.0]) / estimator_units([[0.0]])[0]
         assert h[2] == 3.0

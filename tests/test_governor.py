@@ -55,11 +55,11 @@ class TestIntervalEnergy:
 
 class TestRlsPolicyStep:
     def test_unscalable_model_picks_min_frequency(self):
-        assert rls_choice(0.0, 0.0, 10.0, 400.0) == TABLE.min
+        assert rls_choice(0.0, 0.0, 10.0, 400.0) == TABLE.freqs_mhz[0]
 
     def test_infeasible_everywhere_picks_max(self):
         # 40 ms > budget at any f
-        assert rls_choice(0.0, 0.0, 40.0, 400.0) == TABLE.max
+        assert rls_choice(0.0, 0.0, 40.0, 400.0) == TABLE.freqs_mhz[-1]
 
     def test_scalable_model_picks_cheapest_feasible(self):
         # fully scalable converged model: frame time scales exactly with 1/f
@@ -121,7 +121,7 @@ class TestOraclePolicy:
         spec = WorkloadSpec((5.0,) * 30, AffineMap(0.0, 1.0), AffineMap(0.0, 3.0),
                             200.0, noise_sigma=0.0)
         result = simulate("oracle", realize(spec, TABLE), CFG, PM)
-        assert set(result.freqs.tolist()) == {TABLE.min}
+        assert set(result.freqs.tolist()) == {TABLE.freqs_mhz[0]}
         assert result.fps_violations == 0
 
     @pytest.mark.parametrize("case", ["ones", "noisy_two_level"])
@@ -140,7 +140,7 @@ class TestOraclePolicy:
         fallbacks = 0
         for k, c in enumerate(spec.complexity_schedule):
             # independent exhaustive search over the frequency choices
-            best_f, best_e = TABLE.max, None
+            best_f, best_e = TABLE.freqs_mhz[-1], None
             feasible_found = False
             for f in TABLE:
                 t = reference_frame_time(spec, c, f) * noise[k]
@@ -148,7 +148,7 @@ class TestOraclePolicy:
                 if t <= budget and (best_e is None or e < best_e):
                     best_f, best_e, feasible_found = f, e, True
             if not feasible_found:
-                best_f = TABLE.max
+                best_f = TABLE.freqs_mhz[-1]
                 fallbacks += 1
             assert result.freqs[k] == best_f
         assert fallbacks == (0 if case == "ones" else 2)
@@ -162,14 +162,13 @@ class TestOraclePolicy:
 
 
 @st.composite
-def affine_runs(draw, max_sigma=0.1, min_size=0):
-    """A small affine workload with one indep counter, a schedule of
-    min_size to 30 intervals over four complexities, its noise level up to
-    max_sigma, and a seed."""
+def affine_runs(draw, max_sigma=0.1):
+    """A small affine workload with one indep counter, a schedule of 1 to
+    30 intervals over four complexities, its noise level up to max_sigma,
+    and a seed."""
     coef = lambda hi: st.floats(0.0, hi, allow_subnormal=False)
     spec = WorkloadSpec(
-        draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), min_size=min_size,
-                      max_size=30)),
+        draw(st.lists(st.sampled_from([10.0, 20.0, 30.0, 40.0]), min_size=1, max_size=30)),
         AffineMap(draw(coef(0.5)), draw(coef(5.0))), AffineMap(draw(coef(0.1)), draw(coef(2.0))),
         200.0, indep_counters=(CounterModel("units",
                                             AffineMap(draw(coef(10.0)), draw(coef(100.0)))),),
@@ -183,7 +182,6 @@ EMPTY_RUN = WorkloadSpec((), AffineMap(0.0, 1.0), AffineMap(0.0, 1.0), 200.0)
 class TestPolicyResultColumns:
     @settings(max_examples=25, deadline=None)
     @given(affine_runs())
-    @example((EMPTY_RUN, 0))
     def test_columns_agree(self, run):
         spec, seed = run
         schedule = spec.complexity_schedule
@@ -203,13 +201,17 @@ class TestPolicyResultColumns:
             assert r.violations.tolist() == (r.frame_ms > CFG.frame_budget_ms).tolist()
             assert r.fps_violations == sum(r.violations.tolist())
             assert r.total_energy == sum(r.energies.tolist())
-            if not schedule:
-                assert r.total_energy == 0.0
+
+    def test_empty_schedule_rejected(self):
+        # as generation rejects it, instead of runs of no interval and no energy
+        with pytest.raises(ValueError) as err:
+            realize(EMPTY_RUN, TABLE)
+        assert str(err.value) == "workload has an empty complexity schedule"
 
 
 class TestRealizedFrameTimes:
     @settings(max_examples=50, deadline=None)
-    @given(affine_runs(max_sigma=3.0, min_size=1))
+    @given(affine_runs(max_sigma=3.0))
     # a zero frame time: the factors of intervals 2, 5 and 7 at seed 0 are
     # below 0 before they clip, and the frame time must come out 0.0, not -0.0
     @example((WorkloadSpec((10.0,) * 8, AffineMap(0.0, 0.0), AffineMap(0.0, 0.0), 200.0,
@@ -233,7 +235,8 @@ def governed_runs(draw):
     coef = lambda lo, hi: st.floats(lo, hi, allow_subnormal=False)
     if draw(st.booleans()):
         holds = draw(st.lists(st.tuples(st.sampled_from([10.0, 20.0, 30.0, 40.0]),
-                                        st.integers(1, RUN_WINDOW + 30)), max_size=4))
+                                        st.integers(1, RUN_WINDOW + 30)),
+                              min_size=1, max_size=4))
         schedule = tuple(c for c, hold in holds for _ in range(hold))
     else:
         schedule = tuple(10.0 + 0.25 * k for k in range(draw(st.integers(1, 120))))
@@ -254,7 +257,6 @@ def governed_runs(draw):
 class TestHeldRuns:
     @settings(max_examples=80, deadline=None)
     @given(governed_runs())
-    @example((EMPTY_RUN, 0, CFG))
     # a counter move at interval 9, the first whose choice counts
     @example((HEAVY._replace(complexity_schedule=(32.0,) * 9 + (42.0,) * 9), 1, CFG))
     # the first run leaves the top level on interval 9, just before a move
@@ -343,7 +345,6 @@ class TestSimulate:
         with pytest.raises(ValueError, match=message):
             simulate(policy, realize(spec, TABLE, seed=0), CFG, PM)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
     def test_rejects_non_finite_frame_times(self, policy):
         # scalable_ms * ref_freq overflows to inf at every level; at sigma 1
