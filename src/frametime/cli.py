@@ -42,7 +42,9 @@ def _layer(name: str):
     only when it is imported or one of its attributes is looked up.
 
     Registering it keeps the module findable by name, as by code that wraps
-    a layer's functions in place, before any command has used it.
+    a layer's functions in place, before any command has used it.  The
+    layers each command executes are pinned by
+    tests/test_cli.py::TestModuleFootprint.
     """
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
@@ -179,10 +181,9 @@ def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):
         init, step = estimator.rls_init, estimator.rls_step
     else:
         init, step = estimator.dcd_rls_init, estimator.dcd_step
-    # at lambda = 1 an rls step on a row with no excitation gives its state
-    # back and predicts h'a + 0.0: +0.0 while a is finite, nan once it is
-    # not.  So rls steps on the other rows only; dcd steps on every row,
-    # since its ladder keeps working on the carried residual.
+    # rls skips the rows with no excitation (estimator.rls_step's zero-row
+    # identity), whose prediction h'a is 0, or nan once a is not finite;
+    # dcd steps on every row (estimator.dcd_step says why)
     moves = h.any(axis=1) if algo == "rls" else np.ones(len(h), dtype=bool)
     a, *carry = init(fspec.m)
     coefs = np.empty_like(h)

@@ -1,24 +1,7 @@
 """INI-style configuration files for workloads and simulation settings.
 
-Sections:
-
-  [frequency_table]   freqs_mhz = 200, 311, ...
-  [workload]          ref_freq_mhz, noise_sigma, complexity_schedule
-  [scalable_ms]       kind = affine (slope, intercept)
-                      or kind = piecewise (points = c:v, c:v, ...)
-  [unscalable_ms]     same shape as scalable_ms
-  [counter.<name>]    kind = dep | indep | noise, plus the response fields
-                      (noise counters take amplitude and salt and are
-                      frequency independent)
-  [characterization]  complexities = 1:64 or list, repeats = 10
-  [governor]          fps_target, period_ms, up/down_threshold, warmup_intervals
-  [power_model]       p_static_w, p_dyn_w_per_ghz3, p_idle_w
-
-complexity_schedule accepts an explicit comma list or the compact forms
-constant:V:N, ramp:A:B:N, square:LO:HI:HALF_PERIOD:N and
-stairs:LO:HI:STEP:HOLD:N (the levels LO, LO+STEP, ... up to HI, each
-held for HOLD intervals, cycling).  N, HALF_PERIOD and HOLD must be at
-least 1, STEP positive and LO no greater than HI.
+The file format, its sections, keys and schedule expressions, is the
+user's contract, written once in README.md's "Config file format".
 
 The settings of the [governor] and [power_model] sections, GovernorConfig
 and PowerModel, are defined here with the governor's policy names

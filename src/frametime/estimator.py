@@ -28,12 +28,9 @@ called as ndarray.dot, which costs less per call than @ and gives the
 same bits, except that a sum of zeros may come out -0.0 where @ gives
 +0.0.  Each prediction adds +0.0 to keep that zero positive; in P h and
 h'P h the sign of a zero reaches no output, since a zero there only ever
-meets +0.0 or a nonzero.  At lambda = 1 an RLS step on a feature row
-with no nonzero entry, a steady interval at one clock, gives a and P
-back bit for bit while a is finite (rls_step says why), so the replay
-skips such rows.  DCD-RLS skips only its correlation and residual
-updates on such a row, for the same reason (dcd_step says why): its
-ladder still works on the residual beta carried over.  The DCD state
+meets +0.0 or a nonzero.  A feature row with no nonzero entry, a steady
+interval at one clock, is the zero-row identity of rls_step and the
+skip of dcd_step; each one's docstring says why.  The DCD state
 keeps R and beta as lists of Python floats, because its correlation
 update and coordinate ladder are elementwise, and Python rounds each
 element as numpy does at a fraction of the per-call cost on M of about 4.
@@ -140,17 +137,20 @@ def rls_step(a: np.ndarray, P: np.ndarray, h: np.ndarray, d: float,
     lam is the forgetting factor, in (0, 1].
 
     P starts at I/mu, so a reordered step would round differently; the
-    step runs in full but for dividing by lam == 1.0, an exact no-op.  At
-    lam == 1.0 a row with no nonzero entry gives a and P back bit for
-    bit, so a caller may skip it: P h and G are then +-0, so P - G (P h)'
-    gives back P, (P + P')/2 gives back P because P is exactly symmetric
-    after every step (and 2P finite, which only a mu near the smallest
-    normal float breaks), and while a is finite, so is e = d - h'a, and
-    a + G e gives back a.  That holds because neither a nor P ever holds
-    -0.0: they start from ones (or a_init with its zeros made +0.0) and
-    from I/mu with +0.0 off the diagonal, and under round-to-nearest a sum
-    or difference that comes out exactly zero is +0.0 unless both
-    operands are -0.0.  Below lam == 1.0, P / lam grows on such a row.
+    step runs in full but for dividing by lam == 1.0, an exact no-op.
+
+    The zero-row identity: at lam == 1.0 a row with no nonzero entry
+    gives a and P back bit for bit, so the replay skips such rows and the
+    governor steps once per held run.  P h and G are then +-0, so
+    P - G (P h)' gives back P, (P + P')/2 gives back P because P is
+    exactly symmetric after every step (and 2P finite, which only a mu
+    near the smallest normal float breaks), and while a is finite, so is
+    e = d - h'a, and a + G e gives back a.  That holds because neither a
+    nor P ever holds -0.0: they start from ones (or a_init with its zeros
+    made +0.0) and from I/mu with +0.0 off the diagonal, and under
+    round-to-nearest a sum or difference that comes out exactly zero is
+    +0.0 unless both operands are -0.0.  Below lam == 1.0, P / lam grows
+    on such a row.
     """
     pred = float(h.dot(a)) + 0.0
     Ph = P.dot(h)
@@ -187,9 +187,9 @@ def dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
     beta itself: h h' and err h are then +-0, because err = d - h'a is
     finite (d is checked data, and a starts finite and moves by at most
     nu steps of at most DCD_STEP_AMPLITUDE), and adding +-0 gives back
-    every value but -0.0.  R and beta never hold -0.0: they start from
-    mu I and zeros, and under round-to-nearest a sum or difference that
-    comes out exactly zero is +0.0 unless both operands are -0.0.
+    every value but -0.0, which R and beta, starting from mu I and zeros,
+    never hold, for the reason rls_step gives for a and P.  So the replay
+    steps DCD on every row: its ladder keeps working on the carried beta.
 
     The coordinate solve of R da = beta + err h is leading-element DCD:
     steps are quantized to DCD_STEP_AMPLITUDE / 2^level, the amplitude

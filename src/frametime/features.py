@@ -4,8 +4,8 @@ The online model always carries two frequency terms, the scalable-time
 term (the previous frame time times the relative clock step) and the
 frequency delta, plus the deltas of a chosen subset of
 frequency-independent counters.  build_dataset forms these rows with
-estimator.differential_features, in raw units; the online estimators see
-them divided by estimator.estimator_units.
+estimator.differential_features; the estimator's docstring gives their
+units.
 
 Selection runs in two stages on a characterization trace: counters
 correlated with the GPU frequency are pruned by Pearson correlation, then
@@ -142,9 +142,7 @@ def build_dataset(trace: Trace, spec: FeatureSpec) -> RegressionDataset:
     """Differential rows from every consecutive sample pair.
 
     Row k-1 holds h built from samples (k-1, k) and the target
-    t_k - t_{k-1}; the dataset has len(trace) - 1 rows.  Features are in
-    raw units here (MHz, counts); online use divides them by
-    estimator.estimator_units.
+    t_k - t_{k-1}; the dataset has len(trace) - 1 rows, in raw units.
 
     A trace of fewer than two rows raises DegenerateDataError, then a spec
     that does not fit the trace raises check_spec's SpecMismatchError.

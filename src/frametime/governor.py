@@ -7,38 +7,33 @@ the style of the Linux ondemand default.  Each interval the policy picks
 a frequency, the workload realizes a frame time, and the interval's
 energy comes from a parametric power model.
 
-realize evaluates the workload's maps once (trace.workload_columns,
-which rejects the workloads that characterize rejects), realizes the
-frame times at every level by trace.realized_frame_times, as generated
-traces do, checks them and the counters for being finite once, and
-returns them read-only as a Realization.  simulate runs one policy on a
-Realization and only chooses levels, so every policy of a govern run
-shares one grid.  PolicyResult, a NamedTuple, holds a run by column.
+realize realizes the workload once per run, by trace.workload_columns
+and trace.realized_frame_times, so a govern run meets the frame times a
+generated trace holds at the same seed and clock.  simulate runs one
+policy on that Realization and only chooses levels, so every policy of
+a govern run shares one grid.  PolicyResult, a NamedTuple, holds a run
+by column.
 
 The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
 
 The rls and ondemand policies choose one held run at a time
-(_held_runs): a stretch of consecutive intervals at one clock level,
-which ends after the first interval whose choice leaves the level and,
-for rls, just before the next interval whose independent counters move,
-which the counter columns give upfront.  At the start of a run the rls
-policy makes its one estimator step (estimator.rls_step, whose BLAS
-reductions set the rounding) on replay's feature row, the
+(_held_runs), and for rls a run also ends just before the next interval
+whose independent counters move.  At the start of a run the rls policy
+makes its one estimator.rls_step on replay's feature row, the
 estimator.differential_features row divided by estimator_units, then asks
 model.candidate_delta about every interval of the run against every
 table level in one array call and chooses by the oracle's matrix rule
 (_cheapest_feasible); ondemand's threshold rule is one np.where over the
-run's utilizations.  A run longer than RUN_WINDOW intervals is asked one
-window at a time.  A held run gives, bit for bit, what one interval at a
-time gives, for three reasons.  Inside a run every feature row after the
-first is all zeros (the clock term t (f/f - 1) is +0.0, the clock step
-0, and no counter moves), and at lambda = 1 rls_step gives its state
-back bit for bit on such a row, so the step that starts each later
-window of a long run changes nothing.  candidate_delta rounds alike on
-arrays and on Python floats.  And _cheapest_feasible gives each row the
-choice of the one-row rule.
+run's utilizations.  A held run gives, bit for bit, what one interval at
+a time gives (tests/scenarios.py::reference_rls_policy and
+reference_ondemand), for three reasons.  Inside a run every feature row
+after the first is all zeros (the clock term t (f/f - 1) and the clock
+step are 0, and no counter moves), so by estimator.rls_step's zero-row
+identity the step that starts each later window of a long run changes
+nothing.  candidate_delta rounds alike on arrays and on Python floats.
+And _cheapest_feasible gives each row the choice of the one-row rule.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ def what_if(a, base, f_k, table: FrequencyTable, jumps: int):
 
     Row i moves from f_k[i], with frame time base[i], under coefficients
     a[i], or a itself if it is one (M,) row.  Returns (level, valid, delta),
-    each (jumps, 2, rows): jump j + 1 up at [j, 0], down at [j, 1].  A
+    each (jumps, 2, rows), the layout they are computed in, so numpy's
+    loops run along the rows: jump j + 1 up at [j, 0], down at [j, 1].  A
     candidate beyond the table edge is not valid; its level is held at the
     edge, so its delta is only a placeholder.
     """

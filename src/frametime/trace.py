@@ -13,14 +13,13 @@ unscalable portion:
 
 where C is the frame complexity.  Counters are either frequency dependent
 (they track busy cycles and grow with f) or frequency independent (they
-depend on the workload only).  workload_columns is the one evaluation of
-the workload's maps; generated traces, the governor's frame-time grid
-and counters, and the sensitivity reference all derive from it, the
-frame times through frame_times, noisy ones through
-realized_frame_times.  Its noise, like the random-walk clock in
-workloads, draws from seeded_stream, a random.Random: Python promises
-that random() repeats its sequence for a seed across versions, which
-numpy does not promise for its Generator streams.
+depend on the workload only).  The workload is evaluated once, by
+workload_columns, and its frame times take their noise from one stream,
+by realized_frame_times; each says what derives from it.  seeded_stream
+is the package's one pseudo-random source.
+
+The data errors are defined here, in the layer every command imports,
+so that cli.main names them without running a lazy layer.
 """
 
 from __future__ import annotations
@@ -121,6 +120,18 @@ _COLUMNS = {"timestamps": float, "frame_times": float, "frame_counts": np.int64,
             "freqs": float, "counters": float}
 
 
+def check_counter_names(names) -> tuple[str, ...]:
+    """names as a tuple, once each is one a trace file's header can hold:
+    not blank, and without a comma or newline.  Trace checks its own, and
+    WorkloadSpec its counters', so a config fails as it loads."""
+    names = tuple(names)
+    if any("," in name or "\n" in name for name in names):
+        raise ValueError("counter names must not contain commas or newlines")
+    if not all(name.strip() for name in names):
+        raise ValueError("counter names must not be blank")
+    return names
+
+
 class Trace(FrozenRecord):
     """An ordered, validated trace of DEFAULT_PERIOD_MS intervals, held by column.
 
@@ -144,11 +155,8 @@ class Trace(FrozenRecord):
                                           counters))}
         for column in columns.values():
             column.flags.writeable = False
-        self._init(**columns, counter_names=tuple(counter_names), freq_table=freq_table)
-        if any("," in name or "\n" in name for name in self.counter_names):
-            raise ValueError("counter names must not contain commas or newlines")
-        if not all(name.strip() for name in self.counter_names):
-            raise ValueError("counter names must not be blank")
+        self._init(**columns, counter_names=check_counter_names(counter_names),
+                   freq_table=freq_table)
         _validate(self)
 
     def __len__(self):
@@ -278,6 +286,7 @@ class WorkloadSpec(checked_tuple("WorkloadSpec", "complexity_schedule scalable_m
             raise ValueError(f"ref_freq must be finite and > 0, got {ref_freq}")
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+        check_counter_names(cm.name for cm in (*dep_counters, *indep_counters))
         return super().__new__(cls, complexity_schedule, scalable_ms, unscalable_ms,
                                ref_freq, dep_counters, indep_counters, noise_sigma)
 
@@ -291,8 +300,9 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
 
     The columns are scalable ms s, unscalable ms u, then each counter's
     base in counter_names order.  Each map runs once per distinct
-    complexity, and every other form of the analytic workload is this
-    array broadcast against frequencies f (MHz):
+    complexity, and every other form of the analytic workload, in the
+    generated traces, the governor's grid and the sensitivity reference,
+    is this array broadcast against frequencies f (MHz):
 
         frame time            s * ref_freq / f + u      (frame_times)
         d(frame time)/df      -s * ref_freq / (f * f)
@@ -394,7 +404,8 @@ def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Tra
     f = np.asarray(f, dtype=float)
     columns = workload_columns(spec, c)
     t = realized_frame_times(spec, columns, f, seed)
-    with np.errstate(over="ignore", divide="ignore"):
+    # 50 // t overflows to inf, flagged invalid, for a t below 50 / max-float
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         counts = np.where(t > 0, np.minimum(FPS_CAP, DEFAULT_PERIOD_MS // t), FPS_CAP)
         counters = columns[:, 2:]
         counters[:, :len(spec.dep_counters)] *= (f / spec.ref_freq)[:, None]

@@ -226,6 +226,26 @@ class TestConfig:
                 EXIT_INPUT, f"error: bad config {config}: {named}\n"), command
             assert not out.exists()
 
+    @pytest.mark.parametrize("name, message", [
+        (" ", "counter names must not be blank"),
+        ("work,units", "counter names must not contain commas or newlines"),
+    ], ids=["blank", "comma"])
+    def test_bad_counter_name_rejected_by_every_command(self, tmp_path, capsys, name,
+                                                        message):
+        # the name is checked where the file loads, so govern, which builds
+        # no trace, rejects it like characterize, and both name the file
+        text = (CONFIG_DIR / "governor_heavy.ini").read_text()
+        old = "[counter.render_busy_kcycles]"
+        assert text.count(old) == 1
+        config = tmp_path / "governor_heavy.ini"
+        config.write_text(text.replace(old, f"[counter.{name}]"))
+        for command in (["govern"], ["characterize", "--mode", "runtime"]):
+            out = tmp_path / "out.csv"
+            code = main([*command, "--config", str(config), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_INPUT, f"error: bad config {config}: {message}\n"), command
+            assert not out.exists()
+
 
 class TestMetrics:
     def test_perfect_prediction(self):
@@ -397,10 +417,7 @@ class TestCharacterize:
          "config has no [characterization] section"),
         ("runtime", "complexity_schedule = square:20:40:25:100\n", "",
          "workload has an empty complexity schedule"),
-        ("sweep", "[counter.shader_slots]", "[counter.shader,slots]",
-         "counter names must not contain commas or newlines"),
-    ], ids=["sweep_without_characterization", "runtime_without_schedule",
-            "comma_in_counter_name"])
+    ], ids=["sweep_without_characterization", "runtime_without_schedule"])
     def test_config_the_mode_cannot_use_exit2(self, config_file, tmp_path, capsys, mode, old,
                                               new, message):
         assert CONFIG_TEXT.count(old) == 1

@@ -216,6 +216,11 @@ class TestRealizedFrameTimes:
     # below 0 before they clip, and the frame time must come out 0.0, not -0.0
     @example((WorkloadSpec((10.0,) * 8, AffineMap(0.0, 0.0), AffineMap(0.0, 0.0), 200.0,
                            noise_sigma=3.0), 0))
+    # a frame time so small that 50 ms // t overflows: still FPS_CAP frames
+    @example((WorkloadSpec((10.0,), AffineMap(0.0, 0.0),
+                           AffineMap(0.0, 2.2250738585072014e-308), 200.0,
+                           indep_counters=(CounterModel("units", AffineMap(0.0, 0.0)),),
+                           noise_sigma=0.0), 0))
     def test_simulate_realizes_what_generation_writes(self, run):
         # at sigma 3 about a third of the noise factors clip to 0
         spec, seed = run

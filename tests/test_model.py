@@ -62,7 +62,7 @@ class TestPredictFrameTime:
                 == pytest.approx(h[0] * a[0] + h[1] * a[1]))
 
 
-class TestTwoPointSensitivity:
+class TestClosedFormDerivative:
     def test_flat_model_zero(self):
         assert derivative_at([0.0, 0.0, 0.0], 10.0, 400.0) == 0.0
 
