@@ -9,14 +9,9 @@ Commands
   govern           closed-loop DVFS policy simulation
 
 Exit codes: 0 success, 2 input error, 3 degenerate data, 4 spec/trace
-mismatch.  main alone maps an error to its code: DegenerateDataError is
-3 and SpecMismatchError 4, each raised by the layer that needs the
-data, and any other ValueError or OSError is 2.  Every command is
-deterministic given its flags (characterize and govern take --seed);
-all output tables are comma separated with a header row.
-
-The parser is built once per process, on the first main call, and main
-finds the command's function by name when the command runs.
+mismatch.  Every command is deterministic given its flags (characterize
+and govern take --seed); all output tables are comma separated with a
+header row.
 """
 
 from __future__ import annotations
@@ -486,9 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command argv (else sys.argv[1:]) names and return its exit code.
+
+    main alone maps an error to its code: DegenerateDataError is 3 and
+    SpecMismatchError 4, each raised by the layer that needs the data, and
+    any other ValueError or OSError is 2.  A flag the parser rejects exits
+    2 through argparse's SystemExit.  The command's function is found by
+    name on each call, so a function rebound in the module since the
+    parser was built, as by code that wraps it in place, is the one run.
+    """
     args = build_parser().parse_args(argv)
-    # found by name on each call, so a function rebound in the module since
-    # the parser was built, as by code that wraps it in place, is the one run
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
@@ -498,6 +500,3 @@ def main(argv=None) -> int:
             return EXIT_DEGENERATE
         return EXIT_MISMATCH if isinstance(exc, SpecMismatchError) else EXIT_INPUT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

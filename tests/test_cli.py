@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import math
@@ -1186,16 +1187,25 @@ print(json.dumps({"layers": layers, "numpy_ma": numpy_ma, "rng_modules": rng_mod
 """
 
 
+def _python(args, workdir, **env):
+    """A fresh interpreter's run of args, with this package on its path and
+    env over the environment (None unsets a variable)."""
+    src = str(Path(frametime.__file__).resolve().parent.parent)
+    child = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in env.items():
+        child.pop(name, None)
+        if value is not None:
+            child[name] = value
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=child,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
 class TestModuleFootprint:
     @staticmethod
     def _run(commands, workdir) -> dict:
         """FOOTPRINT_SCRIPT's findings for commands run in one fresh process."""
-        src = str(Path(frametime.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(commands)],
-            cwd=workdir, env=env, capture_output=True, text=True, timeout=120, check=False)
+        done = _python(["-c", FOOTPRINT_SCRIPT, json.dumps(commands)], workdir)
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout.splitlines()[-1])
 
@@ -1238,6 +1248,78 @@ class TestModuleFootprint:
                          tmp_path)
         assert seen["layers"] == [["cli", "config", "estimator", "governor", "model",
                                    "trace"]]
+
+
+ENTRY_IMPORT_SCRIPT = """
+import gc, json, sys
+state = gc.isenabled(), gc.get_freeze_count()
+import frametime.__main__ as entry
+print(json.dumps({"run": callable(entry.run), "gc": [state, [gc.isenabled(),
+                  gc.get_freeze_count()]], "loaded": sorted(
+                  name for name in ("numpy", "frametime.cli") if name in sys.modules)}))
+"""
+
+# the BLAS thread counts a command sees, run through the entry
+ENTRY_ENV_SCRIPT = """
+import os, sys
+from frametime import __main__ as entry, cli
+cli.main = lambda: print(os.environ.get("OPENBLAS_NUM_THREADS"),
+                         os.environ.get("OMP_NUM_THREADS")) or 0
+sys.exit(entry.run())
+"""
+
+
+class TestEntry:
+    """`python -m frametime` runs frametime.__main__.run, which manages the
+    collector and the BLAS threads around cli.main in its own process."""
+
+    @pytest.fixture
+    def workdir(self, config_file, tmp_path, monkeypatch):
+        """The inputs of each case below, under relative names."""
+        write_runtime_trace(tmp_path, n=40)
+        lines = (tmp_path / "trace.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "tiny.csv").write_text("".join(lines[:3]))
+        save_feature_spec(FeatureSpec((2, 99)), tmp_path / "far.spec")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, code", [
+        (["characterize", "--config", "workload.ini", "--out", "sweep.csv"], 0),
+        (["govern", "--config", "workload.ini", "--out", "g.csv", "--seed", "-1"],
+         EXIT_INPUT),
+        (["govern", "--config", "workload.ini", "--out", "g.csv", "--trace", "trace.csv"],
+         EXIT_INPUT),
+        (["select-features", "--trace", "tiny.csv", "--out", "s.spec"], EXIT_DEGENERATE),
+        (["replay", "--trace", "trace.csv", "--spec", "far.spec", "--out", "r.csv"],
+         EXIT_MISMATCH),
+    ], ids=["ok", "bad_value", "unknown_flag", "degenerate", "mismatch"])
+    def test_process_exits_as_main_returns(self, workdir, capsys, argv, code):
+        collector = gc.isenabled(), gc.get_freeze_count()
+        try:
+            returned = main(argv)
+        except SystemExit as exc:   # argparse's own exit
+            returned = exc.code
+        # main leaves the collector to the entry, in process and out
+        assert (gc.isenabled(), gc.get_freeze_count()) == collector
+        out, err = capsys.readouterr()
+        assert returned == code
+        assert len([line for line in err.splitlines() if "error:" in line]) == (code != 0)
+        done = _python(["-m", "frametime", *argv], workdir)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+    def test_import_runs_no_command(self, tmp_path):
+        done = _python(["-c", ENTRY_IMPORT_SCRIPT], tmp_path)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        # nothing loaded yet, so run can act before numpy does
+        assert seen == {"run": True, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+    @pytest.mark.parametrize("openblas, expected", [(None, "1 1"), ("3", "3 1")],
+                             ids=["unset", "user_set"])
+    def test_blas_threads_default_to_one(self, tmp_path, openblas, expected):
+        done = _python(["-c", ENTRY_ENV_SCRIPT], tmp_path,
+                       OPENBLAS_NUM_THREADS=openblas, OMP_NUM_THREADS=None)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected + "\n", "")
 
 
 LAYERS = ("cli", "config", "estimator", "features", "governor", "model", "trace",

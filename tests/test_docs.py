@@ -5,7 +5,8 @@ Each backticked dotted name in README.md (`trace.seeded_stream`,
 and getattr, and so does each name of a package module in a src/
 docstring, backticked or not.  Each `frametime ...` line of README's
 walkthrough parses with cli.build_parser(), and each tests/FILE.py::NAME
-reference names a file and a class or function defined in it.
+reference names a file and a class or function defined in it.  The
+`--help` text names every command and no exception class.
 """
 
 import ast
@@ -22,9 +23,7 @@ from frametime import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
-# frametime.__main__ runs the CLI when it is imported, and no text cites it
-MODULES = sorted(m.name for m in pkgutil.iter_modules(frametime.__path__)
-                 if m.name != "__main__")
+MODULES = sorted(m.name for m in pkgutil.iter_modules(frametime.__path__))
 
 DOTTED = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
 BACKTICKED = re.compile(rf"`({DOTTED})`")
@@ -133,3 +132,15 @@ def test_cited_test_exists(where, file, names):
                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
         assert name in defined, f"{where} cites tests/{file}::{'::'.join(names)}"
         scope = defined[name].body
+
+
+def test_help_names_each_command_and_no_exception_class(capsys):
+    # how main maps errors to codes is in its docstring, not the user's --help
+    with pytest.raises(SystemExit) as done:
+        cli.main(["--help"])
+    assert done.value.code == 0
+    shown = capsys.readouterr().out
+    commands = [name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")]
+    assert len(commands) == 5
+    assert [c for c in commands if f"\n  {c} " not in shown] == []
+    assert re.findall(r"\w+(?:Error|Exception)\b", shown) == []
