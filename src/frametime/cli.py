@@ -97,11 +97,7 @@ def compute_metrics(actual, predicted) -> MetricsReport:
     predicted = np.asarray(predicted, dtype=float)
     if actual.shape != predicted.shape or actual.ndim != 1 or actual.size == 0:
         raise ValueError("need equal-length non-empty series")
-    return _metrics(actual, predicted, _ape(actual, predicted))
-
-
-def _metrics(actual, predicted, ape) -> MetricsReport:
-    """compute_metrics on checked float series and their _ape, unchecked."""
+    ape = _ape(actual, predicted)
     nonzero = actual != 0
     excluded = int(np.count_nonzero(~nonzero))
     finite_ape = ape[nonzero]
@@ -159,11 +155,9 @@ class ReplayResult(NamedTuple):
 def _replay_result(trace: Trace, k, predicted, dtf, coefs) -> ReplayResult:
     """Rows for the intervals k predicted as `predicted`, and their metrics."""
     actual = trace.frame_times[k]
-    ape = _ape(actual, predicted)
-    rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, ape, dtf],
-                             names=ROW_FIELDS)
-    report = _metrics(actual, predicted, ape)
-    return ReplayResult(rows, report, coefs)
+    rows = np.rec.fromarrays([k, trace.freqs[k], actual, predicted, _ape(actual, predicted),
+                              dtf], names=ROW_FIELDS)
+    return ReplayResult(rows, compute_metrics(actual, predicted), coefs)
 
 
 def _replay_adaptive(trace: Trace, fspec: features.FeatureSpec, algo: str):

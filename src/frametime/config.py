@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -82,9 +83,14 @@ class ConfigBundle(NamedTuple):
 
 
 def _count(value: float, name: str, text: str) -> int:
-    """A schedule length, half period or hold, already finite: at least 1."""
+    """A schedule length, half period or hold, already finite: at least 1.
+
+    The length N must also fit an index; a longer half period or hold is
+    clamped to N where the schedule is built."""
     if value < 1:
         raise ValueError(f"bad schedule expression {text!r}: {name} must be at least 1")
+    if name == "N" and value > sys.maxsize:
+        raise ValueError(f"bad schedule expression {text!r}: N is too large")
     return int(value)
 
 

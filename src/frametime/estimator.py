@@ -198,14 +198,11 @@ def dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
     applied, each costing one column combination.  Level L steps when the
     leading residual lead = |r_j| exceeds DCD_STEP_AMPLITUDE R_jj / 2^L,
     computed with math.ldexp, which scales by a power of two exactly, as
-    repeated halving would.  With lead = f 2^e and that diagonal F 2^E, f
-    and F in [0.5, 1), every level below E - e has a threshold above lead,
-    so the ladder looks from there on, at one or two levels, instead of
-    halving through each; it walks to mb when lead is 0.  The test stays
-    lead <= the threshold, which a nan residual fails, so that residual
-    still steps at the level it meets.  R is exactly symmetric (it starts at mu I, and
-    h_i h_j == h_j h_i), so row j serves as column j.  max/index picks the
-    first largest residual, as argmax does while no residual is nan.
+    repeated halving would.  The test is lead <= the threshold, which a
+    nan residual fails, so that residual still steps at the level it
+    meets.  R is exactly symmetric (it starts at mu I, and h_i h_j ==
+    h_j h_i), so row j serves as column j.  max/index picks the first
+    largest residual, as argmax does while no residual is nan.
     """
     pred = float(h.dot(a)) + 0.0
     hs = h.tolist()
@@ -225,13 +222,10 @@ def dcd_step(a: np.ndarray, R: list, beta: list, h: np.ndarray, d: float,
         lead = max(mags)
         j = mags.index(lead)
         rjj = DCD_STEP_AMPLITUDE * R[j][j]
-        if lead <= math.ldexp(rjj, -level):
-            # the thresholds of the levels below E - e exceed lead
-            level = max(level + 1, math.frexp(rjj)[1] - math.frexp(lead)[1])
-            while level <= mb and lead <= math.ldexp(rjj, -level):
-                level += 1
-            if level > mb:
-                return a + np.array(da), R, r, pred
+        while level <= mb and lead <= math.ldexp(rjj, -level):
+            level += 1
+        if level > mb:
+            break
         step = math.copysign(math.ldexp(DCD_STEP_AMPLITUDE, 1 - level), r[j])
         da[j] += step
         r = [v - step * c for v, c in zip(r, R[j])]

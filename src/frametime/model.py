@@ -28,9 +28,11 @@ def candidate_delta(a0, a1, prev_frame_time, f_k, f_new):
     Only the two frequency coefficients a0 and a1 contribute: the online
     counters are frequency independent by construction, so their deltas
     for a pure frequency change are zero.  The same expression runs on
-    arrays and on Python floats, which round each operation alike, so a
-    single row costs no numpy calls.  Nothing is checked: the frequencies
-    are table levels, which FrequencyTable keeps positive.
+    arrays and on Python floats, which round each operation alike, so the
+    float references of tests/scenarios.py check the array form bit for
+    bit (tests/test_model.py::TestCandidateDelta::test_floats_equal_arrays_bitwise).
+    Nothing is checked: the frequencies are table levels, which
+    FrequencyTable keeps positive.
     """
     return a0 * prev_frame_time * (f_k / f_new - 1.0) + a1 * (f_new - f_k) / MHZ_PER_GHZ
 

@@ -127,6 +127,9 @@ class TestConfig:
         assert parse_schedule("square:1:2:2:6") == (1.0, 1.0, 2.0, 2.0, 1.0, 1.0)
         assert parse_schedule("stairs:2:6:2:2:8") == (2.0, 2.0, 4.0, 4.0, 6.0, 6.0, 2.0, 2.0)
         assert parse_schedule("3, 1, 2") == (3.0, 1.0, 2.0)
+        # a half period or hold past the index range is clamped to N
+        assert parse_schedule("square:1:2:1e308:5") == (1.0,) * 5
+        assert parse_schedule("stairs:1:3:1:1e308:4") == (1.0,) * 4
         with pytest.raises(ValueError, match=r"^bad schedule expression 'sawtooth:1:2'$"):
             parse_schedule("sawtooth:1:2")
 
@@ -178,6 +181,8 @@ class TestConfig:
         "stairs:1e16:2e16:1:1:3",                                  # STEP below LO's ulp
         "stairs:1e308:1.7e308:1e308:1:3",                          # levels overflow
         "constant:nan:20", "ramp:0:inf:20", "1,nan,2",             # non-finite
+        "constant:37:1e308", "ramp:0:1:1e308",                     # N past the index range
+        "square:1:2:5:1e308", "stairs:1:3:1:2:1e308",
     ])
     def test_bad_schedule_rejected(self, text):
         with pytest.raises(ValueError, match=f"^bad schedule expression {re.escape(repr(text))}"):
@@ -786,9 +791,11 @@ class TestGovern:
          "bad schedule expression 'constant:x:20': values must be numbers"),
         ("489, 511", "489, inf", "frequencies must be finite and positive"),
         ("444, 489", "444, nan", "frequencies must be finite and positive"),
+        ("square:20:40:25:100", "constant:37:1e308",
+         "bad schedule expression 'constant:37:1e308': N is too large"),
     ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
             "warmup_intervals", "fps_target_text", "noise_sigma_text", "negative_noise_sigma",
-            "schedule_text", "freqs_inf", "freqs_nan"])
+            "schedule_text", "freqs_inf", "freqs_nan", "schedule_length"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
@@ -921,6 +928,23 @@ class TestRunReplayApi:
         assert res.rows[0].k == 1
         assert len(res.rows) == len(trace) - 1
         assert res.report.mape >= 0.0
+
+    def test_report_comes_from_compute_metrics(self, tmp_path, monkeypatch):
+        # every replay scores through the one metric function, looked up on
+        # the module at call time, so code that wraps it in place sees them all
+        _, trace = write_runtime_trace(tmp_path, n=80)
+        reports = []
+
+        def counting(actual, predicted):
+            reports.append(compute_metrics(actual, predicted))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "compute_metrics", counting)
+        for algo in ("rls", "dcd", "arlms"):
+            calls = len(reports)
+            result = run_replay(trace, FeatureSpec((2, 3)), algo)
+            assert len(reports) == calls + 1
+            assert result.report is reports[-1]
 
     @pytest.mark.parametrize("algo", ["rls", "dcd"])
     def test_coefs_equal_plain_update_loop(self, algo):

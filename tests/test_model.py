@@ -39,8 +39,8 @@ class TestCandidateDelta:
            f_k=st.floats(1.0, 5e3),
            levels=st.lists(st.floats(1.0, 5e3), min_size=1, max_size=12))
     def test_floats_equal_arrays_bitwise(self, a0, a1, t, f_k, levels):
-        # the rls governor asks one row on Python floats, replay and
-        # sensitivity ask arrays of rows
+        # the reference policy (tests/scenarios.py) asks one row on Python
+        # floats; replay, sensitivity and the governor ask arrays of rows
         on_floats = [candidate_delta(a0, a1, t, f_k, f) for f in levels]
         on_arrays = candidate_delta(np.full(len(levels), a0), np.array(a1), np.array(t),
                                      f_k, np.array(levels))
