@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trace import (DEFAULT_PERIOD_MS, AffineMap, CounterModel, FrequencyTable,
-                    HashNoiseMap, PiecewiseLinearMap, WorkloadSpec, checked_tuple)
+from .trace import (DEFAULT_FREQ_TABLE, DEFAULT_PERIOD_MS, AffineMap, CounterModel,
+                    FrequencyTable, HashNoiseMap, PiecewiseLinearMap, WorkloadSpec,
+                    checked_tuple)
 
 
 POLICIES = ("rls", "oracle", "ondemand")
@@ -279,7 +280,6 @@ def load_config(path) -> ConfigBundle:
                                  f"got {raw!r}") from None
             table = FrequencyTable(freqs)
         else:
-            from .trace import DEFAULT_FREQ_TABLE
             table = DEFAULT_FREQ_TABLE
 
         if "workload" not in cp:
@@ -326,6 +326,16 @@ def load_config(path) -> ConfigBundle:
         power = PowerModel(**_set(cp, "power_model", [
             ("p_static", "p_static_w", _number), ("p_dyn_coeff", "p_dyn_w_per_ghz3", _number),
             ("p_idle", "p_idle_w", _number)]))
+        # each coefficient may be finite while a period's or the run's energy is not;
+        # a Python float ** raises OverflowError where * gives inf
+        top, n = table.freqs_mhz[-1], len(workload.complexity_schedule)
+        try:
+            peak = max(power.active_power(top), power.p_idle) * governor.period
+        except OverflowError:
+            peak = math.inf
+        if not (math.isfinite(peak) and math.isfinite(peak / 1000.0 * n)):
+            raise ValueError(f"[power_model]: energy over {n} intervals of "
+                             f"{governor.period!r} ms at up to {top!r} MHz must be finite")
     except ValueError as exc:
         raise ValueError(f"bad config {path}: {exc}") from None
 

@@ -18,22 +18,25 @@ The power model is a simulation stand-in, not measured hardware: static
 plus cubic-in-frequency dynamic power while the GPU renders, a floor
 while it idles out the rest of the interval.
 
-The rls and ondemand policies choose one held run at a time
-(_held_runs), and for rls a run also ends just before the next interval
-whose independent counters move.  At the start of a run the rls policy
-makes its one estimator.rls_step on replay's feature row, the
-estimator.differential_features row divided by estimator_units, then asks
-model.candidate_delta about every interval of the run against every
-table level in one array call and chooses by the oracle's matrix rule
-(_cheapest_feasible); ondemand's threshold rule is one np.where over the
-run's utilizations.  A held run gives, bit for bit, what one interval at
-a time gives (tests/scenarios.py::reference_rls_policy and
-reference_ondemand), for three reasons.  Inside a run every feature row
-after the first is all zeros (the clock term t (f/f - 1) and the clock
-step are 0, and no counter moves), so by estimator.rls_step's zero-row
-identity the step that starts each later window of a long run changes
-nothing.  candidate_delta rounds alike on arrays and on Python floats.
-And _cheapest_feasible gives each row the choice of the one-row rule.
+The oracle and ondemand are each one rule over the realized grid: the
+oracle's _cheapest_feasible picks every interval's level at once, and
+ondemand's threshold rule is one np.where giving each (interval, level)
+its next level, which a walk from the top level reads.  The rls policy
+learns, so it chooses one held run of intervals at one level at a time;
+a run ends after the first interval whose choice leaves the level, or
+just before the next interval whose independent counters move.  At its
+start the policy makes its one estimator.rls_step on replay's feature
+row, the estimator.differential_features row divided by estimator_units,
+then asks model.candidate_delta about every interval of the run against
+every table level in one array call and chooses by the oracle's rule.  A
+held run gives, bit for bit, what one interval at a time gives
+(tests/scenarios.py::reference_rls_policy), for three reasons.  Inside a
+run every feature row after the first is all zeros (the clock term
+t (f/f - 1) and the clock step are 0, and no counter moves), so by
+estimator.rls_step's zero-row identity the step that starts each later
+window of a long run changes nothing.  candidate_delta rounds alike on
+arrays and on Python floats.  And _cheapest_feasible gives each row the
+choice of the one-row rule.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from .config import POLICIES, GovernorConfig, PowerModel
 from .estimator import differential_features, estimator_units, rls_init, rls_step
 from .trace import FrequencyTable, WorkloadSpec, realized_frame_times, workload_columns
 
-# Intervals of one held run asked at once.  Up to about this many rows a
-# question costs little more than one row does (numpy's per-call cost
+# Intervals of one rls held run asked at once.  Up to about this many rows
+# a question costs little more than one row does (numpy's per-call cost
 # dominates), and the cap keeps a run that departs early from paying for
 # the intervals after it: without it, a choice that flips every few
 # intervals on a long steady stretch costs time quadratic in the stretch.
@@ -96,29 +99,6 @@ def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorCon
     feasible = frame_ms <= cfg.frame_budget_ms
     cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
     return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
-
-
-def _held_runs(n: int, level: int, moves: list, answer) -> np.ndarray:
-    """Table level of each of n intervals, chosen one held run at a time.
-
-    A held run is a stretch of intervals at one level; the first starts at
-    interval 0 at `level`.  answer(s, stop, level, last) gives, for each
-    interval s..stop-1 held at `level`, the level it chooses for the next
-    interval; `last` is the level of interval s - 1.  stop is the first
-    entry of `moves` (sorted, n last) after s, or s + RUN_WINDOW if that
-    comes first.  A run ends after the first interval whose choice leaves
-    the level, and is asked again from stop if it holds that far.
-    """
-    chosen = np.empty(n, dtype=np.intp)
-    s, last = 0, level
-    while s < n:
-        stop = min(moves[bisect.bisect_right(moves, s)], s + RUN_WINDOW)
-        choices = answer(s, stop, level, last)
-        leave = np.flatnonzero(choices != level)
-        end = s + int(leave[0]) + 1 if leave.size else stop
-        chosen[s:end] = level
-        s, last, level = end, level, int(choices[end - 1 - s])
-    return chosen
 
 
 def _policy_result(policy: str, levels: np.ndarray, frame_ms: np.ndarray, chosen,
@@ -173,14 +153,18 @@ def simulate(policy: str, world: Realization, cfg: GovernorConfig,
         return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
     levels, top = table.freqs_mhz, len(table) - 1
     if policy == "ondemand":
-        # saturate to the top level, step one level down, or hold
-        def answer(s, stop, level, last):
-            busy = np.minimum(cfg.frames_per_interval * frame_ms[s:stop, level],
-                              cfg.period) / cfg.period
-            return np.where(busy > cfg.up_threshold, top,
-                            np.where(busy < cfg.down_threshold, max(level - 1, 0), level))
-
-        return _policy_result(policy, freqs, frame_ms, _held_runs(n, top, [n], answer), cfg, pm)
+        # each (interval, level)'s next level: the top, one down, or the same;
+        # one flat list, since a list per interval keeps the collector busy
+        busy = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period) / cfg.period
+        held = np.arange(top + 1)
+        after = np.where(busy > cfg.up_threshold, top,
+                         np.where(busy < cfg.down_threshold, np.maximum(held - 1, 0),
+                                  held)).ravel().tolist()
+        chosen, level = [], top
+        for row in range(0, len(after), top + 1):
+            chosen.append(level)
+            level = after[row + level]
+        return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)
 
     # rls: learn from each realized sample, then choose the next level
     a, P = rls_init(2 + len(spec.indep_counters))
@@ -193,8 +177,11 @@ def simulate(policy: str, world: Realization, cfg: GovernorConfig,
     power = pm.active_power(freqs)
     warm = cfg.warmup_intervals - 1   # the first interval whose choice counts
 
-    def answer(s, stop, level, last):
-        nonlocal a, P
+    # a held run from interval s at `level`, after interval s - 1 at `last`
+    chosen = np.empty(n, dtype=np.intp)
+    s, last, level = 0, top, top
+    while s < n:
+        stop = min(moves[bisect.bisect_right(moves, s)], s + RUN_WINDOW)
         f, t = levels[level], frame_ms[s:stop, level, None]
         if s > 0:
             t_prev = frame_ms[s - 1, last]
@@ -204,6 +191,8 @@ def simulate(policy: str, world: Realization, cfg: GovernorConfig,
         choices = _cheapest_feasible(t + model.candidate_delta(a0, a1, t, f, freqs),
                                      power, cfg, pm)
         choices[:max(warm - s, 0)] = level
-        return choices
-
-    return _policy_result(policy, freqs, frame_ms, _held_runs(n, top, moves, answer), cfg, pm)
+        leave = np.flatnonzero(choices != level)
+        end = s + int(leave[0]) + 1 if leave.size else stop
+        chosen[s:end] = level
+        s, last, level = end, level, int(choices[end - 1 - s])
+    return _policy_result(policy, freqs, frame_ms, chosen, cfg, pm)

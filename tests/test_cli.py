@@ -793,15 +793,35 @@ class TestGovern:
         ("444, 489", "444, nan", "frequencies must be finite and positive"),
         ("square:20:40:25:100", "constant:37:1e308",
          "bad schedule expression 'constant:37:1e308': N is too large"),
+        # each coefficient is finite, their interval energy is not
+        ("p_dyn_w_per_ghz3 = 8.0", "p_dyn_w_per_ghz3 = 1e308",
+         "[power_model]: energy over 100 intervals of 50.0 ms at up to 511.0 MHz"),
+        ("p_idle_w = 0.2", "p_idle_w = 1e307",
+         "[power_model]: energy over 100 intervals of 50.0 ms at up to 511.0 MHz"),
+        ("200, 244, 278, 311, 355, 400, 444, 489, 511", "200, 244, 1e200",
+         "[power_model]: energy over 100 intervals of 50.0 ms at up to 1e+200 MHz"),
     ], ids=["schedule", "noise_sigma", "ref_freq_mhz", "fps_target", "p_idle_w",
             "warmup_intervals", "fps_target_text", "noise_sigma_text", "negative_noise_sigma",
-            "schedule_text", "freqs_inf", "freqs_nan", "schedule_length"])
+            "schedule_text", "freqs_inf", "freqs_nan", "schedule_length", "energy_dyn",
+            "energy_idle", "energy_top_level"])
     def test_non_finite_config_exit2(self, config_file, tmp_path, capsys, old, new, named):
         config_file.write_text(config_file.read_text().replace(old, new))
         code = main(["govern", "--config", str(config_file), "--out", str(tmp_path / "g.csv")])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_run_energy_overflow_exit2(self, config_file, tmp_path, capsys):
+        # every interval's energy is finite, the total of 3,000 is not
+        config_file.write_text(CONFIG_TEXT.replace("square:20:40:25:100", "constant:37:3000")
+                               .replace("p_dyn_w_per_ghz3 = 8.0", "p_dyn_w_per_ghz3 = 1e307"))
+        out = tmp_path / "out.csv"
+        for command in ("characterize", "govern"):
+            code = main([command, "--config", str(config_file), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_INPUT, f"error: bad config {config_file}: [power_model]: energy over "
+                            f"3000 intervals of 50.0 ms at up to 511.0 MHz must be finite\n")
+            assert not out.exists()
 
     def test_negative_warmup_exit2(self, config_file, tmp_path, capsys):
         config_file.write_text(config_file.read_text().replace(

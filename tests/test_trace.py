@@ -537,6 +537,14 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_runtime(simple_workload, small_table, [400.0] * 3, seed=1)
 
+    @pytest.mark.parametrize("foreign", [300.0, 0.0])
+    def test_runtime_foreign_frequency_names_row(self, simple_workload, small_table, foreign):
+        # Trace validation names the row; a zero clock divides without a warning
+        freqs = [400.0] * len(simple_workload.complexity_schedule)
+        freqs[6] = foreign
+        with pytest.raises(ValueError, match=rf"^row 7: frequency {foreign} MHz not in table$"):
+            generate_runtime(simple_workload, small_table, freqs, seed=1)
+
 
 class TestMaps:
     def test_piecewise_interior_and_extension(self):
