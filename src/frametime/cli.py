@@ -388,7 +388,7 @@ def _sensitivity_summary(trace, bundle, result, level, valid, delta):
     steady[:min(100, len(result.rows) // 4)] = False  # warmup
     if np.count_nonzero(steady) >= 2:
         f_k = result.rows.f_k[steady]
-        ref = -columns[steady, 0] * spec.ref_freq / (f_k * f_k)
+        ref = -columns[steady, 0] * spec.ref_freq_mhz / (f_k * f_k)
         rep = compute_metrics(ref, result.rows.dtf_df[steady])
         print(f"derivative_nrmse={rep.nrmse:.3f}% derivative_mape={rep.mape:.3f}% "
               f"over {ref.size} steady rows")

@@ -1,10 +1,10 @@
 """INI-style configuration files for workloads and simulation settings.
 
 The file format, its sections, keys and schedule expressions, is the
-user's contract, written once in README.md's "Config file format".
-
-The settings of the [governor] and [power_model] sections, GovernorConfig
-and PowerModel, are defined here with the governor's policy names
+user's contract, written once in README.md's "Config file format".  One
+table, SECTIONS, reads it: a section or key it lacks is an error.  The
+[governor] and [power_model] records, GovernorConfig and PowerModel, take
+their keys' names and are defined here with the governor's policy names
 POLICIES, so that loading a config imports no layer past trace.
 """
 
@@ -17,32 +17,31 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .trace import (DEFAULT_FREQ_TABLE, DEFAULT_PERIOD_MS, AffineMap, CounterModel,
+from .trace import (DEFAULT_FREQS_MHZ, DEFAULT_PERIOD_MS, AffineMap, CounterModel,
                     FrequencyTable, HashNoiseMap, PiecewiseLinearMap, WorkloadSpec,
-                    checked_tuple)
+                    check_counter_names, checked_tuple, parse_list)
 
 
 POLICIES = ("rls", "oracle", "ondemand")
 
 
-class PowerModel(checked_tuple("PowerModel", "p_static p_dyn_coeff p_idle")):
-    """Watts: p_static + p_dyn_coeff * (f_ghz)^3 while active, p_idle while idle."""
+class PowerModel(checked_tuple("PowerModel", "p_static_w p_dyn_w_per_ghz3 p_idle_w")):
+    """Watts: p_static_w + p_dyn_w_per_ghz3 * (f_ghz)^3 while active, p_idle_w while idle."""
 
     __slots__ = ()
 
-    def __new__(cls, p_static: float = 0.5,
-                p_dyn_coeff: float = 8.0,       # W per GHz^3
-                p_idle: float = 0.2):
-        for name, value in zip(cls._fields, (p_static, p_dyn_coeff, p_idle)):
+    def __new__(cls, p_static_w: float = 0.5, p_dyn_w_per_ghz3: float = 8.0,
+                p_idle_w: float = 0.2):
+        for name, value in zip(cls._fields, (p_static_w, p_dyn_w_per_ghz3, p_idle_w)):
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        return super().__new__(cls, p_static, p_dyn_coeff, p_idle)
+        return super().__new__(cls, p_static_w, p_dyn_w_per_ghz3, p_idle_w)
 
     def active_power(self, f_mhz: float) -> float:
-        return self.p_static + self.p_dyn_coeff * (f_mhz / 1000.0) ** 3
+        return self.p_static_w + self.p_dyn_w_per_ghz3 * (f_mhz / 1000.0) ** 3
 
 
-class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period up_threshold "
+class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period_ms up_threshold "
                                    "down_threshold warmup_intervals")):
     """The [governor] section: the frame-rate target, the decision period,
     ondemand's utilization thresholds and the rls policy's warm-up at the
@@ -51,18 +50,18 @@ class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period up_thres
     __slots__ = ()
 
     def __new__(cls, fps_target: float = 60.0,
-                period: float = DEFAULT_PERIOD_MS,
+                period_ms: float = DEFAULT_PERIOD_MS,
                 up_threshold: float = 0.8,
                 down_threshold: float = 0.3,
                 warmup_intervals: int = 10):    # rls policy holds max frequency this long
         if not 0 < down_threshold < up_threshold <= 1:
             raise ValueError("need 0 < down_threshold < up_threshold <= 1")
-        for name, value in (("fps_target", fps_target), ("period", period)):
+        for name, value in (("fps_target", fps_target), ("period_ms", period_ms)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if warmup_intervals < 0:
             raise ValueError(f"warmup_intervals must be >= 0, got {warmup_intervals}")
-        return super().__new__(cls, fps_target, period, up_threshold, down_threshold,
+        return super().__new__(cls, fps_target, period_ms, up_threshold, down_threshold,
                                warmup_intervals)
 
     @property
@@ -71,7 +70,7 @@ class GovernorConfig(checked_tuple("GovernorConfig", "fps_target period up_thres
 
     @property
     def frames_per_interval(self) -> int:
-        return max(1, round(self.period / self.frame_budget_ms))
+        return max(1, round(self.period_ms / self.frame_budget_ms))
 
 
 class ConfigBundle(NamedTuple):
@@ -135,7 +134,7 @@ def parse_schedule(text: str) -> tuple[float, ...]:
         if compact:
             args = [float(p) for p in rest.split(":")]
         else:
-            args = [float(v) for v in text.split(",") if v.strip()]
+            args = parse_list(text)
     except ValueError:
         raise ValueError(f"bad schedule expression {text!r}: values must be numbers") from None
     if not all(map(math.isfinite, args)):
@@ -164,104 +163,104 @@ def parse_schedule(text: str) -> tuple[float, ...]:
 
 
 def parse_complexities(text: str) -> tuple[float, ...]:
-    """Sweep complexities: either 'lo:hi' inclusive integers or a comma list
-    of finite numbers."""
+    """Sweep complexities, at least one: either 'lo:hi' inclusive integers
+    or a comma list of finite numbers."""
     text = text.strip()
     try:
         if ":" in text:
             lo, hi = (int(p) for p in text.split(":"))
-            return tuple(float(c) for c in range(lo, hi + 1))
-        values = tuple(float(v) for v in text.split(",") if v.strip())
+            values = tuple(float(c) for c in range(lo, hi + 1))
+        else:
+            values = parse_list(text)
     except ValueError:
         raise ValueError(f"bad complexities {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise ValueError(f"bad complexities {text!r}: values must be finite")
+    if not values:
+        raise ValueError(f"must not be empty, got {text!r}")
     return values
 
 
-def _number(section, key: str, default: float, where: str) -> float:
-    """section[key] as a finite float, default where the key is absent."""
-    raw = section.get(key, default)
+def _number(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{where}: {key} must be a number, got {raw!r}") from None
+        raise ValueError(f"must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{where}: {key} must be finite, got {raw!r}")
+        raise ValueError(f"must be finite, got {raw!r}")
     return value
 
 
-def _integer(section, key: str, default: int, where: str) -> int:
-    """section[key] as an int, default where the key is absent."""
-    raw = section.get(key, default)
+def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{where}: {key} must be an integer, got {raw!r}") from None
+        raise ValueError(f"must be an integer, got {raw!r}") from None
 
 
-def _set(cp, name: str, keys) -> dict:
-    """Keyword arguments of the (field, key, parse) keys [name] sets; others keep defaults."""
-    section = cp[name] if name in cp else {}
-    return {field: parse(section, key, None, f"[{name}]") for field, key, parse in keys
-            if key in section}
+# a point is c:v, and partition(":")[::2] is its (c, v)
+_MAP = {"kind": str.lower, "slope": _number, "intercept": _number,
+        "points": lambda raw: parse_list(raw, lambda p: tuple(map(float, p.partition(":")[::2])))}
+
+# each section's keys and the reader of each; "counter.<name>" is every [counter.NAME]
+SECTIONS = {
+    "frequency_table": {"freqs_mhz": parse_list},
+    "workload": {"ref_freq_mhz": _number, "noise_sigma": _number,
+                 "complexity_schedule": parse_schedule},
+    "scalable_ms": _MAP,
+    "unscalable_ms": _MAP,
+    "counter.<name>": {**_MAP, "response": str.lower, "amplitude": _number, "salt": _number},
+    "characterization": {"complexities": parse_complexities, "repeats": _integer},
+    "governor": {"fps_target": _number, "period_ms": _number, "up_threshold": _number,
+                 "down_threshold": _number, "warmup_intervals": _integer},
+    "power_model": dict.fromkeys(("p_static_w", "p_dyn_w_per_ghz3", "p_idle_w"), _number),
+}
 
 
-def _parse_points(text: str, where: str):
-    pts = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        c, _, v = chunk.partition(":")
-        try:
-            point = (float(c), float(v))
-        except ValueError:
-            raise ValueError(f"{where}: piecewise points must be numbers, "
-                             f"got {chunk!r}") from None
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"{where}: piecewise points must be finite, got {chunk!r}")
-        pts.append(point)
-    return tuple(pts)
+def _read(cp) -> dict[str, dict]:
+    """Each section's {key: value}, each value read through SECTIONS.  A
+    section or key SECTIONS lacks is an error."""
+    sections = {}
+    for name in cp.sections():
+        keys = SECTIONS.get("counter.<name>" if name.startswith("counter.") else name)
+        if keys is None:
+            raise ValueError(f"unknown section [{name}]")
+        values = sections[name] = {}
+        for key, raw in cp.items(name, raw=True):
+            if key not in keys:
+                raise ValueError(f"[{name}]: unknown key {key!r}")
+            try:
+                values[key] = keys[key](raw)
+            except ValueError as exc:
+                # "must ..." goes on from the key; any other message stands alone
+                sep = " " if str(exc).startswith("must") else ": "
+                raise ValueError(f"[{name}]: {key}{sep}{exc}") from None
+    return sections
 
 
-def _parse_response(section, where: str, kind_key: str = "kind"):
-    kind = section.get(kind_key, "affine").strip().lower()
+def _in_section(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError it raises prefixed with [name]."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"[{name}]: {exc}") from None
+
+
+def _parse_response(kind: str, values: dict):
+    """The map of kind, affine or piecewise, from its section's values."""
     if kind == "piecewise":
-        if "points" not in section:
-            raise ValueError(f"{where}: piecewise map needs points")
-        points = _parse_points(section["points"], where)
-        try:
-            return PiecewiseLinearMap(points)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
+        return PiecewiseLinearMap(values.get("points", ()))
     if kind == "affine":
-        return AffineMap(_number(section, "slope", 0.0, where),
-                         _number(section, "intercept", 0.0, where))
-    raise ValueError(f"{where}: unknown map kind {kind!r}")
-
-
-def _parse_counter(name: str, section) -> tuple[str, CounterModel]:
-    """The counter's kind, "dep" or "indep" (a noise counter is indep), and model."""
-    kind = section.get("kind", "indep").strip().lower()
-    if kind == "noise":
-        where = f"counter {name}"
-        response = HashNoiseMap(amplitude=_number(section, "amplitude", 1.0, where),
-                                salt=_number(section, "salt", 0.0, where))
-        return "indep", CounterModel(name=name, response=response)
-    if kind not in ("dep", "indep"):
-        raise ValueError(f"counter {name}: unknown kind {kind!r}")
-    # the counter's map shape comes from its `response` key (default affine)
-    return kind, CounterModel(name=name,
-                              response=_parse_response(section, f"counter {name}",
-                                                       kind_key="response"))
+        return AffineMap(values.get("slope", 0.0), values.get("intercept", 0.0))
+    raise ValueError(f"unknown map kind {kind!r}")
 
 
 def load_config(path) -> ConfigBundle:
     """Read a config file, UTF-8 with or without a byte-order mark, into a
     validated bundle of simulation inputs; each error names the file."""
-    # no interpolation: a % in a value is literal, and a number check rejects it
-    cp = configparser.ConfigParser(interpolation=None)
+    # no interpolation: a % in a value is literal, and a number check rejects it;
+    # no default section: [DEFAULT] is a section like any other, and SECTIONS lacks it
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = cp.read(str(path), encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -271,75 +270,53 @@ def load_config(path) -> ConfigBundle:
         raise ValueError(f"cannot read config file {path}")
 
     try:
-        if "frequency_table" in cp:
-            raw = cp["frequency_table"].get("freqs_mhz", "")
-            try:
-                freqs = tuple(float(v) for v in raw.split(",") if v.strip())
-            except ValueError:
-                raise ValueError(f"[frequency_table]: freqs_mhz must be numbers, "
-                                 f"got {raw!r}") from None
-            table = FrequencyTable(freqs)
-        else:
-            table = DEFAULT_FREQ_TABLE
-
-        if "workload" not in cp:
-            raise ValueError("missing [workload] section")
-        w = cp["workload"]
-        if "scalable_ms" not in cp or "unscalable_ms" not in cp:
-            raise ValueError("missing [scalable_ms] or [unscalable_ms] section")
+        sections = _read(cp)
+        freqs = sections.get("frequency_table", {"freqs_mhz": DEFAULT_FREQS_MHZ})
+        table = _in_section("frequency_table", FrequencyTable, freqs.get("freqs_mhz", ()))
+        for name in ("workload", "scalable_ms", "unscalable_ms"):
+            if name not in sections:
+                raise ValueError(f"missing [{name}] section")
 
         dep, indep = [], []
-        for section in cp.sections():
-            if section.startswith("counter."):
-                kind, cm = _parse_counter(section[len("counter."):], cp[section])
-                (dep if kind == "dep" else indep).append(cm)
+        for name, values in sections.items():
+            if not name.startswith("counter."):
+                continue
+            kind = values.get("kind", "indep")
+            if kind not in ("dep", "indep", "noise"):
+                raise ValueError(f"[{name}]: unknown kind {kind!r}")
+            response = (HashNoiseMap(values.get("amplitude", 1.0), values.get("salt", 0.0))
+                        if kind == "noise" else _in_section(
+                            name, _parse_response, values.get("response", "affine"), values))
+            (counter,) = _in_section(name, check_counter_names, [name[len("counter."):]])
+            (dep if kind == "dep" else indep).append(CounterModel(counter, response))
 
-        workload = WorkloadSpec(
-            complexity_schedule=parse_schedule(w.get("complexity_schedule", "")),
-            scalable_ms=_parse_response(cp["scalable_ms"], "[scalable_ms]"),
-            unscalable_ms=_parse_response(cp["unscalable_ms"], "[unscalable_ms]"),
-            ref_freq=_number(w, "ref_freq_mhz", table.freqs_mhz[0], "[workload]"),
-            dep_counters=tuple(dep),
-            indep_counters=tuple(indep),
-            **_set(cp, "workload", [("noise_sigma", "noise_sigma", _number)]),
-        )
-
-        if "characterization" in cp:
-            ch = cp["characterization"]
-            raw = ch.get("complexities", "1:64")
-            complexities = parse_complexities(raw)
-            if not complexities:
-                raise ValueError(f"[characterization]: complexities must not be empty, "
-                                 f"got {raw!r}")
-            repeats = _integer(ch, "repeats", 10, "[characterization]")
-            if repeats < 1:
-                raise ValueError(f"[characterization]: repeats must be at least 1, "
-                                 f"got {repeats}")
-        else:
-            complexities, repeats = (), 1
-
-        governor = GovernorConfig(**_set(cp, "governor", [
-            ("fps_target", "fps_target", _number), ("period", "period_ms", _number),
-            ("up_threshold", "up_threshold", _number),
-            ("down_threshold", "down_threshold", _number),
-            ("warmup_intervals", "warmup_intervals", _integer)]))
-        power = PowerModel(**_set(cp, "power_model", [
-            ("p_static", "p_static_w", _number), ("p_dyn_coeff", "p_dyn_w_per_ghz3", _number),
-            ("p_idle", "p_idle_w", _number)]))
+        maps = {name: _in_section(name, _parse_response, sections[name].get("kind", "affine"),
+                                  sections[name]) for name in ("scalable_ms", "unscalable_ms")}
+        absent = {"complexity_schedule": (), "ref_freq_mhz": table.freqs_mhz[0]}
+        workload = _in_section("workload", WorkloadSpec, **{**absent, **sections["workload"]},
+                               **maps, dep_counters=tuple(dep), indep_counters=tuple(indep))
+        sweep = ({"complexities": parse_complexities("1:64"), "repeats": 10,
+                  **sections["characterization"]} if "characterization" in sections
+                 else {"complexities": (), "repeats": 1})
+        if sweep["repeats"] < 1:
+            raise ValueError(f"[characterization]: repeats must be at least 1, "
+                             f"got {sweep['repeats']}")
+        governor = _in_section("governor", GovernorConfig, **sections.get("governor", {}))
+        power = _in_section("power_model", PowerModel, **sections.get("power_model", {}))
         # each coefficient may be finite while a period's or the run's energy is not;
         # a Python float ** raises OverflowError where * gives inf
         top, n = table.freqs_mhz[-1], len(workload.complexity_schedule)
         try:
-            peak = max(power.active_power(top), power.p_idle) * governor.period
+            peak = max(power.active_power(top), power.p_idle_w) * governor.period_ms
         except OverflowError:
             peak = math.inf
         if not (math.isfinite(peak) and math.isfinite(peak / 1000.0 * n)):
             raise ValueError(f"[power_model]: energy over {n} intervals of "
-                             f"{governor.period!r} ms at up to {top!r} MHz must be finite")
+                             f"{governor.period_ms!r} ms at up to {top!r} MHz must be finite")
     except ValueError as exc:
         raise ValueError(f"bad config {path}: {exc}") from None
 
     return ConfigBundle(workload=workload, freq_table=table,
-                        characterization_complexities=complexities,
-                        characterization_repeats=repeats,
+                        characterization_complexities=sweep["complexities"],
+                        characterization_repeats=sweep["repeats"],
                         governor=governor, power_model=power)

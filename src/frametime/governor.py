@@ -77,11 +77,11 @@ class PolicyResult(NamedTuple):
         return sum(self.energies.tolist())
 
 
-def interval_energy(power, active_ms, period_ms: float, p_idle: float):
+def interval_energy(power, active_ms, period_ms: float, p_idle_w: float):
     """Joules for intervals with active_ms of rendering at active power
-    (W) and p_idle for the rest of the period; active_ms is already capped
+    (W) and p_idle_w for the rest of the period; active_ms is already capped
     at the period.  On arrays or on Python floats."""
-    return (power * active_ms + p_idle * (period_ms - active_ms)) / 1000.0
+    return (power * active_ms + p_idle_w * (period_ms - active_ms)) / 1000.0
 
 
 def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorConfig,
@@ -94,8 +94,8 @@ def _cheapest_feasible(frame_ms: np.ndarray, power: np.ndarray, cfg: GovernorCon
     level.
     """
     frame_ms = np.maximum(frame_ms, 0.0)
-    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period)
-    energy = interval_energy(power, active, cfg.period, pm.p_idle)
+    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period_ms)
+    energy = interval_energy(power, active, cfg.period_ms, pm.p_idle_w)
     feasible = frame_ms <= cfg.frame_budget_ms
     cheapest = np.where(feasible, energy, np.inf).argmin(axis=-1)
     return np.where(feasible.any(axis=-1), cheapest, power.size - 1)
@@ -107,8 +107,8 @@ def _policy_result(policy: str, levels: np.ndarray, frame_ms: np.ndarray, chosen
     the (intervals, levels) frame times."""
     chosen = np.asarray(chosen, dtype=np.intp)
     freqs, realized = levels[chosen], frame_ms[np.arange(chosen.size), chosen]
-    active = np.minimum(cfg.frames_per_interval * realized, cfg.period)
-    energies = interval_energy(pm.active_power(freqs), active, cfg.period, pm.p_idle)
+    active = np.minimum(cfg.frames_per_interval * realized, cfg.period_ms)
+    energies = interval_energy(pm.active_power(freqs), active, cfg.period_ms, pm.p_idle_w)
     return PolicyResult(policy, freqs, realized, energies, realized > cfg.frame_budget_ms)
 
 
@@ -155,7 +155,7 @@ def simulate(policy: str, world: Realization, cfg: GovernorConfig,
     if policy == "ondemand":
         # each (interval, level)'s next level: the top, one down, or the same;
         # one flat list, since a list per interval keeps the collector busy
-        busy = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period) / cfg.period
+        busy = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period_ms) / cfg.period_ms
         held = np.arange(top + 1)
         after = np.where(busy > cfg.up_threshold, top,
                          np.where(busy < cfg.down_threshold, np.maximum(held - 1, 0),

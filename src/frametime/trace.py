@@ -9,7 +9,7 @@ and an analytic workload generator that stands in for real hardware.
 The generator models frame time as a frequency-scalable portion plus an
 unscalable portion:
 
-    t(C, f) = scalable_ms(C) * ref_freq / f + unscalable_ms(C)
+    t(C, f) = scalable_ms(C) * ref_freq_mhz / f + unscalable_ms(C)
 
 where C is the frame complexity.  Counters are either frequency dependent
 (they track busy cycles and grow with f) or frequency independent (they
@@ -122,8 +122,8 @@ _COLUMNS = {"timestamps": float, "frame_times": float, "frame_counts": np.int64,
 
 def check_counter_names(names) -> tuple[str, ...]:
     """names as a tuple, once each is one a trace file's header can hold:
-    not blank, and without a comma or newline.  Trace checks its own, and
-    WorkloadSpec its counters', so a config fails as it loads."""
+    not blank, and without a comma or newline.  Trace checks its header's,
+    and load_config each [counter.NAME] section's."""
     names = tuple(names)
     if any("," in name or "\n" in name for name in names):
         raise ValueError("counter names must not contain commas or newlines")
@@ -219,6 +219,8 @@ class PiecewiseLinearMap(checked_tuple("PiecewiseLinearMap", "points")):
 
     def __new__(cls, points: tuple[tuple[float, float], ...]):
         pts = tuple((float(c), float(v)) for c, v in points)
+        if not all(math.isfinite(x) for pt in pts for x in pt):
+            raise ValueError("piecewise points must be finite")
         if len(pts) < 2:
             raise ValueError("piecewise map needs at least two points")
         if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
@@ -258,7 +260,7 @@ class CounterModel(NamedTuple):
     """Analytic response of one hardware counter.
 
     Its kind is the WorkloadSpec tuple that holds it.  In dep_counters:
-    value = response(c) * f / ref_freq, strictly increasing in f for
+    value = response(c) * f / ref_freq_mhz, strictly increasing in f for
     response(c) > 0 (busy-cycle style counters).  In indep_counters:
     value = response(c), constant in f.
     """
@@ -268,7 +270,7 @@ class CounterModel(NamedTuple):
 
 
 class WorkloadSpec(checked_tuple("WorkloadSpec", "complexity_schedule scalable_ms "
-                                  "unscalable_ms ref_freq dep_counters indep_counters "
+                                  "unscalable_ms ref_freq_mhz dep_counters indep_counters "
                                   "noise_sigma")):
     """Parameters of the analytic workload generator."""
 
@@ -277,18 +279,17 @@ class WorkloadSpec(checked_tuple("WorkloadSpec", "complexity_schedule scalable_m
     def __new__(cls, complexity_schedule: tuple[float, ...],
                 scalable_ms: AffineMap | PiecewiseLinearMap,
                 unscalable_ms: AffineMap | PiecewiseLinearMap,
-                ref_freq: float,                       # MHz the scalable map refers to
+                ref_freq_mhz: float,                   # the scalable map's reference
                 dep_counters: tuple[CounterModel, ...] = (),
                 indep_counters: tuple[CounterModel, ...] = (),
                 noise_sigma: float = 0.03):            # frame time noise, fraction
         complexity_schedule = tuple(map(float, complexity_schedule))
-        if not (math.isfinite(ref_freq) and ref_freq > 0):
-            raise ValueError(f"ref_freq must be finite and > 0, got {ref_freq}")
+        if not (math.isfinite(ref_freq_mhz) and ref_freq_mhz > 0):
+            raise ValueError(f"ref_freq_mhz must be finite and > 0, got {ref_freq_mhz}")
         if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-        check_counter_names(cm.name for cm in (*dep_counters, *indep_counters))
         return super().__new__(cls, complexity_schedule, scalable_ms, unscalable_ms,
-                               ref_freq, dep_counters, indep_counters, noise_sigma)
+                               ref_freq_mhz, dep_counters, indep_counters, noise_sigma)
 
     @property
     def counter_names(self) -> tuple[str, ...]:
@@ -304,9 +305,9 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
     generated traces, the governor's grid and the sensitivity reference,
     is this array broadcast against frequencies f (MHz):
 
-        frame time            s * ref_freq / f + u      (frame_times)
-        d(frame time)/df      -s * ref_freq / (f * f)
-        dep counter           base * (f / ref_freq)
+        frame time            s * ref_freq_mhz / f + u  (frame_times)
+        d(frame time)/df      -s * ref_freq_mhz / (f * f)
+        dep counter           base * (f / ref_freq_mhz)
         indep counter         base
 
     Raises ValueError on no complexities, as of an empty schedule, then at
@@ -338,13 +339,13 @@ def workload_columns(spec: WorkloadSpec, complexities) -> np.ndarray:
 
 
 def frame_times(spec: WorkloadSpec, columns: np.ndarray, f) -> np.ndarray:
-    """Noiseless frame time s * ref_freq / f + u in ms, from workload_columns
+    """Noiseless frame time s * ref_freq_mhz / f + u in ms, from workload_columns
     rows broadcast against f: columns[:, None, :] against the table levels
     gives the (complexities, levels) grid.  A value too large for a float,
     or one at a zero frequency, is inf or nan without a numpy warning:
     Trace validation and governor.realize reject it."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return columns[..., 0] * spec.ref_freq / f + columns[..., 1]
+        return columns[..., 0] * spec.ref_freq_mhz / f + columns[..., 1]
 
 
 def seeded_stream(seed: int) -> random.Random:
@@ -408,7 +409,7 @@ def _generate(spec: WorkloadSpec, table: FrequencyTable, c, f, seed: int) -> Tra
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         counts = np.where(t > 0, np.minimum(FPS_CAP, DEFAULT_PERIOD_MS // t), FPS_CAP)
         counters = columns[:, 2:]
-        counters[:, :len(spec.dep_counters)] *= (f / spec.ref_freq)[:, None]
+        counters[:, :len(spec.dep_counters)] *= (f / spec.ref_freq_mhz)[:, None]
     timestamps = np.arange(1, t.size + 1) * DEFAULT_PERIOD_MS / 1000.0
     return Trace(timestamps, t, counts, f, counters, spec.counter_names, table)
 
@@ -488,6 +489,14 @@ def serialize_trace(trace: Trace) -> str:
     return "\n".join(lines)
 
 
+def parse_list(text: str, item=float) -> tuple:
+    """item of each entry of a comma list, blank entries skipped."""
+    try:
+        return tuple(item(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        raise ValueError(f"must be numbers, got {text.strip()!r}") from None
+
+
 def _parse_float(raw: str, row: int, column: str) -> float:
     try:
         return float(raw)
@@ -520,10 +529,8 @@ def parse_trace(text, freq_table: FrequencyTable | None = None) -> Trace:
         if stripped.startswith("#"):
             if freq_table is None and stripped.replace(" ", "").startswith(
                     _TABLE_COMMENT.replace(" ", "")):
-                payload = stripped.split("=", 1)[1]
                 try:
-                    embedded_table = FrequencyTable(
-                        tuple(float(v) for v in payload.split(",") if v.strip()))
+                    embedded_table = FrequencyTable(parse_list(stripped.split("=", 1)[1]))
                 except ValueError as exc:
                     raise ValueError(f"row 0: table comment {stripped!r}: {exc}") from None
             continue

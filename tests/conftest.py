@@ -30,7 +30,7 @@ def simple_workload():
         complexity_schedule=(10.0,) * 20,
         scalable_ms=AffineMap(0.2, 1.0),
         unscalable_ms=AffineMap(0.05, 0.5),
-        ref_freq=200.0,
+        ref_freq_mhz=200.0,
         dep_counters=(CounterModel("busy", AffineMap(10.0, 100.0)),),
         indep_counters=(CounterModel("units", AffineMap(5.0, 20.0)),),
         noise_sigma=0.0,

@@ -85,8 +85,8 @@ def reference_cheapest_level(frame_ms, power, cfg, pm):
     level, least = len(power) - 1, math.inf
     for i, (t, p) in enumerate(zip(frame_ms, power)):
         if t <= cfg.frame_budget_ms:
-            active = min(cfg.frames_per_interval * max(t, 0.0), cfg.period)
-            energy = (p * active + pm.p_idle * (cfg.period - active)) / 1000.0
+            active = min(cfg.frames_per_interval * max(t, 0.0), cfg.period_ms)
+            energy = (p * active + pm.p_idle_w * (cfg.period_ms - active)) / 1000.0
             if energy < least:
                 level, least = i, energy
     return level
@@ -140,7 +140,7 @@ def reference_ondemand(spec, table, cfg, seed):
         t = reference_frame_time(spec, c, levels[level]) * z
         freqs.append(levels[level])
         realized.append(t)
-        busy = min(cfg.frames_per_interval * t, cfg.period) / cfg.period
+        busy = min(cfg.frames_per_interval * t, cfg.period_ms) / cfg.period_ms
         if busy > cfg.up_threshold:
             level = len(levels) - 1
         elif busy < cfg.down_threshold:
@@ -344,19 +344,20 @@ def reference_cv_path(dataset):
 
 def reference_frame_time(spec, c, f):
     """Noiseless frame time in ms at complexity c and f MHz:
-    scalable_ms(c) * ref_freq / f + unscalable_ms(c)."""
-    return spec.scalable_ms(c) * spec.ref_freq / f + spec.unscalable_ms(c)
+    scalable_ms(c) * ref_freq_mhz / f + unscalable_ms(c)."""
+    return spec.scalable_ms(c) * spec.ref_freq_mhz / f + spec.unscalable_ms(c)
 
 
 def reference_derivative(spec, c, f):
-    """d(frame time)/d(frequency) in ms per MHz at (c, f): -scalable_ms(c) * ref_freq / f^2."""
-    return -spec.scalable_ms(c) * spec.ref_freq / (f * f)
+    """d(frame time)/d(frequency) in ms per MHz at (c, f):
+    -scalable_ms(c) * ref_freq_mhz / f^2."""
+    return -spec.scalable_ms(c) * spec.ref_freq_mhz / (f * f)
 
 
 def reference_counters(spec, c, f):
     """Counter values at (c, f) in counter_names order: each dep counter's
-    response times f / ref_freq, then each indep counter's response."""
-    dep = [cm.response(c) * (f / spec.ref_freq) for cm in spec.dep_counters]
+    response times f / ref_freq_mhz, then each indep counter's response."""
+    dep = [cm.response(c) * (f / spec.ref_freq_mhz) for cm in spec.dep_counters]
     return tuple(dep + [cm.response(c) for cm in spec.indep_counters])
 
 
@@ -416,7 +417,7 @@ STEP_CHANGE = WorkloadSpec(
     complexity_schedule=parse_schedule("square:20:45:30:120"),
     scalable_ms=AffineMap(0.28, 1.0),
     unscalable_ms=AffineMap(0.01, 0.5),
-    ref_freq=200.0,
+    ref_freq_mhz=200.0,
     dep_counters=(CounterModel("render_busy_kcycles", AffineMap(30.0, 300.0)),),
     indep_counters=(CounterModel("workload_units", AffineMap(8.0, 50.0)),),
     noise_sigma=0.0,

@@ -119,7 +119,7 @@ class TestConfig:
         assert CounterModel("geometry_batches", PiecewiseLinearMap(
             ((1.0, 12.0), (32.0, 48.0), (64.0, 180.0)))) in indep
         assert bundle.governor.fps_target == 60.0
-        assert bundle.power_model.p_dyn_coeff == 8.0
+        assert bundle.power_model.p_dyn_w_per_ghz3 == 8.0
 
     def test_schedules(self):
         assert parse_schedule("constant:5:3") == (5.0, 5.0, 5.0)
@@ -193,7 +193,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^cannot read config file {re.escape(str(path))}$"):
             load_config(path)
 
-    def test_absent_sections_take_the_dataclass_defaults(self, tmp_path):
+    def test_absent_sections_take_the_record_defaults(self, tmp_path):
         path = tmp_path / "workload.ini"
         path.write_text(CONFIG_TEXT.split("[governor]")[0])   # [power_model] follows it
         bundle = load_config(path)
@@ -209,6 +209,18 @@ class TestConfig:
         trace = parse_trace(out.read_text())
         assert trace.freq_table == DEFAULT_FREQ_TABLE
         assert np.unique(trace.freqs).tolist() == list(DEFAULT_FREQ_TABLE.freqs_mhz)
+
+    def test_one_reader_for_both_frequency_lists(self, config_file):
+        # [frequency_table] and a trace's table comment: one message, each its own prefix
+        table = "freqs_mhz = 200, 244, 278, 311, 355, 400, 444, 489, 511"
+        config_file.write_text(CONFIG_TEXT.replace(table, "freqs_mhz = 200, abc"))
+        with pytest.raises(ValueError, match=re.escape(
+                "[frequency_table]: freqs_mhz must be numbers, got '200, abc'")):
+            load_config(config_file)
+        comment = "# freq_table_mhz = 200, abc"
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 0: table comment {comment!r}: must be numbers, got '200, abc'")):
+            parse_trace(comment + "\ntime,frame_time_ms,frame_count,gpu_freq_mhz\n")
 
     @pytest.mark.parametrize("old, new, named", [
         ("complexities = 1:64", "complexities = 5:1",
@@ -233,8 +245,8 @@ class TestConfig:
             assert not out.exists()
 
     @pytest.mark.parametrize("name, message", [
-        (" ", "counter names must not be blank"),
-        ("work,units", "counter names must not contain commas or newlines"),
+        (" ", "[counter. ]: counter names must not be blank"),
+        ("work,units", "[counter.work,units]: counter names must not contain commas or newlines"),
     ], ids=["blank", "comma"])
     def test_bad_counter_name_rejected_by_every_command(self, tmp_path, capsys, name,
                                                         message):
@@ -397,11 +409,11 @@ class TestCharacterize:
         ("complexities = 1:16", "complexities = 1:nan", "complexities"),
         ("repeats = 2", "repeats = nan", "repeats"),
         ("64:20.0", "64:nan", "[scalable_ms]"),
-        ("64:180", "64:inf", "counter geometry_batches"),
+        ("64:180", "64:inf", "[counter.geometry_batches]"),
         ("slope = 0.02", "slope = nan", "[unscalable_ms]"),
-        ("amplitude = 200", "amplitude = inf", "counter probe_jitter_a"),
+        ("amplitude = 200", "amplitude = inf", "[counter.probe_jitter_a]"),
         ("points = 1:12, 32:48, 64:180", "points = 1:12, x:48, 64:180",
-         "counter geometry_batches: piecewise points must be numbers"),
+         "[counter.geometry_batches]: points must be numbers"),
         ("freqs_mhz = 200, 244,", "freqs_mhz = 200, abc,", "[frequency_table]: freqs_mhz"),
     ], ids=["complexities", "complexity_range", "repeats", "scalable_points",
             "counter_points", "affine_slope", "noise_amplitude", "counter_points_text",
@@ -411,7 +423,7 @@ class TestCharacterize:
 
     @pytest.mark.parametrize("old, new, named", [
         ("points = 1:12, 32:48, 64:180", "points = 1:12, 64:48, 32:180",
-         "counter geometry_batches: piecewise breakpoints must be strictly increasing"),
+         "[counter.geometry_batches]: piecewise breakpoints must be strictly increasing"),
         ("points = 1:0.925, 32:7.2, 64:20.0", "points = 1:0.925",
          "[scalable_ms]: piecewise map needs at least two points"),
     ], ids=["unordered_counter_points", "single_scalable_point"])
@@ -830,7 +842,7 @@ class TestGovern:
         code = main(["govern", "--config", str(config_file), "--out", str(out)])
         assert (code, capsys.readouterr().err) == (
             EXIT_INPUT, f"error: bad config {config_file}: "
-                        f"warmup_intervals must be >= 0, got -5\n")
+                        f"[governor]: warmup_intervals must be >= 0, got -5\n")
         assert not out.exists()
 
     def test_rejects_what_characterize_rejects(self, config_file, tmp_path, capsys):
@@ -844,6 +856,24 @@ class TestGovern:
             errors.append((code, capsys.readouterr().err))
         want = "error: dep counter render_busy_kcycles base must be > 0 at C=20.0\n"
         assert errors == [(EXIT_INPUT, want)] * 2
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("[governor]", "[governer]", "unknown section [governer]"),
+        ("fps_target = 60", "fps_targte = 30", "[governor]: unknown key 'fps_targte'"),
+        ("[frequency_table]", "[DEFAULT]\nwarmup_intervals = 300\n\n[frequency_table]",
+         "unknown section [DEFAULT]"),
+    ], ids=["section_typo", "key_typo", "default_section"])
+    def test_what_the_table_lacks_exit2(self, config_file, tmp_path, capsys, old, new,
+                                        message):
+        # each ran on defaults, or on the [DEFAULT] key in every section, and exited 0
+        assert CONFIG_TEXT.count(old) == 1
+        config_file.write_text(CONFIG_TEXT.replace(old, new))
+        out = tmp_path / "out.csv"
+        for command in ("characterize", "govern"):
+            code = main([command, "--config", str(config_file), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                EXIT_INPUT, f"error: bad config {config_file}: {message}\n"), command
+            assert not out.exists()
 
     def test_empty_schedule_exit2(self, config_file, tmp_path, capsys):
         # one check for both commands; govern used to run no interval and exit 0
@@ -874,7 +904,7 @@ class TestGovern:
             "characterize-clipped-noise", "govern-clipped-noise"])
     def test_overflow_is_one_error_line(self, config_file, tmp_path, capsys, command, old,
                                         new, message):
-        # scalable_ms * ref_freq, or a dep base * f / ref_freq, overflows to
+        # scalable_ms * ref_freq_mhz, or a dep base * f / ref_freq_mhz, overflows to
         # inf; in the clipped-noise cases the one interval's noise factor at
         # CLIPPED_SEED clips to 0, and inf times 0 is nan
         config_file.write_text(config_file.read_text().replace(old, new))
@@ -1403,12 +1433,14 @@ class TestRecordTypes:
     @pytest.mark.parametrize("record, change, message", [
         ("PiecewiseLinearMap", {"points": ((1.0, 0.0), (0.0, 1.0))},
          "piecewise breakpoints must be strictly increasing"),
-        ("WorkloadSpec", {"ref_freq": 0.0}, "ref_freq must be finite and > 0, got 0.0"),
-        ("PowerModel", {"p_idle": -1.0}, "p_idle must be finite and >= 0, got -1.0"),
-        ("GovernorConfig", {"period": math.inf}, "period must be finite and > 0, got inf"),
+        ("PiecewiseLinearMap", {"points": ((0.0, 1.0), (1.0, math.inf))},
+         "piecewise points must be finite"),
+        ("WorkloadSpec", {"ref_freq_mhz": 0.0}, "ref_freq_mhz must be finite and > 0, got 0.0"),
+        ("PowerModel", {"p_idle_w": -1.0}, "p_idle_w must be finite and >= 0, got -1.0"),
+        ("GovernorConfig", {"period_ms": math.inf}, "period_ms must be finite and > 0, got inf"),
         ("FeatureSpec", {"indep_counter_indices": (1, 1)}, "counter indices must be unique"),
-    ], ids=["PiecewiseLinearMap", "WorkloadSpec", "PowerModel", "GovernorConfig",
-            "FeatureSpec"])
+    ], ids=["PiecewiseLinearMap", "PiecewiseLinearMap-finite", "WorkloadSpec", "PowerModel",
+            "GovernorConfig", "FeatureSpec"])
     def test_replace_checks_like_the_constructor(self, record, change, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             self._instances()[record]._replace(**change)

@@ -6,7 +6,8 @@ and getattr, and so does each name of a package module in a src/
 docstring, backticked or not.  Each `frametime ...` line of README's
 walkthrough parses with cli.build_parser(), and each tests/FILE.py::NAME
 reference names a file and a class or function defined in it.  The
-`--help` text names every command and no exception class.
+`--help` text names every command and no exception class, and README's
+config table names the sections and keys of config.SECTIONS.
 """
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import frametime
-from frametime import cli
+from frametime import cli, config
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -97,6 +98,18 @@ def _test_references() -> list[tuple[str, str, tuple[str, ...]]]:
                    for file, names in TEST_REFERENCE.findall(text)})
 
 
+def _config_table() -> dict[str, set[str]]:
+    """{section: keys} of README's "Config file format" table: each
+    backticked [section] of a row's first cell, and each backticked key of
+    its second, alone or as `key = ...`."""
+    section = README.split("## Config file format", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for names, fields in re.findall(r"^\| (`\[.*?) \| (.*) \|$", section, flags=re.M):
+        keys = set(re.findall(r"`(\w+)(?: = [^`]*)?`", fields))
+        table.update((name, keys) for name in re.findall(r"`\[(.+?)\]`", names))
+    return table
+
+
 NAMES = _cited_names()
 COMMANDS = _walkthrough()
 TEST_REFERENCES = _test_references()
@@ -132,6 +145,11 @@ def test_cited_test_exists(where, file, names):
                    if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
         assert name in defined, f"{where} cites tests/{file}::{'::'.join(names)}"
         scope = defined[name].body
+
+
+def test_config_table_names_what_config_reads():
+    # both ways: each section and key README lists is read, and no other
+    assert _config_table() == {name: set(keys) for name, keys in config.SECTIONS.items()}
 
 
 def test_help_names_each_command_and_no_exception_class(capsys):

@@ -28,15 +28,16 @@ def reference_columns(freqs, frame_ms, cfg, pm):
     """A reference loop's frequencies and realized frame times as the four
     PolicyResult columns, energy and violations computed as simulate's."""
     freqs, frame_ms = np.array(freqs, dtype=float), np.array(frame_ms, dtype=float)
-    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period)
+    active = np.minimum(cfg.frames_per_interval * frame_ms, cfg.period_ms)
     return {"freqs": freqs, "frame_ms": frame_ms,
-            "energies": interval_energy(pm.active_power(freqs), active, cfg.period, pm.p_idle),
+            "energies": interval_energy(pm.active_power(freqs), active, cfg.period_ms,
+                                        pm.p_idle_w),
             "violations": frame_ms > cfg.frame_budget_ms}
 
 
 def energy(f, active_ms, period_ms=50.0, pm=PM):
     """interval_energy at f MHz under the power model pm."""
-    return interval_energy(pm.active_power(f), active_ms, period_ms, pm.p_idle)
+    return interval_energy(pm.active_power(f), active_ms, period_ms, pm.p_idle_w)
 
 
 class TestIntervalEnergy:
@@ -144,7 +145,7 @@ class TestOraclePolicy:
             feasible_found = False
             for f in TABLE:
                 t = reference_frame_time(spec, c, f) * noise[k]
-                e = energy(f, min(3 * t, CFG.period), CFG.period)
+                e = energy(f, min(3 * t, CFG.period_ms), CFG.period_ms)
                 if t <= budget and (best_e is None or e < best_e):
                     best_f, best_e, feasible_found = f, e, True
             if not feasible_found:
@@ -195,8 +196,8 @@ class TestPolicyResultColumns:
             # the noisy grid at the chosen level
             assert r.frame_ms.tolist() == [reference_frame_time(spec, c, f) * z for c, f, z
                                            in zip(schedule, r.freqs.tolist(), noise)]
-            active = np.minimum(CFG.frames_per_interval * r.frame_ms, CFG.period)
-            want = interval_energy(PM.active_power(r.freqs), active, CFG.period, PM.p_idle)
+            active = np.minimum(CFG.frames_per_interval * r.frame_ms, CFG.period_ms)
+            want = interval_energy(PM.active_power(r.freqs), active, CFG.period_ms, PM.p_idle_w)
             assert r.energies.tobytes() == want.tobytes()
             assert r.violations.tolist() == (r.frame_ms > CFG.frame_budget_ms).tolist()
             assert r.fps_violations == sum(r.violations.tolist())
@@ -352,7 +353,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("policy", ["rls", "oracle", "ondemand"])
     def test_rejects_non_finite_frame_times(self, policy):
-        # scalable_ms * ref_freq overflows to inf at every level; at sigma 1
+        # scalable_ms * ref_freq_mhz overflows to inf at every level; at sigma 1
         # some noise factors clip to 0, and inf * 0 is nan
         for sigma in (0.0, 1.0):
             spec = WorkloadSpec((5.0,) * 20, AffineMap(0.0, 1e308), AffineMap(0.0, 1.0),
@@ -389,7 +390,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GovernorConfig(up_threshold=0.3, down_threshold=0.5)
         with pytest.raises(ValueError):
-            PowerModel(p_static=-1.0)
+            PowerModel(p_static_w=-1.0)
 
     def test_budget_and_frames(self):
         assert CFG.frame_budget_ms == pytest.approx(1000.0 / 60.0)
